@@ -216,8 +216,8 @@ def mine_farmer(
             n_jobs=n_jobs,
             backend=backend,
         )
-    # Resolve here with the farmer task so backend="auto" keeps tall
-    # static-threshold runs on int (see plan_auto_backend).
+    # Resolve here with the farmer task so backend="auto" plans for a
+    # static-threshold run (see plan_auto_backend).
     resolved = resolve_backend(backend, n_rows=dataset.n_rows, task="farmer")
     view = MiningView.cached(dataset, consequent, minsup, backend=resolved)
     policy = FarmerPolicy(

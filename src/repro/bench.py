@@ -101,12 +101,10 @@ class Workload:
 # The full profile mirrors the Figure 6 series: MineTopkRGS at small and
 # large k on the prefix tree, the bitset engine the classifiers use, and
 # the FARMER baseline on its faithful projected-table engine.  The tall
-# workloads are the vectorized-backend showcase: at 512 rows the numpy
-# dynamic-threshold fold beats int top-k mining >2x (the committed
-# acceptance evidence for backend="auto"), while the tall FARMER point
-# documents that static-threshold mining stays fastest on int — which is
-# exactly what the auto planner chooses (the ``auto_backend`` column
-# records the choice).
+# workloads carry int-vs-numpy columns on multi-word bitsets — the
+# committed evidence that backend="auto" resolves to int for tall top-k
+# and FARMER mining alike (the ``auto_backend`` column records the
+# choice).
 DEFAULT_WORKLOADS = (
     Workload("all-topk-tree-k1", "ALL", "topk", "tree", k=1),
     Workload("all-topk-tree-k100", "ALL", "topk", "tree", k=100),
@@ -137,8 +135,7 @@ DEFAULT_WORKLOADS = (
 # regression gate needs at least one entry above the noise floor — and a
 # 128-row tall point that keeps the tall generator + per-backend columns
 # exercised on every CI run (small enough for seconds-long smoke, so it
-# gates regressions; the >=1.5x numpy win is evidenced by the full
-# profile's 512-row entry).
+# gates regressions).
 QUICK_WORKLOADS = (
     Workload("quick-topk-bitset-k5", "ALL", "topk", "bitset", k=5),
     Workload("quick-topk-tree-k100", "ALL", "topk", "tree", k=100),

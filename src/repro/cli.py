@@ -432,9 +432,9 @@ def build_parser() -> argparse.ArgumentParser:
                       default=None,
                       help="bitset-operations backend (default: the "
                            "REPRO_BITSET_BACKEND environment variable, "
-                           "then 'int'; 'auto' picks from the dataset's "
-                           "row count; results are identical across "
-                           "backends)")
+                           "then 'int'; 'auto' lets the planner pick, "
+                           "which is 'int' at every measured size; "
+                           "results are identical across backends)")
     mine.add_argument("--jobs", type=_jobs_arg, default=1,
                       help="worker processes for the mine (0 = all cores, "
                            "'auto' = let the planner decide; output is "

@@ -36,17 +36,16 @@ Selection precedence (see :func:`resolve_backend`):
 3. the ``int`` default.
 
 The special name ``"auto"`` (:data:`AUTO_BACKEND`) defers the choice to
-:func:`plan_auto_backend`, which picks from the dataset's row count,
-the mining task and the backends available in this process: ``int``
-wins at paper scale (tens of rows, where batch-call overhead dominates)
-and the vectorized ``numpy`` backend wins tall *top-k* runs (its
-dynamic-threshold min-fold vectorizes; the measured crossover sits at
-:data:`AUTO_TALL_ROWS` rows — see ``BENCH_core.json``), while
-static-threshold FARMER runs stay on ``int`` at every size.  ``"auto"`` can
-only be resolved where a row count is known — dataset-aware entry
-points (``MiningView``, the miners, the parallel front ends, the
-service) pass ``n_rows`` through; :func:`auto_backend_stats` counts the
-choices made so bench output and ``/metrics`` can report them honestly.
+:func:`plan_auto_backend`, the one place a measured crossover would be
+encoded.  Today it resolves to ``int`` for every row count and task:
+with the bucketed threshold store (:class:`ThresholdStore`, one store
+shared by every backend) ``int`` beats ``numpy`` on tall top-k mining
+at every committed size — see DESIGN.md §12 and ``BENCH_core.json``.
+``"auto"`` can only be resolved where a row count is known —
+dataset-aware entry points (``MiningView``, the miners, the parallel
+front ends, the service) pass ``n_rows`` through;
+:func:`auto_backend_stats` counts the choices made so bench output and
+``/metrics`` can report them honestly.
 
 The batch contract every backend honours (and
 ``tests/test_backends.py`` enforces on audit-generator cases):
@@ -74,7 +73,6 @@ from .packed_backend import PackedBackend
 
 __all__ = [
     "AUTO_BACKEND",
-    "AUTO_TALL_ROWS",
     "BitsetBackend",
     "DEFAULT_BACKEND",
     "ENV_VAR",
@@ -91,15 +89,6 @@ DEFAULT_BACKEND = "int"
 
 # Sentinel name deferring backend selection to :func:`plan_auto_backend`.
 AUTO_BACKEND = "auto"
-
-# Row count at which the vectorized numpy backend overtakes the int
-# default for top-k mining.  Measured on the tall synthetic cohorts
-# (minsup 0.7, k=2, bitset engine, 1-core host): int wins at 128 rows
-# (0.87x), numpy wins from 256 rows up (1.4x at 256, 2.4x at 512, 4.6x
-# at 1024) — the win comes from the vectorized dynamic-threshold fold,
-# which grows with the consequent-class row count.  The crossover table
-# in README.md tracks the measurements this constant mirrors.
-AUTO_TALL_ROWS = 256
 
 # Name -> singleton instance.  Backends are stateless (the per-view
 # state lives in the encoded handles), so one shared instance per
@@ -162,27 +151,18 @@ _AUTO_CHOICES: dict[str, int] = {name: 0 for name in KNOWN_BACKENDS}
 
 
 def plan_auto_backend(n_rows: int, task: str = "topk") -> str:
-    """Backend name for ``backend="auto"``: row count x task x availability.
-
-    The int default wins below :data:`AUTO_TALL_ROWS` rows, where batch
-    folds span one or two machine words and per-call overhead dominates.
-    At or above it the vectorized numpy backend wins — if it registered;
-    the pure-Python packed backend never beats int, so a numpy-free host
-    stays on the default rather than auto-selecting a slower backend.
+    """Backend name for ``backend="auto"``, planned from row count and task.
 
     ``task`` names what the backend will execute: ``"topk"`` (dynamic
     top-k mining, the default) or ``"farmer"`` (static-threshold FARMER
-    baselines).  Only top-k runs get the vectorized backend — its tall
-    win comes from the dynamic-threshold min-fold, which static policies
-    never perform, and on pure closure/union folds the int backend wins
-    at every measured size (see DESIGN.md §12).
+    baselines).  Every measured combination resolves to the int default
+    (DESIGN.md §12): at paper scale batch folds span one or two machine
+    words and the alternates only add per-call conversion; on tall
+    cohorts the threshold fold is the same bucketed store on every
+    backend, and int beats numpy at 256, 512 and 1024 rows.  The
+    planner stays the single seam a faster backend would be planned
+    from.
     """
-    if (
-        task == "topk"
-        and n_rows >= AUTO_TALL_ROWS
-        and "numpy" in _REGISTRY
-    ):
-        return "numpy"
     return DEFAULT_BACKEND
 
 
@@ -202,9 +182,7 @@ def resolve_backend(
     resolves through :func:`plan_auto_backend` and therefore needs
     ``n_rows``; dataset-aware callers (``MiningView``, the miners, the
     parallel front ends) pass it through.  ``task`` qualifies the auto
-    plan (``"topk"``/``"farmer"``, see :func:`plan_auto_backend`); the
-    FARMER entry points pass ``"farmer"`` so tall static-threshold runs
-    stay on the int backend that wins them.
+    plan (``"topk"``/``"farmer"``, see :func:`plan_auto_backend`).
     """
     if isinstance(backend, BitsetBackend):
         return backend

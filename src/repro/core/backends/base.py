@@ -17,8 +17,9 @@ every backend to enforce exactly that.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import namedtuple
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .. import bitset as _bitset
 
@@ -42,53 +43,68 @@ class ThresholdStore:
     The top-k policy maintains one threshold pair per consequent-class
     row (the k-th list entry of Equations 1-2) and, at every pruning
     check, needs the lexicographic minimum of those pairs over the rows
-    of a ``threshold_bits`` bitset.  That fold is the dominant per-node
-    cost on tall datasets — O(set bits) Python-loop iterations, each
-    shaving the lowest bit off a multi-word int — so it is a backend
-    strategy point: :meth:`BitsetBackend.make_threshold_store` lets an
-    array backend keep the pairs in vectorized storage and fold them in
-    a handful of C calls.
+    of a ``threshold_bits`` bitset — once per surviving node, which
+    makes it the dominant per-node cost on tall datasets.
 
-    The contract mirrors the rest of the package: ``update`` writes one
-    position's pair, ``fold`` returns exactly what the reference loop
-    below returns (a full lexicographic min; ``(0.0, 0)`` is the global
-    minimum, so early exit never changes the result), and every store is
-    bit-identical by construction.  Positions start at ``(0.0, 0)`` —
-    the threshold of an underfull top-k list.
+    The rows hold few distinct pairs at any one time (lists fill with
+    the same strong groups), so the store buckets positions by pair: a
+    dict from each distinct ``(kth_conf, kth_sup)`` to the bitset of
+    positions holding it, plus the distinct pairs in ascending order.
+    ``update`` moves one bit between buckets; ``fold`` returns the first
+    pair whose bucket meets ``bits``, which is the same lexicographic
+    minimum a per-bit scan finds, in one ``&`` per distinct pair instead
+    of one Python iteration per set bit.  Positions start at
+    ``(0.0, 0)`` — the threshold of an underfull top-k list.
     """
 
-    __slots__ = ("confs", "sups")
+    __slots__ = ("_pairs", "_buckets", "_order")
 
     def __init__(self, n_positive: int) -> None:
-        self.confs: list[float] = [0.0] * n_positive
-        self.sups: list[int] = [0] * n_positive
+        initial = (0.0, 0)
+        self._pairs: list[tuple[float, int]] = [initial] * n_positive
+        self._buckets: dict[tuple[float, int], int] = {}
+        self._order: list[tuple[float, int]] = []
+        if n_positive:
+            self._buckets[initial] = _bitset.mask_below(n_positive)
+            self._order.append(initial)
 
     def update(self, position: int, conf: float, sup: int) -> None:
-        self.confs[position] = conf
-        self.sups[position] = sup
+        pair = (conf, sup)
+        old = self._pairs[position]
+        if pair == old:
+            return
+        self._pairs[position] = pair
+        buckets = self._buckets
+        bit = 1 << position
+        remaining = buckets[old] ^ bit
+        if remaining:
+            buckets[old] = remaining
+        else:
+            del buckets[old]
+            self._order.remove(old)
+        bucket = buckets.get(pair)
+        if bucket is None:
+            buckets[pair] = bit
+            insort(self._order, pair)
+        else:
+            buckets[pair] = bucket | bit
 
     def fold(self, bits: int) -> tuple[float, int]:
         """Lexicographic min of ``(conf, sup)`` over the set positions.
 
         ``bits`` must be non-empty; the caller treats an empty row set
-        as unconditionally prunable before consulting thresholds.
+        as unconditionally prunable before consulting thresholds (an
+        empty fold returns the ``(inf, 0)`` identity).
         """
-        min_conf = float("inf")
-        min_sup = 0
-        confs = self.confs
-        sups = self.sups
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            position = low.bit_length() - 1
-            conf = confs[position]
-            sup = sups[position]
-            if conf < min_conf or (conf == min_conf and sup < min_sup):
-                min_conf = conf
-                min_sup = sup
-                if min_conf == 0.0 and min_sup == 0:
-                    break
-        return min_conf, min_sup
+        buckets = self._buckets
+        for pair in self._order:
+            if buckets[pair] & bits:
+                return pair
+        return float("inf"), 0
+
+    def weakest(self) -> Optional[tuple[float, int]]:
+        """The minimum pair over every position (``None`` when empty)."""
+        return self._order[0] if self._order else None
 
 
 class BitsetBackend:
@@ -212,16 +228,6 @@ class BitsetBackend:
         """``(popcount(bits & mask), popcount(bits))`` for one fresh
         bitset (the candidate set a node derives in int space)."""
         return (bits & mask).bit_count(), bits.bit_count()
-
-    def make_threshold_store(self, n_positive: int) -> ThresholdStore:
-        """Create the dynamic-threshold store for a top-k run.
-
-        Array backends override this to keep the per-row threshold pairs
-        in vectorized storage so the per-node min-fold of Equations 1-2
-        runs in C instead of a Python bit-shaving loop.  Every store
-        returns exactly what :meth:`ThresholdStore.fold` returns.
-        """
-        return ThresholdStore(n_positive)
 
     def node_kernel(self, handle, mask) -> NodeKernel:
         """Bind the fused folds for one enumeration walk.

@@ -8,11 +8,12 @@ through ``np.bitwise_count``.  Results cross back to plain ``int``
 bitsets at the call boundary, so outputs are bit-identical to the
 default backend by construction.
 
-The fused counting folds are where the backend earns its keep on tall
-datasets: the positive-mask popcount is computed from the reduce output
-words directly (one ``bitwise_count`` pass, no intermediate int
-bitsets), and :meth:`NumpyBackend.node_kernel` preallocates the reduce
-output buffers once per walk so the per-node calls do no setup work.
+The fused counting folds compute the positive-mask popcount from the
+reduce output words directly (one ``bitwise_count`` pass, no
+intermediate int bitsets), and :meth:`NumpyBackend.node_kernel`
+preallocates the reduce output buffers once per walk so the per-node
+calls do no setup work.  Even so, ``int`` beats this backend at every
+committed size (DESIGN.md §12); it stays as a measured alternative.
 
 This module is import-guarded by the package ``__init__``: importing it
 raises ``ImportError`` when numpy is absent and the backend simply does
@@ -25,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .base import BitsetBackend, NodeKernel, ThresholdStore
+from .base import BitsetBackend, NodeKernel
 
 __all__ = ["NumpyBackend"]
 
@@ -35,49 +36,6 @@ if not hasattr(np, "bitwise_count"):  # numpy < 2.0
 
 def _to_int(words: "np.ndarray") -> int:
     return int.from_bytes(words.tobytes(), "little")
-
-
-class _NumpyThresholdStore(ThresholdStore):
-    """Array-backed dynamic-threshold store (contract in the base class).
-
-    ``fold`` unpacks the row bitset into a boolean mask with one
-    ``np.unpackbits`` call and takes two masked minima, so a pruning
-    check costs a few C passes over ``n_positive`` elements instead of
-    one Python iteration per set bit — and each of those Python
-    iterations shaves the lowest bit off a multi-word int, which is
-    itself O(words).  On tall cohorts with thousands of consequent-class
-    rows this fold is the dominant per-node cost of the top-k policy,
-    and is where the numpy backend beats ``int``.
-
-    The arrays are padded to whole bytes so the unpacked mask always
-    matches their length; padding positions keep the ``(0.0, 0)``
-    initial pair and are never set in ``bits`` (the positive mask only
-    covers real positions).
-    """
-
-    __slots__ = ("_n_bytes", "_confs", "_sups")
-
-    def __init__(self, n_positive: int) -> None:
-        self._n_bytes = max(1, (n_positive + 7) // 8)
-        padded = self._n_bytes * 8
-        self._confs = np.zeros(padded, dtype=np.float64)
-        self._sups = np.zeros(padded, dtype=np.int64)
-
-    def update(self, position: int, conf: float, sup: int) -> None:
-        self._confs[position] = conf
-        self._sups[position] = sup
-
-    def fold(self, bits: int) -> tuple[float, int]:
-        mask = np.unpackbits(
-            np.frombuffer(
-                bits.to_bytes(self._n_bytes, "little"), dtype=np.uint8
-            ),
-            bitorder="little",
-        ).view(np.bool_)
-        confs = self._confs[mask]
-        min_conf = confs.min()
-        min_sup = self._sups[mask][confs == min_conf].min()
-        return float(min_conf), int(min_sup)
 
 
 class NumpyBackend(BitsetBackend):
@@ -163,9 +121,6 @@ class NumpyBackend(BitsetBackend):
             int(np.bitwise_count(words & mask).sum()),
             int(np.bitwise_count(words).sum()),
         )
-
-    def make_threshold_store(self, n_positive: int) -> ThresholdStore:
-        return _NumpyThresholdStore(n_positive)
 
     def node_kernel(self, handle, mask: "np.ndarray") -> NodeKernel:
         matrix, n_words = handle

@@ -89,10 +89,10 @@ __all__ = [
 STRATEGIES = ("direct", "hybrid")
 AUTO_STRATEGY = "auto"
 
-# The planner rung for strategy="auto", the row-count sibling of
-# ``backends.AUTO_TALL_ROWS``: below this row count the direct miner's
-# single enumeration wins; at or above it the bounded-memory hybrid
-# path takes over (tall-16k and up under the committed cohorts).
+# The planner rung for strategy="auto": below this row count the
+# direct miner's single enumeration wins; at or above it the
+# bounded-memory hybrid path takes over (tall-16k and up under the
+# committed cohorts).
 AUTO_HYBRID_ROWS = 8192
 
 _AUTO_CHOICES = {"direct": 0, "hybrid": 0}

@@ -34,6 +34,7 @@ from .bitset import iter_indices, popcount
 if TYPE_CHECKING:  # pragma: no cover - import is for annotations only
     from ..data.dataset import DiscretizedDataset
 from ..errors import MiningBudgetExceeded
+from .backends import ThresholdStore
 from .enumeration import MinerStats, run_enumeration
 from .rules import RuleGroup, TopKList
 from .view import MiningView
@@ -112,9 +113,9 @@ class TopkPolicy:
             TopKList(k, canonical_key=canonical) for _ in range(view.n_positive)
         ]
         # The per-row (kth_conf, kth_sup) pairs mirrored into the
-        # backend's threshold store, whose min-fold answers Equations
-        # 1-2 at every pruning check (vectorized on array backends).
-        self._store = view.backend.make_threshold_store(view.n_positive)
+        # threshold store, whose min-fold answers Equations 1-2 at every
+        # pruning check.
+        self._store = ThresholdStore(view.n_positive)
         if initialize_single_items:
             self._initialize_from_single_items()
 
@@ -183,10 +184,10 @@ class TopkPolicy:
     def _thresholds(self, threshold_bits: int) -> tuple[float, int]:
         """Equations 1-2: the weakest k-th entry among the given rows.
 
-        Delegates to the backend threshold store, which mirrors the
+        Delegates to the threshold store, which mirrors the
         ``kth_conf``/``kth_sup`` pair of every per-row list (synced on
         each accepted offer).  This runs once per pruning check, for
-        every node; array backends fold it in C (DESIGN.md §12).
+        every node (DESIGN.md §12).
         """
         return self._store.fold(threshold_bits)
 
@@ -228,17 +229,18 @@ class TopkPolicy:
         paper raises to ``sup + 1``; keeping support-equal groups
         enumerable preserves the canonical tie-break, which may replace
         a k-th entry with an equal-significance group.)
+
+        The store's weakest pair answers this in O(1): an underfull list
+        holds ``(0.0, 0)``, so "every list full at confidence 1.0" is
+        "the weakest pair has confidence 1.0", and its support is then
+        the weakest k-th support.
         """
-        weakest: Optional[int] = None
-        for topk in self.lists:
-            if len(topk) < self.k:
-                return
-            conf, sup = topk.kth_threshold()
-            if conf < 1.0:
-                return
-            weakest = sup if weakest is None else min(weakest, sup)
-        if weakest is not None and weakest > self._minsup:
-            self._minsup = weakest
+        weakest = self._store.weakest()
+        if weakest is None:
+            return
+        conf, sup = weakest
+        if conf >= 1.0 and sup > self._minsup:
+            self._minsup = sup
 
     def finalize(self) -> dict[int, list[RuleGroup]]:
         """Per-row top-k lists in original row space.

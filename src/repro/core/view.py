@@ -105,8 +105,7 @@ class MiningView:
         self.dataset = dataset
         self.consequent = consequent
         self.minsup = minsup
-        # "auto" resolves here because the row count is known: int at
-        # paper scale, the vectorized backend on tall cohorts.
+        # "auto" resolves here because the row count is known.
         self.backend: BitsetBackend = resolve_backend(
             backend, n_rows=dataset.n_rows
         )

@@ -25,8 +25,8 @@ module also generates *tall cohorts* (:class:`TallCohortSpec`,
 catalog, the regime of consortium-scale sample collections rather than
 single microarray studies.  Tall cohorts exist to exercise the
 row-dimension scaling of the miners — their row bitsets span hundreds of
-64-bit words, which is where the vectorized bitset backends
-(:mod:`repro.core.backends`) earn their keep — and are registered as
+64-bit words, the regime the vectorized bitset backends
+(:mod:`repro.core.backends`) are measured on — and are registered as
 first-class ``repro bench`` workloads.  Construction is chunked
 (:func:`iter_tall_chunks`): each chunk of rows is drawn from its own
 ``(seed, chunk_index)``-keyed RNG stream, so generation is one
@@ -490,7 +490,7 @@ class TallCohortSpec:
         The item catalog is preserved — rows are the dimension tall
         cohorts exist to stress.  The scaled count is floored at 96 rows
         so the bitsets always span multiple 64-bit words (the regime the
-        vectorized backends are for).
+        vectorized backends are measured on).
         """
         if not 0 < scale <= 1:
             raise ValueError("scale must be in (0, 1]")

@@ -741,6 +741,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1.0"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out as two writes; with Nagle on, the body
+    # waits for the client's delayed ACK of the headers (~40 ms).
+    disable_nagle_algorithm = True
     # 16 MiB request bound: a scaled paper dataset payload fits easily,
     # and anything bigger is almost certainly a client bug.
     max_body_bytes = 16 * 1024 * 1024

@@ -20,7 +20,6 @@ from repro.audit.generator import generate_cases
 from repro.baselines.farmer import mine_farmer
 from repro.core import bitset as B
 from repro.core.backends import (
-    AUTO_TALL_ROWS,
     DEFAULT_BACKEND,
     ENV_VAR,
     BitsetBackend,
@@ -33,8 +32,9 @@ from repro.core.backends import (
 )
 from repro.core.backends.packed_backend import PackedBackend, popcount_table
 from repro.core.enumeration import ENGINES
-from repro.core.topk_miner import mine_topk
+from repro.core.topk_miner import TopkPolicy, mine_topk
 from repro.core.view import MiningView
+from repro.data.dataset import DiscretizedDataset, Item
 from repro.parallel import results_equal
 
 BACKENDS = available_backends()
@@ -104,21 +104,17 @@ class TestRegistry:
 
 class TestAutoBackend:
     def test_paper_scale_stays_on_int(self):
-        for n_rows in (4, 38, 102, AUTO_TALL_ROWS - 1):
+        for n_rows in (4, 38, 102, 255):
             assert plan_auto_backend(n_rows) == "int"
 
-    def test_tall_topk_picks_vectorized_when_available(self):
-        chosen = plan_auto_backend(AUTO_TALL_ROWS)
-        if "numpy" in BACKENDS:
-            assert chosen == "numpy"
-        else:
-            # packed never beats int, so a numpy-free host keeps the
-            # default rather than auto-selecting a slower backend.
-            assert chosen == "int"
-        assert plan_auto_backend(16384) == chosen
+    def test_tall_topk_stays_on_int(self):
+        """The threshold fold is one store on every backend, so numpy's
+        tall win is gone: int beat it at 256, 512 and 1024 rows."""
+        for n_rows in (256, 512, 1024, 16384):
+            assert plan_auto_backend(n_rows) == "int"
 
     def test_farmer_task_stays_on_int_at_every_size(self):
-        for n_rows in (38, AUTO_TALL_ROWS, 16384):
+        for n_rows in (38, 256, 16384):
             assert plan_auto_backend(n_rows, task="farmer") == "int"
 
     def test_resolve_auto_needs_a_row_count(self):
@@ -127,8 +123,8 @@ class TestAutoBackend:
 
     def test_resolve_auto_follows_the_plan_and_counts_choices(self):
         before = auto_backend_stats()
-        resolved = resolve_backend("auto", n_rows=AUTO_TALL_ROWS)
-        assert resolved.name == plan_auto_backend(AUTO_TALL_ROWS)
+        resolved = resolve_backend("auto", n_rows=256)
+        assert resolved.name == plan_auto_backend(256) == "int"
         after = auto_backend_stats()
         assert after[resolved.name] == before[resolved.name] + 1
 
@@ -140,7 +136,8 @@ class TestAutoBackend:
 
 
 # ---------------------------------------------------------------------------
-# Threshold stores: every backend's min-fold == the reference loop
+# Threshold store: the one bucketed store every backend's policy builds,
+# folded against the per-bit reference loop
 # ---------------------------------------------------------------------------
 
 
@@ -156,6 +153,44 @@ def _reference_fold(confs, sups, bits):
     return best
 
 
+def _policy_store(backend_name: str, n_positive: int) -> ThresholdStore:
+    """The store ``TopkPolicy`` builds over a view on ``backend_name``
+    with ``n_positive`` consequent-class rows (and one other row)."""
+    items = [Item(0, 0, "i0", float("-inf"), float("inf"))]
+    dataset = DiscretizedDataset(
+        [{0}] * (n_positive + 1),
+        [1] * n_positive + [0],
+        items,
+        class_names=["rest", "target"],
+    )
+    view = MiningView(dataset, 1, 1, backend=backend_name)
+    policy = TopkPolicy(view, k=1, initialize_single_items=False)
+    assert type(policy._store) is ThresholdStore
+    return policy._store
+
+
+class _MirroredStore:
+    """A store plus the plain per-position lists it must agree with."""
+
+    def __init__(self, store: ThresholdStore, n_positive: int) -> None:
+        self.store = store
+        self.confs = [0.0] * n_positive
+        self.sups = [0] * n_positive
+
+    def update(self, position: int, conf: float, sup: int) -> None:
+        self.store.update(position, conf, sup)
+        self.confs[position] = conf
+        self.sups[position] = sup
+
+    def check(self, bits: int) -> None:
+        assert self.store.fold(bits) == _reference_fold(
+            self.confs, self.sups, bits
+        )
+        everything = B.mask_below(len(self.confs))
+        expected = _reference_fold(self.confs, self.sups, everything)
+        assert self.store.weakest() == (expected if everything else None)
+
+
 @pytest.mark.parametrize("backend_name", BACKENDS)
 class TestThresholdStore:
     def test_fold_matches_reference(self, backend_name):
@@ -163,30 +198,67 @@ class TestThresholdStore:
 
         rng = random.Random(2024)
         n_positive = 213  # multiple words plus a ragged tail
-        store = get_backend(backend_name).make_threshold_store(n_positive)
-        assert isinstance(store, ThresholdStore)
-        confs = [0.0] * n_positive
-        sups = [0] * n_positive
+        store = _policy_store(backend_name, n_positive)
+        mirror = _MirroredStore(store, n_positive)
         for _ in range(400):
             position = rng.randrange(n_positive)
             conf = rng.choice((0.0, 0.25, 0.5, rng.random(), 1.0))
             sup = rng.randrange(0, 40)
-            store.update(position, conf, sup)
-            confs[position] = conf
-            sups[position] = sup
-            bits = B.from_indices(
-                rng.sample(range(n_positive), rng.randint(1, n_positive))
+            mirror.update(position, conf, sup)
+            mirror.check(
+                B.from_indices(
+                    rng.sample(range(n_positive), rng.randint(1, n_positive))
+                )
             )
-            assert store.fold(bits) == _reference_fold(confs, sups, bits)
 
     def test_initial_pairs_are_underfull_thresholds(self, backend_name):
-        store = get_backend(backend_name).make_threshold_store(70)
+        store = _policy_store(backend_name, 70)
         assert store.fold(B.from_indices([0, 64, 69])) == (0.0, 0)
+        assert store.weakest() == (0.0, 0)
 
     def test_single_position_fold(self, backend_name):
-        store = get_backend(backend_name).make_threshold_store(130)
+        store = _policy_store(backend_name, 130)
         store.update(129, 0.75, 9)
         assert store.fold(B.bit(129)) == (0.75, 9)
+
+    def test_update_to_the_held_pair(self, backend_name):
+        mirror = _MirroredStore(_policy_store(backend_name, 5), 5)
+        mirror.update(2, 0.0, 0)  # the initial pair, held already
+        mirror.check(B.bit(2))
+        mirror.check(B.mask_below(5))
+        mirror.update(2, 0.5, 3)
+        mirror.update(2, 0.5, 3)
+        mirror.check(B.bit(2))
+        mirror.check(B.from_indices([1, 2]))
+
+    def test_emptied_bucket_is_refilled(self, backend_name):
+        mirror = _MirroredStore(_policy_store(backend_name, 4), 4)
+        for position in range(4):
+            mirror.update(position, 1.0, 6)
+        mirror.check(B.mask_below(4))  # the (0.0, 0) bucket is now empty
+        mirror.update(1, 0.0, 0)  # ...and refilled
+        mirror.check(B.mask_below(4))
+        mirror.check(B.from_indices([0, 2, 3]))
+        mirror.update(1, 0.5, 2)
+        mirror.update(3, 0.5, 2)
+        mirror.update(1, 1.0, 6)
+        mirror.update(3, 1.0, 6)  # empties (0.5, 2) again
+        for bits in (B.bit(1), B.bit(3), B.mask_below(4)):
+            mirror.check(bits)
+
+    def test_non_monotone_updates(self, backend_name):
+        mirror = _MirroredStore(_policy_store(backend_name, 3), 3)
+        for conf, sup in ((0.9, 5), (0.2, 1), (0.9, 4), (0.9, 6), (0.1, 9)):
+            mirror.update(0, conf, sup)
+            mirror.update(2, 1.0 - conf, sup + 1)
+            for bits in (B.bit(0), B.bit(2), B.from_indices([0, 2]),
+                         B.mask_below(3)):
+                mirror.check(bits)
+
+    def test_no_positive_rows(self, backend_name):
+        store = _policy_store(backend_name, 0)
+        assert store.weakest() is None
+        assert store.fold(0) == (float("inf"), 0)
 
 
 class TestResolvePrecedence:

@@ -3,7 +3,10 @@
 import pytest
 
 from repro.core.bitset import popcount
-from repro.core.topk_miner import mine_topk, relative_minsup
+from repro.core.enumeration import run_enumeration
+from repro.core.topk_miner import TopkPolicy, mine_topk, relative_minsup
+from repro.core.view import MiningView
+from repro.data.dataset import DiscretizedDataset, Item
 from repro.data.synthetic import random_discretized_dataset
 
 
@@ -116,6 +119,47 @@ class TestOptimizationFlags:
         pruned = mine_topk(train, 1, minsup, k=1, use_topk_pruning=True)
         unpruned = mine_topk(train, 1, minsup, k=1, use_topk_pruning=False)
         assert pruned.stats.nodes_visited <= unpruned.stats.nodes_visited
+
+
+class TestDynamicMinsup:
+    """Second optimization of Section 4.1.1, checked against its rule
+    read straight off the per-row lists."""
+
+    @staticmethod
+    def _rule(policy):
+        lists = policy.lists
+        if not lists or any(len(topk) < policy.k for topk in lists):
+            return policy.view.minsup
+        pairs = [topk.kth_threshold() for topk in lists]
+        if min(conf for conf, _ in pairs) < 1.0:
+            return policy.view.minsup
+        return max(policy.view.minsup, min(sup for _, sup in pairs))
+
+    @staticmethod
+    def _walk(dataset, minsup, k):
+        view = MiningView(dataset, 1, minsup)
+        policy = TopkPolicy(view, k)
+        run_enumeration(view, policy)
+        return policy
+
+    def test_raised_to_the_weakest_kth_support(self):
+        # Item 0 covers every class-1 row and no other row: every list
+        # fills with a 100%-confidence group of support 4.
+        items = [Item(i, i, f"i{i}", float("-inf"), float("inf"))
+                 for i in range(3)]
+        dataset = DiscretizedDataset(
+            [{0, 1}, {0, 2}, {0, 1}, {0, 2}, {1, 2}], [1, 1, 1, 1, 0], items
+        )
+        policy = self._walk(dataset, minsup=1, k=1)
+        assert policy.minsup == 4 == self._rule(policy)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_the_list_rule(self, seed):
+        # At density 0.5 about a fifth of these walks raise minsup.
+        dataset = random_discretized_dataset(12, 10, density=0.5, seed=seed)
+        for k in (1, 2):
+            policy = self._walk(dataset, minsup=1, k=k)
+            assert policy.minsup == self._rule(policy)
 
 
 class TestResultHelpers:
