@@ -9,11 +9,10 @@ that historically break miners and serving layers:
 * varying row/item counts, density and class skew;
 * duplicate rows (closure collisions, tie-heavy top-k lists);
 * degenerate datasets — empty rows, a single class, all-identical rows;
-* tall datasets (> 64 rows, so bitsets span multiple machine words and
-  every backend's multi-word paths run) built from a handful of
-  distinct row patterns, which keeps the brute-force oracle exact: the
-  oracle enumerates *distinct* patterns, and duplicates add rows
-  without adding itemsets;
+* tall datasets (> 64 rows, so bitsets span multiple machine words)
+  built from a handful of distinct row patterns, which keeps the
+  brute-force oracle exact: the oracle enumerates *distinct* patterns,
+  and duplicates add rows without adding itemsets;
 * minsup values from 1 up to the whole consequent class.
 
 Datasets stay at or below :data:`MAX_ROWS` rows (:data:`MAX_TALL_ROWS`
@@ -45,16 +44,13 @@ __all__ = [
 MAX_ROWS = 12
 
 # Row range of the "tall" shape: above 64 rows so row bitsets span
-# multiple 64-bit words (the regime the vectorized backends exist for,
-# and where single-word shortcuts would hide bugs), but built from at
-# most 8 distinct patterns so the oracle stays exact.
+# multiple 64-bit words (where single-word shortcuts would hide bugs),
+# but built from at most 8 distinct patterns so the oracle stays exact.
 MIN_TALL_ROWS = 65
 MAX_TALL_ROWS = 96
 
 # Shape rotation: index i draws SHAPES[i % len(SHAPES)], so any case
 # count >= len(SHAPES) exercises every degenerate family at least once.
-# The backend rotation in repro.audit.oracle rides the same index, so
-# tall cases cycle through the non-default backends too.
 SHAPES = (
     "uniform",
     "skewed",

@@ -11,10 +11,6 @@ repo rich in free oracles.  For one generated case this module:
   baseline (flag variants may discover ties in a different order, so
   profiles — not antecedent identity — are the contract, exactly as in
   the paper);
-* re-mines under a rotated non-default bitset backend
-  (:mod:`repro.core.backends`: ``packed``/``numpy``) and asserts both
-  the result and the deterministic :class:`MinerStats` counters are
-  identical to the default backend's;
 * re-mines with ``n_jobs > 1`` and asserts the sharded parallel merge
   is bit-identical to the serial run;
 * on rotated cases, re-mines with ``strategy="hybrid"`` (the
@@ -48,7 +44,6 @@ from ..baselines.naive_topk import naive_topk
 from ..classifiers.cba import CBAClassifier
 from ..classifiers.persistence import classifier_from_payload, classifier_to_payload
 from ..classifiers.rcbt import RCBTClassifier
-from ..core.backends import available_backends
 from ..core.enumeration import ENGINES
 from ..core.topk_miner import TopkResult, mine_topk
 from ..data.loaders import discretized_from_payload, discretized_to_payload
@@ -93,17 +88,6 @@ def profiles(per_row: dict) -> dict:
     return {
         row: [(group.confidence, group.support) for group in groups]
         for row, groups in per_row.items()
-    }
-
-
-def _counters(stats) -> dict:
-    """The deterministic MinerStats counters (wall-clock excluded)."""
-    return {
-        "nodes_visited": stats.nodes_visited,
-        "groups_emitted": stats.groups_emitted,
-        "loose_pruned": stats.loose_pruned,
-        "tight_pruned": stats.tight_pruned,
-        "backward_pruned": stats.backward_pruned,
     }
 
 
@@ -198,35 +182,6 @@ def audit_case(
             f"{engine} result differs bit-for-bit from bitset",
         )
 
-    # -- bitset backends: bit-identical results AND stats ------------------
-    # Rotate the non-default backends across cases (like the engine
-    # rotation below) so the suite covers packed and numpy without mining
-    # every case under every backend.  The contract is stronger than for
-    # engines: a backend only changes how the folds execute, so even the
-    # MinerStats counters must match the default run exactly.
-    alternates = [name for name in available_backends() if name != "int"]
-    if alternates:
-        backend = alternates[case.index % len(alternates)]
-        engine = ENGINES[case.index % len(ENGINES)]
-        serial = engine_results.get(engine)
-        rotated = auditor.mine(
-            f"backend:{backend}:{engine}", engine=engine, backend=backend
-        )
-        if rotated is not None and serial is not None:
-            auditor.expect(
-                f"backend-equal:{backend}:{engine}",
-                results_equal(serial, rotated),
-                f"{backend} backend result differs bit-for-bit from the "
-                f"default ({engine} engine)",
-            )
-            auditor.expect(
-                f"backend-stats:{backend}:{engine}",
-                _counters(rotated.stats) == _counters(serial.stats),
-                f"{backend} backend MinerStats differ from the default "
-                f"({engine} engine): {_counters(rotated.stats)} vs "
-                f"{_counters(serial.stats)}",
-            )
-
     # -- naive baseline: profile equality ---------------------------------
     expected_profiles: dict | None = None
 
@@ -271,7 +226,7 @@ def audit_case(
 
     # -- hybrid strategy: bit-identical to direct --------------------------
     if case.index % 4 == 2:
-        # Rotated like the backend check: the column-partitioned hybrid
+        # Rotated across cases: the column-partitioned hybrid
         # miner (strategy="hybrid") must reproduce the direct result bit
         # for bit — per-row lists AND the completed honesty flag — on the
         # same rotated engine.

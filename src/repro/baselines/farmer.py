@@ -191,10 +191,9 @@ def mine_farmer(
             dispatches to :mod:`repro.parallel` (``None``/0 = all cores).
             Output and group order are identical; ``node_budget`` then
             applies per shard.
-        backend: bitset-operations backend name or instance (see
-            :mod:`repro.core.backends`); ``None`` follows
-            ``REPRO_BITSET_BACKEND``, then the ``int`` default.  Output
-            is bit-identical across backends.
+        backend: ``None``, ``"int"`` or ``"auto"`` (see
+            :mod:`repro.core.backends`); any other value raises
+            ``ValueError``.
 
     Returns:
         A :class:`FarmerResult`; when a budget was exhausted it carries
@@ -218,8 +217,8 @@ def mine_farmer(
         )
     # Resolve here with the farmer task so backend="auto" plans for a
     # static-threshold run (see plan_auto_backend).
-    resolved = resolve_backend(backend, n_rows=dataset.n_rows, task="farmer")
-    view = MiningView.cached(dataset, consequent, minsup, backend=resolved)
+    resolve_backend(backend, n_rows=dataset.n_rows, task="farmer")
+    view = MiningView.cached(dataset, consequent, minsup)
     policy = FarmerPolicy(
         view,
         minconf=minconf,

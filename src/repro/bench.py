@@ -10,19 +10,14 @@ Honesty rules baked in:
 
 * best-of-``repeats`` wall-clock (robust to scheduler noise, biased the
   same way for serial and parallel runs);
-* the host's ``cpu_count`` is recorded next to every speedup, and every
-  parallel measurement whose worker count exceeds the host's cores is
-  flagged ``oversubscribed`` — a 4-worker run on a 1-core container
-  *cannot* speed up, and the report says so rather than hiding it
-  (oversubscribed points must not back any speedup claim);
+* the host's ``cpu_count`` is recorded next to every speedup, and no
+  parallel column is recorded for a worker count above it — a 4-worker
+  run on a 1-core container measures scheduling overhead, not
+  parallelism, so it cannot back a speedup claim;
 * every parallel measurement carries ``identical_output``, the assertion
   that sharded mining reproduced the serial result exactly;
 * every workload is also timed with ``n_jobs="auto"`` so the adaptive
   planner's choice is itself measured, not assumed;
-* every workload is also timed with ``backend="auto"``, and the
-  ``chose_backend`` field records which backend the planner *actually*
-  resolved (counted at the resolver, not recomputed), so the committed
-  numbers cannot claim a backend the run never used;
 * :func:`compare_reports` (``repro bench --compare``) diffs a fresh run
   against a committed baseline and fails on serial-time regressions, so
   perf changes land with evidence.
@@ -39,7 +34,6 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from .baselines.farmer import FarmerResult, mine_farmer
-from .core.backends import auto_backend_stats, available_backends
 from .core.hybrid import mine_topk_hybrid
 from .core.topk_miner import TopkResult, mine_topk, relative_minsup
 from .data.loaders import load_benchmark
@@ -76,14 +70,9 @@ class Workload:
     cohort registry name (``tall-1k``/``tall-4k``/``tall-16k``, see
     :data:`repro.data.TALL_COHORTS`).  ``scale`` pins the workload to a
     fixed scale regardless of the CLI ``--scale`` so its committed
-    baseline entry stays comparable.  ``backends`` restricts the
-    per-backend serial columns (None = every available backend); tall
-    workloads exclude the pure-Python ``packed`` backend, which is
-    several times slower than ``int`` there and would dominate the
-    harness runtime without informing any decision.  ``measure_parallel``
-    turns off the worker-pool columns for workloads that exist to
-    compare *backends* (process pools on the tall cohorts would double
-    the runtime to measure an orthogonal axis).
+    baseline entry stays comparable.  ``measure_parallel`` turns off
+    the worker-pool columns (process pools on the tall cohorts would
+    double the runtime to measure an orthogonal axis).
     """
 
     name: str
@@ -94,17 +83,13 @@ class Workload:
     fraction: float = 0.9
     minconf: float = 0.0
     scale: Optional[float] = None
-    backends: Optional[tuple[str, ...]] = None
     measure_parallel: bool = True
 
 
 # The full profile mirrors the Figure 6 series: MineTopkRGS at small and
 # large k on the prefix tree, the bitset engine the classifiers use, and
 # the FARMER baseline on its faithful projected-table engine.  The tall
-# workloads carry int-vs-numpy columns on multi-word bitsets — the
-# committed evidence that backend="auto" resolves to int for tall top-k
-# and FARMER mining alike (the ``auto_backend`` column records the
-# choice).
+# workloads time top-k and FARMER mining on multi-word bitsets.
 DEFAULT_WORKLOADS = (
     Workload("all-topk-tree-k1", "ALL", "topk", "tree", k=1),
     Workload("all-topk-tree-k100", "ALL", "topk", "tree", k=100),
@@ -113,11 +98,9 @@ DEFAULT_WORKLOADS = (
     Workload("pc-topk-tree-k1", "PC", "topk", "tree", k=1),
     Workload("pc-farmer-table", "PC", "farmer", "table"),
     Workload("tall-512-topk-bitset-k2", "tall-1k", "topk", "bitset",
-             k=2, fraction=0.7, scale=0.5, backends=("int", "numpy"),
-             measure_parallel=False),
+             k=2, fraction=0.7, scale=0.5, measure_parallel=False),
     Workload("tall-256-farmer-bitset", "tall-1k", "farmer", "bitset",
-             fraction=0.6, scale=0.25, backends=("int", "numpy"),
-             measure_parallel=False),
+             fraction=0.6, scale=0.25, measure_parallel=False),
     # The out-of-core tall path: column-partitioned hybrid mining on the
     # same 512-row tall point as the direct showcase above.  Its
     # ``direct`` column records the wall-clock ratio against the single
@@ -125,26 +108,23 @@ DEFAULT_WORKLOADS = (
     # every run of the harness; the ``hybrid`` block records the
     # bounded-memory evidence (peak resident cells vs matrix size).
     Workload("tall-hybrid-512-bitset-k2", "tall-1k", "hybrid", "bitset",
-             k=2, fraction=0.7, scale=0.5, backends=("int", "numpy"),
-             measure_parallel=False),
+             k=2, fraction=0.7, scale=0.5, measure_parallel=False),
 )
 
 # Three workloads: a fast bitset sanity point, a k=100 tree mine that
 # runs long enough (~10ms serial) to carry a meaningful wall-clock
 # comparison — sub-millisecond mines drown in scheduler jitter, so the
 # regression gate needs at least one entry above the noise floor — and a
-# 128-row tall point that keeps the tall generator + per-backend columns
+# 128-row tall point (direct and hybrid) that keeps the tall generator
 # exercised on every CI run (small enough for seconds-long smoke, so it
 # gates regressions).
 QUICK_WORKLOADS = (
     Workload("quick-topk-bitset-k5", "ALL", "topk", "bitset", k=5),
     Workload("quick-topk-tree-k100", "ALL", "topk", "tree", k=100),
     Workload("quick-tall-topk-bitset-k2", "tall-1k", "topk", "bitset",
-             k=2, fraction=0.7, scale=0.125, backends=("int", "numpy"),
-             measure_parallel=False),
+             k=2, fraction=0.7, scale=0.125, measure_parallel=False),
     Workload("quick-tall-hybrid-bitset-k2", "tall-1k", "hybrid", "bitset",
-             k=2, fraction=0.7, scale=0.125, backends=("int", "numpy"),
-             measure_parallel=False),
+             k=2, fraction=0.7, scale=0.125, measure_parallel=False),
 )
 
 
@@ -183,27 +163,12 @@ class BenchReport:
                     f"direct {format_seconds(direct['seconds'])} "
                     f"(x{direct['speedup']:.2f}, {check})"
                 )
-            for backend_name, measured in entry.get("backends", {}).items():
-                check = "ok" if measured["identical_output"] else "MISMATCH"
-                parts.append(
-                    f"{backend_name} {format_seconds(measured['seconds'])} "
-                    f"(x{measured['speedup']:.2f}, {check})"
-                )
-            auto_backend = entry.get("auto_backend")
-            if auto_backend is not None:
-                check = "ok" if auto_backend["identical_output"] else "MISMATCH"
-                parts.append(
-                    f"auto-backend[{auto_backend['chose_backend']}] "
-                    f"{format_seconds(auto_backend['seconds'])} "
-                    f"(x{auto_backend['speedup']:.2f}, {check})"
-                )
             for jobs, measured in sorted(
                 entry["parallel"].items(), key=lambda kv: int(kv[0])
             ):
                 check = "ok" if measured["identical_output"] else "MISMATCH"
-                over = "!" if measured.get("oversubscribed") else ""
                 parts.append(
-                    f"{jobs}j{over} {format_seconds(measured['seconds'])} "
+                    f"{jobs}j {format_seconds(measured['seconds'])} "
                     f"(x{measured['speedup']:.2f}, {check})"
                 )
             auto = entry.get("auto")
@@ -215,15 +180,13 @@ class BenchReport:
                     f"(x{auto['speedup']:.2f}, {check})"
                 )
             lines.append("  " + " | ".join(parts))
-        if self.host["cpu_count"] < max(
-            (int(jobs) for entry in self.benchmarks
-             for jobs in entry["parallel"]),
-            default=1,
-        ):
+        skipped = [
+            n for n in self.config["jobs"] if n > self.host["cpu_count"]
+        ]
+        if skipped and any("auto" in entry for entry in self.benchmarks):
             lines.append(
-                "  note: worker count exceeds host cores; measurements "
-                "flagged '!' are oversubscribed and say nothing about "
-                "the backend"
+                f"  note: no parallel column for {skipped} workers: more "
+                f"than the host's {self.host['cpu_count']} cores"
             )
         return lines
 
@@ -259,27 +222,25 @@ def _measure(
         train = load_benchmark(workload.dataset, scale=scale).train_items
     minsup = relative_minsup(train, 1, workload.fraction)
     if workload.miner == "topk":
-        serial_fn = lambda backend=None: mine_topk(
-            train, 1, minsup, k=workload.k, engine=workload.engine,
-            backend=backend,
+        serial_fn = lambda: mine_topk(
+            train, 1, minsup, k=workload.k, engine=workload.engine
         )
         parallel_fn = lambda n: mine_topk_parallel(
             train, 1, minsup, k=workload.k, engine=workload.engine, n_jobs=n
         )
         identical = results_equal
     elif workload.miner == "hybrid":
-        serial_fn = lambda backend=None: mine_topk_hybrid(
-            train, 1, minsup, k=workload.k, engine=workload.engine,
-            backend=backend,
+        serial_fn = lambda: mine_topk_hybrid(
+            train, 1, minsup, k=workload.k, engine=workload.engine
         )
         parallel_fn = lambda n: mine_topk_hybrid(
             train, 1, minsup, k=workload.k, engine=workload.engine, n_jobs=n
         )
         identical = results_equal
     else:
-        serial_fn = lambda backend=None: mine_farmer(
+        serial_fn = lambda: mine_farmer(
             train, 1, minsup, minconf=workload.minconf,
-            engine=workload.engine, backend=backend,
+            engine=workload.engine,
         )
         parallel_fn = lambda n: mine_farmer_parallel(
             train, 1, minsup, minconf=workload.minconf,
@@ -300,7 +261,6 @@ def _measure(
         "n_rows": train.n_rows,
         "serial_seconds": serial_seconds,
         "serial_nodes_visited": serial_result.stats.nodes_visited,
-        "backends": {},
         "parallel": {},
     }
     if workload.miner == "hybrid":
@@ -327,60 +287,20 @@ def _measure(
             "total_cells": hybrid_stats.total_cells,
             "peak_resident_cells": hybrid_stats.peak_resident_cells,
         }
-    # One serial column per available bitset backend (repro.core.backends):
-    # the default serial_seconds above ran under the ambient resolution,
-    # these pin each backend explicitly and assert bit-identical output.
-    backend_names = (
-        available_backends()
-        if workload.backends is None
-        else tuple(
-            name for name in workload.backends
-            if name in available_backends()
-        )
-    )
-    for backend_name in backend_names:
-        seconds, result = _best_of(
-            lambda: serial_fn(backend=backend_name), repeats
-        )
-        entry["backends"][backend_name] = {
-            "seconds": seconds,
-            "speedup": serial_seconds / seconds if seconds > 0 else 0.0,
-            "identical_output": identical(serial_result, result),
-            "nodes_visited": result.stats.nodes_visited,
-        }
-    # The backend="auto" column reports what the planner actually chose
-    # (counted via auto_backend_stats, not recomputed), so the committed
-    # numbers cannot silently claim a backend the run never used.
-    choices_before = auto_backend_stats()
-    auto_backend_seconds, result = _best_of(
-        lambda: serial_fn(backend="auto"), repeats
-    )
-    choices = {
-        name: count - choices_before.get(name, 0)
-        for name, count in auto_backend_stats().items()
-    }
-    entry["auto_backend"] = {
-        "seconds": auto_backend_seconds,
-        "speedup": (
-            serial_seconds / auto_backend_seconds
-            if auto_backend_seconds > 0 else 0.0
-        ),
-        "identical_output": identical(serial_result, result),
-        "chose_backend": max(choices, key=lambda name: choices[name]),
-    }
     if not workload.measure_parallel:
         return entry
     for n_jobs in jobs:
+        if n_jobs > cpu_count:
+            # Workers beyond the host's cores cannot run concurrently;
+            # such a point measures scheduling overhead, not
+            # parallelism, so no column is recorded for it.
+            continue
         seconds, result = _best_of(lambda: parallel_fn(n_jobs), repeats)
         entry["parallel"][str(n_jobs)] = {
             "seconds": seconds,
             "speedup": serial_seconds / seconds if seconds > 0 else 0.0,
             "identical_output": identical(serial_result, result),
             "nodes_visited": result.stats.nodes_visited,
-            # Workers beyond the host's cores cannot run concurrently;
-            # such a point measures scheduling overhead, not the backend,
-            # and must not back a speedup claim.
-            "oversubscribed": n_jobs > cpu_count,
         }
     # The planner path is measured unconditionally: "auto" must never be
     # meaningfully slower than whatever it picked against (the acceptance
@@ -499,18 +419,16 @@ def compare_reports(
     configuration is identical (:data:`_COMPARE_KEYS`).  Returns the
     human-readable diff lines and an ``ok`` flag that is False iff
 
-    * any compared benchmark's ``serial_seconds`` (or per-backend
-      ``backends.<name>.seconds`` column) regressed by more than
-      ``regression_factor`` *and* by more than
+    * any compared benchmark's ``serial_seconds`` regressed by more
+      than ``regression_factor`` *and* by more than
       :data:`REGRESSION_MIN_DELTA_SECONDS` in absolute terms, or
-    * a current entry (or one of its backend columns) has no comparable
-      baseline entry.  A silently skipped workload is a hole in the
-      regression gate — the fix is to regenerate and commit the
-      baseline, and the failure line says exactly how.
+    * a current entry has no comparable baseline entry.  A silently
+      skipped workload is a hole in the regression gate — the fix is to
+      regenerate and commit the baseline, and the failure line says
+      exactly how.
 
-    The reverse direction stays a note, not a failure: a baseline
-    measured with an optional backend (numpy) still gates a host where
-    that backend is unavailable.
+    Other columns of either report (parallel, planner, and the
+    per-backend columns of older baselines) are not gated.
     """
     lines: list[str] = []
     ok = True
@@ -565,80 +483,11 @@ def compare_reports(
             f"  {name}: serial {format_seconds(base_serial)} -> "
             f"{format_seconds(serial)} (x{speedup:.2f}, {status})"
         )
-        base_backends = base.get("backends", {})
-        for backend_name, measured in entry.get("backends", {}).items():
-            base_measured = base_backends.get(backend_name)
-            if base_measured is None:
-                ok = False
-                lines.append(
-                    f"  {name}[{backend_name}]: MISSING BASELINE — no "
-                    f"backend column in the committed report; regenerate "
-                    f"it with: {_REBASELINE_COMMAND}"
-                )
-                continue
-            base_seconds = base_measured["seconds"]
-            seconds = measured["seconds"]
-            backend_speedup = (
-                base_seconds / seconds if seconds > 0 else float("inf")
-            )
-            regressed = _is_regression(
-                base_seconds, seconds, regression_factor
-            )
-            if regressed:
-                ok = False
-            status = "REGRESSION" if regressed else (
-                "faster" if backend_speedup >= 1.0 else "slower"
-            )
-            lines.append(
-                f"  {name}[{backend_name}]: "
-                f"{format_seconds(base_seconds)} -> "
-                f"{format_seconds(seconds)} (x{backend_speedup:.2f}, "
-                f"{status})"
-            )
-        for backend_name in base_backends:
-            if backend_name not in entry.get("backends", {}):
-                lines.append(
-                    f"  {name}[{backend_name}]: baseline-only backend "
-                    "(unavailable on this host) — skipped"
-                )
-        # The auto column is only comparable when both runs resolved to
-        # the same backend (a host without numpy legitimately picks int
-        # where the baseline picked numpy — different code, not a
-        # regression).
-        auto_backend = entry.get("auto_backend")
-        base_auto = base.get("auto_backend")
-        if auto_backend is not None and base_auto is not None:
-            if auto_backend["chose_backend"] != base_auto["chose_backend"]:
-                lines.append(
-                    f"  {name}[auto]: chose "
-                    f"{auto_backend['chose_backend']!r} vs baseline "
-                    f"{base_auto['chose_backend']!r} — skipped"
-                )
-            else:
-                base_seconds = base_auto["seconds"]
-                seconds = auto_backend["seconds"]
-                auto_speedup = (
-                    base_seconds / seconds if seconds > 0 else float("inf")
-                )
-                regressed = _is_regression(
-                    base_seconds, seconds, regression_factor
-                )
-                if regressed:
-                    ok = False
-                status = "REGRESSION" if regressed else (
-                    "faster" if auto_speedup >= 1.0 else "slower"
-                )
-                lines.append(
-                    f"  {name}[auto->{auto_backend['chose_backend']}]: "
-                    f"{format_seconds(base_seconds)} -> "
-                    f"{format_seconds(seconds)} (x{auto_speedup:.2f}, "
-                    f"{status})"
-                )
     header = (
         f"baseline comparison — {compared} compared, "
         f"{'ok' if ok else 'REGRESSED'} "
         f"(fail threshold: serial > {regression_factor:g}x baseline, "
-        "or a current entry/backend column with no baseline)"
+        "or a current entry with no baseline)"
     )
     return [header, *lines], ok
 

@@ -131,16 +131,20 @@ def _cmd_mine(args: argparse.Namespace) -> int:
             print("--fault requires --jobs != 1 (serial mining has no "
                   "workers to fault)", file=sys.stderr)
             return 2
+        from .core.hybrid import plan_auto_strategy
         from .parallel import FaultPlan
 
         plan = FaultPlan.parse(args.fault)
-        if args.strategy != "direct":
+        strategy = args.strategy
+        if strategy == "auto":
+            strategy = plan_auto_strategy(dataset.n_rows)
+        if strategy == "hybrid":
             from .core.hybrid import mine_topk_hybrid
 
             result = mine_topk_hybrid(
                 dataset, args.consequent, minsup, k=args.k,
                 engine=args.engine, n_jobs=args.jobs, fault=plan,
-                backend=args.backend, spill_dir=args.spill_dir,
+                spill_dir=args.spill_dir,
             )
         else:
             from .parallel import mine_topk_parallel
@@ -148,12 +152,11 @@ def _cmd_mine(args: argparse.Namespace) -> int:
             result = mine_topk_parallel(
                 dataset, args.consequent, minsup, k=args.k,
                 engine=args.engine, n_jobs=args.jobs, fault=plan,
-                backend=args.backend,
             )
     else:
         result = mine_topk(
             dataset, args.consequent, minsup, k=args.k, engine=args.engine,
-            n_jobs=args.jobs, backend=args.backend, strategy=args.strategy,
+            n_jobs=args.jobs, strategy=args.strategy,
             spill_dir=args.spill_dir,
         )
     hybrid_stats = getattr(result, "hybrid_stats", None)
@@ -161,7 +164,6 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         print(f"hybrid: {hybrid_stats.n_partitions} partitions "
               f"({hybrid_stats.n_skipped_partitions} skipped, "
               f"{hybrid_stats.spilled_partitions} spilled), "
-              f"backend={hybrid_stats.backend}, "
               f"peak {hybrid_stats.peak_resident_cells} partition cells "
               f"resident (matrix {hybrid_stats.total_cells} cells)",
               file=sys.stderr)
@@ -427,14 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="used when --minsup is not given")
     mine.add_argument("--engine", choices=("bitset", "table", "tree"),
                       default="bitset")
-    mine.add_argument("--backend",
-                      choices=("int", "packed", "numpy", "auto"),
-                      default=None,
-                      help="bitset-operations backend (default: the "
-                           "REPRO_BITSET_BACKEND environment variable, "
-                           "then 'int'; 'auto' lets the planner pick, "
-                           "which is 'int' at every measured size; "
-                           "results are identical across backends)")
     mine.add_argument("--jobs", type=_jobs_arg, default=1,
                       help="worker processes for the mine (0 = all cores, "
                            "'auto' = let the planner decide; output is "

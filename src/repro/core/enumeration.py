@@ -277,14 +277,11 @@ def _walk_bitset(
     tight_prunable = policy.tight_prunable
     emit = policy.emit
     bitset_root = support.bitset_root
-    # One fused backend call per node: the closure/union fold over the
-    # node's surviving items *and* the positive/total closure counts come
-    # out of a single walk-private kernel call (the positive mask stays
-    # in the backend's native encoding for the whole walk), plus one
-    # masked-count call for the derived candidate set.
-    kernel = support.node_kernel()
-    fold_counts = kernel.intersect_union_counts
-    masked_counts = kernel.masked_counts
+    # One fused call per node: the closure/union fold over the node's
+    # surviving items *and* the positive/total closure counts come out
+    # of a single kernel call, plus one masked-count call for the
+    # derived candidate set.
+    fold_counts, _, masked_counts = support.node_kernel()
     # Static-threshold policies (FARMER) never read the threshold row
     # sets, and assembling them is an O(n_rows/64) bitset op per
     # candidate — on tall cohorts that is real money for nothing.
@@ -567,11 +564,10 @@ def _walk_tree(
     tight_prunable = policy.tight_prunable
     emit = policy.emit
     tree_root = support.tree_root
-    # One fused backend call per node for the closure fold and the two
-    # support counts (the candidate counters come from the projected
-    # tree's row scan, which stays a list walk).
-    kernel = support.node_kernel()
-    intersect_counts = kernel.intersect_counts
+    # One fused call per node for the closure fold and the two support
+    # counts (the candidate counters come from the projected tree's row
+    # scan, which stays a list walk).
+    _, intersect_counts, _ = support.node_kernel()
     needs_thresholds = getattr(policy, "uses_threshold_bits", True)
 
     # The root tree and its per-row projections are pure functions of the

@@ -30,11 +30,10 @@ This module implements that sketch as the production tall path:
 3. **Aggregation** — each discovered group is attributed to the
    partition of its closure's *smallest* item (so every group is
    produced exactly once) and offered into global per-row top-k lists.
-   The local→global translation is one backend ``intersect_many`` fold
-   over the pass-one item bitsets (the antecedent contains the anchor,
-   so the fold *is* the group's global row set), and the canonicality
-   test is a batched ``popcount_many`` over the lower frequent anchors
-   — no per-bit Python loops.
+   The local→global translation is one ``&`` fold over the pass-one
+   item bitsets (the antecedent contains the anchor, so the fold *is*
+   the group's global row set), and the canonicality test is one subset
+   check per lower frequent anchor — no per-bit Python loops.
 
 The output is identical to :func:`repro.core.topk_miner.mine_topk` (the
 cross-validation tests assert this); the benefit is that each row
@@ -129,7 +128,6 @@ class HybridStats:
     total_nodes: int = 0
     max_partition_rows: int = 0
     completed: bool = True
-    backend: str = "int"
     n_jobs: int = 1
     total_cells: int = 0
     peak_resident_cells: int = 0
@@ -160,10 +158,6 @@ class HybridPartitionRequest:
     ``>= anchor``, in global row order); rows spilled by the builder are
     read back from ``spill_path`` (JSONL, one ``[label, items]`` line
     per row, written in global row order before the resident tail).
-    ``backend`` is the resolved backend *name*, pinned by the parent so
-    every partition — and a worker's environment — resolves identically
-    to what :func:`~repro.core.topk_miner.mine_topk` would pick for the
-    full cohort.
     """
 
     anchor: int
@@ -175,7 +169,6 @@ class HybridPartitionRequest:
     dynamic_minsup: bool = True
     use_topk_pruning: bool = True
     node_budget: Optional[int] = None
-    backend: Optional[str] = None
     rows: tuple = ()
     labels: tuple = ()
     spill_path: Optional[str] = None
@@ -236,7 +229,6 @@ def mine_hybrid_partition(
         node_budget=request.node_budget,
         time_budget=time_budget,
         cancel=cancel,
-        backend=request.backend,
     )
     payload = tuple(
         (tuple(sorted(group.antecedent)), group.support, group.confidence)
@@ -454,10 +446,9 @@ def mine_topk_hybrid(
         n_jobs: partition fan-out over the warm miner pool; ``"auto"``
             plans from the cohort's cell count, other values follow
             :func:`repro.parallel.resolve_n_jobs`.
-        backend: bitset backend name/instance/None/"auto" — resolved
-            once against the *full* cohort's row count (identical to
-            the direct miner's resolution) and pinned for every
-            partition.
+        backend: ``None``, ``"int"`` or ``"auto"`` (see
+            :mod:`repro.core.backends`); ``"auto"`` is planned once
+            against the *full* cohort's row count.
         initialize_single_items, dynamic_minsup, use_topk_pruning:
             Section 4.1.1 optimization flags, forwarded to each
             per-partition mine.
@@ -557,10 +548,9 @@ def _mine_streamed(
     builder.scan()
     builder.build()
 
-    # One resolution against the full cohort's row count — exactly what
-    # the direct miner's MiningView would resolve — then pinned by name
-    # into every partition request (satellite: backend parity).
-    resolved = resolve_backend(backend, n_rows=builder.n_rows, task="topk")
+    # One resolution against the full cohort's row count, exactly as the
+    # direct miner resolves it; the partitions need no backend argument.
+    resolve_backend(backend, n_rows=builder.n_rows, task="topk")
 
     from ..parallel import (
         _AUTO_TOPK_SERIAL_UNITS,
@@ -578,7 +568,6 @@ def _mine_streamed(
 
     stats = HybridStats(
         n_partitions=len(builder.partitions),
-        backend=resolved.name,
         n_jobs=n_workers,
         total_cells=builder.total_cells,
         peak_resident_cells=builder.peak_resident_cells,
@@ -602,7 +591,6 @@ def _mine_streamed(
             dynamic_minsup=dynamic_minsup,
             use_topk_pruning=use_topk_pruning,
             node_budget=node_budget_per_partition,
-            backend=resolved.name,
             rows=tuple(partition.rows),
             labels=tuple(partition.labels),
             spill_path=(
@@ -680,7 +668,6 @@ def _mine_streamed(
         if label == consequent
     }
     item_rows = builder.item_rows
-    handle = resolved.encode_supports(item_rows, max(builder.n_rows, 1))
     class_mask = builder.class_mask
     anchor_position = {
         anchor: position for position, anchor in enumerate(builder.frequent)
@@ -702,20 +689,18 @@ def _mine_streamed(
         anchor = requests[index].anchor
         lower = builder.frequent[: anchor_position[anchor]]
         for antecedent_items, support, confidence in payload:
-            # Backend batch fold: the antecedent contains the anchor,
-            # so this intersection *is* the global row set (satellite:
-            # no per-bit translation loops).
-            global_bits = resolved.intersect_many(handle, antecedent_items)
-            if lower:
-                total = popcount(global_bits)
-                overlaps = resolved.popcount_many(
-                    [global_bits & item_rows[item] for item in lower]
-                )
-                if any(count == total for count in overlaps):
-                    # A lower frequent item covers every row: the
-                    # closure's smallest item is below this anchor, so
-                    # the group's canonical partition is an earlier one.
-                    continue
+            # The antecedent contains the anchor, so this intersection
+            # *is* the global row set (no per-bit translation loops).
+            global_bits = item_rows[antecedent_items[0]]
+            for item in antecedent_items[1:]:
+                global_bits &= item_rows[item]
+            if any(
+                (global_bits & item_rows[item]) == global_bits for item in lower
+            ):
+                # A lower frequent item covers every row: the closure's
+                # smallest item is below this anchor, so the group's
+                # canonical partition is an earlier one.
+                continue
             group = RuleGroup(
                 antecedent=frozenset(antecedent_items),
                 consequent=consequent,

@@ -26,20 +26,22 @@ from __future__ import annotations
 
 import math
 import os
+from bisect import insort
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .bitset import iter_indices, popcount
+from .bitset import iter_indices, mask_below, popcount
 
 if TYPE_CHECKING:  # pragma: no cover - import is for annotations only
     from ..data.dataset import DiscretizedDataset
 from ..errors import MiningBudgetExceeded
-from .backends import ThresholdStore
+from .backends import resolve_backend
 from .enumeration import MinerStats, run_enumeration
 from .rules import RuleGroup, TopKList
 from .view import MiningView
 
 __all__ = [
+    "ThresholdStore",
     "TopkPolicy",
     "TopkResult",
     "maybe_check_result",
@@ -88,6 +90,76 @@ class _CanonicalRowKey:
                 group.row_set
             )
         return rows
+
+
+class ThresholdStore:
+    """Per-position (confidence, support) thresholds with a min-fold.
+
+    The top-k policy maintains one threshold pair per consequent-class
+    row (the k-th list entry of Equations 1-2) and, at every pruning
+    check, needs the lexicographic minimum of those pairs over the rows
+    of a ``threshold_bits`` bitset — once per surviving node, which
+    makes it the dominant per-node cost on tall datasets.
+
+    The rows hold few distinct pairs at any one time (lists fill with
+    the same strong groups), so the store buckets positions by pair: a
+    dict from each distinct ``(kth_conf, kth_sup)`` to the bitset of
+    positions holding it, plus the distinct pairs in ascending order.
+    ``update`` moves one bit between buckets; ``fold`` returns the first
+    pair whose bucket meets ``bits``, which is the same lexicographic
+    minimum a per-bit scan finds, in one ``&`` per distinct pair instead
+    of one Python iteration per set bit.  Positions start at
+    ``(0.0, 0)`` — the threshold of an underfull top-k list.
+    """
+
+    __slots__ = ("_pairs", "_buckets", "_order")
+
+    def __init__(self, n_positive: int) -> None:
+        initial = (0.0, 0)
+        self._pairs: list[tuple[float, int]] = [initial] * n_positive
+        self._buckets: dict[tuple[float, int], int] = {}
+        self._order: list[tuple[float, int]] = []
+        if n_positive:
+            self._buckets[initial] = mask_below(n_positive)
+            self._order.append(initial)
+
+    def update(self, position: int, conf: float, sup: int) -> None:
+        pair = (conf, sup)
+        old = self._pairs[position]
+        if pair == old:
+            return
+        self._pairs[position] = pair
+        buckets = self._buckets
+        bit = 1 << position
+        remaining = buckets[old] ^ bit
+        if remaining:
+            buckets[old] = remaining
+        else:
+            del buckets[old]
+            self._order.remove(old)
+        bucket = buckets.get(pair)
+        if bucket is None:
+            buckets[pair] = bit
+            insort(self._order, pair)
+        else:
+            buckets[pair] = bucket | bit
+
+    def fold(self, bits: int) -> tuple[float, int]:
+        """Lexicographic min of ``(conf, sup)`` over the set positions.
+
+        ``bits`` must be non-empty; the caller treats an empty row set
+        as unconditionally prunable before consulting thresholds (an
+        empty fold returns the ``(inf, 0)`` identity).
+        """
+        buckets = self._buckets
+        for pair in self._order:
+            if buckets[pair] & bits:
+                return pair
+        return float("inf"), 0
+
+    def weakest(self) -> Optional[tuple[float, int]]:
+        """The minimum pair over every position (``None`` when empty)."""
+        return self._order[0] if self._order else None
 
 
 class TopkPolicy:
@@ -376,11 +448,9 @@ def mine_topk(
             core count).  The output is bit-identical either way; with
             workers, ``node_budget`` applies per shard and ``stats`` node
             counters are summed across shards (see DESIGN.md §7, §9).
-        backend: bitset-operations backend — a name (``int``, ``packed``,
-            ``numpy``) or a :class:`~repro.core.backends.BitsetBackend`
-            instance; ``None`` follows the ``REPRO_BITSET_BACKEND``
-            environment variable, then the ``int`` default.  Results and
-            stats are bit-identical across backends (DESIGN.md §12).
+        backend: ``None``, ``"int"`` or ``"auto"``; all three mine on
+            plain ``int`` bitsets (see :mod:`repro.core.backends`), and
+            any other value raises ``ValueError``.
         strategy: ``direct`` (default) enumerates the whole dataset in
             one walk; ``hybrid`` dispatches to the partitioned
             out-of-core miner of :mod:`repro.core.hybrid` (bit-identical
@@ -433,6 +503,7 @@ def mine_topk(
         # strategy="auto" may legitimately pre-provision a spill dir and
         # land on direct; an explicit direct mine with one is a mistake.
         raise ValueError("spill_dir/max_resident_cells require strategy='hybrid'")
+    resolve_backend(backend, n_rows=dataset.n_rows)
     if n_jobs != 1:
         from ..parallel import mine_topk_parallel
 
@@ -449,9 +520,8 @@ def mine_topk(
             time_budget=time_budget,
             cancel=cancel,
             n_jobs=n_jobs,
-            backend=backend,
         )
-    view = MiningView.cached(dataset, consequent, minsup, backend=backend)
+    view = MiningView.cached(dataset, consequent, minsup)
     policy = TopkPolicy(
         view,
         k,

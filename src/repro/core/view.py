@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import threading
 import weakref
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from .backends import BitsetBackend, resolve_backend
 from .bitset import mask_below, popcount
 
 if TYPE_CHECKING:  # pragma: no cover - import is for annotations only
@@ -28,7 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover - import is for annotations only
 __all__ = ["MiningView", "SupportIndex"]
 
 
-# Views keyed by (consequent, minsup, backend) per live dataset object;
+# Views keyed by (consequent, minsup) per live dataset object;
 # entries die with the dataset.  Guarded by a lock because the service
 # mines from several job threads at once.
 _VIEW_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
@@ -53,8 +52,6 @@ class MiningView:
             (restricted to frequent items; infrequent items map to 0).
         row_items: position -> frozenset of frequent item ids.
         positive_mask: bitset of consequent-class positions.
-        backend: the resolved :class:`~repro.core.backends.BitsetBackend`
-            executing the batch bitset operations of the support index.
     """
 
     @classmethod
@@ -63,29 +60,23 @@ class MiningView:
         dataset: "DiscretizedDataset",
         consequent: int,
         minsup: int,
-        backend: Optional[Union[str, BitsetBackend]] = None,
     ) -> "MiningView":
-        """Return a shared view for (dataset, consequent, minsup, backend).
+        """Return a shared view for (dataset, consequent, minsup).
 
         Views (and the :class:`SupportIndex` each one lazily grows) are
         pure functions of their arguments, so every miner entry point —
         serial, sharded, merge, pool worker — can share one instance per
         live dataset object.  The cache is weak-keyed on the dataset:
-        entries disappear when the dataset is garbage collected.  The
-        resolved backend name is part of the key because the support
-        index binds backend-encoded support tables.
+        entries disappear when the dataset is garbage collected.
         """
-        resolved = resolve_backend(backend, n_rows=dataset.n_rows)
         with _VIEW_CACHE_LOCK:
             per_dataset = _VIEW_CACHE.get(dataset)
             if per_dataset is None:
                 per_dataset = _VIEW_CACHE[dataset] = {}
-            key = (consequent, minsup, resolved.name)
+            key = (consequent, minsup)
             view = per_dataset.get(key)
             if view is None:
-                view = per_dataset[key] = cls(
-                    dataset, consequent, minsup, backend=resolved
-                )
+                view = per_dataset[key] = cls(dataset, consequent, minsup)
             return view
 
     def __init__(
@@ -93,7 +84,6 @@ class MiningView:
         dataset: "DiscretizedDataset",
         consequent: int,
         minsup: int,
-        backend: Optional[Union[str, BitsetBackend]] = None,
     ) -> None:
         if minsup < 1:
             raise ValueError(f"minsup must be >= 1, got {minsup}")
@@ -105,10 +95,6 @@ class MiningView:
         self.dataset = dataset
         self.consequent = consequent
         self.minsup = minsup
-        # "auto" resolves here because the row count is known.
-        self.backend: BitsetBackend = resolve_backend(
-            backend, n_rows=dataset.n_rows
-        )
 
         # Step 1: frequent items.  A rule group's support counts only
         # consequent-class rows, so items appearing in fewer than minsup
@@ -222,6 +208,39 @@ class MiningView:
         return groups
 
 
+def _node_kernel(handle: tuple, mask: int) -> tuple:
+    """Closures over the support tuple ``handle`` and the positive
+    ``mask``; see :meth:`SupportIndex.node_kernel`.  Binding both once
+    keeps attribute lookups off the per-node path."""
+
+    def intersect_union_counts(ids):
+        iterator = iter(ids)
+        intersection = union = handle[next(iterator)]
+        for index in iterator:
+            rows = handle[index]
+            intersection &= rows
+            union |= rows
+        return (
+            intersection, union,
+            (intersection & mask).bit_count(), intersection.bit_count(),
+        )
+
+    def intersect_counts(ids):
+        iterator = iter(ids)
+        intersection = handle[next(iterator)]
+        for index in iterator:
+            intersection &= handle[index]
+        return (
+            intersection,
+            (intersection & mask).bit_count(), intersection.bit_count(),
+        )
+
+    def masked_counts(bits):
+        return (bits & mask).bit_count(), bits.bit_count()
+
+    return intersect_union_counts, intersect_counts, masked_counts
+
+
 class SupportIndex:
     """Interned supports and first-level memos for one :class:`MiningView`.
 
@@ -233,10 +252,9 @@ class SupportIndex:
     * interns the item support bitsets (equal supports share one ``int``
       object, so repeated intersections reuse cached small-int paths and
       the pair memo below can key on identity-cheap tuples),
-    * encodes the interned supports once through the view's backend and
-      exposes the batch folds (:meth:`intersect_many`,
-      :meth:`intersect_union_many`, :meth:`popcount_many`) the kernels
-      call once per node instead of once per item,
+    * binds the fused per-node folds over those supports
+      (:meth:`node_kernel`) the kernels call once per node instead of
+      once per item,
     * precomputes per-item popcounts (also the planner's work estimate),
     * memoizes pairwise support intersections on demand, and
     * memoizes the complete first-level node data per engine family.
@@ -258,56 +276,46 @@ class SupportIndex:
 
     def __init__(self, view: MiningView) -> None:
         self.view = view
-        self.backend = view.backend
         interned: dict[int, int] = {}
         self.item_rows: list[int] = [
             interned.setdefault(rows, rows) for rows in view.item_rows
         ]
-        self._handle = self.backend.encode_supports(self.item_rows, view.n_rows)
-        # The positive-class mask in the backend's native representation:
-        # encoded once per index, consumed by every fused counting fold —
-        # array backends never re-pack it per node.
-        self.mask_handle = self.backend.encode_mask(
-            view.positive_mask, view.n_rows
-        )
-        self.item_counts: list[int] = self.backend.popcount_many(self.item_rows)
+        self.item_counts: list[int] = [
+            rows.bit_count() for rows in self.item_rows
+        ]
         # Per-item positive supports, so the single-item fast path of the
         # kernels reads both counts instead of re-counting the closure.
         positive_mask = view.positive_mask
-        self.item_pos_counts: list[int] = self.backend.popcount_many(
-            [rows & positive_mask for rows in self.item_rows]
-        )
+        self.item_pos_counts: list[int] = [
+            (rows & positive_mask).bit_count() for rows in self.item_rows
+        ]
         self.support_mass: int = sum(
             self.item_counts[item] for item in view.frequent_items
         )
+        self._kernel = _node_kernel(tuple(self.item_rows), positive_mask)
         self._pairs: dict[tuple[int, int], int] = {}
         self._bitset_roots: dict[int, tuple] = {}
         self._tree_roots: dict[int, tuple] = {}
         self._root_tree = None
 
-    # -- batch operations over the encoded support table -------------------
+    def node_kernel(self) -> tuple[Callable, Callable, Callable]:
+        """The fused per-node folds over the supports and positive mask.
 
-    def intersect_many(self, items: Sequence[int]) -> int:
-        """``R(itemset)``: one backend fold over the items' supports."""
-        return self.backend.intersect_many(self._handle, items)
+        Returns ``(intersect_union_counts, intersect_counts,
+        masked_counts)``:
 
-    def intersect_union_many(self, items: Sequence[int]) -> tuple[int, int]:
-        """Closure and union of the items' supports in one backend call."""
-        return self.backend.intersect_union_many(self._handle, items)
+        * ``intersect_union_counts(ids)`` -> ``(inter, union,
+          popcount(inter & mask), popcount(inter))``, folding ``&`` and
+          ``|`` over the supports of the (non-empty) item ids;
+        * ``intersect_counts(ids)`` -> ``(inter, popcount(inter & mask),
+          popcount(inter))``;
+        * ``masked_counts(bits)`` -> ``(popcount(bits & mask),
+          popcount(bits))`` for one freshly derived bitset.
 
-    def popcount_many(self, bitsets: Sequence[int]) -> list[int]:
-        """Population counts of freshly derived masks, batched."""
-        return self.backend.popcount_many(bitsets)
-
-    def node_kernel(self):
-        """Fused per-walk kernel over the encoded supports and mask.
-
-        Returns a fresh :class:`~repro.core.backends.base.NodeKernel`
-        bound to this index's handle and positive-mask encoding.  One
-        kernel per enumeration run: backends cache walk-private scratch
-        buffers inside it, so kernels must not be shared across threads.
+        The closures are built once per index and hold no per-walk
+        state, so every run (and thread) shares them.
         """
-        return self.backend.node_kernel(self._handle, self.mask_handle)
+        return self._kernel
 
     def pair_rows(self, first: int, second: int) -> int:
         """Memoized ``R({first}) ∩ R({second})`` for two item ids."""
@@ -332,6 +340,7 @@ class SupportIndex:
 
     def _compute_bitset_root(self, r: int) -> tuple:
         view = self.view
+        fold_counts, _, masked_counts = self._kernel
         new_items = sorted(view.row_items[r])
         if not new_items:
             return self.EMPTY
@@ -341,9 +350,7 @@ class SupportIndex:
             x_pos = self.item_pos_counts[item]
             x_all = self.item_counts[item]
         else:
-            closure, union, x_pos, x_all = self.backend.intersect_union_counts(
-                self._handle, new_items, self.mask_handle
-            )
+            closure, union, x_pos, x_all = fold_counts(new_items)
         r_bit = 1 << r
         if closure & (r_bit - 1):
             return self.BACKWARD
@@ -351,9 +358,7 @@ class SupportIndex:
         above = mask_below(view.n_rows) & ~(r_bit | (r_bit - 1))
         new_cand = above & union & ~closure
         if new_cand:
-            cand_pos, cand_all = self.backend.masked_counts(
-                new_cand, self.mask_handle
-            )
+            cand_pos, cand_all = masked_counts(new_cand)
         else:
             cand_pos = cand_all = 0
         new_x_p = x_pos
@@ -399,9 +404,8 @@ class SupportIndex:
         if projected.n_items == 0:
             return self.EMPTY
         new_items = projected.all_items()
-        closure, x_pos, x_all = self.backend.intersect_counts(
-            self._handle, new_items, self.mask_handle
-        )
+        _, intersect_counts, _ = self._kernel
+        closure, x_pos, x_all = intersect_counts(new_items)
         r_bit = 1 << r
         if closure & (r_bit - 1):
             return self.BACKWARD

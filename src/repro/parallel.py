@@ -163,12 +163,7 @@ _AUTO_FARMER_SERIAL_UNITS = 100_000
 
 @dataclass(frozen=True)
 class MineRequest:
-    """One MineTopkRGS mining job, shardable across workers.
-
-    ``backend`` is the bitset-backend *name* (never an instance — the
-    request ships to worker processes as part of the task pickle), or
-    ``None`` for each process's own environment/default resolution.
-    """
+    """One MineTopkRGS mining job, shardable across workers."""
 
     consequent: int
     minsup: int
@@ -178,7 +173,6 @@ class MineRequest:
     dynamic_minsup: bool = True
     use_topk_pruning: bool = True
     node_budget: Optional[int] = None
-    backend: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -192,7 +186,6 @@ class FarmerRequest:
     node_budget: Optional[int] = None
     max_groups: Optional[int] = None
     min_chi_square: float = 0.0
-    backend: Optional[str] = None
 
 
 class InjectedFault(RuntimeError):
@@ -514,9 +507,7 @@ def _mine_shard(kind: str, request, shard_mask: int, dataset, cancel,
         return mine_hybrid_partition(
             request, dataset, cancel=cancel, time_budget=time_budget
         )
-    view = MiningView.cached(
-        dataset, request.consequent, request.minsup, backend=request.backend
-    )
+    view = MiningView.cached(dataset, request.consequent, request.minsup)
     if kind == "topk":
         policy = TopkPolicy(
             view,
@@ -1085,9 +1076,7 @@ def _merge_topk(
     contains the members of the global top-k it enumerated, and offering
     their union reconstructs the serial lists exactly.
     """
-    view = MiningView.cached(
-        dataset, request.consequent, request.minsup, backend=request.backend
-    )
+    view = MiningView.cached(dataset, request.consequent, request.minsup)
     policy = TopkPolicy(
         view,
         request.k,
@@ -1140,8 +1129,7 @@ def mine_topk_sharded(
     if n_jobs == AUTO_JOBS:
         total_units = sum(
             estimate_topk_work(
-                MiningView.cached(dataset, request.consequent, request.minsup,
-                                  backend=request.backend),
+                MiningView.cached(dataset, request.consequent, request.minsup),
                 request.k,
             )
             for request in requests
@@ -1165,15 +1153,13 @@ def mine_topk_sharded(
                 node_budget=request.node_budget,
                 time_budget=time_budget,
                 cancel=cancel,
-                backend=request.backend,
             )
             for request in requests
         ]
     jobs: list[tuple[str, object, int]] = []
     spans: list[tuple[int, int]] = []
     for request in requests:
-        view = MiningView.cached(dataset, request.consequent, request.minsup,
-                                 backend=request.backend)
+        view = MiningView.cached(dataset, request.consequent, request.minsup)
         shards = plan_shards(view.n_rows, n_workers)
         spans.append((len(jobs), len(jobs) + len(shards)))
         jobs.extend(("topk", request, mask) for mask in shards)
@@ -1211,9 +1197,8 @@ def mine_topk_parallel(
 ) -> TopkResult:
     """Parallel :func:`~repro.core.topk_miner.mine_topk` — same signature
     plus ``n_jobs`` (``"auto"`` allowed) and the ``fault`` injection
-    hook, bit-identical output.  ``backend`` is resolved here (name, env
-    or default) and pinned into the request so every worker uses the
-    parent's choice."""
+    hook, bit-identical output."""
+    resolve_backend(backend, n_rows=dataset.n_rows)
     request = MineRequest(
         consequent=consequent,
         minsup=minsup,
@@ -1223,7 +1208,6 @@ def mine_topk_parallel(
         dynamic_minsup=dynamic_minsup,
         use_topk_pruning=use_topk_pruning,
         node_budget=node_budget,
-        backend=resolve_backend(backend, n_rows=dataset.n_rows).name,
     )
     return mine_topk_sharded(
         dataset, [request], n_jobs=n_jobs, time_budget=time_budget,
@@ -1254,12 +1238,9 @@ def mine_farmer_parallel(
     merged list is truncated to the serial stopping point.
     ``n_jobs="auto"`` plans from :func:`estimate_farmer_work`.
     """
-    backend_name = resolve_backend(
-        backend, n_rows=dataset.n_rows, task="farmer"
-    ).name
+    resolve_backend(backend, n_rows=dataset.n_rows, task="farmer")
     if n_jobs == AUTO_JOBS:
-        view = MiningView.cached(dataset, consequent, minsup,
-                                 backend=backend_name)
+        view = MiningView.cached(dataset, consequent, minsup)
         n_workers = plan_auto_workers(
             estimate_farmer_work(view), _AUTO_FARMER_SERIAL_UNITS
         )
@@ -1278,7 +1259,6 @@ def mine_farmer_parallel(
             time_budget=time_budget,
             max_groups=max_groups,
             min_chi_square=min_chi_square,
-            backend=backend_name,
         )
     request = FarmerRequest(
         consequent=consequent,
@@ -1288,9 +1268,8 @@ def mine_farmer_parallel(
         node_budget=node_budget,
         max_groups=max_groups,
         min_chi_square=min_chi_square,
-        backend=backend_name,
     )
-    view = MiningView.cached(dataset, consequent, minsup, backend=backend_name)
+    view = MiningView.cached(dataset, consequent, minsup)
     shards = plan_shards(view.n_rows, n_workers)
     jobs = [("farmer", request, mask) for mask in shards]
     outputs, recovery = _execute(

@@ -26,10 +26,7 @@ A ``/mine`` request is answered from cache when an identical
 ``(dataset fingerprint, consequent, minsup, k, engine)`` run already
 finished, and deduplicated onto the in-flight job when one is still
 running — repeated interactive sweeps over one dataset (the paper's own
-use case) pay mining cost once.  The optional ``backend`` field selects
-the bitset-operations backend (:mod:`repro.core.backends`); it is
-deliberately *not* part of the cache key because results are
-bit-identical across backends.
+use case) pay mining cost once.
 """
 
 from __future__ import annotations
@@ -42,11 +39,6 @@ from typing import Optional
 
 import numpy as np
 
-from ..core.backends import (
-    AUTO_BACKEND,
-    auto_backend_stats,
-    available_backends,
-)
 from ..core.bitset import iter_indices
 from ..core.enumeration import ENGINES
 from ..core.hybrid import (
@@ -124,6 +116,18 @@ def _validate_budget(body: dict, name: str, default, integral: bool):
     if value <= 0:
         raise ServiceError(400, f"'{name}' must be positive, got {value}")
     return value if integral else float(value)
+
+
+def _validate_int(body: dict, name: str, default) -> int:
+    """An integer field of a ``/mine`` body (``default`` when missing).
+
+    JSON booleans, floats and strings are rejected with a 400 instead of
+    being truncated by ``int()`` or failing on the worker thread.
+    """
+    value = body.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ServiceError(400, f"'{name}' must be an integer, got {value!r}")
+    return value
 
 
 class RuleService:
@@ -234,14 +238,8 @@ class RuleService:
         # pool_restarts_on_failure and serial_degradations ride along —
         # the operator's first sign that workers are being killed).
         self.telemetry.set_gauges(pool_stats())
-        # How often backend="auto" resolved to each backend since process
-        # start — the /metrics face of the planner's honesty contract
-        # (bench output carries the same counts as ``chose_backend``).
-        self.telemetry.set_gauges({
-            f"auto_backend_{name}": count
-            for name, count in auto_backend_stats().items()
-        })
-        # Same honesty contract for strategy="auto" (direct vs hybrid).
+        # How often strategy="auto" resolved to direct vs hybrid since
+        # process start — the /metrics face of the planner's choices.
         self.telemetry.set_gauges({
             f"auto_strategy_{name}": count
             for name, count in auto_strategy_stats().items()
@@ -408,11 +406,8 @@ class RuleService:
             dataset = discretized_from_payload(items)
         except (KeyError, ValueError, TypeError) as error:
             raise ServiceError(400, f"bad 'items' payload: {error}")
-        try:
-            consequent = int(body.get("consequent", 1))
-            k = int(body.get("k", 1))
-        except (TypeError, ValueError):
-            raise ServiceError(400, "'consequent' and 'k' must be integers")
+        consequent = _validate_int(body, "consequent", 1)
+        k = _validate_int(body, "k", 1)
         if not 0 <= consequent < dataset.n_classes:
             raise ServiceError(
                 400, f"consequent {consequent} out of range for "
@@ -425,14 +420,6 @@ class RuleService:
             raise ServiceError(
                 400, f"unknown engine {engine!r}; expected one of {ENGINES}"
             )
-        backend = body.get("backend")
-        if backend is not None:
-            available = available_backends()
-            if backend != AUTO_BACKEND and backend not in available:
-                raise ServiceError(
-                    400, f"unknown backend {backend!r}; expected one of "
-                         f"{(AUTO_BACKEND,) + tuple(available)}"
-                )
         strategy = body.get("strategy", "direct")
         if strategy not in (*STRATEGIES, AUTO_STRATEGY):
             raise ServiceError(
@@ -454,7 +441,10 @@ class RuleService:
                 )
             except (TypeError, ValueError) as error:
                 raise ServiceError(400, str(error))
-        minsup = int(minsup)
+        else:
+            minsup = _validate_int(body, "minsup", None)
+            if minsup < 1:
+                raise ServiceError(400, f"minsup must be >= 1, got {minsup}")
 
         key = mining_key(
             dataset_fingerprint(dataset), consequent, minsup, k, engine,
@@ -503,9 +493,7 @@ class RuleService:
             if self.mine_jobs != AUTO_JOBS and self.mine_jobs <= 1:
                 n_jobs = 1
         else:
-            try:
-                n_jobs = int(n_jobs)
-            except (TypeError, ValueError):
+            if isinstance(n_jobs, bool) or not isinstance(n_jobs, int):
                 raise ServiceError(400, "'n_jobs' must be an integer or 'auto'")
             if n_jobs < 1:
                 raise ServiceError(400, f"n_jobs must be >= 1, got {n_jobs}")
@@ -521,7 +509,7 @@ class RuleService:
                 result = mine_topk(
                     dataset, consequent, minsup, k=k, engine=engine,
                     node_budget=node_budget, time_budget=time_budget,
-                    cancel=job.cancel_event, n_jobs=n_jobs, backend=backend,
+                    cancel=job.cancel_event, n_jobs=n_jobs,
                     strategy=strategy,
                 )
                 # Pure enumeration time, excluding queueing, dataset
@@ -585,7 +573,6 @@ class RuleService:
                     "minsup": minsup,
                     "k": k,
                     "engine": engine,
-                    "backend": backend,
                     "strategy": strategy,
                     "node_budget": node_budget,
                     "time_budget": time_budget,

@@ -79,6 +79,60 @@ class TestMine:
         assert "minsup=20" in capsys.readouterr().out
 
 
+class TestMineFaultStrategy:
+    """``mine --fault`` picks its path from the *resolved* strategy:
+    ``--strategy auto`` plans from the row count, as without --fault."""
+
+    @pytest.fixture
+    def paths(self, tmp_path, monkeypatch):
+        import repro.core.hybrid as hybrid
+        import repro.parallel as parallel
+        from repro.core.topk_miner import mine_topk
+        from repro.data import random_discretized_dataset
+        from repro.data.loaders import save_discretized
+
+        items = tmp_path / "items.json"
+        save_discretized(
+            random_discretized_dataset(n_rows=20, n_items=12, seed=5), items
+        )
+        taken = []
+
+        def recorder(name):
+            def mine(dataset, consequent, minsup, k=1, engine="bitset",
+                     **options):
+                taken.append((name, options.get("fault")))
+                return mine_topk(dataset, consequent, minsup, k=k,
+                                 engine=engine)
+            return mine
+
+        monkeypatch.setattr(parallel, "mine_topk_parallel",
+                            recorder("direct-parallel"))
+        monkeypatch.setattr(hybrid, "mine_topk_hybrid", recorder("hybrid"))
+        return items, taken
+
+    def test_auto_on_a_small_dataset_takes_the_direct_parallel_path(
+        self, paths, capsys
+    ):
+        items, taken = paths
+        code = main(["mine", str(items), "--minsup", "2", "--jobs", "2",
+                     "--strategy", "auto", "--fault", "kill@0.0"])
+        assert code == 0
+        assert [name for name, _fault in taken] == ["direct-parallel"]
+        assert taken[0][1] is not None  # the fault plan rode along
+        assert "covering rule groups" in capsys.readouterr().out
+
+    def test_auto_follows_the_strategy_planner(self, paths, monkeypatch):
+        import repro.core.hybrid as hybrid
+
+        items, taken = paths
+        monkeypatch.setattr(hybrid, "plan_auto_strategy",
+                            lambda n_rows: "hybrid")
+        code = main(["mine", str(items), "--minsup", "2", "--jobs", "2",
+                     "--strategy", "auto", "--fault", "kill@0.0"])
+        assert code == 0
+        assert [name for name, _fault in taken] == ["hybrid"]
+
+
 class TestClassify:
     @pytest.mark.parametrize("name", ("rcbt", "cba", "tree", "svm"))
     def test_classifiers_run(self, dataset_files, capsys, name):

@@ -1,8 +1,9 @@
 """Tests for the hybrid column-then-row miner (Section 8 extension).
 
 Covers the streaming/out-of-core production path and its execution
-plumbing: bit-identity against the direct miner (engines x backends x
-cohorts), cancellation/time budgets, backend resolution parity, spill
+plumbing: bit-identity against the direct miner (engines x backend
+spellings x cohorts), cancellation/time budgets, backend resolution
+parity, spill
 hygiene (no leaked files, error paths included), and the streaming
 builder's bounded-memory claim.
 """
@@ -11,7 +12,7 @@ import threading
 
 import pytest
 
-from repro.core.backends import resolve_backend
+from repro.core.backends import auto_backend_stats
 from repro.core.hybrid import (
     AUTO_HYBRID_ROWS,
     mine_topk_hybrid,
@@ -109,7 +110,8 @@ COHORT_TEST_SCALE = {
 
 
 class TestTallCohorts:
-    """Bit-identity on (scaled) committed tall cohorts: engines x backends."""
+    """Bit-identity on (scaled) committed tall cohorts: engines x backend
+    spellings."""
 
     @pytest.mark.parametrize("name", sorted(TALL_COHORTS))
     def test_matches_direct_on_cohort(self, name):
@@ -123,10 +125,8 @@ class TestTallCohorts:
             assert hybrid.stats.completed == direct.stats.completed
 
     @pytest.mark.parametrize("engine", ["bitset", "table", "tree"])
-    @pytest.mark.parametrize("backend", ["int", "numpy"])
+    @pytest.mark.parametrize("backend", ["int", "auto"])
     def test_engine_backend_matrix(self, engine, backend):
-        if backend == "numpy":
-            pytest.importorskip("numpy")
         spec = TALL_COHORTS["tall-1k"].scaled(0.125)
         ds = generate_tall_cohort(spec)
         minsup = max(1, int(0.5 * sum(1 for l in ds.labels if l == 1)))
@@ -253,25 +253,27 @@ class TestCancellation:
 
 class TestExecutionSurface:
     def test_backend_resolution_matches_direct(self, small_random):
-        """strategy=hybrid must resolve backend= exactly like mine_topk."""
+        """strategy=hybrid must resolve backend= exactly like mine_topk:
+        the same values accepted, one auto plan per mine, the same
+        rejection for anything else."""
         for requested in (None, "auto", "int"):
-            expected = resolve_backend(
-                requested, n_rows=small_random.n_rows, task="topk"
-            ).name
-            result = mine_topk_hybrid(
-                small_random, 1, minsup=1, k=1, backend=requested
-            )
-            assert result.hybrid_stats.backend == expected
+            counts = []
+            for mine in (mine_topk, mine_topk_hybrid):
+                before = auto_backend_stats()["int"]
+                mine(small_random, 1, minsup=1, k=1, backend=requested)
+                counts.append(auto_backend_stats()["int"] - before)
+            assert counts[0] == counts[1] == (requested == "auto")
+        for mine in (mine_topk, mine_topk_hybrid):
+            with pytest.raises(ValueError, match="unknown bitset backend"):
+                mine(small_random, 1, minsup=1, k=1, backend="numpy")
 
     def test_backends_bit_identical(self, small_random):
         base = mine_topk_hybrid(small_random, 1, minsup=1, k=3, backend="int")
-        pytest.importorskip("numpy")
-        other = mine_topk_hybrid(
-            small_random, 1, minsup=1, k=3, backend="numpy"
-        )
-        assert results_equal(base, other)
-        assert base.hybrid_stats.backend == "int"
-        assert other.hybrid_stats.backend == "numpy"
+        for backend in (None, "auto"):
+            other = mine_topk_hybrid(
+                small_random, 1, minsup=1, k=3, backend=backend
+            )
+            assert results_equal(base, other)
 
     def test_parallel_partitions_match_serial(self, small_random):
         serial = mine_topk_hybrid(small_random, 1, minsup=1, k=2)

@@ -25,11 +25,10 @@ import pytest
 
 from repro.audit.generator import generate_cases
 from repro.baselines.farmer import FarmerPolicy
-from repro.core.backends import available_backends
 from repro.core.bitset import iter_indices, mask_below
 from repro.core.enumeration import ENGINES, MinerStats, run_enumeration
 from repro.core.prefix_tree import PrefixTree
-from repro.core.topk_miner import TopkPolicy
+from repro.core.topk_miner import TopkPolicy, mine_topk
 from repro.core.view import MiningView
 
 # The 2^3 combinations of the paper's §4.1.1 optimizations.
@@ -369,14 +368,13 @@ class TestKernelsMatchReference:
 
 
 class TestKernelsAcrossBackends:
-    """Engines × §4.1.1 flags × bitset backends: every backend must
-    reproduce the ``int`` backend's groups *and* MinerStats exactly.
+    """Engines × §4.1.1 flags × accepted ``backend=`` spellings: a mine
+    through ``mine_topk`` with ``backend=None``/``"int"``/``"auto"`` must
+    reproduce a bare kernel run's groups *and* MinerStats exactly.
 
-    The comparison is per engine across backends — engines legitimately
-    differ from each other in counters (the tree engine only enumerates
-    rows present in the prefix tree, so it visits fewer nodes), but a
-    backend swap must be invisible: same nodes, same prunes, same
-    groups, counter for counter.
+    Every spelling mines on the same ``int`` bitsets, so the argument
+    must be invisible: same nodes, same prunes, same groups, counter for
+    counter.
     """
 
     @pytest.mark.parametrize("engine", ENGINES)
@@ -385,33 +383,32 @@ class TestKernelsAcrossBackends:
         ids=["".join("ft"[v] for v in combo.values()) for combo in FLAG_COMBOS],
     )
     def test_topk_backend_identity(self, engine, flags):
-        alternates = [
-            name for name in available_backends() if name != "int"
-        ]
-        assert alternates, "packed backend must always be registered"
+        key = lambda g: (
+            g.antecedent, g.consequent, g.row_set, g.support, g.confidence
+        )
         for case in CASES:
-            view = MiningView(
-                case.dataset, case.consequent, case.minsup, backend="int"
-            )
+            view = MiningView(case.dataset, case.consequent, case.minsup)
             policy = TopkPolicy(view, case.k, **flags)
             stats = run_enumeration(view, policy, engine=engine)
-            expected = (_counters(stats), _snapshot(policy))
+            expected = (
+                _counters(stats),
+                {row: [key(g) for g in groups]
+                 for row, groups in policy.finalize().items()},
+            )
 
-            for backend in alternates:
-                other_view = MiningView(
-                    case.dataset, case.consequent, case.minsup,
-                    backend=backend,
-                )
-                other_policy = TopkPolicy(other_view, case.k, **flags)
-                other_stats = run_enumeration(
-                    other_view, other_policy, engine=engine
+            for backend in (None, "int", "auto"):
+                result = mine_topk(
+                    case.dataset, case.consequent, case.minsup, k=case.k,
+                    engine=engine, backend=backend, **flags,
                 )
                 label = (
                     f"case {case.index} ({case.shape}), engine {engine}, "
                     f"backend {backend}"
                 )
                 assert (
-                    _counters(other_stats), _snapshot(other_policy)
+                    _counters(result.stats),
+                    {row: [key(g) for g in groups]
+                     for row, groups in result.per_row.items()},
                 ) == expected, label
 
 

@@ -8,6 +8,10 @@ Each test here fails on the pre-fix code:
   stale in-flight entry;
 * non-numeric ``node_budget``/``time_budget`` reached ``mine_topk`` on
   the worker thread and surfaced as a FAILED job instead of a 400;
+* the integer ``/mine`` fields went through bare ``int()``: ``"k": 2.9``
+  mined as k=2, ``"k": true`` as k=1, ``"minsup": "abc"`` raised an
+  uncaught ``ValueError`` (a 500), and a non-positive ``minsup`` reached
+  the worker and failed the job;
 * a malformed ``Content-Length`` header raised an uncaught-by-design
   ``ValueError`` that the generic handler turned into a 500 instead of
   a client-addressable 400;
@@ -182,6 +186,52 @@ class TestBudgetValidation:
             job = service.jobs.get(response["job_id"])
             assert job.wait(timeout=30)
             assert job.status == "done"
+        finally:
+            service.shutdown()
+
+
+class TestIntegerFieldValidation:
+    @pytest.mark.parametrize("field", ["consequent", "k", "minsup", "n_jobs"])
+    @pytest.mark.parametrize(
+        "bad", [2.9, 1.0, True, False, "abc", "2", [1]], ids=repr
+    )
+    def test_non_integers_are_rejected_up_front(
+        self, dataset_payload, field, bad
+    ):
+        service = RuleService(mining_workers=1)
+        try:
+            with pytest.raises(ServiceError) as excinfo:
+                service.submit_mine(_mine_body(dataset_payload, **{field: bad}))
+            assert excinfo.value.status == 400
+            assert field in str(excinfo.value)
+        finally:
+            service.shutdown()
+
+    @pytest.mark.parametrize("minsup", [0, -3])
+    def test_non_positive_minsup_is_rejected_up_front(
+        self, dataset_payload, minsup
+    ):
+        service = RuleService(mining_workers=1)
+        try:
+            with pytest.raises(ServiceError) as excinfo:
+                service.submit_mine(_mine_body(dataset_payload, minsup=minsup))
+            assert excinfo.value.status == 400
+            assert "minsup" in str(excinfo.value)
+            assert service.telemetry.counter("mine_jobs_submitted") == 0
+        finally:
+            service.shutdown()
+
+    def test_integer_fields_mine_as_given(self, dataset_payload):
+        service = RuleService(mining_workers=1)
+        try:
+            response = service.submit_mine(_mine_body(
+                dataset_payload, consequent=1, k=2, minsup=2, n_jobs=1
+            ))
+            job = service.jobs.get(response["job_id"])
+            assert job.wait(timeout=30)
+            assert job.status == "done"
+            assert job.result["k"] == 2
+            assert job.result["minsup"] == 2
         finally:
             service.shutdown()
 

@@ -225,6 +225,56 @@ class TestDurableService:
         finally:
             revived.shutdown()
 
+    @pytest.mark.parametrize("retired", ["numpy", "packed"])
+    def test_row_naming_a_retired_backend_replays_to_done(
+        self, tmp_path, dataset, retired
+    ):
+        """Rows written while the service still accepted a ``backend``
+        field keep it in their stored request.  The service no longer
+        reads the field, so such a row replays to DONE under the same
+        mining key with the same result, not as a rejected replay."""
+        reference_service = RuleService()
+        submitted = reference_service.submit_mine(_mine_body(dataset))
+        reference = _wait_done(reference_service, submitted["job_id"])
+        reference_service.shutdown()
+
+        path = str(tmp_path / "jobs.db")
+        store = JobStore(path)
+        store.record_submitted("job-1", submitted["key"], {
+            "items": discretized_to_payload(dataset),
+            "consequent": 1,
+            "minsup": reference["result"]["minsup"],
+            "k": 2,
+            "engine": "bitset",
+            "backend": retired,
+            "strategy": "direct",
+            "node_budget": None,
+            "time_budget": None,
+            "n_jobs": 1,
+        })
+        store.close()
+
+        revived = RuleService(store_path=path)
+        try:
+            assert revived.telemetry.counter("mine_jobs_recovered") == 1
+            resumed = _wait_done(revived, "job-1")
+            assert resumed["status"] == "done"
+            assert _mined_content(resumed["result"]) == _mined_content(
+                reference["result"]
+            )
+        finally:
+            revived.shutdown()
+        # The replay mined under the original key: its durable result is
+        # addressed by it.
+        store = JobStore(path)
+        try:
+            assert store.get_job("job-1")["status"] == "done"
+            assert _mined_content(store.get_result(submitted["key"])) == (
+                _mined_content(reference["result"])
+            )
+        finally:
+            store.close()
+
     def test_replayed_duplicate_requests_share_one_mine(
         self, tmp_path, dataset
     ):
