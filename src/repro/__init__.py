@@ -13,7 +13,8 @@ Public surface:
 * :mod:`repro.experiments` -- drivers regenerating every table and figure
   of the paper's evaluation section;
 * :mod:`repro.service` -- embeddable serving layer (model registry,
-  mining cache, job queue, micro-batching, HTTP API; ``repro serve``);
+  mining cache, job queue, classify coalescing, asyncio HTTP API;
+  ``repro serve``);
 * :mod:`repro.parallel` -- process-pool mining backend (first-level
   subtree sharding; ``n_jobs=`` on the miners, ``repro bench``).
 """
@@ -46,7 +47,6 @@ from .service import (
     JobQueue,
     MiningCache,
     ModelRegistry,
-    ReproServer,
     RuleService,
     dataset_fingerprint,
 )
@@ -63,7 +63,6 @@ __all__ = [
     "ModelRegistry",
     "NotFittedError",
     "ReproError",
-    "ReproServer",
     "Rule",
     "RuleGroup",
     "RuleService",

@@ -10,9 +10,9 @@ Commands:
 * ``predict``    — apply a saved rule classifier to new samples;
 * ``serve``      — run the JSON-over-HTTP serving layer of
   :mod:`repro.service` (model registry, mining cache, async jobs;
-  batch-coalescing asyncio front end by default, ``--legacy`` for the
-  threaded server, ``--store`` for restart-durable jobs);
-* ``loadtest``   — benchmark both HTTP front ends and write
+  batch-coalescing asyncio front end, ``--store`` for restart-durable
+  jobs);
+* ``loadtest``   — benchmark the HTTP front end and write
   ``BENCH_service.json`` (see :mod:`repro.service.loadtest`);
 * ``bench``      — time serial vs. parallel mining on the synthetic
   generators and write ``BENCH_core.json`` (see :mod:`repro.bench`);
@@ -245,23 +245,19 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
 
-    from .service import AsyncReproServer, ReproServer
+    from .service import AsyncReproServer
 
-    service_kwargs = dict(
+    server = AsyncReproServer(
+        host=args.host,
+        port=args.port,
+        verbose=args.verbose,
+        grace_seconds=args.grace_seconds,
         models_dir=args.models_dir,
         cache_bytes=args.cache_bytes,
         mining_workers=args.workers,
         mine_jobs=args.mine_jobs,
         store_path=args.store,
     )
-    if args.legacy:
-        server = ReproServer(host=args.host, port=args.port,
-                             verbose=args.verbose, **service_kwargs)
-    else:
-        server = AsyncReproServer(host=args.host, port=args.port,
-                                  verbose=args.verbose,
-                                  grace_seconds=args.grace_seconds,
-                                  **service_kwargs)
     server.start()
     registered = server.service.registry.names()
     if registered:
@@ -270,9 +266,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if recovered:
         print(f"recovered {recovered} durable mining job(s) from "
               f"{args.store}")
-    kind = "legacy threaded" if args.legacy else "async"
-    print(f"serving on {server.url} ({kind}; Ctrl-C or SIGTERM to stop)",
-          flush=True)
+    print(f"serving on {server.url} (Ctrl-C or SIGTERM to stop)", flush=True)
 
     # SIGTERM (systemd/k8s stop) drains like Ctrl-C does: interrupt the
     # foreground wait, then stop() below gives in-flight requests
@@ -288,10 +282,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         except KeyboardInterrupt:
             pass
         print("draining...", flush=True)
-        if args.legacy:
-            server.stop(grace_seconds=args.grace_seconds)
-        else:
-            server.stop()
+        server.stop()
         print("stopped cleanly", flush=True)
     finally:
         signal.signal(signal.SIGTERM, previous)
@@ -354,7 +345,6 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         baseline = json.loads(Path(args.compare).read_text(encoding="utf-8"))
     report = run_loadtest(
         quick=args.quick,
-        servers=tuple(args.servers),
         progress=print if args.verbose else None,
     )
     write_report(report, args.output)
@@ -505,9 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--grace-seconds", type=float, default=5.0,
                        help="drain window for in-flight requests on "
                             "Ctrl-C/SIGTERM")
-    serve.add_argument("--legacy", action="store_true",
-                       help="run the PR 1 threaded server instead of the "
-                            "batch-coalescing asyncio front end")
     serve.add_argument("--verbose", action="store_true",
                        help="log one line per request")
     serve.set_defaults(handler=_cmd_serve)
@@ -540,24 +527,22 @@ def build_parser() -> argparse.ArgumentParser:
     bench.set_defaults(handler=_cmd_bench)
 
     loadtest = commands.add_parser(
-        "loadtest", help="benchmark the HTTP front ends; write "
+        "loadtest", help="benchmark the HTTP front end; write "
                          "BENCH_service.json"
     )
     loadtest.add_argument("--output", default="BENCH_service.json",
                           help="where to write the JSON report")
-    loadtest.add_argument("--servers", nargs="+", default=["legacy", "async"],
-                          choices=("legacy", "async"),
-                          help="front ends to drive")
     loadtest.add_argument("--quick", action="store_true",
                           help="smaller request counts — the CI smoke "
                                "profile")
     loadtest.add_argument("--compare", metavar="BASELINE",
                           help="diff this run against a committed report; "
                                "exit non-zero if any RPS regressed more "
-                               "than 2x (plus an absolute floor) or any "
-                               "requests errored")
+                               "than 2x (plus an absolute floor), any "
+                               "requests errored, or a run has no "
+                               "baseline entry")
     loadtest.add_argument("--verbose", action="store_true",
-                          help="print one line per scenario/server run")
+                          help="print one line per scenario run")
     loadtest.set_defaults(handler=_cmd_loadtest)
 
     audit = commands.add_parser(

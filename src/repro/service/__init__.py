@@ -2,25 +2,18 @@
 
 Turns the one-shot library into a long-running server: a named model
 registry (:mod:`.registry`), a content-addressed mining cache
-(:mod:`.cache`), a cancellable mining job queue (:mod:`.jobs`),
-micro-batched classification (:mod:`.batching`), request telemetry
-(:mod:`.telemetry`), a durable SQLite-WAL job + result store
-(:mod:`.store`) and two JSON-over-HTTP front ends — the threaded
-:mod:`.server` and the batch-coalescing asyncio :mod:`.aio` server that
-``repro serve`` runs by default.
+(:mod:`.cache`), a cancellable mining job queue (:mod:`.jobs`), request
+telemetry (:mod:`.telemetry`), a durable SQLite-WAL job + result store
+(:mod:`.store`), the transport-free :class:`RuleService` core
+(:mod:`.server`) and the batch-coalescing asyncio JSON-over-HTTP front
+end (:mod:`.aio`) that ``repro serve`` runs.
 """
 
 from .aio import AsyncReproServer
-from .batching import MicroBatcher
 from .cache import MiningCache, dataset_fingerprint, mining_key
 from .jobs import Job, JobCancelled, JobQueue
 from .registry import ModelRecord, ModelRegistry
-from .server import (
-    ReproServer,
-    RuleService,
-    ServiceError,
-    topk_result_to_payload,
-)
+from .server import RuleService, ServiceError, topk_result_to_payload
 from .store import JobStore
 from .telemetry import LatencyHistogram, Telemetry
 
@@ -31,11 +24,9 @@ __all__ = [
     "JobCancelled",
     "JobQueue",
     "LatencyHistogram",
-    "MicroBatcher",
     "MiningCache",
     "ModelRecord",
     "ModelRegistry",
-    "ReproServer",
     "RuleService",
     "ServiceError",
     "Telemetry",

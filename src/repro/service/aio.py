@@ -1,9 +1,7 @@
 """Asyncio batch-coalescing HTTP front end for :class:`RuleService`.
 
-The PR 1 :class:`~repro.service.server.ReproServer` spends one OS thread
-per connection and answers each ``/classify`` alone, so the bitset
-``predict_batch`` fast path never sees a batch from the wire.  This
-module is the production front end: a stdlib-``asyncio`` server that
+The one HTTP front end of the serving layer, run by ``repro serve``: a
+stdlib-``asyncio`` server that
 
 * holds thousands of **keep-alive** connections on one event loop
   instead of a thread each;
@@ -28,15 +26,13 @@ module is the production front end: a stdlib-``asyncio`` server that
   tears down — and :meth:`RuleService.shutdown` checkpoints the durable
   job store behind it.
 
-Mining is untouched: ``/mine`` still lands on the thread-pool job queue
-and the warm process pool of :mod:`repro.parallel` (via a small request
-executor), so PR 5's retry/heal/degrade semantics carry over verbatim.
-Blocking service calls run on that executor too; the event loop itself
-never computes.
+``/mine`` lands on the thread-pool job queue and the warm process pool
+of :mod:`repro.parallel` (via a small request executor), whose
+retry/heal/degrade semantics apply unchanged.  Blocking service calls
+run on that executor too; the event loop itself never computes.
 
-The class mirrors :class:`ReproServer`'s surface (``start`` / ``stop`` /
-``serve_forever`` / ``url`` / shared ``service``) so the e2e suite runs
-against both and ``repro serve`` can flip between them with a flag.
+The embedding surface is ``start`` / ``stop`` / ``serve_forever`` /
+``url`` plus the shared ``service``; ``port=0`` binds an ephemeral port.
 """
 
 from __future__ import annotations
@@ -54,7 +50,9 @@ from .server import RuleService, ServiceError
 
 __all__ = ["AsyncReproServer"]
 
-MAX_BODY_BYTES = 16 * 1024 * 1024  # same request bound as the legacy server
+# 16 MiB: a scaled paper dataset payload fits easily, and anything
+# bigger is almost certainly a client bug.
+MAX_BODY_BYTES = 16 * 1024 * 1024
 MAX_HEADER_BYTES = 64 * 1024
 # In-order responses mean a pipelined burst is buffered as tasks; bound
 # how far ahead of the writer a single connection may read.
@@ -86,12 +84,12 @@ class _Request:
 class _Coalescer:
     """Event-loop micro-batcher for one model version.
 
-    The asyncio twin of :class:`~repro.service.batching.MicroBatcher`:
-    no collector thread and no blocking — pending requests are plain
+    No collector thread and no blocking: pending requests are plain
     lists mutated only on the event loop, the flush deadline is a
     ``call_later`` timer, and the batched ``predict_batch`` call runs on
     the request executor so the loop keeps parsing sockets while the
-    model computes.
+    model computes.  A failed or misaligned ``predict_batch`` fails
+    every request of its window; the next window starts afresh.
     """
 
     def __init__(
@@ -171,7 +169,7 @@ class _Coalescer:
             offset += len(rows)
 
     def stats(self) -> dict:
-        """Same shape as :meth:`MicroBatcher.stats` for ``/metrics``."""
+        """This model version's batching counters for ``/metrics``."""
         mean = self.batched_rows / self.batches if self.batches else 0.0
         return {
             "requests": self.requests,
@@ -188,8 +186,8 @@ class AsyncReproServer:
     Args:
         host/port: bind address; port 0 picks an ephemeral port.
         service: an existing facade to serve; built from the remaining
-            keyword arguments when omitted (same knobs as
-            :class:`ReproServer`, including ``store_path`` durability).
+            keyword arguments when omitted (the :class:`RuleService`
+            knobs, including ``store_path`` durability).
         max_connections: socket cap; connections beyond it are answered
             ``503`` + ``Retry-After`` and closed.
         max_inflight: dispatched-request cap; beyond it requests are
@@ -248,7 +246,7 @@ class AsyncReproServer:
         self._draining = False
         self._grace = grace_seconds
 
-    # -- public surface (mirrors ReproServer) ------------------------------
+    # -- public surface ------------------------------------------------------
 
     @property
     def host(self) -> str:
@@ -594,11 +592,12 @@ class AsyncReproServer:
                 return 200, payload, "GET /healthz"
             if path == "/metrics":
                 payload = await self._call(service.metrics)
-                batching = payload.setdefault("batching", {})
-                for (name, version), coalescer in sorted(
-                    self._coalescers.items()
-                ):
-                    batching[f"{name}@v{version}"] = coalescer.stats()
+                payload["batching"] = {
+                    f"{name}@v{version}": coalescer.stats()
+                    for (name, version), coalescer in sorted(
+                        self._coalescers.items()
+                    )
+                }
                 payload["frontend"] = self.describe()
                 return 200, payload, "GET /metrics"
             if path == "/models":
@@ -609,16 +608,18 @@ class AsyncReproServer:
                 return 200, payload, "GET /jobs/*"
             raise ServiceError(404, f"no route for GET {path}")
         if method == "POST":
+            # Match the path before parsing the body: an unknown route
+            # is a 404 whatever its body.
+            if path not in ("/models", "/classify", "/mine"):
+                raise ServiceError(404, f"no route for POST {path}")
             body = self._json_body(request)
             if path == "/models":
                 payload = await self._call(service.register_model, body)
                 return 201, payload, "POST /models"
             if path == "/classify":
                 return 200, await self._classify(body), "POST /classify"
-            if path == "/mine":
-                payload = await self._call(service.submit_mine, body)
-                return 202, payload, "POST /mine"
-            raise ServiceError(404, f"no route for POST {path}")
+            payload = await self._call(service.submit_mine, body)
+            return 202, payload, "POST /mine"
         if method == "DELETE":
             if path.startswith("/jobs/"):
                 job_id = path[len("/jobs/"):]

@@ -1,32 +1,30 @@
-"""Service benchmark: drive both HTTP front ends, gate regressions.
+"""Service benchmark: drive the HTTP front end, gate regressions.
 
 ``repro loadtest`` is to the serving layer what ``repro bench`` is to the
-miners: a reproducible harness that starts each front end (threaded
-legacy, coalescing asyncio) on an ephemeral port, drives it with real
-HTTP traffic, and writes ``BENCH_service.json`` so every serving change
-lands with throughput/latency evidence.  ``--compare`` diffs a fresh run
-against the committed baseline and fails on throughput regressions with
-the same generosity rules as the core gate (2x factor *and* an absolute
-floor, because CI containers are noisy).
+miners: a reproducible harness that starts the asyncio front end on an
+ephemeral port, drives it with real HTTP traffic, and writes
+``BENCH_service.json`` so every serving change lands with
+throughput/latency evidence.  ``--compare`` diffs a fresh run against
+the committed baseline and fails on throughput regressions with the same
+generosity rules as the core gate (2x factor *and* an absolute floor,
+because CI containers are noisy), on request errors, and on a run the
+baseline has no entry for.
 
-Three scenarios per server, all against one registered RCBT model:
+Three scenarios, all against one registered RCBT model:
 
 * **sequential** — one keep-alive connection, requests back-to-back: the
   per-request latency floor (closed loop, concurrency 1);
 * **concurrent** — N client threads, each with its own keep-alive
-  connection, closed loop: the thread-pool-vs-event-loop comparison
-  under parallel load;
+  connection, closed loop: throughput under parallel load;
 * **pipelined** — N raw-socket connections, each writing bursts of D
   requests before reading any response (open loop within a burst): the
-  coalescing showcase.  The async front end dispatches a whole burst
-  into one micro-batch window and answers it with one ``predict_batch``;
-  the legacy server processes the same burst strictly sequentially.
+  coalescing showcase.  The front end dispatches a whole burst into one
+  micro-batch window and answers it with one ``predict_batch``.
 
 Every scenario records RPS, p50/p99 latency, error and shed (HTTP 503)
 counts; the classify batch-size histogram is scraped from ``/metrics``
-afterwards — the observable proof that the async front end actually
-coalesced (legacy pipelined traffic stays in the 1-2 row buckets, async
-lands the same traffic in the burst-sized buckets).
+afterwards — the observable proof that the front end coalesced
+(pipelined traffic lands in the burst-sized buckets).
 """
 
 from __future__ import annotations
@@ -50,9 +48,7 @@ __all__ = [
     "compare_reports",
 ]
 
-SCHEMA_VERSION = 1
-
-SERVERS = ("legacy", "async")
+SCHEMA_VERSION = 2
 
 # A throughput drop must exceed BOTH bounds to fail the gate: more than
 # 2x below baseline AND more than an absolute floor of requests/second.
@@ -61,8 +57,13 @@ SERVERS = ("legacy", "async")
 REGRESSION_FACTOR = 2.0
 REGRESSION_MIN_DELTA_RPS = 25.0
 
+_REBASELINE_COMMAND = (
+    "PYTHONPATH=src python -m repro.cli loadtest --quick "
+    "--output BENCH_service.json"
+)
+
 # Keys that must match for a baseline entry to be comparable.
-_COMPARE_KEYS = ("server", "scenario", "connections", "depth",
+_COMPARE_KEYS = ("scenario", "connections", "depth",
                  "requests_target", "rows_per_request")
 
 
@@ -77,7 +78,7 @@ class Scenario:
 
 
 # Request counts are sized so a full run stays in tens of seconds and a
-# quick run in single-digit seconds per server, while still pushing
+# quick run in single-digit seconds, while still pushing
 # thousands of requests through the hot scenarios.
 DEFAULT_SCENARIOS = (
     Scenario("sequential", connections=1, requests=300),
@@ -109,17 +110,11 @@ def _build_model_and_rows(seed: int = 7) -> tuple[dict, list[list[int]]]:
     return classifier_to_payload(model), rows
 
 
-def _start_server(kind: str, model_payload: dict):
+def _start_server(model_payload: dict):
     """Start a fresh front end on an ephemeral port with one model."""
     from .aio import AsyncReproServer
-    from .server import ReproServer
 
-    if kind == "legacy":
-        server = ReproServer(port=0, batch_delay=0.002).start()
-    elif kind == "async":
-        server = AsyncReproServer(port=0, batch_delay=0.002).start()
-    else:
-        raise ValueError(f"unknown server kind {kind!r}")
+    server = AsyncReproServer(port=0, batch_delay=0.002).start()
     server.service.register_model({"name": "bench", "model": model_payload})
     return server
 
@@ -320,7 +315,6 @@ class LoadReport:
     host: dict
     config: dict
     benchmarks: list[dict] = field(default_factory=list)
-    summary: dict = field(default_factory=dict)
     created_at: float = field(default_factory=time.time)
 
     def as_dict(self) -> dict:
@@ -330,7 +324,6 @@ class LoadReport:
             "host": self.host,
             "config": self.config,
             "benchmarks": self.benchmarks,
-            "summary": self.summary,
         }
 
     def summary_lines(self) -> list[str]:
@@ -338,54 +331,30 @@ class LoadReport:
             f"repro loadtest — {len(self.benchmarks)} runs, "
             f"cpu_count={self.host['cpu_count']}"
         ]
-        by_scenario: dict[str, dict[str, dict]] = {}
         for entry in self.benchmarks:
-            by_scenario.setdefault(entry["scenario"], {})[
-                entry["server"]] = entry
-        for scenario, by_server in by_scenario.items():
-            parts = []
-            for server in SERVERS:
-                entry = by_server.get(server)
-                if entry is None:
-                    continue
-                problems = ""
-                if entry["errors"]:
-                    problems += f" errors={entry['errors']}"
-                if entry["shed"]:
-                    problems += f" shed={entry['shed']}"
-                parts.append(
-                    f"{server} {entry['rps']:.0f} rps "
-                    f"(p50 {entry['p50_ms']:.1f}ms, "
-                    f"p99 {entry['p99_ms']:.1f}ms{problems})"
-                )
-            legacy = by_server.get("legacy")
-            asynch = by_server.get("async")
-            if legacy and asynch and legacy["rps"] > 0:
-                parts.append(f"async x{asynch['rps'] / legacy['rps']:.2f}")
-            lines.append(f"  {scenario}: " + " | ".join(parts))
-        speedups = self.summary.get("async_vs_legacy_rps", {})
-        if speedups:
-            pipelined = speedups.get("pipelined")
-            if pipelined is not None:
-                verdict = "faster" if pipelined > 1.0 else "NOT FASTER"
-                lines.append(
-                    f"  coalescing verdict: async is x{pipelined:.2f} "
-                    f"{verdict} than legacy on pipelined traffic"
-                )
+            problems = ""
+            if entry["errors"]:
+                problems += f" errors={entry['errors']}"
+            if entry["shed"]:
+                problems += f" shed={entry['shed']}"
+            lines.append(
+                f"  {entry['scenario']}: {entry['rps']:.0f} rps "
+                f"(p50 {entry['p50_ms']:.1f}ms, "
+                f"p99 {entry['p99_ms']:.1f}ms{problems})"
+            )
         return lines
 
 
 def run_loadtest(
     quick: bool = False,
     scenarios: Optional[Sequence[Scenario]] = None,
-    servers: Sequence[str] = SERVERS,
     progress=None,
 ) -> LoadReport:
-    """Drive every scenario against every requested server kind.
+    """Drive every scenario against the front end.
 
-    Each server kind gets a fresh instance per scenario (clean telemetry,
-    so per-scenario batch histograms aren't cross-contaminated).  The
-    same model payload and rows feed every run.
+    Each scenario gets a fresh server (clean telemetry, so per-scenario
+    batch histograms aren't cross-contaminated).  The same model payload
+    and rows feed every run.
     """
     if scenarios is None:
         scenarios = QUICK_SCENARIOS if quick else DEFAULT_SCENARIOS
@@ -398,38 +367,22 @@ def run_loadtest(
         },
         config={
             "quick": quick,
-            "servers": list(servers),
             "scenarios": [scenario.name for scenario in scenarios],
             "rows_per_request": ROWS_PER_REQUEST,
         },
     )
     for scenario in scenarios:
-        for kind in servers:
-            if progress is not None:
-                progress(f"{scenario.name} @ {kind}...")
-            server = _start_server(kind, model_payload)
-            try:
-                entry = _drive(server, scenario, rows)
-                entry["server"] = kind
-                histogram = _batch_histogram(server)
-                if histogram is not None:
-                    entry["batch_histogram"] = histogram
-            finally:
-                server.stop()
-            report.benchmarks.append(entry)
-    speedups: dict[str, float] = {}
-    for scenario in scenarios:
-        rps = {
-            entry["server"]: entry["rps"]
-            for entry in report.benchmarks
-            if entry["scenario"] == scenario.name
-        }
-        if rps.get("legacy") and rps.get("async"):
-            speedups[scenario.name] = rps["async"] / rps["legacy"]
-    report.summary = {
-        "async_vs_legacy_rps": speedups,
-        "async_faster_pipelined": speedups.get("pipelined", 0.0) > 1.0,
-    }
+        if progress is not None:
+            progress(f"{scenario.name}...")
+        server = _start_server(model_payload)
+        try:
+            entry = _drive(server, scenario, rows)
+            histogram = _batch_histogram(server)
+            if histogram is not None:
+                entry["batch_histogram"] = histogram
+        finally:
+            server.stop()
+        report.benchmarks.append(entry)
     return report
 
 
@@ -446,11 +399,15 @@ def compare_reports(
 ) -> tuple[list[str], bool]:
     """Diff ``current`` against ``baseline`` (both ``as_dict`` payloads).
 
-    Runs are matched by (server, scenario) and compared only when their
-    traffic shape is identical (:data:`_COMPARE_KEYS`).  ``ok`` is False
-    iff any compared run's RPS fell more than ``regression_factor``
-    below baseline *and* by more than
-    :data:`REGRESSION_MIN_DELTA_RPS` absolute — or had request errors.
+    Runs are matched by scenario and compared only when their traffic
+    shape is identical (:data:`_COMPARE_KEYS`).  ``ok`` is False iff
+
+    * any compared run's RPS fell more than ``regression_factor`` below
+      baseline *and* by more than :data:`REGRESSION_MIN_DELTA_RPS`
+      absolute, or it had request errors, or
+    * a current run has no baseline entry.  A re-keyed report would
+      otherwise pass while comparing nothing; the failure line says how
+      to regenerate the baseline.
     """
     lines: list[str] = []
     ok = True
@@ -468,17 +425,20 @@ def compare_reports(
             f"{current_host.get('cpu_count')} cores); RPS deltas partly "
             "reflect hardware"
         )
-    baseline_by_key = {
-        (entry.get("server"), entry.get("scenario")): entry
+    baseline_by_scenario = {
+        entry.get("scenario"): entry
         for entry in baseline.get("benchmarks", [])
     }
     compared = 0
     for entry in current.get("benchmarks", []):
-        key = (entry.get("server"), entry.get("scenario"))
-        name = f"{key[1]}@{key[0]}"
-        base = baseline_by_key.get(key)
+        name = entry.get("scenario")
+        base = baseline_by_scenario.get(name)
         if base is None:
-            lines.append(f"  {name}: no baseline entry — skipped")
+            ok = False
+            lines.append(
+                f"  {name}: MISSING BASELINE — no entry in the committed "
+                f"report; regenerate it with: {_REBASELINE_COMMAND}"
+            )
             continue
         mismatched = [
             field_name for field_name in _COMPARE_KEYS
@@ -515,6 +475,7 @@ def compare_reports(
         f"baseline comparison — {compared} compared, "
         f"{'ok' if ok else 'REGRESSED'} "
         f"(fail threshold: rps < baseline/{regression_factor:g} and "
-        f"delta > {REGRESSION_MIN_DELTA_RPS:g} rps, or any errors)"
+        f"delta > {REGRESSION_MIN_DELTA_RPS:g} rps, any errors, or a "
+        "current run with no baseline)"
     )
     return [header, *lines], ok

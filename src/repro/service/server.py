@@ -1,15 +1,12 @@
-"""The serving layer: an embeddable facade plus a threaded HTTP API.
+"""The serving layer's transport-free core, :class:`RuleService`.
 
-Two levels, so every future scaling PR has a seam to plug into:
-
-* :class:`RuleService` — the transport-free facade.  It owns the model
-  registry, the content-addressed mining cache, the mining job queue,
-  per-model classify micro-batchers and the telemetry registry, and
-  exposes plain-dict operations (``classify``, ``submit_mine``,
-  ``job_status``...).  Embed it directly in another process, or put any
-  transport in front of it.
-* :class:`ReproServer` — a stdlib ``ThreadingHTTPServer`` speaking JSON
-  over the endpoints below.  Started by ``repro serve``.
+:class:`RuleService` owns the model registry, the content-addressed
+mining cache, the mining job queue and the telemetry registry, and
+exposes plain-dict operations (``resolve_classify``, ``submit_mine``,
+``job_status``...).  Embed it directly in another process, or put a
+transport in front of it: :class:`~repro.service.aio.AsyncReproServer`,
+the asyncio front end ``repro serve`` runs, serves it over JSON and
+coalesces ``/classify`` rows into ``predict_batch`` calls.
 
 HTTP surface::
 
@@ -31,10 +28,8 @@ use case) pay mining cost once.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
 import numpy as np
@@ -52,14 +47,13 @@ from ..data.dataset import GeneExpressionDataset
 from ..data.discretize import EntropyDiscretizer
 from ..data.loaders import discretized_from_payload
 from ..parallel import AUTO_JOBS, pool_stats
-from .batching import MicroBatcher
 from .cache import MiningCache, dataset_fingerprint, mining_key
 from .jobs import DONE, FAILED, QUEUED, RUNNING, JobQueue
 from .registry import ModelRecord, ModelRegistry
 from .store import JobStore
 from .telemetry import BATCH_SIZE_BUCKETS, Telemetry
 
-__all__ = ["RuleService", "ReproServer", "ServiceError", "topk_result_to_payload"]
+__all__ = ["RuleService", "ServiceError", "topk_result_to_payload"]
 
 
 class ServiceError(Exception):
@@ -118,6 +112,11 @@ def _validate_budget(body: dict, name: str, default, integral: bool):
     return value if integral else float(value)
 
 
+def _is_int(value) -> bool:
+    """True for a JSON integer (``bool`` is an ``int`` subclass; not here)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _validate_int(body: dict, name: str, default) -> int:
     """An integer field of a ``/mine`` body (``default`` when missing).
 
@@ -125,9 +124,27 @@ def _validate_int(body: dict, name: str, default) -> int:
     being truncated by ``int()`` or failing on the worker thread.
     """
     value = body.get(name, default)
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         raise ServiceError(400, f"'{name}' must be an integer, got {value!r}")
     return value
+
+
+def _validate_rows(rows) -> list[frozenset[int]]:
+    """The ``rows`` field of a ``/classify`` body as item-id sets.
+
+    Each row is a list of non-negative integer item ids.  Anything else
+    is a 400 here: a bool or float would otherwise be truncated into a
+    wrong item, and a negative id would fail ``predict_batch`` for every
+    request coalesced into the same batch.
+    """
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and all(_is_int(i) and i >= 0 for i in row)
+        for row in rows
+    ):
+        raise ServiceError(
+            400, "'rows' must be lists of non-negative integer item ids"
+        )
+    return [frozenset(row) for row in rows]
 
 
 class RuleService:
@@ -147,7 +164,9 @@ class RuleService:
             either way, so the mining cache key is unaffected.
         node_budget / time_budget: default per-job mining budgets
             (overridable per request).
-        batch_rows / batch_delay: micro-batching knobs for classify.
+        batch_rows / batch_delay: how many ``/classify`` rows the front
+            end coalesces into one ``predict_batch`` call, and how long
+            it waits for them.
         store_path: when given, a :class:`~repro.service.store.JobStore`
             (SQLite, WAL) makes mining jobs and results durable: jobs
             that were queued or running when the previous process died
@@ -185,7 +204,6 @@ class RuleService:
         self.batch_rows = batch_rows
         self.batch_delay = batch_delay
         self.started_at = time.time()
-        self._batchers: dict[tuple[str, int], MicroBatcher] = {}
         self._inflight: dict[str, str] = {}  # mining key -> active job id
         self._lock = threading.Lock()
         self._closed = False
@@ -200,8 +218,8 @@ class RuleService:
         Beyond liveness, a load balancer (or an operator's curl) can see
         how much mining work is queued and in flight, whether the warm
         miner pool has been healing or degrading, and whether jobs are
-        durable.  The HTTP front ends add their own admission state on
-        top (the async server reports — and 503s — while shedding).
+        durable.  The HTTP front end adds its admission state on top
+        (it reports — and 503s — while shedding).
         """
         by_status = self.jobs.describe()["by_status"]
         stats = pool_stats()
@@ -226,11 +244,6 @@ class RuleService:
         return payload
 
     def metrics(self) -> dict:
-        with self._lock:
-            batching = {
-                f"{name}@v{version}": batcher.stats()
-                for (name, version), batcher in sorted(self._batchers.items())
-            }
         # The warm miner pool, the execution planner and the crash-
         # recovery supervisor live in repro.parallel, shared by every
         # embedder of this service; sample their counters into gauges
@@ -247,7 +260,6 @@ class RuleService:
         extra = {
             "cache": self.cache.stats(),
             "jobs": self.jobs.describe(),
-            "batching": batching,
         }
         if self.store is not None:
             extra["store"] = self.store.stats()
@@ -276,31 +288,24 @@ class RuleService:
 
     # -- classify ----------------------------------------------------------
 
-    def classify(self, body: dict) -> dict:
-        start = time.monotonic()
-        record, rows = self.resolve_classify(body)
-        pairs = self._batcher(record).submit(rows)
-        payload = self.classify_payload(record, pairs)
-        self.record_classify(len(rows), time.monotonic() - start)
-        return payload
-
     def resolve_classify(
         self, body: dict
     ) -> tuple[ModelRecord, list[frozenset[int]]]:
         """Validate a ``/classify`` body into ``(record, itemized rows)``.
 
-        Shared by both front ends: the threaded server feeds the rows to
-        the blocking :class:`MicroBatcher`, the asyncio server to its
-        event-loop coalescer.
+        A missing or ``null`` ``version`` means the newest one.  The
+        front end feeds the rows to its coalescer for ``predict_batch``.
         """
         name = body.get("model")
         if not isinstance(name, str):
             raise ServiceError(400, "body must carry 'model' (string)")
         version = body.get("version")
-        try:
-            record = self.registry.get(
-                name, int(version) if version is not None else None
+        if version is not None and not _is_int(version):
+            raise ServiceError(
+                400, f"'version' must be an integer or null, got {version!r}"
             )
+        try:
+            record = self.registry.get(name, version)
         except KeyError as error:
             # str(KeyError) wraps the message in quotes; unwrap it.
             raise ServiceError(404, error.args[0] if error.args else str(error))
@@ -314,10 +319,7 @@ class RuleService:
         if values is not None:
             rows = self._discretize_values(record, values)
         else:
-            try:
-                rows = [frozenset(int(i) for i in row) for row in rows]
-            except (TypeError, ValueError):
-                raise ServiceError(400, "'rows' must be lists of item ids")
+            rows = _validate_rows(rows)
         return record, rows
 
     def classify_payload(self, record: ModelRecord, pairs: list) -> dict:
@@ -334,7 +336,7 @@ class RuleService:
         }
 
     def record_classify(self, n_rows: int, seconds: float) -> None:
-        """Telemetry for one completed classify request (either front end)."""
+        """Telemetry for one completed classify request."""
         self.telemetry.increment("classify_requests")
         self.telemetry.increment("classify_rows", n_rows)
         self.telemetry.observe("classify_seconds", seconds)
@@ -373,23 +375,6 @@ class RuleService:
             raise
         except (KeyError, ValueError, TypeError) as error:
             raise ServiceError(400, f"bad 'values' payload: {error}")
-
-    def _batcher(self, record) -> MicroBatcher:
-        key = (record.name, record.version)
-        with self._lock:
-            if self._closed:
-                raise ServiceError(503, "service is shutting down")
-            batcher = self._batchers.get(key)
-            if batcher is None:
-                batcher = MicroBatcher(
-                    record.model.predict_batch,
-                    max_batch_rows=self.batch_rows,
-                    max_delay=self.batch_delay,
-                    name=f"repro-batcher-{record.name}-v{record.version}",
-                    on_batch=self.observe_batch,
-                )
-                self._batchers[key] = batcher
-            return batcher
 
     # -- mining ------------------------------------------------------------
 
@@ -493,7 +478,7 @@ class RuleService:
             if self.mine_jobs != AUTO_JOBS and self.mine_jobs <= 1:
                 n_jobs = 1
         else:
-            if isinstance(n_jobs, bool) or not isinstance(n_jobs, int):
+            if not _is_int(n_jobs):
                 raise ServiceError(400, "'n_jobs' must be an integer or 'auto'")
             if n_jobs < 1:
                 raise ServiceError(400, f"n_jobs must be >= 1, got {n_jobs}")
@@ -688,7 +673,7 @@ class RuleService:
             self.store.checkpoint(self.jobs.snapshots())
 
     def shutdown(self) -> None:
-        """Cancel mining, drain batchers, join every owned thread.
+        """Cancel mining and join every owned thread.
 
         With a durable store, shutdown also checkpoints: every job's
         final state is flushed, and interrupted mines (queued or
@@ -700,7 +685,6 @@ class RuleService:
             if self._closed:
                 return
             self._closed = True
-            batchers = list(self._batchers.values())
         resumable: list[str] = []
         if self.store is not None:
             resumable = [
@@ -709,8 +693,6 @@ class RuleService:
                 and not snap["cancel_requested"]
             ]
         self.jobs.shutdown(cancel_running=True)
-        for batcher in batchers:
-            batcher.close()
         if self.store is not None:
             self.checkpoint()
             for job_id in resumable:
@@ -721,214 +703,3 @@ class RuleService:
                     self.store.requeue(job_id)
             self.store.checkpoint()
             self.store.close()
-
-
-class _Handler(BaseHTTPRequestHandler):
-    """Routes HTTP requests onto the shared :class:`RuleService`."""
-
-    server_version = "repro-serve/1.0"
-    protocol_version = "HTTP/1.1"
-    # Headers and body go out as two writes; with Nagle on, the body
-    # waits for the client's delayed ACK of the headers (~40 ms).
-    disable_nagle_algorithm = True
-    # 16 MiB request bound: a scaled paper dataset payload fits easily,
-    # and anything bigger is almost certainly a client bug.
-    max_body_bytes = 16 * 1024 * 1024
-
-    @property
-    def service(self) -> RuleService:
-        return self.server.service  # type: ignore[attr-defined]
-
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        if getattr(self.server, "verbose", False):
-            super().log_message(format, *args)
-
-    def _send_json(self, status: int, payload: dict) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _read_json(self) -> dict:
-        try:
-            length = int(self.headers.get("Content-Length", 0))
-        except (TypeError, ValueError):
-            raise ServiceError(400, "malformed Content-Length header")
-        if length > self.max_body_bytes:
-            raise ServiceError(413, "request body too large")
-        if length <= 0:
-            raise ServiceError(400, "missing request body")
-        raw = self.rfile.read(length)
-        try:
-            body = json.loads(raw)
-        except json.JSONDecodeError as error:
-            raise ServiceError(400, f"invalid JSON body: {error}")
-        if not isinstance(body, dict):
-            raise ServiceError(400, "request body must be a JSON object")
-        return body
-
-    def _dispatch(self, route: str, fn) -> None:
-        start = time.monotonic()
-        server = self.server
-        with server.inflight_lock:  # type: ignore[attr-defined]
-            server.inflight += 1  # type: ignore[attr-defined]
-        self.service.telemetry.increment("http_requests")
-        try:
-            status, payload = fn()
-        except ServiceError as error:
-            self.service.telemetry.increment("http_errors")
-            status, payload = error.status, {"error": str(error)}
-        except Exception as error:  # pragma: no cover - defensive
-            self.service.telemetry.increment("http_errors")
-            status, payload = 500, {"error": f"internal error: {error}"}
-        finally:
-            with server.inflight_lock:  # type: ignore[attr-defined]
-                server.inflight -= 1  # type: ignore[attr-defined]
-        self._send_json(status, payload)
-        # Per-route latency under a normalized label (ids collapsed to
-        # '*') so /metrics exposes one histogram per endpoint, not per
-        # job.  Both front ends use the same label family.
-        self.service.telemetry.observe(
-            f"route_seconds:{route}", time.monotonic() - start
-        )
-
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        path = self.path.split("?", 1)[0].rstrip("/") or "/"
-        if path == "/healthz":
-            self._dispatch("GET /healthz",
-                           lambda: (200, self.service.health()))
-        elif path == "/metrics":
-            self._dispatch("GET /metrics",
-                           lambda: (200, self.service.metrics()))
-        elif path == "/models":
-            self._dispatch("GET /models",
-                           lambda: (200, self.service.list_models()))
-        elif path.startswith("/jobs/"):
-            job_id = path[len("/jobs/"):]
-            self._dispatch("GET /jobs/*",
-                           lambda: (200, self.service.job_status(job_id)))
-        else:
-            self._send_json(404, {"error": f"no route for GET {path}"})
-
-    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        path = self.path.split("?", 1)[0].rstrip("/")
-        if path == "/models":
-            self._dispatch(
-                "POST /models",
-                lambda: (201, self.service.register_model(self._read_json())),
-            )
-        elif path == "/classify":
-            self._dispatch(
-                "POST /classify",
-                lambda: (200, self.service.classify(self._read_json())),
-            )
-        elif path == "/mine":
-            self._dispatch(
-                "POST /mine",
-                lambda: (202, self.service.submit_mine(self._read_json())),
-            )
-        else:
-            self._send_json(404, {"error": f"no route for POST {path}"})
-
-    def do_DELETE(self) -> None:  # noqa: N802 - stdlib naming
-        path = self.path.split("?", 1)[0].rstrip("/")
-        if path.startswith("/jobs/"):
-            job_id = path[len("/jobs/"):]
-            self._dispatch("DELETE /jobs/*",
-                           lambda: (200, self.service.cancel_job(job_id)))
-        else:
-            self._send_json(404, {"error": f"no route for DELETE {path}"})
-
-
-class ReproServer:
-    """A :class:`RuleService` behind a stdlib threading HTTP server.
-
-    Args:
-        host/port: bind address; port 0 picks an ephemeral port (read it
-            back from :attr:`port` — the e2e tests rely on this).
-        service: an existing facade to serve; one is built from the
-            remaining keyword arguments when omitted.
-        verbose: log one line per request to stderr.
-    """
-
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        service: Optional[RuleService] = None,
-        verbose: bool = False,
-        **service_kwargs,
-    ) -> None:
-        self.service = service if service is not None else RuleService(
-            **service_kwargs
-        )
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
-        # Handler threads are short-lived; daemonize them so an in-flight
-        # response cannot wedge shutdown, and join workers we own instead.
-        self._httpd.daemon_threads = True
-        self._httpd.service = self.service  # type: ignore[attr-defined]
-        self._httpd.verbose = verbose  # type: ignore[attr-defined]
-        self._httpd.inflight = 0  # type: ignore[attr-defined]
-        self._httpd.inflight_lock = threading.Lock()  # type: ignore[attr-defined]
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def host(self) -> str:
-        return self._httpd.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self._httpd.server_address[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "ReproServer":
-        """Serve in a background thread; returns once the socket listens."""
-        if self._thread is not None:
-            raise RuntimeError("server already started")
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            name="repro-serve",
-        )
-        self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread until interrupted."""
-        try:
-            self._httpd.serve_forever(poll_interval=0.5)
-        except KeyboardInterrupt:
-            pass
-        finally:
-            self.stop()
-
-    def stop(self, grace_seconds: float = 0.0) -> None:
-        """Graceful shutdown: jobs cancelled, threads joined, socket closed.
-
-        ``grace_seconds`` bounds a drain phase between "stop accepting"
-        and "tear the service down": in-flight handler threads get that
-        long to finish writing responses.  The default of 0 preserves
-        the immediate-stop behaviour the unit tests rely on; ``repro
-        serve`` passes its ``--grace-seconds``.
-        """
-        self._httpd.shutdown()
-        if grace_seconds > 0:
-            deadline = time.monotonic() + grace_seconds
-            while time.monotonic() < deadline:
-                with self._httpd.inflight_lock:  # type: ignore[attr-defined]
-                    inflight = self._httpd.inflight  # type: ignore[attr-defined]
-                if inflight == 0:
-                    break
-                time.sleep(0.01)
-        # Shutdown checkpoints the job store (when configured) and
-        # re-arms interrupted mines for the next boot.
-        self.service.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None

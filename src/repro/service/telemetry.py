@@ -1,11 +1,11 @@
 """Request counters and latency histograms for the serving layer.
 
 A deliberately tiny, stdlib-only metrics registry: named monotonic
-counters plus fixed-bucket latency histograms, all behind one lock so a
-``ThreadingHTTPServer`` handler thread can record from anywhere.  The
-``/metrics`` endpoint returns :meth:`Telemetry.snapshot` as JSON — the
-e2e tests read cache hit/miss counters from it, and an operator can
-scrape it with curl.
+counters plus fixed-bucket latency histograms, all behind one lock so
+the event loop, the request executor and the mining job threads can
+record from anywhere.  The ``/metrics`` endpoint returns
+:meth:`Telemetry.snapshot` as JSON — the e2e tests read cache hit/miss
+counters from it, and an operator can scrape it with curl.
 """
 
 from __future__ import annotations

@@ -16,9 +16,8 @@ def _report(*benchmarks, host=_HOST):
     return {"host": host, "config": {}, "benchmarks": list(benchmarks)}
 
 
-def _entry(server="async", scenario="pipelined", rps=1000.0, **overrides):
+def _entry(scenario="pipelined", rps=1000.0, **overrides):
     entry = {
-        "server": server,
         "scenario": scenario,
         "connections": 4,
         "depth": 8,
@@ -76,13 +75,17 @@ class TestCompareReports:
         assert ok
         assert any("skipped" in line for line in lines)
 
-    def test_missing_baseline_entry_is_skipped(self):
+    def test_missing_baseline_entry_fails(self):
+        # A current run the baseline doesn't know is a hole in the gate,
+        # not a pass: a re-keyed report would otherwise compare nothing.
         lines, ok = compare_reports(
-            _report(_entry(scenario="sequential", rps=1.0)),
-            _report(_entry(scenario="pipelined")),
+            _report(_entry(scenario="sequential"), _entry()),
+            _report(_entry()),
         )
-        assert ok
-        assert any("no baseline entry" in line for line in lines)
+        assert not ok
+        assert "1 compared" in lines[0]
+        assert any("MISSING BASELINE" in line and "regenerate" in line
+                   for line in lines)
 
     def test_different_host_noted_not_fatal(self):
         lines, ok = compare_reports(
@@ -95,24 +98,22 @@ class TestCompareReports:
 
 class TestRunLoadtest:
     def test_minimal_run_produces_complete_report(self):
-        # One tiny pipelined scenario against both servers: the full
-        # measurement path (drivers, percentiles, batch histogram,
-        # summary) in a few seconds.
+        # One tiny pipelined scenario: the full measurement path
+        # (drivers, percentiles, batch histogram) in a few seconds.
         scenarios = (Scenario("pipelined", connections=2, requests=16,
                               depth=8),)
         report = run_loadtest(scenarios=scenarios)
-        assert len(report.benchmarks) == 2
-        for entry in report.benchmarks:
-            assert entry["requests"] == entry["requests_target"] == 32
-            assert entry["errors"] == 0
-            assert entry["rps"] > 0
-            assert entry["p99_ms"] >= entry["p50_ms"] > 0
-            assert "batch_histogram" in entry
-        servers = {entry["server"] for entry in report.benchmarks}
-        assert servers == {"legacy", "async"}
-        assert "pipelined" in report.summary["async_vs_legacy_rps"]
+        [entry] = report.benchmarks
+        assert entry["scenario"] == "pipelined"
+        assert "server" not in entry
+        assert entry["requests"] == entry["requests_target"] == 32
+        assert entry["errors"] == 0
+        assert entry["rps"] > 0
+        assert entry["p99_ms"] >= entry["p50_ms"] > 0
+        # The async front end coalesced the pipelined bursts.
+        assert entry["batch_histogram"]["max_rows"] > 2
         payload = report.as_dict()
-        assert payload["schema"] == 1
+        assert payload["schema"] == 2
         lines = report.summary_lines()
         assert any("pipelined" in line for line in lines)
         # The report round-trips through its own compare gate cleanly.

@@ -195,6 +195,85 @@ class TestPipelining:
             server.stop()
 
 
+class TestCoalescer:
+    """A bad ``predict_batch`` fails its whole window, and only that."""
+
+    def test_predict_error_reaches_every_request_in_its_window(
+        self, model_and_dataset, monkeypatch
+    ):
+        model, dataset = model_and_dataset
+        server = AsyncReproServer(port=0, batch_delay=0.05).start()
+        try:
+            record = server.service.registry.register("m", model)
+            expected = model.predict_with_sources(dataset)[0]
+            real_predict = record.model.predict_batch
+            failing = [True]
+            batch_rows = []
+
+            def stub_predict(rows):
+                if failing[0]:
+                    batch_rows.append(len(rows))
+                    raise RuntimeError("model on fire")
+                return real_predict(rows)
+
+            monkeypatch.setattr(record.model, "predict_batch", stub_predict)
+            # A request without rows never reaches predict_batch.
+            status, _, payload = _request(
+                f"{server.url}/classify", body={"model": "m", "rows": []}
+            )
+            assert status == 200 and payload["predictions"] == []
+            rows = [sorted(row) for row in dataset.rows]
+            burst = b"".join(
+                _post_bytes("/classify", {"model": "m", "rows": [rows[i]]},
+                            server.host, server.port)
+                for i in range(6)
+            )
+            sock = socket.create_connection(
+                (server.host, server.port), timeout=30
+            )
+            stream = sock.makefile("rb")
+            try:
+                sock.sendall(burst)
+                for _ in range(6):
+                    status, _, payload = _read_response(stream)
+                    assert status == 500
+                    assert "model on fire" in payload["error"]
+            finally:
+                stream.close()
+                sock.close()
+            # Every request reached a failing predict_batch call.
+            assert sum(batch_rows) == 6
+
+            # The next window serves normally.
+            failing[0] = False
+            status, _, payload = _request(
+                f"{server.url}/classify", body={"model": "m", "rows": rows}
+            )
+            assert status == 200
+            assert payload["predictions"] == expected
+        finally:
+            server.stop()
+
+    def test_result_count_mismatch_is_an_error(
+        self, model_and_dataset, monkeypatch
+    ):
+        model, dataset = model_and_dataset
+        server = AsyncReproServer(port=0, batch_delay=0.01).start()
+        try:
+            record = server.service.registry.register("m", model)
+            monkeypatch.setattr(
+                record.model, "predict_batch", lambda rows: rows[:-1]
+            )
+            status, _, payload = _request(f"{server.url}/classify", body={
+                "model": "m",
+                "rows": [sorted(row) for row in dataset.rows[:3]],
+            })
+            assert status == 500
+            assert "returned 2 results for 3 rows" in payload["error"]
+        finally:
+            server.stop()
+
+
 class TestLoadShedding:
     def test_overload_returns_503_with_retry_after(self, model_and_dataset):
         model, dataset = model_and_dataset

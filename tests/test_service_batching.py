@@ -1,12 +1,12 @@
-"""Tests for the batched predict path and the classify micro-batcher."""
+"""Tests for the classifiers' batched predict path.
 
-import threading
+The front end's coalescer around it is tested in ``test_service_aio.py``.
+"""
 
 import pytest
 
 from repro.classifiers import CBAClassifier, RCBTClassifier
 from repro.errors import NotFittedError
-from repro.service.batching import MicroBatcher
 
 
 class TestPredictBatchEquivalence:
@@ -32,89 +32,3 @@ class TestPredictBatchEquivalence:
     def test_unfitted_batch_raises(self):
         with pytest.raises(NotFittedError):
             RCBTClassifier().predict_batch([frozenset()])
-
-
-class TestMicroBatcher:
-    def test_single_submit_round_trips(self):
-        batcher = MicroBatcher(lambda rows: [len(row) for row in rows])
-        try:
-            assert batcher.submit([frozenset({1, 2}), frozenset()]) == [2, 0]
-            assert batcher.submit([]) == []
-        finally:
-            batcher.close()
-
-    def test_concurrent_submits_are_coalesced_and_correct(self):
-        calls = []
-
-        def predict(rows):
-            calls.append(len(rows))
-            return [sorted(row) for row in rows]
-
-        batcher = MicroBatcher(predict, max_batch_rows=64, max_delay=0.05)
-        results = {}
-        errors = []
-
-        def client(index):
-            rows = [frozenset({index}), frozenset({index, 99})]
-            try:
-                results[index] = batcher.submit(rows)
-            except Exception as error:  # pragma: no cover
-                errors.append(error)
-
-        try:
-            threads = [
-                threading.Thread(target=client, args=(i,)) for i in range(8)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-        finally:
-            batcher.close()
-        assert errors == []
-        # Every caller got its own rows back, in order.
-        for index in range(8):
-            assert results[index] == [[index], [index, 99]]
-        # Fewer underlying calls than callers proves coalescing happened.
-        stats = batcher.stats()
-        assert stats["requests"] == 8
-        assert stats["rows"] == 16
-        assert stats["batches"] == len(calls) <= 8
-
-    def test_errors_propagate_to_callers(self):
-        def explode(rows):
-            raise RuntimeError("model on fire")
-
-        batcher = MicroBatcher(explode)
-        try:
-            with pytest.raises(RuntimeError, match="model on fire"):
-                batcher.submit([frozenset({1})])
-        finally:
-            batcher.close()
-
-    def test_length_mismatch_is_an_error(self):
-        batcher = MicroBatcher(lambda rows: [])
-        try:
-            with pytest.raises(RuntimeError, match="returned 0 results"):
-                batcher.submit([frozenset({1})])
-        finally:
-            batcher.close()
-
-    def test_close_is_idempotent_and_rejects_new_work(self):
-        batcher = MicroBatcher(lambda rows: list(rows))
-        batcher.close()
-        batcher.close()
-        with pytest.raises(RuntimeError):
-            batcher.submit([frozenset({1})])
-
-    def test_close_leaves_no_nondaemon_threads(self):
-        before = set(threading.enumerate())
-        batcher = MicroBatcher(lambda rows: list(rows))
-        batcher.submit([frozenset({1})])
-        batcher.close()
-        leaked = [
-            thread
-            for thread in threading.enumerate()
-            if thread not in before and thread.is_alive() and not thread.daemon
-        ]
-        assert leaked == []

@@ -15,6 +15,11 @@ Each test here fails on the pre-fix code:
 * a malformed ``Content-Length`` header raised an uncaught-by-design
   ``ValueError`` that the generic handler turned into a 500 instead of
   a client-addressable 400;
+* the ``/classify`` ``version`` went through bare ``int()``: ``"abc"``,
+  ``[1]`` or ``{"a": 1}`` answered 500, while ``1.7`` and ``true`` were
+  served as version 1; item ids in ``rows`` had the same flaw
+  (``[[true, 1.5]]`` was classified as items ``{1}``), and a negative
+  id failed ``predict_batch`` for its whole coalesced batch;
 * ``MiningCache.put`` with an oversize result dropped the existing good
   entry for that key before bailing;
 * ``job_status`` read ``status`` and ``result`` without the queue lock,
@@ -33,10 +38,17 @@ import threading
 import pytest
 
 import repro.service.server as server_module
+from repro.classifiers import RCBTClassifier
+from repro.classifiers.persistence import classifier_to_payload
 from repro.core.topk_miner import mine_topk
 from repro.data import random_discretized_dataset
 from repro.data.loaders import discretized_to_payload
-from repro.service import MiningCache, ReproServer, RuleService, ServiceError
+from repro.service import (
+    AsyncReproServer,
+    MiningCache,
+    RuleService,
+    ServiceError,
+)
 from repro.service.jobs import Job, JobQueue
 
 
@@ -236,9 +248,90 @@ class TestIntegerFieldValidation:
             service.shutdown()
 
 
+@pytest.fixture(scope="module")
+def model_payload():
+    dataset = random_discretized_dataset(n_rows=40, n_items=16, seed=7)
+    return classifier_to_payload(RCBTClassifier(k=2, nl=4).fit(dataset))
+
+
+@pytest.fixture
+def classify_service(model_payload):
+    service = RuleService(mining_workers=1)
+    service.register_model({"name": "m", "model": model_payload})
+    yield service
+    service.shutdown()
+
+
+class TestClassifyValidation:
+    @pytest.mark.parametrize(
+        "bad", ["abc", "1", [1], {"a": 1}, 1.7, 1.0, True, False], ids=repr
+    )
+    def test_non_integer_version_is_rejected(self, classify_service, bad):
+        with pytest.raises(ServiceError) as excinfo:
+            classify_service.resolve_classify(
+                {"model": "m", "version": bad, "rows": [[0]]}
+            )
+        assert excinfo.value.status == 400
+        assert "version" in str(excinfo.value)
+
+    @pytest.mark.parametrize("extra", [{}, {"version": None}, {"version": 1}],
+                             ids=repr)
+    def test_missing_null_or_integer_version_resolves(
+        self, classify_service, extra
+    ):
+        record, rows = classify_service.resolve_classify(
+            {"model": "m", "rows": [[0, 3], []], **extra}
+        )
+        assert record.version == 1
+        assert rows == [frozenset({0, 3}), frozenset()]
+
+    def test_unknown_integer_version_is_404(self, classify_service):
+        with pytest.raises(ServiceError) as excinfo:
+            classify_service.resolve_classify(
+                {"model": "m", "version": 2, "rows": [[0]]}
+            )
+        assert excinfo.value.status == 404
+
+    @pytest.mark.parametrize("bad", [
+        [[True, 1.5]], [[1.0]], [["1"]], [[-1]], [[[1]]], ["12"],
+        [{"1": 2}], {"0": [1]}, "rows", 5,
+    ], ids=repr)
+    def test_non_integer_item_ids_are_rejected(self, classify_service, bad):
+        with pytest.raises(ServiceError) as excinfo:
+            classify_service.resolve_classify({"model": "m", "rows": bad})
+        assert excinfo.value.status == 400
+        assert "rows" in str(excinfo.value)
+
+    @pytest.mark.parametrize("body", [
+        {"model": "m", "version": "abc", "rows": [[0]]},
+        {"model": "m", "version": {"a": 1}, "rows": [[0]]},
+        {"model": "m", "version": 1.7, "rows": [[0]]},
+        {"model": "m", "rows": [[True, 1.5]]},
+    ], ids=repr)
+    def test_bad_classify_body_is_400_over_http(self, model_payload, body):
+        server = AsyncReproServer(port=0).start()
+        try:
+            server.service.register_model({"name": "m", "model": model_payload})
+            connection = http.client.HTTPConnection(
+                server.host, server.port, timeout=30
+            )
+            try:
+                connection.request(
+                    "POST", "/classify", body=json.dumps(body),
+                    headers={"Content-Type": "application/json"},
+                )
+                response = connection.getresponse()
+                payload = json.loads(response.read())
+            finally:
+                connection.close()
+            assert response.status == 400, payload
+        finally:
+            server.stop()
+
+
 class TestMalformedContentLength:
     def test_bad_content_length_returns_400(self):
-        server = ReproServer(port=0).start()
+        server = AsyncReproServer(port=0).start()
         try:
             connection = http.client.HTTPConnection(
                 server.host, server.port, timeout=30
