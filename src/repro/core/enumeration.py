@@ -24,8 +24,9 @@ Three engines are provided:
 ``tree``
     The prefix-tree representation of Section 4.2 (see
     :mod:`repro.core.prefix_tree`), the paper's "FARMER+prefix" /
-    MineTopkRGS structure: identical tuple prefixes share trie paths so a
-    frequency scan touches each shared path once.
+    MineTopkRGS structure: identical tuple prefixes share trie paths, a
+    projection is a set of trie nodes found through the header links,
+    and its candidate rows are read off those nodes' row masks.
 
 All engines visit exactly the same closed nodes in the same order and call
 the same policy hooks, so outputs are identical; only the constant factors
@@ -555,7 +556,6 @@ def _walk_tree(
 ) -> None:
     support = view.support_index()
     positive_mask = view.positive_mask
-    n_positive = view.n_positive
     item_rows = support.item_rows
     item_counts = support.item_counts
     item_pos_counts = support.item_pos_counts
@@ -565,66 +565,53 @@ def _walk_tree(
     emit = policy.emit
     tree_root = support.tree_root
     # One fused call per node for the closure fold and the two support
-    # counts (the candidate counters come from the projected tree's row
-    # scan, which stays a list walk).
-    _, intersect_counts, _ = support.node_kernel()
+    # counts, plus one masked-count call for the candidate rows the
+    # projection's row mask leaves outside the closure.
+    _, intersect_counts, masked_counts = support.node_kernel()
     needs_thresholds = getattr(policy, "uses_threshold_bits", True)
 
     # The root tree and its per-row projections are pure functions of the
     # view; both come from the SupportIndex (kernels only read projected
     # trees, so sharing them across runs is safe).
     root_tree = support.root_tree()
-    root_cand = root_tree.rows_present()
-    root_rest_p = 0
-    root_pos_bits = 0
-    for row in root_cand:
-        if row < n_positive:
-            root_rest_p += 1
-            root_pos_bits |= 1 << row
-    root_rest_n = len(root_cand) - root_rest_p
-    # Frame: [cand, index, rest_p, rest_pos_bits, rest_n,
-    #         x_bits, x_p, x_n, tree, allowed].  A child's candidate list
-    # is the parent's frequency-scan survivors sorted ascending — the
-    # same rows the recursive version re-derived from rows_present() at
-    # frame entry (rows absorbed into X by a closure step remain in the
-    # projected tree's paths; they are not extension candidates).
+    root_cand = root_tree.rows_mask()
+    root_rem_p, root_rem_all = masked_counts(root_cand)
+    # Frame: [todo, rem_p, rem_n, x_bits, x_p, x_n, tree, allowed], as in
+    # the bitset kernel.  A child's candidates are its projection's rows
+    # outside the closure: rows absorbed into X by a closure step remain
+    # in the projected tree's paths but are not extension candidates.
     stack: list[list] = [
-        [root_cand, 0, root_rest_p, root_pos_bits, root_rest_n,
+        [root_cand, root_rem_p, root_rem_all - root_rem_p,
          0, 0, 0, root_tree, first_rows]
     ]
     loose = tight = backward = emitted = 0
     try:
         while stack:
             frame = stack[-1]
-            (cand, index, rest_p, rest_pos_bits, rest_n,
-             x_bits, x_p, x_n, tree, allowed) = frame
-            size = len(cand)
+            todo, rem_p, rem_n, x_bits, x_p, x_n, tree, allowed = frame
             pushed = False
-            while index < size:
-                r = cand[index]
-                index += 1
-                r_bit = 1 << r
-                if r < n_positive:
-                    rest_p -= 1
-                    rest_pos_bits &= ~r_bit
+            while todo:
+                r_bit = todo & -todo
+                todo ^= r_bit
+                if r_bit & positive_mask:
+                    rem_p -= 1
                     seed_p = x_p + 1
                     seed_n = x_n
                 else:
-                    rest_n -= 1
+                    rem_n -= 1
                     seed_p = x_p
                     seed_n = x_n + 1
                 if allowed is not None and not allowed & r_bit:
                     continue
                 charge_node()
                 if needs_thresholds:
-                    threshold_bits = (
-                        ((x_bits | r_bit) & positive_mask) | rest_pos_bits
-                    )
+                    threshold_bits = (x_bits | r_bit | todo) & positive_mask
                 else:
                     threshold_bits = 0
-                if loose_prunable(seed_p, seed_n, rest_p, rest_n, threshold_bits):
+                if loose_prunable(seed_p, seed_n, rem_p, rem_n, threshold_bits):
                     loose += 1
                     continue
+                r = r_bit.bit_length() - 1
                 if x_bits:
                     projected = tree.project(r)
                     if projected.n_items == 0:
@@ -644,25 +631,17 @@ def _walk_tree(
                     if closure & (r_bit - 1) & ~x_bits:
                         backward += 1
                         continue
-                    new_cand_rows = [
-                        row for row in projected.row_freq()
-                        if not closure >> row & 1
-                    ]
+                    new_cand = projected.rows_mask() & ~closure
+                    if new_cand:
+                        m_p, cand_all = masked_counts(new_cand)
+                    else:
+                        m_p = cand_all = 0
                     new_x_n = x_all - new_x_p
-                    m_p = 0
-                    new_cand_pos_bits = 0
-                    for row in new_cand_rows:
-                        if row < n_positive:
-                            m_p += 1
-                            new_cand_pos_bits |= 1 << row
-                    new_r_n = len(new_cand_rows) - m_p
+                    new_r_n = cand_all - m_p
                     if needs_thresholds:
-                        new_threshold = (
-                            (closure & positive_mask) | new_cand_pos_bits
-                        )
+                        new_threshold = (closure | new_cand) & positive_mask
                     else:
                         new_threshold = 0
-                    child_cand = new_cand_rows
                 else:
                     # Root frame: first-level data memoized on the view.
                     entry = tree_root(r)
@@ -672,24 +651,20 @@ def _walk_tree(
                     if tag == "backward":
                         backward += 1
                         continue
-                    (_, projected, new_items, closure, new_x_p, new_x_n,
-                     child_cand, m_p, new_cand_pos_bits, new_r_n,
-                     new_threshold) = entry
+                    (_, projected, new_items, closure, new_cand, new_x_p,
+                     new_x_n, m_p, new_r_n, new_threshold) = entry
                 if tight_prunable(new_x_p, new_x_n, m_p, new_r_n, new_threshold):
                     tight += 1
                     continue
                 emitted += 1
                 emit(new_items, closure, new_x_p, new_x_n)
-                if child_cand:
-                    frame[1] = index
-                    frame[2] = rest_p
-                    frame[3] = rest_pos_bits
-                    frame[4] = rest_n
-                    if x_bits:
-                        child_cand = sorted(child_cand)
+                if new_cand:
+                    frame[0] = todo
+                    frame[1] = rem_p
+                    frame[2] = rem_n
                     stack.append(
-                        [child_cand, 0, m_p, new_cand_pos_bits, new_r_n,
-                         closure, new_x_p, new_x_n, projected, None]
+                        [new_cand, m_p, new_r_n, closure,
+                         new_x_p, new_x_n, projected, None]
                     )
                     pushed = True
                     break

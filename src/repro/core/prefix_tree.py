@@ -16,20 +16,26 @@ node.  Items whose path *ends* at an ``r`` node have no rows left; they
 remain members of ``I(X ∪ {r})`` (the tree keeps them in ``exhausted``)
 but cannot extend further.
 
-Projections are built **lazily**.  ``project(r)`` returns a tree that
-knows its source ``r``-nodes but has not walked their subtrees yet:
-``n_items`` comes straight from the nodes' pass-through counts (an item's
-path crosses ``r`` exactly once, so the counts sum to ``|I(X ∪ {r})|``)
-and ``all_items()`` is a light items-only walk.  The header table and row
-frequencies — the expensive part, and for merged projections the only
-part that allocates nodes — materialize on first access.  The tree
-enumeration kernel backward-prunes well over half its projections after
-looking only at the item list, so those projections never pay for
-header/frequency construction at all.
+There is one trie, and a projection is a list of *source nodes* in it:
+the projected table is everything strictly below those nodes.  The trie
+is frozen once, when it is first read: every node gets its DFS preorder
+number ``pre`` and subtree end ``end`` (so a node's subtree is the
+preorder range ``[pre, end)``), plus the bitset ``rows_below`` of the
+rows labelling its descendants.  The per-row node-link arrays, sorted by
+preorder, are Figure 4's header table.  ``project(r)`` then bisects row
+``r``'s links into each source's range — no subtree is walked and no
+node is created, whether the sources share one path or many (where a
+copying implementation would have to merge their subtrees).
+``n_items`` comes from the new sources' pass-through counts (an item's
+path crosses ``r`` exactly once, so they sum to ``|I(X ∪ {r})|``), the
+candidate rows from OR-ing their ``rows_below``, and the item list from
+per-node subtree caches.  The header table and row frequencies of a
+projection, which only CLOSET+ and the tests read, are walked on demand.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Iterable, Iterator, Optional, Sequence
 
 __all__ = ["PrefixTreeNode", "PrefixTree"]
@@ -39,13 +45,15 @@ class PrefixTreeNode:
     """One trie node: a row id, pass-through count, and terminal items.
 
     ``items_below`` lazily caches the subtree's full item list (computed
-    by :func:`_node_items_below`).  Aliased projections share trie nodes,
-    so one subtree's item list serves every projection that contains it —
-    compute it after the tree is fully built; ``insert`` does not
-    invalidate it.
+    by :func:`_node_items_below`); ``pre``, ``end`` and ``rows_below``
+    are set when the trie is frozen.  Every projection of the trie reads
+    the same nodes, so these per-node caches serve all of them.
     """
 
-    __slots__ = ("row", "count", "children", "items", "items_below")
+    __slots__ = (
+        "row", "count", "children", "items", "items_below",
+        "pre", "end", "rows_below",
+    )
 
     def __init__(self, row: int) -> None:
         self.row = row
@@ -53,6 +61,9 @@ class PrefixTreeNode:
         self.children: dict[int, "PrefixTreeNode"] = {}
         self.items: list[int] = []
         self.items_below: Optional[list[int]] = None
+        self.pre = 0
+        self.end = 0
+        self.rows_below = 0
 
     def __repr__(self) -> str:
         return f"PrefixTreeNode(row={self.row}, count={self.count})"
@@ -86,261 +97,219 @@ def _node_items_below(node: PrefixTreeNode) -> list[int]:
     return node.items_below
 
 
+_Links = dict[int, tuple[list[int], list[PrefixTreeNode]]]
+
+
+def _freeze_trie(root: PrefixTreeNode) -> _Links:
+    """Number the trie in DFS preorder (children in insertion order), set
+    every node's ``end`` and ``rows_below``, and return the header table:
+    row -> (preorder numbers, nodes), both ascending in preorder."""
+    links: _Links = {}
+    counter = 0
+    stack: list[tuple[PrefixTreeNode, bool]] = [(root, False)]
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        node, finished = pop()
+        children = node.children.values()
+        if finished:
+            node.end = counter
+            below = 0
+            for child in children:
+                below |= child.rows_below | 1 << child.row
+            node.rows_below = below
+            continue
+        node.pre = counter
+        if node is not root:
+            entry = links.get(node.row)
+            if entry is None:
+                links[node.row] = ([counter], [node])
+            else:
+                entry[0].append(counter)
+                entry[1].append(node)
+        counter += 1
+        push((node, True))
+        stack.extend((child, False) for child in reversed(children))
+    return links
+
+
 class PrefixTree:
-    """A prefix tree over transposed-table tuples.
+    """A prefix tree over transposed-table tuples, or a projection of one.
+
+    A tree built by :meth:`insert` has the trie root as its one source;
+    :meth:`project` returns a tree over the same trie whose sources are
+    ``r``-labelled nodes.  Trees are read-only once frozen.
 
     Attributes:
-        root: virtual root node (row id -1).
-        header: row id -> list of nodes labelled with that row
-            (materializes a lazy projection on access).
+        root: the trie's virtual root node (row id -1), shared by every
+            projection of the trie.
         exhausted: item ids that are in ``I(X)`` but have no remaining
-            rows in this projection.
+            rows in this projection (the sources' terminal items).
         n_items: total items represented, including exhausted ones —
             this is ``|I(X)|`` for the node owning this projection.
     """
 
     def __init__(self) -> None:
         self.root = PrefixTreeNode(-1)
-        self._header: dict[int, list[PrefixTreeNode]] = {}
-        self.exhausted: list[int] = []
+        # Items with an empty row list terminate at the root.
+        self.exhausted: list[int] = self.root.items
         self.n_items = 0
+        self._sources: Sequence[PrefixTreeNode] = (self.root,)
+        # The trie's header table; None until frozen.
+        self._links: Optional[_Links] = None
         self._items_cache: Optional[list[int]] = None
-        # Row frequencies accumulated while the tree is built (insert or
-        # merge), so the step-10 scan is a dict read instead of a header
-        # walk.  Keys appear in the same first-touch order as `header`.
-        self._row_freq: dict[int, int] = {}
-        # Source r-nodes of an unmaterialized projection; None once the
-        # header/frequency tables are built (or for trees built by
-        # ``insert``, which maintains them incrementally).
-        self._pending: Optional[Sequence[PrefixTreeNode]] = None
-        # Memoized child projections, keyed by row.  A projection is a
-        # pure function of an immutable tree, and kernels only read
-        # projected trees, so the whole projection DAG can be shared
-        # across runs — the tree-engine analogue of the SupportIndex
-        # fold memo the bitset engine warms up on repeat mines.
-        self._projections: dict[int, "PrefixTree"] = {}
 
     @classmethod
     def from_items(cls, tuples: Iterable[tuple[int, Sequence[int]]]) -> "PrefixTree":
-        """Build a tree from (item id, ascending row list) tuples."""
+        """Build a frozen tree from (item id, ascending row list) tuples."""
         tree = cls()
         for item, rows in tuples:
             tree.insert(item, rows)
+        tree.freeze()
+        return tree
+
+    @classmethod
+    def _projection(
+        cls,
+        parent: "PrefixTree",
+        sources: Sequence[PrefixTreeNode],
+    ) -> "PrefixTree":
+        tree = cls.__new__(cls)
+        tree.root = parent.root
+        tree._links = parent._links
+        tree._sources = sources
+        n_items = 0
+        exhausted: list[int] = []
+        for node in sources:
+            n_items += node.count
+            if node.items:
+                exhausted.extend(node.items)
+        tree.n_items = n_items
+        tree.exhausted = exhausted
+        tree._items_cache = None
         return tree
 
     def insert(self, item: int, rows: Sequence[int]) -> None:
         """Insert one tuple; an empty row list records an exhausted item."""
+        if self._links is not None:
+            raise ValueError("cannot insert into a frozen prefix tree")
         self.n_items += 1
-        self._items_cache = None
-        if self._projections:
-            self._projections = {}
-        if not rows:
-            self.exhausted.append(item)
-            return
         node = self.root
-        row_freq = self._row_freq
         for row in rows:
             child = node.children.get(row)
             if child is None:
-                child = PrefixTreeNode(row)
-                node.children[row] = child
-                self._header.setdefault(row, []).append(child)
+                child = node.children[row] = PrefixTreeNode(row)
             child.count += 1
-            row_freq[row] = row_freq.get(row, 0) + 1
             node = child
         node.items.append(item)
 
+    def freeze(self) -> None:
+        """Index the trie for projection; no insert is allowed afterwards.
+
+        Idempotent.  The index is written into the nodes and published
+        last, so a concurrent second freeze only repeats identical work;
+        callers sharing a tree across threads freeze it before sharing.
+        """
+        if self._links is None:
+            self._links = _freeze_trie(self.root)
+
+    def _nodes(self) -> Iterator[PrefixTreeNode]:
+        """Every node strictly below the sources, in preorder."""
+        for source in self._sources:
+            stack = list(reversed(source.children.values()))
+            while stack:
+                node = stack.pop()
+                yield node
+                stack.extend(reversed(node.children.values()))
+
     @property
     def header(self) -> dict[int, list[PrefixTreeNode]]:
-        if self._pending is not None:
-            self._materialize()
-        return self._header
+        """Row id -> nodes labelled with that row in this projection,
+        in preorder (walked on demand)."""
+        header: dict[int, list[PrefixTreeNode]] = {}
+        for node in self._nodes():
+            links = header.get(node.row)
+            if links is None:
+                header[node.row] = [node]
+            else:
+                links.append(node)
+        return header
 
     def rows_present(self) -> list[int]:
         """Sorted row ids appearing in at least one tuple."""
-        return sorted(self.header)
-
-    def row_freq(self) -> dict[int, int]:
-        """Row id -> item count, materialized, without the copy of
-        :meth:`row_frequencies` — the kernels' read-only fast path."""
-        if self._pending is not None:
-            self._materialize()
-        return self._row_freq
+        return sorted(self.row_frequencies())
 
     def row_frequencies(self) -> dict[int, int]:
         """Row id -> number of items whose tuple contains the row.
 
         This is the step-10 frequency scan; thanks to prefix sharing each
         trie node is visited once regardless of how many items pass
-        through it.  The counts are maintained incrementally as the tree
-        is built, so this is a dict copy, not a header walk.
+        through it.
         """
-        return dict(self.row_freq())
+        freq: dict[int, int] = {}
+        for node in self._nodes():
+            freq[node.row] = freq.get(node.row, 0) + node.count
+        return freq
+
+    def rows_mask(self) -> int:
+        """Bitset of the rows appearing in at least one tuple."""
+        self.freeze()
+        mask = 0
+        for node in self._sources:
+            mask |= node.rows_below
+        return mask
 
     def all_items(self) -> list[int]:
-        """Every item represented in this projection (``I(X)``)."""
-        if self._items_cache is not None:
-            return self._items_cache
-        if self._pending is not None:
-            items = self._collect_pending_items()
-        else:
-            items = list(self.exhausted)
-            stack = [self.root]
-            while stack:
-                node = stack.pop()
-                items.extend(node.items)
-                stack.extend(node.children.values())
-        self._items_cache = items
+        """Every item represented in this projection (``I(X)``).
+
+        The order is the sources' own items and subtree items as a stack
+        walk first touches them: one source lists its subtree with
+        children in reverse order (``items_below`` itself), several list
+        each source's children in order, each subtree in reverse.
+        """
+        items = self._items_cache
+        if items is None:
+            self.freeze()
+            sources = self._sources
+            if len(sources) == 1:
+                items = _node_items_below(sources[0])
+            else:
+                items = []
+                for node in sources:
+                    items.extend(node.items)
+                    for child in node.children.values():
+                        items.extend(_node_items_below(child))
+            self._items_cache = items
         return items
 
     def project(self, r: int) -> "PrefixTree":
-        """Build the projection onto row ``r`` (rows after ``r`` only).
+        """The projection onto row ``r`` (rows after ``r`` only).
 
-        Follows the header links of ``r``: each ``r``-labelled node's
-        subtree belongs to the projection, and items terminating at the
-        ``r`` node itself become exhausted.  This is the prefix-tree
-        payoff — work is proportional to the number of *trie nodes*
-        below ``r``, not to items × path length.  The returned tree is
-        lazy: ``n_items``/``exhausted`` are ready (pass-through counts),
-        the header and frequency tables build on first access.
+        Bisects row ``r``'s header links into each source's preorder
+        range: the ``r``-labelled nodes below the sources become the new
+        sources, and items terminating at them become exhausted.  Work is
+        a bisection per source, independent of the subtree sizes.
 
-        Projections are memoized per tree.  A repeat mine over a cached
-        view therefore reuses the entire projection DAG from the
-        previous run instead of rebuilding it node by node — memory
-        stays bounded by the enumeration tree the kernel walks anyway.
+        Projections are not memoized: one costs a few list slices, and
+        a kept projection would live as long as the tree it came from.
         """
-        projected = self._projections.get(r)
-        if projected is not None:
-            return projected
-        if self._pending is not None:
-            self._materialize()
-        nodes = self._header.get(r)
-        projected = PrefixTree()
-        if nodes:
-            n_items = 0
-            exhausted = projected.exhausted
-            for node in nodes:
-                n_items += node.count
-                if node.items:
-                    exhausted.extend(node.items)
-            projected.n_items = n_items
-            projected._pending = nodes
-        self._projections[r] = projected
-        return projected
-
-    def _collect_pending_items(self) -> list[int]:
-        """The pending projection's item list, in the exact order
-        materialization would first touch the items.  Built from the
-        per-node subtree caches: the single-source (alias) walk visits
-        children LIFO — reverse order, i.e. ``items_below`` itself — and
-        the merge walk visits children in order, each subtree LIFO."""
-        sources = self._pending
-        if len(sources) == 1:
-            return _node_items_below(sources[0])
-        collected: list[int] = []
-        for node in sources:
-            collected.extend(node.items)
-            for child in node.children.values():
-                collected.extend(_node_items_below(child))
-        return collected
-
-    def _materialize(self) -> None:
-        """Build the header/frequency tables (and tree structure, when
-        sources must merge) deferred by :meth:`project`.
-
-        Everything is built into local structures and published with
-        plain attribute assignments, ``_pending`` cleared last: lazy
-        projections are shared across runs (and potentially threads),
-        and a concurrent second materialization must at worst redo the
-        work, never observe or corrupt a half-built table.
-        """
-        sources = self._pending
-        if self._items_cache is None:
-            self._items_cache = self._collect_pending_items()
-        if len(sources) == 1:
-            self._alias_subtree(sources[0])
-        else:
-            root = PrefixTreeNode(-1)
-            header: dict[int, list[PrefixTreeNode]] = {}
-            row_freq: dict[int, int] = {}
-            for node in sources:
-                for child in node.children.values():
-                    self._merge_subtree(root, child, header, row_freq)
-            self.root.children = root.children
-            self._header = header
-            self._row_freq = row_freq
-        self._pending = None
-
-    def _alias_subtree(self, node: PrefixTreeNode) -> None:
-        """Materialize a single-source projection by sharing subtrees.
-
-        With one source node, every subtree below it lands on a distinct
-        branch of the projection (sibling rows are distinct in a trie),
-        so no paths ever merge and every count is unchanged.  The
-        projected tree therefore *shares* the source subtrees and only
-        builds its own header/frequency tables by walking them — no node
-        is copied.  Safe because projections are read-only once built:
-        merging only ever mutates the destination tree's fresh nodes,
-        and an aliased tree is never a merge destination.
-        """
-        header: dict[int, list[PrefixTreeNode]] = {}
-        row_freq: dict[int, int] = {}
-        stack = list(node.children.values())
-        root_children = {child.row: child for child in stack}
-        pop = stack.pop
-        push = stack.extend
-        while stack:
-            current = pop()
-            row = current.row
-            links = header.get(row)
-            if links is None:
-                header[row] = [current]
-            else:
-                links.append(current)
-            row_freq[row] = row_freq.get(row, 0) + current.count
-            push(current.children.values())
-        self.root.children = root_children
-        self._header = header
-        self._row_freq = row_freq
-
-    def _merge_subtree(
-        self,
-        destination: PrefixTreeNode,
-        source: PrefixTreeNode,
-        header: dict[int, list[PrefixTreeNode]],
-        row_freq: dict[int, int],
-    ) -> None:
-        """Merge ``source`` (and its subtree) under ``destination``,
-        recording new nodes in the caller's local tables."""
-        stack = [(destination, source)]
-        pop = stack.pop
-        push = stack.append
-        while stack:
-            dst_parent, src = pop()
-            row = src.row
-            siblings = dst_parent.children
-            dst = siblings.get(row)
-            if dst is None:
-                dst = PrefixTreeNode(row)
-                siblings[row] = dst
-                links = header.get(row)
-                if links is None:
-                    header[row] = [dst]
-                else:
-                    links.append(dst)
-            count = src.count
-            dst.count += count
-            row_freq[row] = row_freq.get(row, 0) + count
-            items = src.items
-            if items:
-                dst.items.extend(items)
-            for child in src.children.values():
-                push((dst, child))
+        self.freeze()
+        entry = self._links.get(r)
+        nodes: list[PrefixTreeNode] = []
+        if entry is not None:
+            pres, link_nodes = entry
+            for source in self._sources:
+                low = bisect_right(pres, source.pre)
+                high = bisect_left(pres, source.end, low)
+                if low < high:
+                    nodes.extend(link_nodes[low:high])
+        return PrefixTree._projection(self, nodes)
 
     def __repr__(self) -> str:
         return (
             f"PrefixTree(items={self.n_items}, "
-            f"rows={len(self.header)}, exhausted={len(self.exhausted)})"
+            f"rows={len(self.row_frequencies())}, "
+            f"exhausted={len(self.exhausted)})"
         )
 
 

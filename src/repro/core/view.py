@@ -37,8 +37,10 @@ _VIEW_CACHE_LOCK = threading.Lock()
 class MiningView:
     """Row-enumeration view of a dataset for one consequent class.
 
+    The view holds no reference to the dataset, so the view cache's
+    entries (weak-keyed on the dataset) die with it.
+
     Attributes:
-        dataset: the underlying discretized dataset.
         consequent: class id the mined rule groups conclude.
         minsup: absolute minimum support (rows of the consequent class).
         n_rows: number of rows (same as the dataset).
@@ -92,7 +94,6 @@ class MiningView:
                 f"consequent {consequent} out of range for "
                 f"{dataset.n_classes} classes"
             )
-        self.dataset = dataset
         self.consequent = consequent
         self.minsup = minsup
 
@@ -372,7 +373,12 @@ class SupportIndex:
         )
 
     def root_tree(self):
-        """The root prefix tree of the tree engine, built once per view."""
+        """The root prefix tree of the tree engine, built once per view.
+
+        ``from_items`` returns the tree frozen, so it is published
+        read-only: concurrent mines share its index and never race on
+        building it.
+        """
         tree = self._root_tree
         if tree is None:
             from .prefix_tree import PrefixTree
@@ -389,9 +395,9 @@ class SupportIndex:
         """First-level node data of the tree engine for root row ``r``.
 
         Returns :data:`EMPTY`, :data:`BACKWARD`, or ``("node", projected,
-        new_items, closure, new_x_p, new_x_n, child_cand, m_p,
-        cand_pos_bits, new_r_n, new_threshold)``.  The projected subtree
-        is shared across runs; kernels only read projected trees.
+        new_items, closure, new_cand, new_x_p, new_x_n, m_p, new_r_n,
+        new_threshold)``.  The projected tree is shared across runs;
+        kernels only read projected trees.
         """
         entry = self._tree_roots.get(r)
         if entry is None:
@@ -399,34 +405,20 @@ class SupportIndex:
         return entry
 
     def _compute_tree_root(self, r: int) -> tuple:
-        view = self.view
         projected = self.root_tree().project(r)
         if projected.n_items == 0:
             return self.EMPTY
         new_items = projected.all_items()
-        _, intersect_counts, _ = self._kernel
+        _, intersect_counts, masked_counts = self._kernel
         closure, x_pos, x_all = intersect_counts(new_items)
-        r_bit = 1 << r
-        if closure & (r_bit - 1):
+        if closure & ((1 << r) - 1):
             return self.BACKWARD
-        positive_mask = view.positive_mask
-        n_positive = view.n_positive
-        new_cand_rows = [
-            row for row in projected.row_frequencies() if not closure >> row & 1
-        ]
-        new_x_p = x_pos
-        new_x_n = x_all - x_pos
-        m_p = 0
-        cand_pos_bits = 0
-        for row in new_cand_rows:
-            if row < n_positive:
-                m_p += 1
-                cand_pos_bits |= 1 << row
-        new_r_n = len(new_cand_rows) - m_p
-        new_threshold = (closure & positive_mask) | cand_pos_bits
-        child_cand = sorted(new_cand_rows)
+        # The projection's rows all follow r; those in the closure are
+        # absorbed into X and are not extension candidates.
+        new_cand = projected.rows_mask() & ~closure
+        m_p, cand_all = masked_counts(new_cand)
+        new_threshold = (closure | new_cand) & self.view.positive_mask
         return (
-            "node", projected, new_items, closure,
-            new_x_p, new_x_n, child_cand, m_p, cand_pos_bits,
-            new_r_n, new_threshold,
+            "node", projected, new_items, closure, new_cand,
+            x_pos, x_all - x_pos, m_p, cand_all - m_p, new_threshold,
         )

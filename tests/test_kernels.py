@@ -24,12 +24,13 @@ from typing import Optional, Sequence
 import pytest
 
 from repro.audit.generator import generate_cases
-from repro.baselines.farmer import FarmerPolicy
+from repro.baselines.farmer import FarmerPolicy, mine_farmer
 from repro.core.bitset import iter_indices, mask_below
 from repro.core.enumeration import ENGINES, MinerStats, run_enumeration
 from repro.core.prefix_tree import PrefixTree
-from repro.core.topk_miner import TopkPolicy, mine_topk
+from repro.core.topk_miner import TopkPolicy, mine_topk, relative_minsup
 from repro.core.view import MiningView
+from repro.data.loaders import load_benchmark
 
 # The 2^3 combinations of the paper's §4.1.1 optimizations.
 FLAG_COMBOS = tuple(
@@ -417,14 +418,21 @@ class TestSupportIndex:
     runs without leaking any run's pruning decisions into the next."""
 
     def test_repeat_runs_identical(self):
+        # Runs of other policies in between warm the memos (for the tree
+        # engine: the frozen root tree, its per-node item lists and the
+        # first-level projections) along other paths; none of it may
+        # leak into the next top-k run.
         case = CASES[1]
-        view = MiningView(case.dataset, case.consequent, case.minsup)
-        outcomes = []
-        for _ in range(3):
-            policy = TopkPolicy(view, case.k)
-            stats = run_enumeration(view, policy, engine="bitset")
-            outcomes.append((_counters(stats), _snapshot(policy)))
-        assert outcomes[0] == outcomes[1] == outcomes[2]
+        for engine in ("bitset", "tree"):
+            view = MiningView(case.dataset, case.consequent, case.minsup)
+            outcomes = []
+            for _ in range(3):
+                policy = TopkPolicy(view, case.k)
+                stats = run_enumeration(view, policy, engine=engine)
+                outcomes.append((_counters(stats), _snapshot(policy)))
+                run_enumeration(view, TopkPolicy(view, 1), engine=engine)
+                run_enumeration(view, FarmerPolicy(view), engine=engine)
+            assert outcomes[0] == outcomes[1] == outcomes[2], engine
 
     def test_cached_view_reused(self):
         case = CASES[1]
@@ -441,3 +449,51 @@ class TestSupportIndex:
             int.bit_count(view.item_rows[item]) for item in view.frequent_items
         )
         assert index.support_mass == expected
+
+
+@pytest.fixture(scope="module")
+def paper_train():
+    """ALL at scale 0.25: the Figure 6 shape (38 rows, ~450 items)."""
+    return load_benchmark("ALL", scale=0.25, use_cache=False).train_items
+
+
+class TestPaperScaleEngineIdentity:
+    """At the Figure 6 shape the prefix-tree engine must walk the same
+    enumeration tree as the bitset engine.  Deep projections there have
+    many source nodes on different trie paths, which the small audit
+    cases above rarely reach."""
+
+    @pytest.mark.parametrize("fraction", [0.9, 0.7])
+    @pytest.mark.parametrize("k", [1, 100])
+    def test_topk_tree_equals_bitset(self, paper_train, fraction, k):
+        minsup = relative_minsup(paper_train, 1, fraction)
+        outcomes = []
+        for engine in ("bitset", "tree"):
+            result = mine_topk(paper_train, 1, minsup, k=k, engine=engine)
+            assert result.stats.completed
+            outcomes.append((
+                _counters(result.stats),
+                {row: [_group_key(g) for g in groups]
+                 for row, groups in result.per_row.items()},
+            ))
+        assert outcomes[0] == outcomes[1]
+
+    def test_farmer_tree_equals_table(self, paper_train):
+        minsup = relative_minsup(paper_train, 1, 0.9)
+        outcomes = []
+        for engine in ("table", "tree"):
+            result = mine_farmer(paper_train, 1, minsup, engine=engine)
+            assert result.completed
+            outcomes.append((
+                _counters(result.stats),
+                [_group_key(g) for g in result.groups],
+            ))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][1]
+
+
+def _group_key(group) -> tuple:
+    return (
+        group.antecedent, group.consequent, group.row_set,
+        group.support, group.confidence,
+    )

@@ -1,9 +1,11 @@
 """Tests for the prefix-tree transposed-table representation."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.prefix_tree import PrefixTree, _iter_terminal_paths
+from repro.core.transposed import TransposedTable
 
 
 def build(tuples):
@@ -80,11 +82,68 @@ class TestProjection:
         assert step2.row_frequencies() == {3: 1}
 
     def test_projection_counts_merge(self):
-        # Two r-nodes on different paths merge their subtrees.
+        # Two r-nodes on different paths: the projection keeps both as
+        # sources and counts across their subtrees without merging them.
         tree = build([(0, [1, 3, 4]), (1, [2, 3, 4])])
         projected = tree.project(3)
         assert projected.row_frequencies() == {4: 2}
-        assert len(projected.header[4]) == 1  # merged into one node
+        links = projected.header[4]
+        assert [(node.row, node.count) for node in links] == [(4, 1), (4, 1)]
+        assert sorted(item for node in links for item in node.items) == [0, 1]
+        assert projected.rows_mask() == 1 << 4
+
+    def test_projection_shares_trie_nodes(self):
+        tree = build([(0, [1, 2, 3]), (1, [1, 2])])
+        projected = tree.project(1)
+        assert projected.header[2] == tree.header[2]
+        assert projected.project(2).exhausted == [1]
+
+    def test_project_same_row_twice_is_empty(self):
+        tree = build([(0, [1, 2])])
+        assert tree.project(1).project(1).n_items == 0
+
+
+class TestFreeze:
+    def test_from_items_is_frozen(self):
+        tree = build([(0, [1, 2])])
+        with pytest.raises(ValueError):
+            tree.insert(1, [2])
+
+    def test_insert_until_first_projection(self):
+        tree = PrefixTree()
+        tree.insert(0, [1, 2])
+        tree.insert(1, [2])
+        assert tree.project(2).n_items == 2
+        with pytest.raises(ValueError):
+            tree.insert(2, [3])
+
+    def test_preorder_ranges_cover_subtrees(self):
+        tree = build([(0, [1, 2, 3]), (1, [1, 4]), (2, [2, 3]), (3, [5])])
+        stack = [tree.root]
+        while stack:
+            node = stack.pop()
+            below = list(_subtree(node))[1:]
+            assert node.end - node.pre == len(below) + 1
+            assert all(node.pre < other.pre < node.end for other in below)
+            rows = 0
+            for other in below:
+                rows |= 1 << other.row
+            assert node.rows_below == rows
+            stack.extend(node.children.values())
+
+    def test_rows_mask(self):
+        tree = build([(0, [1, 3]), (1, [2, 3]), (2, [])])
+        assert tree.rows_mask() == 0b1110
+        assert tree.project(3).rows_mask() == 0
+        assert tree.project(1).rows_mask() == 0b1000
+
+
+def _subtree(node):
+    stack = [node]
+    while stack:
+        current = stack.pop()
+        yield current
+        stack.extend(current.children.values())
 
 
 class TestTerminalPaths:
@@ -127,3 +186,38 @@ class TestProperties:
                 and row > r
             )
             assert freq.get(row, 0) == expected
+
+
+class TestChainedProjections:
+    """Chains of projections against the explicit transposed table.
+
+    Deep chains reach projections with many source nodes on different
+    paths — the case a copying implementation had to merge."""
+
+    @given(
+        rows_strategy.map(lambda t: t + [[]]),
+        st.lists(st.integers(0, 12), unique=True, max_size=5).map(sorted),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_chain_matches_transposed_table(self, tuples, chain):
+        tree = build(list(enumerate(tuples)))
+        table = TransposedTable(
+            tuples={item: tuple(rows) for item, rows in enumerate(tuples)},
+            projected_on=frozenset(),
+        )
+        for r in chain:
+            tree = tree.project(r)
+            table = table.project([r])
+            expected_items = set(table.tuples)
+            assert sorted(tree.all_items()) == sorted(expected_items)
+            assert tree.n_items == len(expected_items)
+            assert sorted(tree.exhausted) == sorted(
+                item for item, rows in table.tuples.items() if not rows
+            )
+            freq = table.row_frequencies()
+            assert tree.row_frequencies() == freq
+            assert tree.rows_present() == sorted(freq)
+            mask = 0
+            for row in freq:
+                mask |= 1 << row
+            assert tree.rows_mask() == mask

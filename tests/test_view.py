@@ -1,10 +1,14 @@
 """Tests for the MiningView preparation step."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.bitset import iter_indices, popcount, to_indices
+from repro.core.topk_miner import mine_topk
 from repro.core.view import MiningView
-from repro.data.synthetic import random_discretized_dataset
+from repro.data.synthetic import make_figure1_example, random_discretized_dataset
 
 
 class TestOrdering:
@@ -124,3 +128,19 @@ class TestSingleItemGroups:
         groups = view.single_item_groups()
         covered = {item for items in groups.values() for item in items}
         assert covered == set(view.frequent_items)
+
+
+class TestViewCache:
+    """Cached views must not keep their dataset alive."""
+
+    @pytest.mark.parametrize("engine", ["bitset", "tree"])
+    def test_mined_dataset_is_collected(self, engine):
+        dataset = make_figure1_example()
+        view = MiningView.cached(dataset, 0, 1)
+        assert MiningView.cached(dataset, 0, 1) is view
+        result = mine_topk(dataset, 1, 1, k=2, engine=engine)
+        assert result.per_row
+        alive = weakref.ref(dataset)
+        del dataset, view
+        gc.collect()
+        assert alive() is None
