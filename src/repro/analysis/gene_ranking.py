@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
+from ..core.bitset import popcount
+
 if TYPE_CHECKING:  # pragma: no cover - import is for annotations only
     from ..data.dataset import DiscretizedDataset
 
@@ -43,16 +45,30 @@ def _class_entropy(counts: list[int]) -> float:
 def _gene_contingency(
     dataset: "DiscretizedDataset",
 ) -> dict[int, dict[int, list[int]]]:
-    """gene index -> item id -> per-class row counts."""
-    n_classes = dataset.n_classes
+    """gene index -> item id -> per-class row counts.
+
+    Counts are popcounts of the dataset's cached item and class row
+    bitsets (the ones FindLB reads), so no per-row pass is made.  Genes
+    and, within a gene, items appear in the order a row-by-row scan
+    first meets them — by first row, then by position in that row — so
+    the scores' float sums run in a fixed order.
+    """
+    item_rows = dataset.item_row_sets()
+    masks = [dataset.class_mask(c) for c in range(dataset.n_classes)]
+    item_gene = [item.gene_index for item in dataset.items]
+    first_row = {
+        item: (bits & -bits).bit_length() - 1
+        for item, bits in enumerate(item_rows)
+        if bits
+    }
     tables: dict[int, dict[int, list[int]]] = {}
-    item_gene = {item.item_id: item.gene_index for item in dataset.items}
-    for row, label in zip(dataset.rows, dataset.labels):
-        for item in row:
-            gene = item_gene[item]
-            per_item = tables.setdefault(gene, {})
-            counts = per_item.setdefault(item, [0] * n_classes)
-            counts[label] += 1
+    for row in sorted(set(first_row.values())):
+        for item in dataset.rows[row]:
+            if first_row[item] == row:
+                bits = item_rows[item]
+                tables.setdefault(item_gene[item], {})[item] = [
+                    popcount(bits & mask) for mask in masks
+                ]
     return tables
 
 

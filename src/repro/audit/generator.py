@@ -15,6 +15,11 @@ that historically break miners and serving layers:
   and duplicates add rows without adding itemsets;
 * minsup values from 1 up to the whole consequent class.
 
+Each case index also deals a small raw expression matrix
+(:func:`generate_raw_matrix`) for the discretization check: missing
+values, tied values, constant and all-missing genes, 2-4 classes, fewer
+than two samples, zero genes and a per-gene cut cap.
+
 Datasets stay at or below :data:`MAX_ROWS` rows (:data:`MAX_TALL_ROWS`
 for the ``tall`` shape, whose distinct-pattern count stays tiny) so the
 brute-force oracle of :mod:`repro.baselines.naive_topk` remains
@@ -24,8 +29,10 @@ used, so the stream is stable across numpy versions and platforms.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
+from typing import Optional
 
 from ..data.dataset import DiscretizedDataset, Item
 
@@ -33,9 +40,11 @@ __all__ = [
     "AuditCase",
     "MAX_ROWS",
     "MAX_TALL_ROWS",
+    "RawMatrix",
     "SHAPES",
     "generate_case",
     "generate_cases",
+    "generate_raw_matrix",
 ]
 
 # The naive oracle enumerates all 2^n subsets of *distinct* row
@@ -196,3 +205,57 @@ def generate_cases(seed: int, n_cases: int) -> list[AuditCase]:
     if n_cases < 1:
         raise ValueError(f"n_cases must be >= 1, got {n_cases}")
     return [generate_case(seed, index) for index in range(n_cases)]
+
+
+# Column kinds of a raw matrix: class-shifted values (cuts likely),
+# pure noise (cuts rare), few tied levels, a constant and a gene with
+# every value missing.
+RAW_GENE_KINDS = ("signal", "noise", "ties", "constant", "all-missing")
+
+
+@dataclass(frozen=True)
+class RawMatrix:
+    """A raw expression matrix for the discretization check."""
+
+    values: list[list[float]]  # samples x genes, NaN = missing
+    labels: list[int]
+    n_genes: int
+    n_classes: int
+    max_cuts_per_gene: Optional[int]
+
+
+def generate_raw_matrix(seed: int, index: int) -> RawMatrix:
+    """Deterministically build the raw matrix of audit case ``index``."""
+    rng = random.Random(f"repro-audit-raw:{seed}:{index}")
+    n_samples = rng.randint(0, 1) if index % 7 == 6 else rng.randint(2, 48)
+    n_genes = rng.randint(0, 8)
+    n_classes = rng.randint(2, 4)
+    missing_rate = rng.choice((0.0, 0.0, 0.1, 0.3))
+    labels = [rng.randrange(n_classes) for _ in range(n_samples)]
+    columns = []
+    for _ in range(n_genes):
+        kind = rng.choice(RAW_GENE_KINDS)
+        shift = rng.uniform(0.5, 6.0)
+        column = []
+        for label in labels:
+            if kind == "signal":
+                value = label * shift + rng.gauss(0.0, 1.0)
+            elif kind == "noise":
+                value = rng.gauss(0.0, 1.0)
+            elif kind == "ties":
+                value = float(rng.randint(0, 2) + label)
+            elif kind == "constant":
+                value = 1.0
+            else:
+                value = math.nan
+            if rng.random() < missing_rate:
+                value = math.nan
+            column.append(value)
+        columns.append(column)
+    return RawMatrix(
+        values=[list(row) for row in zip(*columns)] or [[] for _ in labels],
+        labels=labels,
+        n_genes=n_genes,
+        n_classes=n_classes,
+        max_cuts_per_gene=rng.choice((None, None, 1, 2)),
+    )

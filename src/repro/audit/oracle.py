@@ -28,7 +28,11 @@ repo rich in free oracles.  For one generated case this module:
   re-mined results must survive), and fitted RCBT/CBA classifiers
   through :mod:`repro.classifiers.persistence`;
 * runs the invariant catalog of :mod:`.invariants` on every mined
-  result.
+  result;
+* discretizes the case's raw matrix and asserts the batched
+  :class:`~repro.data.discretize.EntropyDiscretizer` cuts and rows are
+  bit-identical to :func:`reference_mdl_cut_points`, the per-gene
+  recursion kept here as the reference implementation.
 
 Every failure message is prefixed with the case description and carries
 the copy-pastable reproducing command.
@@ -38,7 +42,11 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
+from typing import Optional, Sequence
+
+import numpy as np
 
 from ..baselines.naive_topk import naive_topk
 from ..classifiers.cba import CBAClassifier
@@ -46,11 +54,13 @@ from ..classifiers.persistence import classifier_from_payload, classifier_to_pay
 from ..classifiers.rcbt import RCBTClassifier
 from ..core.enumeration import ENGINES
 from ..core.topk_miner import TopkResult, mine_topk
+from ..data.dataset import GeneExpressionDataset
+from ..data.discretize import EntropyDiscretizer, entropy, mdl_cut_points
 from ..data.loaders import discretized_from_payload, discretized_to_payload
 from ..parallel import FaultPlan, mine_topk_parallel, pool_stats, results_equal
 from ..service.cache import MiningCache, dataset_fingerprint, mining_key
 from ..service.server import topk_result_to_payload
-from .generator import AuditCase
+from .generator import AuditCase, generate_raw_matrix
 from .invariants import (
     InvariantViolation,
     check_cba_order,
@@ -58,7 +68,13 @@ from .invariants import (
     check_topk_result,
 )
 
-__all__ = ["AuditFailure", "audit_case", "profiles"]
+__all__ = [
+    "AuditFailure",
+    "audit_case",
+    "profiles",
+    "reference_discretize",
+    "reference_mdl_cut_points",
+]
 
 # All eight Section 4.1.1 optimization-flag combinations
 # (initialize_single_items, dynamic_minsup, use_topk_pruning).
@@ -367,6 +383,9 @@ def audit_case(
         ),
     )
 
+    # -- discretization: batched kernel vs the per-gene reference ----------
+    auditor.run("discretize", lambda: _audit_discretization(case))
+
     # -- classifier coverage + persistence round-trips ---------------------
     if not quick and dataset.n_classes >= 2:
         auditor.run("rcbt", lambda: _audit_rcbt(dataset))
@@ -399,3 +418,187 @@ def _audit_cba(dataset) -> None:
         raise InvariantViolation(
             "CBA predictions changed across the persistence round-trip"
         )
+
+
+# -- reference MDL discretization ------------------------------------------
+#
+# The one-gene-at-a-time Fayyad–Irani recursion that the batched kernel
+# of repro.data.discretize replaced, kept as its oracle.
+
+
+def _slice_entropy(counts: np.ndarray) -> tuple[float, int]:
+    """Entropy and number of distinct classes present in a count vector."""
+    present = int((counts > 0).sum())
+    return entropy(counts), present
+
+
+def _best_cut(
+    values: np.ndarray, labels: np.ndarray, n_classes: int
+) -> Optional[tuple[int, float]]:
+    """Best binary cut of a sorted slice, or None if no cut is possible.
+
+    Returns ``(split_index, weighted_entropy)`` where ``split_index`` is
+    the first element of the right part.  Only positions where the value
+    changes are candidates (one cannot separate equal values).
+    """
+    n = len(values)
+    if n < 2:
+        return None
+    one_hot = np.zeros((n, n_classes), dtype=np.int64)
+    one_hot[np.arange(n), labels] = 1
+    cumulative = one_hot.cumsum(axis=0)
+    boundaries = np.flatnonzero(values[1:] != values[:-1]) + 1
+    if boundaries.size == 0:
+        return None
+    left = cumulative[boundaries - 1]
+    total = cumulative[-1]
+    right = total - left
+    left_sizes = boundaries / n
+    right_sizes = 1.0 - left_sizes
+
+    def _row_entropy(block: np.ndarray) -> np.ndarray:
+        sums = block.sum(axis=1, keepdims=True)
+        probs = block / np.maximum(sums, 1)
+        logs = np.zeros_like(probs)
+        positive = probs > 0
+        logs[positive] = np.log2(probs[positive])
+        return -(probs * logs).sum(axis=1)
+
+    weighted = left_sizes * _row_entropy(left) + right_sizes * _row_entropy(right)
+    best = int(np.argmin(weighted))
+    return int(boundaries[best]), float(weighted[best])
+
+
+def _mdl_accepts(
+    values: np.ndarray,
+    labels: np.ndarray,
+    split: int,
+    weighted_entropy: float,
+    n_classes: int,
+) -> bool:
+    """Fayyad–Irani MDL stopping criterion for a proposed cut."""
+    n = len(values)
+    total_counts = np.bincount(labels, minlength=n_classes)
+    left_counts = np.bincount(labels[:split], minlength=n_classes)
+    right_counts = total_counts - left_counts
+    parent_entropy, k0 = _slice_entropy(total_counts)
+    left_entropy, k1 = _slice_entropy(left_counts)
+    right_entropy, k2 = _slice_entropy(right_counts)
+    gain = parent_entropy - weighted_entropy
+    delta = (
+        math.log2(3**k0 - 2)
+        - (k0 * parent_entropy - k1 * left_entropy - k2 * right_entropy)
+    )
+    threshold = (math.log2(n - 1) + delta) / n
+    return gain > threshold
+
+
+def reference_mdl_cut_points(
+    values: Sequence[float], labels: Sequence[int], n_classes: Optional[int] = None
+) -> list[float]:
+    """Sorted MDL cut points of one gene, by per-segment recursion."""
+    value_array = np.asarray(values, dtype=float)
+    label_array = np.asarray(labels, dtype=int)
+    # Missing measurements (NaN) carry no ordering information; fit the
+    # cuts on the present values only.
+    present = ~np.isnan(value_array)
+    if not present.all():
+        value_array = value_array[present]
+        label_array = label_array[present]
+    if n_classes is None:
+        n_classes = int(label_array.max()) + 1 if label_array.size else 0
+    order = np.argsort(value_array, kind="mergesort")
+    sorted_values = value_array[order]
+    sorted_labels = label_array[order]
+    cuts: list[float] = []
+
+    def _recurse(lo: int, hi: int) -> None:
+        segment_values = sorted_values[lo:hi]
+        segment_labels = sorted_labels[lo:hi]
+        candidate = _best_cut(segment_values, segment_labels, n_classes)
+        if candidate is None:
+            return
+        split, weighted = candidate
+        if not _mdl_accepts(segment_values, segment_labels, split, weighted, n_classes):
+            return
+        cut_value = (segment_values[split - 1] + segment_values[split]) / 2.0
+        cuts.append(float(cut_value))
+        _recurse(lo, lo + split)
+        _recurse(lo + split, hi)
+
+    _recurse(0, len(sorted_values))
+    return sorted(cuts)
+
+
+def reference_discretize(
+    values: np.ndarray,
+    labels: Sequence[int],
+    n_classes: int,
+    max_cuts_per_gene: Optional[int] = None,
+) -> tuple[dict[int, list[float]], list[list[int]]]:
+    """Cuts of every kept gene and itemized rows, one gene at a time.
+
+    Item ids are dealt gene by gene in ascending gene order, one per
+    interval, as :class:`EntropyDiscretizer` deals its catalog; a row
+    lists its items in that order and skips missing values.
+    """
+    cuts: dict[int, list[float]] = {}
+    for gene in range(values.shape[1]):
+        gene_cuts = reference_mdl_cut_points(
+            values[:, gene], labels, n_classes
+        )[:max_cuts_per_gene]
+        if gene_cuts:
+            cuts[gene] = gene_cuts
+    rows: list[list[int]] = [[] for _ in range(values.shape[0])]
+    first_id = 0
+    for gene, gene_cuts in cuts.items():
+        column = values[:, gene]
+        positions = np.searchsorted(np.array(gene_cuts), column, side="right")
+        for sample, position in enumerate(positions):
+            if not np.isnan(column[sample]):
+                rows[sample].append(first_id + int(position))
+        first_id += len(gene_cuts) + 1
+    return cuts, rows
+
+
+def _hex(cuts: list[float]) -> list[str]:
+    return [cut.hex() for cut in cuts]
+
+
+def _audit_discretization(case: AuditCase) -> None:
+    raw = generate_raw_matrix(case.seed, case.index)
+    values = np.array(raw.values, dtype=float).reshape(
+        len(raw.labels), raw.n_genes
+    )
+    dataset = GeneExpressionDataset(
+        values, raw.labels, class_names=[f"c{i}" for i in range(raw.n_classes)]
+    )
+    expected_cuts, expected_rows = reference_discretize(
+        values, raw.labels, raw.n_classes, raw.max_cuts_per_gene
+    )
+    context = (
+        f"raw matrix {values.shape[0]} samples x {values.shape[1]} genes, "
+        f"{raw.n_classes} classes, max_cuts_per_gene={raw.max_cuts_per_gene}"
+    )
+    discretizer = EntropyDiscretizer(raw.max_cuts_per_gene).fit(dataset)
+    if {g: _hex(c) for g, c in discretizer.cuts_.items()} != {
+        g: _hex(c) for g, c in expected_cuts.items()
+    }:
+        raise InvariantViolation(
+            f"{context}: batched cuts {discretizer.cuts_} differ from the "
+            f"reference {expected_cuts}"
+        )
+    rows = [list(row) for row in discretizer.transform(dataset).rows]
+    if rows != [list(frozenset(row)) for row in expected_rows]:
+        raise InvariantViolation(
+            f"{context}: transformed rows differ from the reference"
+        )
+    for gene in range(values.shape[1]):
+        column = values[:, gene]
+        if _hex(mdl_cut_points(column, raw.labels)) != _hex(
+            reference_mdl_cut_points(column, raw.labels)
+        ):
+            raise InvariantViolation(
+                f"{context}: mdl_cut_points differs from the reference on "
+                f"gene {gene}"
+            )

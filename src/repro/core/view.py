@@ -276,7 +276,13 @@ class SupportIndex:
     BACKWARD = ("backward",)
 
     def __init__(self, view: MiningView) -> None:
-        self.view = view
+        # The index keeps the view's fields, not the view: the view holds
+        # the index, and a back reference would make every view and its
+        # memos cyclic garbage, freed only by the cycle collector.
+        self.row_items = view.row_items
+        self.frequent_items = view.frequent_items
+        self.n_rows = view.n_rows
+        self.positive_mask = view.positive_mask
         interned: dict[int, int] = {}
         self.item_rows: list[int] = [
             interned.setdefault(rows, rows) for rows in view.item_rows
@@ -340,9 +346,8 @@ class SupportIndex:
         return entry
 
     def _compute_bitset_root(self, r: int) -> tuple:
-        view = self.view
         fold_counts, _, masked_counts = self._kernel
-        new_items = sorted(view.row_items[r])
+        new_items = sorted(self.row_items[r])
         if not new_items:
             return self.EMPTY
         if len(new_items) == 1:
@@ -355,8 +360,8 @@ class SupportIndex:
         r_bit = 1 << r
         if closure & (r_bit - 1):
             return self.BACKWARD
-        positive_mask = view.positive_mask
-        above = mask_below(view.n_rows) & ~(r_bit | (r_bit - 1))
+        positive_mask = self.positive_mask
+        above = mask_below(self.n_rows) & ~(r_bit | (r_bit - 1))
         new_cand = above & union & ~closure
         if new_cand:
             cand_pos, cand_all = masked_counts(new_cand)
@@ -384,10 +389,9 @@ class SupportIndex:
             from .prefix_tree import PrefixTree
             from .bitset import iter_indices
 
-            view = self.view
             tree = self._root_tree = PrefixTree.from_items(
-                (item, sorted(iter_indices(view.item_rows[item])))
-                for item in view.frequent_items
+                (item, sorted(iter_indices(self.item_rows[item])))
+                for item in self.frequent_items
             )
         return tree
 
@@ -417,7 +421,7 @@ class SupportIndex:
         # absorbed into X and are not extension candidates.
         new_cand = projected.rows_mask() & ~closure
         m_p, cand_all = masked_counts(new_cand)
-        new_threshold = (closure | new_cand) & self.view.positive_mask
+        new_threshold = (closure | new_cand) & self.positive_mask
         return (
             "node", projected, new_items, closure, new_cand,
             x_pos, x_all - x_pos, m_p, cand_all - m_p, new_threshold,

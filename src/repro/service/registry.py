@@ -19,6 +19,7 @@ import json
 import re
 import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Union
 
@@ -28,6 +29,7 @@ from ..classifiers.persistence import (
     classifier_to_payload,
 )
 from ..classifiers.rcbt import RCBTClassifier
+from ..data.discretize import EntropyDiscretizer
 
 __all__ = ["ModelRecord", "ModelRegistry"]
 
@@ -45,6 +47,20 @@ class ModelRecord:
     kind: str
     model: RuleModel = field(repr=False)
     pipeline: Optional[dict] = field(default=None, repr=False)
+
+    @cached_property
+    def discretizer(self) -> EntropyDiscretizer:
+        """The pipeline's discretizer, built on first use and then kept.
+
+        Raises ``KeyError``/``ValueError``/``TypeError`` on a missing or
+        malformed pipeline; nothing is kept then.
+        """
+        pipeline = self.pipeline
+        return EntropyDiscretizer.from_cuts(
+            {int(g): c for g, c in pipeline["cuts"].items()},
+            pipeline["gene_names"],
+            pipeline["class_names"],
+        )
 
     def describe(self) -> dict:
         """JSON-safe summary for the ``/models`` endpoint."""

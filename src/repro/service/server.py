@@ -44,7 +44,6 @@ from ..core.hybrid import (
 )
 from ..core.topk_miner import TopkResult, mine_topk, relative_minsup
 from ..data.dataset import GeneExpressionDataset
-from ..data.discretize import EntropyDiscretizer
 from ..data.loaders import discretized_from_payload
 from ..parallel import AUTO_JOBS, pool_stats
 from .cache import MiningCache, dataset_fingerprint, mining_key
@@ -359,11 +358,7 @@ class RuleService:
             matrix = np.asarray(values, dtype=float)
             if matrix.ndim != 2:
                 raise ValueError("expected a 2-d list of sample values")
-            discretizer = EntropyDiscretizer.from_cuts(
-                {int(g): c for g, c in pipeline["cuts"].items()},
-                pipeline["gene_names"],
-                pipeline["class_names"],
-            )
+            discretizer = record.discretizer
             data = GeneExpressionDataset(
                 matrix,
                 [0] * matrix.shape[0],

@@ -1,10 +1,16 @@
 """Tests for the Fayyad-Irani MDL discretization."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.audit.oracle import reference_discretize, reference_mdl_cut_points
 from repro.data.dataset import GeneExpressionDataset
 from repro.data.discretize import EntropyDiscretizer, entropy, mdl_cut_points
+from repro.data.synthetic import PAPER_DATASETS, generate_dataset
 
 
 class TestEntropy:
@@ -223,3 +229,105 @@ class TestMissingValues:
         assert len(lengths) > 1  # rows now vary in item count
         model = RCBTClassifier(k=3, nl=5).fit(train_items)
         assert model.score(disc.transform(test)) >= 0.7
+
+
+@st.composite
+def raw_matrices(draw):
+    """Small raw matrices: ties, NaNs, 2-4 classes, down to 0 genes/1 sample."""
+    n_samples = draw(st.integers(1, 30))
+    n_genes = draw(st.integers(0, 5))
+    n_classes = draw(st.integers(2, 4))
+    labels = draw(st.lists(st.integers(0, n_classes - 1),
+                           min_size=n_samples, max_size=n_samples))
+    levels = draw(st.integers(1, 8))
+    cells = draw(st.lists(
+        st.one_of(st.integers(0, levels - 1).map(float), st.just(float("nan"))),
+        min_size=n_samples * n_genes, max_size=n_samples * n_genes,
+    ))
+    values = np.array(cells, dtype=float).reshape(n_samples, n_genes)
+    # Shift by class so some genes carry signal worth a cut.
+    values += np.array(labels)[:, None] * draw(st.sampled_from([0.0, 2.5, 9.0]))
+    max_cuts = draw(st.sampled_from([None, 1, 2]))
+    return values, labels, n_classes, max_cuts
+
+
+def _hex(cuts):
+    return {gene: [cut.hex() for cut in gene_cuts] for gene, gene_cuts in cuts.items()}
+
+
+class TestBatchedAgainstReference:
+    @given(raw_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_fit_and_transform_match_the_reference(self, raw):
+        values, labels, n_classes, max_cuts = raw
+        dataset = GeneExpressionDataset(
+            values, labels, class_names=[f"c{i}" for i in range(n_classes)]
+        )
+        cuts, rows = reference_discretize(values, labels, n_classes, max_cuts)
+        discretizer = EntropyDiscretizer(max_cuts).fit(dataset)
+        assert _hex(discretizer.cuts_) == _hex(cuts)
+        assert discretizer.transform(dataset).rows == [frozenset(r) for r in rows]
+        for gene in range(values.shape[1]):
+            assert _hex({0: mdl_cut_points(values[:, gene], labels)}) == _hex(
+                {0: reference_mdl_cut_points(values[:, gene], labels)}
+            )
+
+    def test_zero_genes(self):
+        dataset = GeneExpressionDataset(np.zeros((4, 0)), [0, 1, 0, 1])
+        discretizer = EntropyDiscretizer().fit(dataset)
+        assert discretizer.cuts_ == {}
+        assert discretizer.transform(dataset).rows == [frozenset()] * 4
+
+    def test_single_sample(self):
+        dataset = GeneExpressionDataset(np.array([[1.0, 2.0]]), [1])
+        discretizer = EntropyDiscretizer().fit(dataset)
+        assert discretizer.cuts_ == {}
+        assert discretizer.transform(dataset).rows == [frozenset()]
+
+
+def _cohort_digest(name, scale):
+    train, test = generate_dataset(PAPER_DATASETS[name].scaled(scale))
+    discretizer = EntropyDiscretizer().fit(train)
+    digest = hashlib.sha256()
+    for gene, cuts in sorted(discretizer.cuts_.items()):
+        digest.update(f"{gene}:{','.join(c.hex() for c in cuts)};".encode())
+    for data in (train, test):
+        for row in discretizer.transform(data).rows:
+            digest.update((",".join(map(str, sorted(row))) + "|").encode())
+    return digest.hexdigest()[:16]
+
+
+class TestPinnedCohorts:
+    """Cuts and rows of the paper-shaped cohorts, pinned bit for bit.
+
+    The digests were taken with the one-gene-at-a-time recursion that
+    the batched kernel replaced.
+    """
+
+    @pytest.mark.parametrize("name, scale, expected", [
+        ("ALL", 0.5, "ddbff48bdd226261"),
+        ("OC", 0.1, "0704e43b11496c44"),
+        ("PC", 0.25, "ec24a046ed838f95"),
+        ("LC", 0.1, "76926a7cb49e77ae"),
+    ])
+    def test_digest(self, name, scale, expected):
+        assert _cohort_digest(name, scale) == expected
+
+
+class TestOneRowTransform:
+    def test_one_raw_row_matches_the_server_path(self):
+        train = separable_dataset(seed=0)
+        test = separable_dataset(seed=1)
+        fitted = EntropyDiscretizer().fit(train)
+        expected = fitted.transform(test).rows
+        # The server rebuilds the discretizer from its saved cuts and
+        # itemizes each raw sample with placeholder labels.
+        served = EntropyDiscretizer.from_cuts(
+            fitted.cuts_, train.gene_names, train.class_names
+        )
+        for sample in range(test.n_samples):
+            one = GeneExpressionDataset(
+                test.values[sample:sample + 1], [0],
+                train.gene_names, train.class_names,
+            )
+            assert served.transform(one).rows == [expected[sample]]

@@ -83,3 +83,52 @@ class TestRankGenes:
 
     def test_empty(self):
         assert rank_genes({}) == {}
+
+
+def loop_contingency(dataset):
+    """The row-by-row contingency count, kept as the reference."""
+    n_classes = dataset.n_classes
+    tables = {}
+    item_gene = {item.item_id: item.gene_index for item in dataset.items}
+    for row, label in zip(dataset.rows, dataset.labels):
+        for item in row:
+            gene = item_gene[item]
+            per_item = tables.setdefault(gene, {})
+            counts = per_item.setdefault(item, [0] * n_classes)
+            counts[label] += 1
+    return tables
+
+
+def _ordered(tables):
+    return [(gene, list(per_item.items())) for gene, per_item in tables.items()]
+
+
+def _ranking_datasets():
+    from repro.audit import generate_cases
+    from repro.data.loaders import load_benchmark
+
+    for name, scale in [("ALL", 0.5), ("OC", 0.1), ("PC", 0.25)]:
+        benchmark = load_benchmark(name, scale=scale, use_cache=False)
+        yield benchmark.train_items
+        yield benchmark.test_items
+    for case in generate_cases(seed=0, n_cases=27):
+        yield case.dataset
+
+
+class TestBatchedContingency:
+    def test_scores_bit_identical_to_the_row_loop(self, monkeypatch):
+        from repro.analysis import gene_ranking
+
+        for dataset in _ranking_datasets():
+            batched = gene_ranking._gene_contingency(dataset)
+            assert _ordered(batched) == _ordered(loop_contingency(dataset))
+            scores = (gene_entropy_scores(dataset),
+                      gene_chi_square_scores(dataset))
+            with monkeypatch.context() as patch:
+                patch.setattr(gene_ranking, "_gene_contingency",
+                              loop_contingency)
+                reference = (gene_entropy_scores(dataset),
+                             gene_chi_square_scores(dataset))
+            assert [list(s.items()) for s in scores] == [
+                list(s.items()) for s in reference
+            ]

@@ -102,3 +102,52 @@ class TestPersistenceRoundTrip:
         assert record.version == 2
         # And a third registry sees both versions back from disk.
         assert len(ModelRegistry(root)) == 2
+
+
+class TestPipelineDiscretizer:
+    def test_raw_values_build_the_discretizer_once(
+        self, monkeypatch, small_benchmark, fitted_models
+    ):
+        from repro.classifiers.persistence import classifier_to_payload
+        from repro.data.discretize import EntropyDiscretizer
+        from repro.service.server import RuleService
+
+        builds = []
+        from_cuts = EntropyDiscretizer.from_cuts.__func__
+
+        def counting_from_cuts(cls, *args, **kwargs):
+            builds.append(args)
+            return from_cuts(cls, *args, **kwargs)
+
+        monkeypatch.setattr(
+            EntropyDiscretizer, "from_cuts", classmethod(counting_from_cuts)
+        )
+        discretizer = small_benchmark.discretizer
+        train = small_benchmark.train
+        service = RuleService(mining_workers=1)
+        try:
+            service.register_model({
+                "name": "piped",
+                "model": classifier_to_payload(fitted_models["rcbt"]),
+                "pipeline": {
+                    "cuts": {str(g): c for g, c in discretizer.cuts_.items()},
+                    "gene_names": train.gene_names,
+                    "class_names": train.class_names,
+                },
+            })
+            test_items = small_benchmark.test_items
+            values = small_benchmark.test.values.tolist()
+            record, by_rows = service.resolve_classify({
+                "model": "piped",
+                "rows": [sorted(row) for row in test_items.rows],
+            })
+            expected = record.model.predict_batch(by_rows)
+            for _ in range(2):
+                record, by_values = service.resolve_classify(
+                    {"model": "piped", "values": values}
+                )
+                assert by_values == test_items.rows
+                assert record.model.predict_batch(by_values) == expected
+            assert len(builds) <= 1
+        finally:
+            service.shutdown()

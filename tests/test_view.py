@@ -144,3 +144,24 @@ class TestViewCache:
         del dataset, view
         gc.collect()
         assert alive() is None
+
+    @pytest.mark.parametrize("engine", ["bitset", "tree"])
+    def test_view_and_index_are_freed_without_the_cycle_collector(
+        self, engine
+    ):
+        # The view holds its SupportIndex and the index holds no view, so
+        # both go as soon as the dataset does: their memos never wait for
+        # a collection.
+        dataset = make_figure1_example()
+        mine_topk(dataset, 1, 1, k=2, engine=engine)
+        view = MiningView.cached(dataset, 1, 1)
+        index = view.support_index()
+        alive = (weakref.ref(view), weakref.ref(index))
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del dataset, view, index
+            assert [ref() for ref in alive] == [None, None]
+        finally:
+            if enabled:
+                gc.enable()
