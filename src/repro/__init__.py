@@ -15,8 +15,11 @@ Public surface:
 * :mod:`repro.service` -- embeddable serving layer (model registry,
   mining cache, job queue, classify coalescing, asyncio HTTP API;
   ``repro serve``);
-* :mod:`repro.parallel` -- process-pool mining backend (first-level
-  subtree sharding; ``n_jobs=`` on the miners, ``repro bench``).
+* :mod:`repro.parallel` -- process-pool mining over independent units:
+  FARMER row shards, hybrid partitions and one whole top-k mine per
+  request (RCBT's per-class fit).  One top-k enumeration always runs in
+  one process: its dynamic thresholds cannot be split across row
+  shards.
 """
 
 from .core import (
@@ -28,8 +31,7 @@ from .core import (
 )
 from .parallel import (
     mine_farmer_parallel,
-    mine_topk_parallel,
-    mine_topk_sharded,
+    mine_topk_requests,
     parallel_map,
     results_equal,
 )
@@ -76,8 +78,7 @@ __all__ = [
     "make_figure1_example",
     "mine_farmer_parallel",
     "mine_topk",
-    "mine_topk_parallel",
-    "mine_topk_sharded",
+    "mine_topk_requests",
     "parallel_map",
     "relative_minsup",
     "results_equal",

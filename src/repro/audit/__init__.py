@@ -1,9 +1,9 @@
 """Differential fuzzing and invariant auditing (``repro audit``).
 
 The paper's central claims are equivalences — every enumeration engine
-visits the same nodes, MineTopkRGS equals the naive top-k baseline, the
-sharded parallel merge is bit-identical to serial — so correctness can
-be audited without any hand-written expected outputs.  This package
+visits the same nodes, MineTopkRGS equals the naive top-k baseline,
+hybrid and pool-worker mines are bit-identical to direct ones — so
+correctness can be audited without any hand-written expected outputs.  This package
 exploits that:
 
 * :mod:`.generator` — seeded randomized datasets (skew, duplicates,

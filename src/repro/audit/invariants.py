@@ -6,8 +6,9 @@ functions over public objects, so they are usable from three places:
 
 * the differential audit harness (``repro audit``);
 * the test suite (deliberate-corruption tests);
-* the miners themselves — :func:`repro.core.topk_miner.mine_topk` and
-  :func:`repro.parallel.mine_topk_sharded` run
+* the miners themselves — :func:`repro.core.topk_miner.mine_topk`
+  (also inside the pool workers of
+  :func:`repro.parallel.mine_topk_requests`) runs
   :func:`check_topk_result` on every result when the ``REPRO_CHECK``
   environment variable is set to a non-empty value other than ``0``,
   turning any workload into a self-auditing run.

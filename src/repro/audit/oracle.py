@@ -11,18 +11,21 @@ repo rich in free oracles.  For one generated case this module:
   baseline (flag variants may discover ties in a different order, so
   profiles — not antecedent identity — are the contract, exactly as in
   the paper);
-* re-mines with ``n_jobs > 1`` and asserts the sharded parallel merge
-  is bit-identical to the serial run;
+* re-mines with ``strategy="hybrid", n_jobs > 1`` (partitions on the
+  process pool) and asserts the result is bit-identical to the direct
+  serial run;
 * on rotated cases, re-mines with ``strategy="hybrid"`` (the
   column-partitioned out-of-core miner) and asserts the result — and
   the ``completed`` honesty flag — are bit-identical to the direct run;
-* on rotated cases, re-mines through the *warm* miner pool and with
-  ``n_jobs="auto"`` and asserts the adaptive planner and pool reuse
-  change nothing;
-* on rotated cases, re-mines with an injected worker **kill** on shard 0
-  (:class:`repro.parallel.FaultPlan`) and asserts the crash-recovery
-  supervisor returns a result bit-identical to the serial oracle, with
-  the retry visible in ``pool_stats()``;
+* on rotated cases, re-mines the hybrid path with ``n_jobs="auto"``
+  and the case's request as two whole per-request units on the *warm*
+  miner pool (:func:`repro.parallel.mine_topk_requests`), and asserts
+  the adaptive planner and pool reuse change nothing — per-request
+  units keep the serial ``nodes_visited`` too;
+* on rotated cases, re-mines the per-request units with an injected
+  worker **kill** on request 0 (:class:`repro.parallel.FaultPlan`) and
+  asserts the crash-recovery supervisor returns results bit-identical
+  to the serial oracle, with the retry visible in ``pool_stats()``;
 * round-trips the result through the service cache and its JSON
   payload, the dataset through its payload codec (fingerprints and
   re-mined results must survive), and fitted RCBT/CBA classifiers
@@ -57,7 +60,13 @@ from ..core.topk_miner import TopkResult, mine_topk
 from ..data.dataset import GeneExpressionDataset
 from ..data.discretize import EntropyDiscretizer, entropy, mdl_cut_points
 from ..data.loaders import discretized_from_payload, discretized_to_payload
-from ..parallel import FaultPlan, mine_topk_parallel, pool_stats, results_equal
+from ..parallel import (
+    FaultPlan,
+    MineRequest,
+    mine_topk_requests,
+    pool_stats,
+    results_equal,
+)
 from ..service.cache import MiningCache, dataset_fingerprint, mining_key
 from ..service.server import topk_result_to_payload
 from .generator import AuditCase, generate_raw_matrix
@@ -163,9 +172,10 @@ def audit_case(
 
     Args:
         case: the generated case to audit.
-        parallel_jobs: worker processes for the serial-vs-parallel
-            check; values < 2 skip it (e.g. in sandboxes without a
-            usable multiprocessing context).
+        parallel_jobs: worker processes for the pool checks (hybrid
+            partitions, per-request units, crash recovery); values < 2
+            skip them (e.g. in sandboxes without a usable
+            multiprocessing context).
         quick: trim the flag matrix and skip classifier round-trips —
             the bounded CI profile.
 
@@ -268,68 +278,83 @@ def audit_case(
                 lambda r=hybrid: check_topk_result(dataset, r),
             )
 
-    # -- serial vs sharded parallel: bit-identical -------------------------
+    # -- pool paths: hybrid partitions + per-request units ----------------
+    # A direct mine is one in-process enumeration (its dynamic thresholds
+    # cannot be split across row shards), so what runs on pool workers is
+    # a hybrid mine's partitions and whole per-request mines.  Both must
+    # reproduce the direct serial result bit for bit.
     if parallel_jobs > 1:
         # Rotate the engine so the whole suite covers all three without
         # paying three process-pool spin-ups per case.
         engine = ENGINES[case.index % len(ENGINES)]
         serial = engine_results.get(engine)
         parallel = auditor.mine(
-            f"parallel:{engine}", engine=engine, n_jobs=parallel_jobs
+            f"parallel:{engine}", engine=engine, strategy="hybrid",
+            n_jobs=parallel_jobs,
         )
         if parallel is not None and serial is not None:
             auditor.expect(
                 f"parallel-equal:{engine}",
                 results_equal(serial, parallel),
-                f"n_jobs={parallel_jobs} result differs from serial "
-                f"({engine} engine)",
+                f"strategy='hybrid', n_jobs={parallel_jobs} result differs "
+                f"from direct ({engine} engine)",
             )
+
+    def _request_units(engine: str, **options) -> None:
+        """Mine this case's request as two whole units on the pool; each
+        must be the serial result, ``nodes_visited`` included."""
+        serial = engine_results[engine]
+        request = MineRequest(
+            consequent=case.consequent, minsup=case.minsup, k=case.k,
+            engine=engine,
+        )
+        for result in mine_topk_requests(
+            dataset, [request, request], n_jobs=parallel_jobs, **options
+        ):
+            nodes = (result.stats.nodes_visited, serial.stats.nodes_visited)
+            if not results_equal(serial, result) or nodes[0] != nodes[1]:
+                raise InvariantViolation(
+                    f"a per-request pool unit differs from the serial mine "
+                    f"({engine} engine; {nodes[0]} vs {nodes[1]} nodes)"
+                )
 
     # -- warm pool + adaptive planner: bit-identical -----------------------
     if parallel_jobs > 1 and case.index % 3 == 0:
         # Rotated like the engine above.  Two properties ride this check:
         # the planner path (n_jobs="auto" picks serial or parallel per
         # workload and must change nothing either way), and miner-pool
-        # reuse — the pool is warm from the parallel check just above, so
-        # this mine rides already-running workers.
+        # reuse — the pool is warm from the hybrid check just above, so
+        # the per-request units ride already-running workers.
         engine = ENGINES[case.index % len(ENGINES)]
         serial = engine_results.get(engine)
-        auto = auditor.mine(f"pool:auto:{engine}", engine=engine, n_jobs="auto")
+        auto = auditor.mine(
+            f"pool:auto:{engine}", engine=engine, strategy="hybrid",
+            n_jobs="auto",
+        )
         if auto is not None and serial is not None:
             auditor.expect(
                 f"pool-auto-equal:{engine}",
                 results_equal(serial, auto),
-                f"n_jobs='auto' result differs from serial ({engine} engine)",
+                f"strategy='hybrid', n_jobs='auto' result differs from "
+                f"direct ({engine} engine)",
             )
-        reused = auditor.mine(
-            f"pool:reuse:{engine}", engine=engine, n_jobs=parallel_jobs
-        )
-        if reused is not None and serial is not None:
-            auditor.expect(
-                f"pool-reuse-equal:{engine}",
-                results_equal(serial, reused),
-                f"warm-pool reuse differs from serial ({engine} engine)",
+        if serial is not None:
+            auditor.run(
+                f"pool:reuse:{engine}",
+                lambda: _request_units(engine),
             )
 
     # -- crash recovery: a mine surviving an injected worker kill ----------
     if parallel_jobs > 1 and case.index % 5 == 1:
         # Rotated like the pool checks above (every fault costs a pool
-        # generation).  FaultPlan kills the worker mining shard 0 on its
-        # first attempt; the supervisor must heal the pool, resubmit the
-        # lost shards, and hand back a result bit-identical to the
+        # generation).  FaultPlan kills the worker mining request 0 on
+        # its first attempt; the supervisor must heal the pool, resubmit
+        # the lost request, and hand back results bit-identical to the
         # serial oracle — with the retry visible in pool_stats() and no
         # BrokenProcessPool escaping to us.
         def _crash_survival() -> None:
             retries_before = pool_stats()["shard_retries"]
-            result = mine_topk_parallel(
-                case.dataset, case.consequent, case.minsup, k=case.k,
-                n_jobs=parallel_jobs, fault=FaultPlan.parse("kill@0.0"),
-            )
-            if not results_equal(reference, result):
-                raise InvariantViolation(
-                    "result after an injected shard-0 worker crash "
-                    "differs bit-for-bit from the serial oracle"
-                )
+            _request_units("bitset", fault=FaultPlan.parse("kill@0.0"))
             if pool_stats()["shard_retries"] <= retries_before:
                 raise InvariantViolation(
                     "injected worker crash was not retried "

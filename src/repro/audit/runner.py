@@ -61,8 +61,8 @@ def run_audit(
         quick: bounded CI profile — smaller flag matrix, no classifier
             round-trips, parallel check on a few cases only.
         only_case: audit exactly this case index (the repro path).
-        parallel_jobs: worker processes for the serial-vs-parallel
-            check; < 2 disables it.
+        parallel_jobs: worker processes for the pool checks; < 2
+            disables them.
         progress: optional callable receiving one line per case.
 
     Returns:

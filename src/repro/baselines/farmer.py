@@ -188,9 +188,10 @@ def mine_farmer(
         min_chi_square: minimum chi-square statistic of reported groups
             (FARMER's third interestingness constraint); 0 disables.
         n_jobs: worker processes; 1 mines serially, any other value
-            dispatches to :mod:`repro.parallel` (``None``/0 = all cores).
-            Output and group order are identical; ``node_budget`` then
-            applies per shard.
+            mines row shards on :mod:`repro.parallel`'s process pool
+            (``None``/0 = all cores).  Output, group order and node
+            counters are identical; ``node_budget`` then applies per
+            shard.
         backend: ``None``, ``"int"`` or ``"auto"`` (see
             :mod:`repro.core.backends`); any other value raises
             ``ValueError``.

@@ -2,9 +2,12 @@
 
 ``repro bench`` (or ``benchmarks/bench_runner.py``) times the miners on
 the synthetic paper-shaped generators — the same workloads the Figure 6
-drivers sweep — serially and through :mod:`repro.parallel`, verifies the
-parallel output is bit-identical, and writes everything to
-``BENCH_core.json`` so every future change has a perf baseline to move.
+experiments sweep — serially and, where the work splits into independent
+units (FARMER row shards, hybrid partitions), through
+:mod:`repro.parallel`; it verifies the parallel output is bit-identical
+and writes everything to ``BENCH_core.json`` so every future change has
+a perf baseline to move.  A direct top-k mine is one enumeration in one
+process, so top-k workloads record the serial column only.
 
 Honesty rules baked in:
 
@@ -15,9 +18,9 @@ Honesty rules baked in:
   run on a 1-core container measures scheduling overhead, not
   parallelism, so it cannot back a speedup claim;
 * every parallel measurement carries ``identical_output``, the assertion
-  that sharded mining reproduced the serial result exactly;
-* every workload is also timed with ``n_jobs="auto"`` so the adaptive
-  planner's choice is itself measured, not assumed;
+  that the pool reproduced the serial result exactly;
+* every parallel workload is also timed with ``n_jobs="auto"`` so the
+  adaptive planner's choice is itself measured, not assumed;
 * :func:`compare_reports` (``repro bench --compare``) diffs a fresh run
   against a committed baseline and fails on serial-time regressions, so
   perf changes land with evidence.
@@ -39,13 +42,7 @@ from .core.topk_miner import TopkResult, mine_topk, relative_minsup
 from .data.loaders import load_benchmark
 from .data.synthetic import generate_tall_cohort
 from .experiments.harness import format_seconds
-from .parallel import (
-    AUTO_JOBS,
-    mine_farmer_parallel,
-    mine_topk_parallel,
-    pool_stats,
-    results_equal,
-)
+from .parallel import AUTO_JOBS, mine_farmer_parallel, pool_stats, results_equal
 
 __all__ = [
     "Workload",
@@ -72,7 +69,8 @@ class Workload:
     fixed scale regardless of the CLI ``--scale`` so its committed
     baseline entry stays comparable.  ``measure_parallel`` turns off
     the worker-pool columns (process pools on the tall cohorts would
-    double the runtime to measure an orthogonal axis).
+    double the runtime to measure an orthogonal axis).  A ``topk``
+    workload has no pool path and must turn them off.
     """
 
     name: str
@@ -85,17 +83,28 @@ class Workload:
     scale: Optional[float] = None
     measure_parallel: bool = True
 
+    def __post_init__(self) -> None:
+        if self.miner == "topk" and self.measure_parallel:
+            raise ValueError(
+                f"{self.name}: a direct top-k mine runs in one process; "
+                "set measure_parallel=False"
+            )
+
 
 # The full profile mirrors the Figure 6 series: MineTopkRGS at small and
 # large k on the prefix tree, the bitset engine the classifiers use, and
 # the FARMER baseline on its faithful projected-table engine.  The tall
 # workloads time top-k and FARMER mining on multi-word bitsets.
 DEFAULT_WORKLOADS = (
-    Workload("all-topk-tree-k1", "ALL", "topk", "tree", k=1),
-    Workload("all-topk-tree-k100", "ALL", "topk", "tree", k=100),
-    Workload("all-topk-bitset-k10", "ALL", "topk", "bitset", k=10),
+    Workload("all-topk-tree-k1", "ALL", "topk", "tree", k=1,
+             measure_parallel=False),
+    Workload("all-topk-tree-k100", "ALL", "topk", "tree", k=100,
+             measure_parallel=False),
+    Workload("all-topk-bitset-k10", "ALL", "topk", "bitset", k=10,
+             measure_parallel=False),
     Workload("all-farmer-table", "ALL", "farmer", "table"),
-    Workload("pc-topk-tree-k1", "PC", "topk", "tree", k=1),
+    Workload("pc-topk-tree-k1", "PC", "topk", "tree", k=1,
+             measure_parallel=False),
     Workload("pc-farmer-table", "PC", "farmer", "table"),
     Workload("tall-512-topk-bitset-k2", "tall-1k", "topk", "bitset",
              k=2, fraction=0.7, scale=0.5, measure_parallel=False),
@@ -119,8 +128,10 @@ DEFAULT_WORKLOADS = (
 # exercised on every CI run (small enough for seconds-long smoke, so it
 # gates regressions).
 QUICK_WORKLOADS = (
-    Workload("quick-topk-bitset-k5", "ALL", "topk", "bitset", k=5),
-    Workload("quick-topk-tree-k100", "ALL", "topk", "tree", k=100),
+    Workload("quick-topk-bitset-k5", "ALL", "topk", "bitset", k=5,
+             measure_parallel=False),
+    Workload("quick-topk-tree-k100", "ALL", "topk", "tree", k=100,
+             measure_parallel=False),
     Workload("quick-tall-topk-bitset-k2", "tall-1k", "topk", "bitset",
              k=2, fraction=0.7, scale=0.125, measure_parallel=False),
     Workload("quick-tall-hybrid-bitset-k2", "tall-1k", "hybrid", "bitset",
@@ -225,10 +236,6 @@ def _measure(
         serial_fn = lambda: mine_topk(
             train, 1, minsup, k=workload.k, engine=workload.engine
         )
-        parallel_fn = lambda n: mine_topk_parallel(
-            train, 1, minsup, k=workload.k, engine=workload.engine, n_jobs=n
-        )
-        identical = results_equal
     elif workload.miner == "hybrid":
         serial_fn = lambda: mine_topk_hybrid(
             train, 1, minsup, k=workload.k, engine=workload.engine

@@ -90,10 +90,11 @@ class RCBTClassifier(RuleBasedClassifier):
             False falls back to first-match within each level, the
             ablation of Section 6.2's "collective decision" factor.
         n_jobs: worker processes for the mining step; 1 mines each class
-            serially, any other value pools every class's enumeration
-            shards into one process pool via
-            :func:`repro.parallel.mine_topk_sharded` (``None``/0 = all
-            cores).  The fitted model is identical either way.
+            serially, any other value mines each class as one whole
+            unit on the process pool via
+            :func:`repro.parallel.mine_topk_requests` (``None``/0 = all
+            cores, ``"auto"`` = planner decides).  The fitted model and
+            every class's mining ``stats`` are identical either way.
     """
 
     def __init__(
@@ -132,9 +133,10 @@ class RCBTClassifier(RuleBasedClassifier):
         self._class_counts = train.class_counts()
         self.topk_results_ = {}
         if self.n_jobs != 1:
-            # Pool every class's enumeration shards into one executor so
-            # workers stay busy even when class trees differ in size.
-            from ..parallel import MineRequest, mine_topk_sharded
+            # One whole mine per class: classes are independent units,
+            # while one class's tree cannot be split without losing its
+            # dynamic thresholds (DESIGN.md §7).
+            from ..parallel import MineRequest, mine_topk_requests
 
             requests = [
                 MineRequest(
@@ -147,10 +149,9 @@ class RCBTClassifier(RuleBasedClassifier):
                 )
                 for class_id in range(train.n_classes)
             ]
-            for class_id, result in enumerate(
-                mine_topk_sharded(train, requests, n_jobs=self.n_jobs)
-            ):
-                self.topk_results_[class_id] = result
+            self.topk_results_ = dict(enumerate(
+                mine_topk_requests(train, requests, n_jobs=self.n_jobs)
+            ))
         else:
             for class_id in range(train.n_classes):
                 minsup = relative_minsup(train, class_id, self.minsup_fraction)

@@ -125,34 +125,29 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     if args.fault:
         # Fault-injection debug hook: exercise the crash-recovery
         # supervisor of repro.parallel against a real dataset from the
-        # shell (e.g. --jobs 2 --fault kill@0.0).  Needs the parallel
-        # path — the serial miner has no workers to lose.
-        if args.jobs == 1:
-            print("--fault requires --jobs != 1 (serial mining has no "
-                  "workers to fault)", file=sys.stderr)
-            return 2
-        from .core.hybrid import plan_auto_strategy
+        # shell (e.g. --strategy hybrid --jobs 2 --fault kill@0.0).  Only
+        # a hybrid mine's partitions run on workers; a direct mine is one
+        # enumeration in this process, with no workers to lose.
+        from .core.hybrid import mine_topk_hybrid, plan_auto_strategy
         from .parallel import FaultPlan
 
-        plan = FaultPlan.parse(args.fault)
         strategy = args.strategy
         if strategy == "auto":
             strategy = plan_auto_strategy(dataset.n_rows)
-        if strategy == "hybrid":
-            from .core.hybrid import mine_topk_hybrid
-
-            result = mine_topk_hybrid(
-                dataset, args.consequent, minsup, k=args.k,
-                engine=args.engine, n_jobs=args.jobs, fault=plan,
-                spill_dir=args.spill_dir,
-            )
-        else:
-            from .parallel import mine_topk_parallel
-
-            result = mine_topk_parallel(
-                dataset, args.consequent, minsup, k=args.k,
-                engine=args.engine, n_jobs=args.jobs, fault=plan,
-            )
+        if strategy != "hybrid" or args.jobs == 1:
+            print("--fault needs workers to fault: use --strategy hybrid "
+                  "with --jobs != 1 (a direct mine runs in one process)",
+                  file=sys.stderr)
+            return 2
+        try:
+            plan = FaultPlan.parse(args.fault)
+        except ValueError as error:
+            print(f"--fault: {error}", file=sys.stderr)
+            return 2
+        result = mine_topk_hybrid(
+            dataset, args.consequent, minsup, k=args.k, engine=args.engine,
+            n_jobs=args.jobs, fault=plan, spill_dir=args.spill_dir,
+        )
     else:
         result = mine_topk(
             dataset, args.consequent, minsup, k=args.k, engine=args.engine,
@@ -420,9 +415,10 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--engine", choices=("bitset", "table", "tree"),
                       default="bitset")
     mine.add_argument("--jobs", type=_jobs_arg, default=1,
-                      help="worker processes for the mine (0 = all cores, "
-                           "'auto' = let the planner decide; output is "
-                           "identical to serial)")
+                      help="worker processes for a hybrid mine's "
+                           "partitions (0 = all cores, 'auto' = let the "
+                           "planner decide; output is identical to "
+                           "serial); a direct mine runs in one process")
     mine.add_argument("--strategy", choices=("direct", "hybrid", "auto"),
                       default="direct",
                       help="direct enumerates the whole dataset in one "
@@ -438,9 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
                            "created and removed on exit)")
     mine.add_argument("--fault", metavar="PLAN", default=None,
                       help="inject worker faults for recovery testing, "
-                           "e.g. 'kill@0.0' (mode@shard.attempt[:seconds]; "
-                           "modes kill/raise/hang/delay; requires --jobs "
-                           "!= 1)")
+                           "e.g. 'kill@0.0' (mode@job.attempt[:seconds]; "
+                           "modes kill/raise/hang/delay; requires "
+                           "--strategy hybrid and --jobs != 1)")
     mine.set_defaults(handler=_cmd_mine)
 
     classify = commands.add_parser(
@@ -455,8 +451,9 @@ def build_parser() -> argparse.ArgumentParser:
     classify.add_argument("--kernel", choices=("linear", "poly"),
                           default="linear")
     classify.add_argument("--jobs", type=_jobs_arg, default=1,
-                          help="worker processes for rcbt rule mining "
-                               "(0 = all cores, 'auto' = planner decides)")
+                          help="worker processes for rcbt rule mining, "
+                               "one whole mine per class (0 = all cores, "
+                               "'auto' = planner decides)")
     classify.add_argument("--save", help="write the trained model (rcbt/cba) "
                                           "and its pipeline file here")
     classify.set_defaults(handler=_cmd_classify)
@@ -486,8 +483,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="mining job worker threads")
     serve.add_argument("--mine-jobs", type=_jobs_arg, default=1,
                        help="worker processes each mining job may use "
-                            "(cap for per-request n_jobs; 'auto' = "
-                            "planner decides per workload)")
+                            "for its hybrid partitions (cap for "
+                            "per-request n_jobs; 'auto' = planner decides "
+                            "per workload); a direct mine runs in its "
+                            "job thread")
     serve.add_argument("--store", default=None, metavar="DB",
                        help="durable SQLite job store: queued/running "
                             "mines survive restarts and identical "

@@ -9,7 +9,7 @@ so there is nothing to choose; DESIGN.md §12 records the measurements
 that retired the array-encoded alternatives.
 
 The ``backend=`` argument of ``mine_topk``, ``mine_topk_hybrid``,
-``mine_farmer`` and their parallel front ends stays for compatibility
+``mine_farmer`` and ``mine_farmer_parallel`` stays for compatibility
 and accepts ``None``, ``"int"`` or ``"auto"``; anything else raises
 ``ValueError``.  ``"auto"`` is resolved through
 :func:`plan_auto_backend` (which answers ``"int"`` for every input) and

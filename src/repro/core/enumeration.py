@@ -58,9 +58,9 @@ __all__ = [
 ENGINES = ("bitset", "table", "tree")
 
 # Deadline/cancellation poll stride of the node budget, in enumeration
-# nodes.  Shared with the parallel workers of :mod:`repro.parallel` so a
+# nodes.  Shared with the pool workers of :mod:`repro.parallel` so a
 # cooperative stop lands within the same bounded number of nodes whether
-# a mine runs serially or sharded across processes.
+# a mine runs in this process or in a worker.
 POLL_STRIDE = 64
 
 
@@ -122,7 +122,7 @@ class MinerStats:
     engine: str = "bitset"
     completed: bool = True
     # True when a parallel mine lost workers and fell back to serial
-    # in-process execution for some shards (repro.parallel); the result
+    # in-process execution for some jobs (repro.parallel); the result
     # itself is still bit-identical to a healthy run.
     degraded: bool = False
 
@@ -209,7 +209,7 @@ def run_enumeration(
             Skipped roots are not charged to the node budget.  Deeper
             levels are never filtered, so mining every first row exactly
             once across several calls partitions the full tree — the
-            sharding contract of :mod:`repro.parallel`.
+            FARMER row-shard contract of :mod:`repro.parallel`.
 
     Returns:
         The :class:`MinerStats` of the completed run.  On budget overrun

@@ -24,9 +24,9 @@ This module implements that sketch as the production tall path:
    techniques" route).
 2. **Row phase** — ordinary MineTopkRGS row enumeration inside each
    partition, serial in anchor order or fanned out over the warm
-   :class:`~repro.parallel.MinerPool` (partitions are independent,
-   exactly the sharding shape the pool already supervises: worker
-   crashes are retried, budget/cancel ride the shared slot array).
+   :class:`~repro.parallel.MinerPool` (partitions are independent
+   units, which the pool supervises: worker crashes are retried,
+   budget/cancel ride the shared slot array).
 3. **Aggregation** — each discovered group is attributed to the
    partition of its closure's *smallest* item (so every group is
    produced exactly once) and offered into global per-row top-k lists.

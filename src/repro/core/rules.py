@@ -168,8 +168,8 @@ class TopKList:
     row space) and ``group.row_set`` otherwise.  The key is a total order
     over distinct groups, so the surviving members of a boundary tie
     class depend only on the offered population — never on arrival
-    order.  That is what lets the serial, sharded-parallel, and hybrid
-    partitioned miners all converge to bit-identical lists.
+    order.  That is what lets the direct and the hybrid partitioned
+    miners converge to bit-identical lists.
 
     ``offer`` is the hottest policy operation of the whole miner (every
     emitted group is offered to every consequent-class row it covers), so

@@ -72,7 +72,7 @@ class _CanonicalRowKey:
     space, whose order is an engine heuristic (class-dominant, ascending
     row length) — not monotone in row id.  Translating the tie-break key
     to original row space makes the order agree with every consumer that
-    compares finalized results (shard merging, hybrid aggregation).  One
+    compares finalized results (hybrid aggregation).  One
     instance is shared by all of a policy's lists so each distinct group
     is translated once.
     """
@@ -434,20 +434,13 @@ def mine_topk(
         cancel: optional cancellation token (anything with ``is_set()``);
             when set mid-run the lists discovered so far are returned with
             ``stats.completed`` False, exactly like a budget overrun.
-
-    Setting the ``REPRO_CHECK`` environment variable (to anything but
-    ``0``/empty) audits every returned result against the invariant
-    catalog of :mod:`repro.audit.invariants` before it is handed back,
-    raising :class:`~repro.audit.invariants.InvariantViolation` on the
-    first violated property.  The parallel path is checked after the
-    shard merge (see :func:`repro.parallel.mine_topk_sharded`).
-        n_jobs: worker processes; 1 mines serially in this process, any
-            other value dispatches to :mod:`repro.parallel` (``None``/0 =
-            all cores, ``"auto"`` lets the execution planner pick serial
-            or parallel from the view's estimated work and the host's
-            core count).  The output is bit-identical either way; with
-            workers, ``node_budget`` applies per shard and ``stats`` node
-            counters are summed across shards (see DESIGN.md §7, §9).
+        n_jobs: caps the worker processes of a hybrid mine's independent
+            partitions (``None``/0 = all cores, ``"auto"`` lets the
+            execution planner pick serial or parallel from the estimated
+            work and the host's core count).  A direct mine is one
+            enumeration whose dynamic thresholds cannot be split, so it
+            always runs in this process and ignores ``n_jobs``
+            (DESIGN.md §7).  The output is bit-identical either way.
         backend: ``None``, ``"int"`` or ``"auto"``; all three mine on
             plain ``int`` bitsets (see :mod:`repro.core.backends`), and
             any other value raises ``ValueError``.
@@ -460,6 +453,12 @@ def mine_topk(
             files; mining runs in a private subdirectory removed on exit.
         max_resident_cells: hybrid only — resident-cell budget for the
             streaming partition builder (requires ``spill_dir``).
+
+    Setting the ``REPRO_CHECK`` environment variable (to anything but
+    ``0``/empty) audits every returned result against the invariant
+    catalog of :mod:`repro.audit.invariants` before it is handed back,
+    raising :class:`~repro.audit.invariants.InvariantViolation` on the
+    first violated property.
 
     Returns:
         A :class:`TopkResult` with per-row lists and run statistics.  When
@@ -504,23 +503,6 @@ def mine_topk(
         # land on direct; an explicit direct mine with one is a mistake.
         raise ValueError("spill_dir/max_resident_cells require strategy='hybrid'")
     resolve_backend(backend, n_rows=dataset.n_rows)
-    if n_jobs != 1:
-        from ..parallel import mine_topk_parallel
-
-        return mine_topk_parallel(
-            dataset,
-            consequent,
-            minsup,
-            k=k,
-            engine=engine,
-            initialize_single_items=initialize_single_items,
-            dynamic_minsup=dynamic_minsup,
-            use_topk_pruning=use_topk_pruning,
-            node_budget=node_budget,
-            time_budget=time_budget,
-            cancel=cancel,
-            n_jobs=n_jobs,
-        )
     view = MiningView.cached(dataset, consequent, minsup)
     policy = TopkPolicy(
         view,

@@ -67,7 +67,7 @@ class MiningView:
 
         Views (and the :class:`SupportIndex` each one lazily grows) are
         pure functions of their arguments, so every miner entry point —
-        serial, sharded, merge, pool worker — can share one instance per
+        direct, hybrid, pool worker — can share one instance per
         live dataset object.  The cache is weak-keyed on the dataset:
         entries disappear when the dataset is garbage collected.
         """

@@ -1,65 +1,58 @@
-"""Process-pool mining backend: first-level sharding of the enumeration tree.
+"""Process-pool mining over independent units.
 
-The row enumeration tree of Figure 2 is embarrassingly partitionable at
-its first level: every node lies in exactly one first-row subtree, and
-backward pruning guarantees each closed group is emitted only in the
-subtree of its smallest row.  This module exploits that invariant:
+MineTopkRGS prunes with *dynamic* thresholds (Section 3, Eq. 1-2):
+every group it finds can tighten the per-row bounds that prune the rest
+of the Figure 2 row enumeration tree.  A row shard of that tree cannot
+see what the other shards have found, so row-sharded top-k visits more
+nodes than the serial walk and loses to it (DESIGN.md §7).  One top-k
+enumeration therefore always runs in one process, and this module
+parallelises only units that share nothing:
 
-* :func:`plan_shards` splits the first enumeration level into position
-  bitsets (singleton shards for the large early subtrees, contiguous
-  chunks for the long tail) that together cover every root exactly once;
-* each shard is mined in a worker process by a full
-  :class:`~repro.core.topk_miner.TopkPolicy` (or
-  :class:`~repro.baselines.farmer.FarmerPolicy`) restricted with
-  ``run_enumeration(..., first_rows=shard)``;
-* the per-shard results are merged in ascending shard order, which
-  reproduces the serial result *exactly* (bit-identical rule groups,
-  per-row lists and ordering) — the correctness argument is spelled out
-  in DESIGN.md §7.
-
-Why per-shard mining is conservative: a shard's :class:`TopkPolicy` is
-seeded from the same single-item ``TopKList`` initialization as the
-serial run, and its dynamic thresholds afterwards reflect only emissions
-from its own subtrees — a *subset* of what the serial run has seen by
-the corresponding node.  Offers only ever tighten thresholds, so every
-shard prunes at most what the serial run prunes and emits a superset of
-the serial emissions from its subtrees.  The final merge (offering each
-shard's list entries in ascending shard order into fresh seeded lists)
-then discards exactly the extras.
+* **FARMER row shards** (:func:`mine_farmer_parallel`).  FARMER's
+  thresholds are static, so :func:`plan_shards` splits the first
+  enumeration level into position bitsets (singleton shards for the
+  large early subtrees, contiguous chunks for the long tail), each is
+  mined with ``run_enumeration(..., first_rows=shard)``, and the shard
+  outputs concatenate in ascending shard order into exactly the serial
+  emission order;
+* **hybrid partitions** (:func:`run_hybrid_partitions`): the column
+  partitions of :mod:`repro.core.hybrid` are whole, independent mines;
+* **whole top-k mines, one per request** (:func:`mine_topk_requests`):
+  RCBT's per-class fit mines each class as one unit.  The worker calls
+  :func:`~repro.core.topk_miner.mine_topk` itself, so nothing is merged
+  and every result, ``stats`` included, is the serial one.
 
 Execution goes through a persistent :class:`MinerPool` (DESIGN.md §9):
 worker processes are started once and kept warm across mining calls, so
-repeated mines — RCBT's per-class requests, service ``/mine`` jobs, the
-bench harness — pay the fork/spawn tax once instead of per call.
-Datasets ship with each task as a pickled blob tagged by an identity
-token; workers cache the last few decoded datasets by token, so every
-shard (and every later request over the same dataset) after the first
-decodes nothing and reuses the worker-side memoized
-:meth:`~repro.core.view.MiningView.cached` views.
+repeated mines — RCBT's per-class requests, the bench harness — pay the
+fork/spawn tax once instead of per call.  Datasets ship with each task
+as a pickled blob tagged by an identity token; workers cache the last
+few decoded datasets by token, so every job (and every later request
+over the same dataset) after the first decodes nothing and reuses the
+worker-side memoized :meth:`~repro.core.view.MiningView.cached` views.
 
 ``n_jobs="auto"`` asks the adaptive planner to choose between serial and
 parallel execution: it estimates the enumeration work from the view's
-:class:`~repro.core.view.SupportIndex` (already built for the serial
-single-item initialization) and falls back to serial below a calibrated
-threshold where warm-pool dispatch plus the merge would eat the speedup.
+:class:`~repro.core.view.SupportIndex` and falls back to serial below a
+calibrated threshold where warm-pool dispatch would eat the speedup.
 
-Deviation: ``node_budget`` is applied per shard rather than globally (a
-shared atomic counter would serialize the workers); ``time_budget`` and
-``cancel`` are global, bridged into the workers through a slot of a
-shared flag array polled on the same
+Deviation: FARMER's ``node_budget`` is applied per shard rather than
+globally (a shared atomic counter would serialize the workers);
+``time_budget`` and ``cancel`` are global, bridged into the workers
+through a slot of a shared flag array polled on the same
 :data:`~repro.core.enumeration.POLL_STRIDE` node stride as the serial
 budget checks.
 
 Fault tolerance (DESIGN.md §10): worker death — an OOM kill, a segfault,
 a container runtime reaping a process — is a retried, observable event,
-not a request-killing one.  :func:`_execute` supervises shard futures as
+not a request-killing one.  :func:`_execute` supervises job futures as
 they complete; when the process pool breaks it heals the pool through
 the generation-replacement machinery of :class:`MinerPool` and resubmits
-only the failed shards, with capped attempts and exponential backoff,
-before degrading losslessly to serial in-process execution (the merge is
-bit-identical regardless of where shards ran).  Every recovery path is
+only the failed jobs, with capped attempts and exponential backoff,
+before degrading losslessly to serial in-process execution (the output
+is bit-identical regardless of where a job ran).  Every recovery path is
 exercised deterministically through :class:`FaultPlan`, which can kill,
-hang, delay, or raise inside a chosen shard on a chosen attempt — either
+hang, delay, or raise inside a chosen job on a chosen attempt — either
 passed explicitly or via the ``REPRO_FAULT`` environment variable for
 subprocess tests.
 """
@@ -68,6 +61,7 @@ from __future__ import annotations
 
 import atexit
 import itertools
+import math
 import multiprocessing
 import os
 import pickle
@@ -77,13 +71,13 @@ import time
 import weakref
 from collections import OrderedDict
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from .baselines.farmer import FarmerPolicy, FarmerResult
 from .core.backends import resolve_backend
 from .core.enumeration import POLL_STRIDE, MinerStats, run_enumeration
-from .core.topk_miner import TopkPolicy, TopkResult, maybe_check_result
+from .core.topk_miner import TopkResult, mine_topk
 from .core.view import MiningView
 from .errors import MiningBudgetExceeded
 
@@ -108,8 +102,7 @@ __all__ = [
     "estimate_topk_work",
     "estimate_farmer_work",
     "merge_stats",
-    "mine_topk_sharded",
-    "mine_topk_parallel",
+    "mine_topk_requests",
     "mine_farmer_parallel",
     "run_hybrid_partitions",
     "parallel_map",
@@ -152,18 +145,21 @@ _WORKER_DATASET_CAP = 4
 
 # Planner thresholds, in abstract work units (see estimate_topk_work /
 # estimate_farmer_work).  Calibrated on the bench datasets: warm-pool
-# dispatch plus the ascending-order merge costs ~10-30 ms, so parallel
-# only pays off once the serial mine is well past ~0.1 s.  At the
-# calibration point the ALL-AML top-100 mine (~156k units) runs in
-# ~0.04 s serial (stay serial) while the PC FARMER mine (~350k units)
-# takes seconds (go parallel).
+# dispatch costs ~10-30 ms, so parallel only pays off once the serial
+# work is well past ~0.1 s.  At the calibration point the ALL-AML
+# top-100 mine (~156k units) runs in ~0.04 s serial (stay serial) while
+# the PC FARMER mine (~350k units) takes seconds (go parallel).
 _AUTO_TOPK_SERIAL_UNITS = 400_000
 _AUTO_FARMER_SERIAL_UNITS = 100_000
 
 
 @dataclass(frozen=True)
 class MineRequest:
-    """One MineTopkRGS mining job, shardable across workers."""
+    """One whole MineTopkRGS mine: a :func:`mine_topk_requests` unit.
+
+    The fields are :func:`~repro.core.topk_miner.mine_topk`'s keyword
+    arguments of the same names.
+    """
 
     consequent: int
     minsup: int
@@ -177,7 +173,7 @@ class MineRequest:
 
 @dataclass(frozen=True)
 class FarmerRequest:
-    """One FARMER mining job, shardable across workers."""
+    """One FARMER mining job, split into row shards across workers."""
 
     consequent: int
     minsup: int
@@ -205,14 +201,15 @@ FAULT_ANY = -1
 class Fault:
     """One injected fault: ``mode`` fires on ``(shard, attempt)``.
 
-    ``shard`` is the index of the shard job within one :func:`_execute`
-    call (for a single-request mine this is the :func:`plan_shards`
-    index); ``attempt`` is the supervisor's resubmission count for that
-    shard (0 = first run).  Either may be :data:`FAULT_ANY` to match
-    every shard / attempt.  ``seconds`` parameterizes ``delay`` and
-    ``hang`` (a ``hang`` with no ``seconds`` is capped at
-    :data:`_HANG_CAP_SECONDS` so a missing cancel token cannot deadlock
-    a test run).
+    ``shard`` is the index of the job within one :func:`_execute` call:
+    the :func:`plan_shards` index of a FARMER mine, the partition index
+    of a hybrid mine, or the request index of :func:`mine_topk_requests`.
+    ``attempt`` is the supervisor's resubmission count for that job
+    (0 = first run).  Either may be :data:`FAULT_ANY` to match every
+    job / attempt.  ``seconds`` parameterizes ``delay`` and ``hang`` and
+    must be finite and non-negative (a ``hang`` with no ``seconds`` is
+    capped at :data:`_HANG_CAP_SECONDS` so a missing cancel token cannot
+    deadlock a test run).
     """
 
     mode: str
@@ -225,6 +222,10 @@ class Fault:
             raise ValueError(
                 f"unknown fault mode {self.mode!r}; expected one of "
                 f"{_FAULT_MODES}"
+            )
+        if self.seconds is not None and not 0 <= self.seconds < math.inf:
+            raise ValueError(
+                f"fault seconds must be finite and >= 0, got {self.seconds}"
             )
 
     def matches(self, shard: int, attempt: int) -> bool:
@@ -241,10 +242,10 @@ class FaultPlan:
     ``mode@shard.attempt[:seconds]``, with ``*`` as a shard/attempt
     wildcard::
 
-        kill@0.0              crash the worker mining shard 0, attempt 0
+        kill@0.0              crash the worker mining job 0, attempt 0
         kill@0.0;kill@0.1     ...and again on its retry
-        hang@0.0:30           hang shard 0 for up to 30 s (or until cancel)
-        delay@*.0:0.5         delay every first-attempt shard by 0.5 s
+        hang@0.0:30           hang job 0 for up to 30 s (or until cancel)
+        delay@*.0:0.5         delay every first-attempt job by 0.5 s
 
     Faults are applied only inside pool worker processes — the parent's
     serial fallback ignores the plan, so a ``kill`` can never take down
@@ -359,9 +360,8 @@ def merge_stats(shard_stats: Sequence[MinerStats], engine: str) -> MinerStats:
 
     Node/prune/emit counters sum; ``elapsed_seconds`` is the maximum
     (shards overlap in wall-clock time); ``completed`` is the conjunction.
-    Note the summed ``nodes_visited`` of a dynamic-threshold top-k run is
-    >= the serial count: each shard starts from the seeded thresholds and
-    never benefits from groups found in other shards (DESIGN.md §7).
+    FARMER's thresholds are static, so the summed counters are exactly
+    the serial ones.
     """
     total = MinerStats(engine=engine)
     for stats in shard_stats:
@@ -457,10 +457,10 @@ def _apply_fault(fault: Fault, cancel) -> None:
 def _run_shard(kind: str, request, shard_mask: int, token: str, blob: bytes,
                slot: int, shard_index: int = 0, attempt: int = 0,
                fault: Optional[FaultPlan] = None):
-    """Worker entry point: mine one shard; returns (payload, stats).
+    """Worker entry point: mine one job; returns (payload, stats).
 
     The dataset arrives as ``(token, blob)``: the blob is decoded at most
-    once per worker and token, so every shard after the first reuses the
+    once per worker and token, so every job after the first reuses the
     cached dataset and — through ``MiningView.cached`` — the memoized
     view and its ``SupportIndex`` root-level results.
 
@@ -485,21 +485,23 @@ def _run_shard(kind: str, request, shard_mask: int, token: str, blob: bytes,
 
 def _mine_shard(kind: str, request, shard_mask: int, dataset, cancel,
                 time_budget: Optional[float] = None):
-    """Mine one shard of ``dataset``; returns (payload, stats).
-
-    ``payload`` is a list of per-position group lists for top-k requests
-    and a flat group list for FARMER requests.  Groups stay in position
-    space — the parent translates to row ids once, after merging.
+    """Mine one job over ``dataset``; returns (payload, stats).
 
     Shared by the worker entry (:func:`_run_shard`, cancel = slot token)
     and the parent's serial fallback (caller's token polled directly,
-    remaining global deadline passed as ``time_budget``).
+    remaining global deadline passed as ``time_budget``).  Three kinds:
 
-    The ``"hybrid"`` kind mines one column partition of a hybrid run:
-    ``request`` is a :class:`~repro.core.hybrid.HybridPartitionRequest`
-    carrying its own rows (or spill file), ``dataset`` is the shared
-    :class:`~repro.core.hybrid.PartitionCatalog`, and ``shard_mask`` is
-    unused — a partition is a whole dataset, not a row shard.
+    * ``"farmer"`` mines the row shard ``shard_mask`` of a
+      :class:`FarmerRequest`; ``payload`` is its flat group list, still
+      in position space — the parent translates once, after merging;
+    * ``"topk"`` mines a whole :class:`MineRequest` (``shard_mask`` is
+      unused); ``payload`` is the finished
+      :class:`~repro.core.topk_miner.TopkResult`;
+    * ``"hybrid"`` mines one column partition of a hybrid run:
+      ``request`` is a :class:`~repro.core.hybrid.HybridPartitionRequest`
+      carrying its own rows (or spill file), ``dataset`` is the shared
+      :class:`~repro.core.hybrid.PartitionCatalog`, and ``shard_mask``
+      is unused.
     """
     if kind == "hybrid":
         from .core.hybrid import mine_hybrid_partition
@@ -507,22 +509,17 @@ def _mine_shard(kind: str, request, shard_mask: int, dataset, cancel,
         return mine_hybrid_partition(
             request, dataset, cancel=cancel, time_budget=time_budget
         )
-    view = MiningView.cached(dataset, request.consequent, request.minsup)
     if kind == "topk":
-        policy = TopkPolicy(
-            view,
-            request.k,
-            initialize_single_items=request.initialize_single_items,
-            dynamic_minsup=request.dynamic_minsup,
-            use_topk_pruning=request.use_topk_pruning,
-        )
-    else:
-        policy = FarmerPolicy(
-            view,
-            minconf=request.minconf,
-            max_groups=request.max_groups,
-            min_chi_square=request.min_chi_square,
-        )
+        result = mine_topk(dataset, **asdict(request),
+                           time_budget=time_budget, cancel=cancel)
+        return result, result.stats
+    view = MiningView.cached(dataset, request.consequent, request.minsup)
+    policy = FarmerPolicy(
+        view,
+        minconf=request.minconf,
+        max_groups=request.max_groups,
+        min_chi_square=request.min_chi_square,
+    )
     try:
         stats = run_enumeration(
             view,
@@ -535,8 +532,6 @@ def _mine_shard(kind: str, request, shard_mask: int, dataset, cancel,
         )
     except MiningBudgetExceeded as overrun:
         stats = overrun.stats
-    if kind == "topk":
-        return [list(topk.groups) for topk in policy.lists], stats
     return list(policy.groups), stats
 
 
@@ -853,11 +848,11 @@ def _is_worker_loss(error: BaseException) -> bool:
 
 def _run_shard_inline(kind: str, request, shard_mask: int, dataset, cancel,
                       deadline: Optional[float]):
-    """Serial in-process execution of one shard (the degradation path).
+    """Serial in-process execution of one job (the degradation path).
 
     The caller's cancel token is polled directly by the enumeration
     budget checks — no slot, no watcher thread — and the remaining
-    global deadline becomes this shard's ``time_budget``.  Fault plans
+    global deadline becomes this job's ``time_budget``.  Fault plans
     are deliberately not consulted: an injected ``kill`` must never take
     down the calling process.
     """
@@ -943,11 +938,11 @@ def _execute(
     cooperatively and return their partial results with
     ``stats.completed`` False.
 
-    Crash recovery: shards whose worker died are resubmitted on a healed
+    Crash recovery: jobs whose worker died are resubmitted on a healed
     pool with exponential backoff, up to ``max_attempts`` total pool
-    attempts each, then executed serially in this process — the merge
-    step downstream is agnostic to where a shard ran, so degradation is
-    lossless.  No ``BrokenProcessPool`` ever escapes to the caller.
+    attempts each, then executed serially in this process — a job's
+    output does not depend on where it ran, so degradation is lossless.
+    No ``BrokenProcessPool`` ever escapes to the caller.
     """
     recovery = {
         "shard_retries": 0,
@@ -1045,7 +1040,7 @@ def run_hybrid_partitions(
     :class:`~repro.core.hybrid.PartitionCatalog` (pickled once, like a
     dataset payload); each request carries its own partition rows.  The
     jobs are independent whole-dataset mines, so they ride the exact
-    supervision the row shards get: slot-bridged ``time_budget`` /
+    supervision FARMER's row shards get: slot-bridged ``time_budget`` /
     ``cancel``, crash retries on a healed pool, and lossless serial
     degradation past the retry cap.  Returns ``(outputs, recovery)`` in
     request order, each output ``(payload, stats)`` from
@@ -1063,68 +1058,33 @@ def run_hybrid_partitions(
     )
 
 
-def _merge_topk(
-    dataset: "DiscretizedDataset",
-    request: MineRequest,
-    shard_outputs: Sequence[tuple[list, MinerStats]],
-    degraded: bool = False,
-) -> TopkResult:
-    """Fold per-shard top-k lists into the exact serial result.
-
-    ``TopKList`` breaks confidence/support ties canonically by row set,
-    so the merge is order-independent: every shard's local top-k
-    contains the members of the global top-k it enumerated, and offering
-    their union reconstructs the serial lists exactly.
-    """
-    view = MiningView.cached(dataset, request.consequent, request.minsup)
-    policy = TopkPolicy(
-        view,
-        request.k,
-        initialize_single_items=request.initialize_single_items,
-        dynamic_minsup=False,
-        use_topk_pruning=request.use_topk_pruning,
-    )
-    for lists, _stats in shard_outputs:
-        for position, groups in enumerate(lists):
-            target = policy.lists[position]
-            for group in groups:
-                target.offer(group)
-    stats = merge_stats([stats for _lists, stats in shard_outputs], request.engine)
-    stats.degraded = stats.degraded or degraded
-    return TopkResult(
-        per_row=policy.finalize(),
-        consequent=request.consequent,
-        minsup=request.minsup,
-        k=request.k,
-        stats=stats,
-    )
-
-
-def mine_topk_sharded(
+def mine_topk_requests(
     dataset: "DiscretizedDataset",
     requests: Sequence[MineRequest],
-    n_jobs: Optional[int] = None,
+    n_jobs: "int | str | None" = None,
     time_budget: Optional[float] = None,
     cancel=None,
     fault: Optional[FaultPlan] = None,
 ) -> list[TopkResult]:
-    """Mine several top-k requests at once, pooling their shards.
+    """Mine several whole top-k requests, one pool job per request.
 
-    This is the engine behind per-class classifier parallelism: RCBT
-    needs one mine per class, and pooling all classes' shards into a
-    single executor keeps every worker busy even when one class's tree
-    is much larger than another's.
-
+    This is the engine behind RCBT's per-class parallelism: each class's
+    mine is an independent unit whose worker runs
+    :func:`~repro.core.topk_miner.mine_topk` itself, so every result is
+    the serial one — per-row lists and ``stats`` counters alike — and
+    nothing needs merging.  ``n_jobs`` caps the worker count;
     ``n_jobs="auto"`` lets the planner pick serial or all-cores from the
-    estimated total work of the batch (:func:`estimate_topk_work`).
+    estimated total work of the batch (:func:`estimate_topk_work`).  A
+    single request, or a single worker, runs in this process.
 
-    Returns one :class:`TopkResult` per request, in request order; each
-    is bit-identical to the corresponding serial :func:`mine_topk` call.
-    That equality holds even across worker crashes: lost shards are
-    retried on a healed pool and, past the retry cap, mined serially in
-    this process (``stats.degraded`` marks such runs).  ``fault`` is the
-    deterministic fault-injection hook used by the tests and the audit
-    oracle; it never applies to the serial paths.
+    Returns one :class:`TopkResult` per request, in request order.  That
+    holds even across worker crashes: lost requests are retried on a
+    healed pool and, past the retry cap, mined serially in this process
+    (``stats.degraded`` marks every result of such a call).
+    ``time_budget`` / ``cancel`` are global to the batch on the pool and
+    per request on the serial path.  ``fault`` is the deterministic
+    fault-injection hook used by the tests and the audit oracle; it
+    never applies to the serial paths.
     """
     if n_jobs == AUTO_JOBS:
         total_units = sum(
@@ -1137,82 +1097,21 @@ def mine_topk_sharded(
         n_workers = plan_auto_workers(total_units, _AUTO_TOPK_SERIAL_UNITS)
     else:
         n_workers = resolve_n_jobs(n_jobs)
-    if n_workers <= 1:
-        from .core.topk_miner import mine_topk
-
+    if n_workers <= 1 or len(requests) <= 1:
         return [
-            mine_topk(
-                dataset,
-                request.consequent,
-                request.minsup,
-                k=request.k,
-                engine=request.engine,
-                initialize_single_items=request.initialize_single_items,
-                dynamic_minsup=request.dynamic_minsup,
-                use_topk_pruning=request.use_topk_pruning,
-                node_budget=request.node_budget,
-                time_budget=time_budget,
-                cancel=cancel,
-            )
+            mine_topk(dataset, **asdict(request), time_budget=time_budget,
+                      cancel=cancel)
             for request in requests
         ]
-    jobs: list[tuple[str, object, int]] = []
-    spans: list[tuple[int, int]] = []
-    for request in requests:
-        view = MiningView.cached(dataset, request.consequent, request.minsup)
-        shards = plan_shards(view.n_rows, n_workers)
-        spans.append((len(jobs), len(jobs) + len(shards)))
-        jobs.extend(("topk", request, mask) for mask in shards)
+    jobs = [("topk", request, 0) for request in requests]
     outputs, recovery = _execute(
         dataset, jobs, n_workers, time_budget, cancel, fault=fault
     )
-    results = [
-        _merge_topk(dataset, request, outputs[start:stop],
-                    degraded=recovery["degraded"])
-        for request, (start, stop) in zip(requests, spans)
-    ]
-    # Under REPRO_CHECK=1 the merged results are audited exactly like
-    # serial ones (no-op otherwise); this is the parallel counterpart of
-    # the hook at the end of mine_topk.
-    for result in results:
-        maybe_check_result(dataset, result)
+    results = [result for result, _stats in outputs]
+    if recovery["degraded"]:
+        for result in results:
+            result.stats.degraded = True
     return results
-
-
-def mine_topk_parallel(
-    dataset: "DiscretizedDataset",
-    consequent: int,
-    minsup: int,
-    k: int = 1,
-    engine: str = "bitset",
-    initialize_single_items: bool = True,
-    dynamic_minsup: bool = True,
-    use_topk_pruning: bool = True,
-    node_budget: Optional[int] = None,
-    time_budget: Optional[float] = None,
-    cancel=None,
-    n_jobs: Optional[int] = None,
-    fault: Optional[FaultPlan] = None,
-    backend=None,
-) -> TopkResult:
-    """Parallel :func:`~repro.core.topk_miner.mine_topk` — same signature
-    plus ``n_jobs`` (``"auto"`` allowed) and the ``fault`` injection
-    hook, bit-identical output."""
-    resolve_backend(backend, n_rows=dataset.n_rows)
-    request = MineRequest(
-        consequent=consequent,
-        minsup=minsup,
-        k=k,
-        engine=engine,
-        initialize_single_items=initialize_single_items,
-        dynamic_minsup=dynamic_minsup,
-        use_topk_pruning=use_topk_pruning,
-        node_budget=node_budget,
-    )
-    return mine_topk_sharded(
-        dataset, [request], n_jobs=n_jobs, time_budget=time_budget,
-        cancel=cancel, fault=fault,
-    )[0]
 
 
 def mine_farmer_parallel(
@@ -1326,8 +1225,8 @@ def results_equal(a: TopkResult, b: TopkResult) -> bool:
 
     Compares the full per-row structure — row ids, list order, and every
     group's antecedent, consequent, row set, support and confidence.
-    Used by the bench harness and tests to assert the parallel backend
-    reproduces the serial result exactly.
+    Used by the bench harness, the audit and the tests to assert that
+    every execution path reproduces the serial result exactly.
     """
     if a.per_row.keys() != b.per_row.keys():
         return False

@@ -26,9 +26,10 @@ stdlib-``asyncio`` server that
   tears down — and :meth:`RuleService.shutdown` checkpoints the durable
   job store behind it.
 
-``/mine`` lands on the thread-pool job queue and the warm process pool
-of :mod:`repro.parallel` (via a small request executor), whose
-retry/heal/degrade semantics apply unchanged.  Blocking service calls
+``/mine`` lands on the thread-pool job queue (via a small request
+executor), and a hybrid mine's partitions on the warm process pool of
+:mod:`repro.parallel`, whose retry/heal/degrade semantics apply
+unchanged.  Blocking service calls
 run on that executor too; the event loop itself never computes.
 
 The embedding surface is ``start`` / ``stop`` / ``serve_forever`` /

@@ -14,14 +14,14 @@ already have:
   :func:`~repro.core.topk_miner.mine_topk` — bound each job regardless of
   client behaviour.
 
-The queue's worker *threads* dispatch and supervise jobs; the CPU-bound
-enumeration itself can run in worker *processes* when the service is
+The queue's worker *threads* dispatch and supervise jobs; a hybrid
+mine's partitions can run in worker *processes* when the service is
 configured with ``mine_jobs`` > 1 (see :class:`~repro.service.server.
 RuleService`), in which case a job thread blocks on the process pool of
 :mod:`repro.parallel` while other threads keep serving requests — the
-GIL is only held for dispatch and merging, not for mining.  Cooperative
-cancellation composes: the job's cancel event is bridged into the pool
-by a watcher thread.
+GIL is only held for dispatch and aggregation, not for mining.
+Cooperative cancellation composes: the job's cancel event is bridged
+into the pool by a watcher thread.
 
 Worker threads are deliberately *non-daemon*: :meth:`JobQueue.shutdown`
 must be able to prove a clean exit (the tests assert no non-daemon

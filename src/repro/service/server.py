@@ -155,12 +155,15 @@ class RuleService:
         cache_bytes: byte bound of the mining cache.
         mining_workers: worker threads of the mining job queue.
         mine_jobs: worker *processes* each mining job may use (the cap
-            for per-request ``n_jobs``).  1 keeps mining in the job
-            thread; more hands the enumeration to the warm process pool
-            of :mod:`repro.parallel`, so CPU-bound mining no longer
-            serializes behind the GIL; ``"auto"`` lets the adaptive
-            planner choose per workload.  Results are bit-identical
-            either way, so the mining cache key is unaffected.
+            for per-request ``n_jobs``).  Only a hybrid mine (``strategy``
+            ``hybrid``, or ``auto`` resolving to it) has independent
+            units to spread: more than 1 hands its partitions to the
+            warm process pool of :mod:`repro.parallel`, so they no
+            longer serialize behind the GIL; ``"auto"`` lets the
+            adaptive planner choose per workload.  A direct mine is one
+            enumeration and always runs in the job thread.  Results are
+            bit-identical either way, so the mining cache key is
+            unaffected.
         node_budget / time_budget: default per-job mining budgets
             (overridable per request).
         batch_rows / batch_delay: how many ``/classify`` rows the front

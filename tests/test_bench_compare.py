@@ -4,15 +4,19 @@ Pure-payload tests over :func:`repro.bench.compare_reports`: the gate
 must fail only on real serial regressions (ratio *and* absolute delta),
 skip workloads whose configuration changed, ignore the stale columns of
 older baselines, and never crash on a baseline from a different host.
-One harness test pins the rule that no parallel column is recorded for
-more workers than the host has cores.
+Two harness tests pin the rules that no parallel column is recorded for
+more workers than the host has cores, nor for a direct top-k mine.
 """
 
 from __future__ import annotations
 
 import os
 
+import pytest
+
 from repro.bench import (
+    DEFAULT_WORKLOADS,
+    QUICK_WORKLOADS,
     REGRESSION_FACTOR,
     REGRESSION_MIN_DELTA_SECONDS,
     BenchReport,
@@ -188,7 +192,7 @@ class TestParallelColumns:
         overhead, not parallelism: the harness records no column for it
         and says why in the summary."""
         cores = os.cpu_count() or 1
-        workload = Workload("honesty", "ALL", "topk", "bitset", k=1)
+        workload = Workload("honesty", "ALL", "farmer", "table")
         entry = _measure(workload, scale=0.05, jobs=(cores + 1,), repeats=1)
         assert entry["parallel"] == {}
         assert entry["auto"]["identical_output"] is True
@@ -200,4 +204,20 @@ class TestParallelColumns:
         assert any(
             f"no parallel column for [{cores + 1}] workers" in line
             for line in report.summary_lines()
+        )
+
+    def test_topk_workloads_record_the_serial_column_only(self):
+        """A direct top-k mine is one enumeration in one process: a
+        top-k workload has no parallel or planner column to record."""
+        with pytest.raises(ValueError, match="measure_parallel=False"):
+            Workload("sharded", "ALL", "topk", "bitset")
+        workload = Workload("serial", "ALL", "topk", "bitset", k=1,
+                            measure_parallel=False)
+        entry = _measure(workload, scale=0.05, jobs=(1,), repeats=1)
+        assert entry["parallel"] == {}
+        assert "auto" not in entry
+        assert all(
+            not w.measure_parallel
+            for w in (*DEFAULT_WORKLOADS, *QUICK_WORKLOADS)
+            if w.miner == "topk"
         )

@@ -80,13 +80,13 @@ class TestMine:
 
 
 class TestMineFaultStrategy:
-    """``mine --fault`` picks its path from the *resolved* strategy:
-    ``--strategy auto`` plans from the row count, as without --fault."""
+    """``mine --fault`` needs workers to fault.  Only a hybrid mine's
+    partitions run on workers; ``--strategy auto`` plans from the row
+    count, as without --fault, and a direct mine is refused."""
 
     @pytest.fixture
     def paths(self, tmp_path, monkeypatch):
         import repro.core.hybrid as hybrid
-        import repro.parallel as parallel
         from repro.core.topk_miner import mine_topk
         from repro.data import random_discretized_dataset
         from repro.data.loaders import save_discretized
@@ -105,21 +105,19 @@ class TestMineFaultStrategy:
                                  engine=engine)
             return mine
 
-        monkeypatch.setattr(parallel, "mine_topk_parallel",
-                            recorder("direct-parallel"))
         monkeypatch.setattr(hybrid, "mine_topk_hybrid", recorder("hybrid"))
         return items, taken
 
-    def test_auto_on_a_small_dataset_takes_the_direct_parallel_path(
-        self, paths, capsys
-    ):
+    @pytest.mark.parametrize("strategy", ("auto", "direct"))
+    def test_fault_on_a_direct_mine_exits_2(self, paths, capsys, strategy):
+        """A direct mine (explicit, or ``auto`` on a small dataset) is
+        one in-process enumeration with no workers to lose."""
         items, taken = paths
         code = main(["mine", str(items), "--minsup", "2", "--jobs", "2",
-                     "--strategy", "auto", "--fault", "kill@0.0"])
-        assert code == 0
-        assert [name for name, _fault in taken] == ["direct-parallel"]
-        assert taken[0][1] is not None  # the fault plan rode along
-        assert "covering rule groups" in capsys.readouterr().out
+                     "--strategy", strategy, "--fault", "kill@0.0"])
+        assert code == 2
+        assert taken == []
+        assert "--strategy hybrid" in capsys.readouterr().err
 
     def test_auto_follows_the_strategy_planner(self, paths, monkeypatch):
         import repro.core.hybrid as hybrid
@@ -131,6 +129,42 @@ class TestMineFaultStrategy:
                      "--strategy", "auto", "--fault", "kill@0.0"])
         assert code == 0
         assert [name for name, _fault in taken] == ["hybrid"]
+        assert taken[0][1] is not None  # the fault plan rode along
+
+    def test_hybrid_mine_needs_workers(self, paths, capsys):
+        items, taken = paths
+        code = main(["mine", str(items), "--minsup", "2", "--jobs", "1",
+                     "--strategy", "hybrid", "--fault", "kill@0.0"])
+        assert code == 2
+        assert taken == []
+
+    def test_bad_fault_plan_exits_2(self, paths, capsys):
+        items, taken = paths
+        code = main(["mine", str(items), "--minsup", "2", "--jobs", "2",
+                     "--strategy", "hybrid", "--fault", "delay@0.0:-1"])
+        assert code == 2
+        assert taken == []
+        assert "finite and >= 0" in capsys.readouterr().err
+
+
+class TestMineFaultRecovery:
+    def test_hybrid_mine_survives_a_killed_worker(self, tmp_path, capsys):
+        """The README recipe: a hybrid mine whose partition-0 worker is
+        killed prints exactly what the fault-free mine prints."""
+        from repro.data import random_discretized_dataset
+        from repro.data.loaders import save_discretized
+
+        items = tmp_path / "items.json"
+        save_discretized(
+            random_discretized_dataset(n_rows=20, n_items=12, seed=5), items
+        )
+        argv = ["mine", str(items), "--minsup", "2", "--k", "2",
+                "--strategy", "hybrid", "--jobs", "2"]
+        assert main(argv) == 0
+        clean = capsys.readouterr().out
+        assert main([*argv, "--fault", "kill@0.0"]) == 0
+        assert capsys.readouterr().out == clean
+        assert "covering rule groups" in clean
 
 
 class TestClassify:

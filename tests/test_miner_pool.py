@@ -6,7 +6,8 @@ These tests pin the lifecycle contract (reuse counters, grow-replaces,
 close-then-restart, cancellation-slot leasing) and the planner contract
 (``n_jobs="auto"`` resolves to serial below the work threshold or on a
 single-core host, to all cores otherwise — and changes nothing about the
-mined output either way).
+mined output either way).  Pool mines here are whole top-k mines, one
+per request (:func:`repro.parallel.mine_topk_requests`).
 
 Pool tests use private :class:`MinerPool` instances so the process-wide
 default pool's state (warmed by other test modules) never leaks in;
@@ -26,12 +27,14 @@ import repro.parallel as parallel_mod
 from repro.core.topk_miner import mine_topk
 from repro.parallel import (
     AUTO_JOBS,
+    MineRequest,
     MinerPool,
     _AUTO_TOPK_SERIAL_UNITS,
     _POOL_CANCEL_SLOTS,
     estimate_farmer_work,
     estimate_topk_work,
     get_pool,
+    mine_topk_requests,
     plan_auto_workers,
     pool_stats,
     results_equal,
@@ -202,49 +205,61 @@ class TestAdaptivePlanner:
             serial = mine_topk(small_random, consequent, 2, k=4)
             auto = mine_topk(small_random, consequent, 2, k=4, n_jobs=AUTO_JOBS)
             assert results_equal(serial, auto)
+            assert auto.stats.nodes_visited == serial.stats.nodes_visited
 
     def test_auto_small_workload_counts_fallback(self, small_random):
-        """A tiny mine is far below _AUTO_TOPK_SERIAL_UNITS, so the
-        planner must pick serial and count the decision."""
+        """A tiny batch is far below _AUTO_TOPK_SERIAL_UNITS, so the
+        planner must pick serial and count the decision once."""
         view = MiningView.cached(small_random, 0, 2)
-        assert estimate_topk_work(view, 4) < _AUTO_TOPK_SERIAL_UNITS
+        assert 2 * estimate_topk_work(view, 4) < _AUTO_TOPK_SERIAL_UNITS
         before = pool_stats()["planner_serial_fallbacks"]
-        mine_topk(small_random, 0, 2, k=4, n_jobs=AUTO_JOBS)
+        mine_topk_requests(small_random, _requests(), n_jobs=AUTO_JOBS)
         assert pool_stats()["planner_serial_fallbacks"] == before + 1
 
     def test_auto_forced_parallel_matches_serial(self, small_random,
                                                  monkeypatch):
         """Force the planner into the parallel branch (cores=2, zero
         threshold) and check the warm-pool path still reproduces the
-        serial result exactly."""
+        serial results exactly."""
         monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(parallel_mod, "_AUTO_TOPK_SERIAL_UNITS", 0)
-        serial = mine_topk(small_random, 0, 2, k=4)
-        auto = mine_topk(small_random, 0, 2, k=4, n_jobs=AUTO_JOBS)
-        assert results_equal(serial, auto)
+        before = pool_stats()["planner_serial_fallbacks"]
+        auto = mine_topk_requests(small_random, _requests(), n_jobs=AUTO_JOBS)
+        assert pool_stats()["planner_serial_fallbacks"] == before
+        _assert_serial(small_random, auto)
+
+
+def _requests():
+    return [MineRequest(consequent=c, minsup=2, k=4) for c in (0, 1)]
+
+
+def _assert_serial(dataset, results):
+    for request, result in zip(_requests(), results, strict=True):
+        serial = mine_topk(dataset, request.consequent, request.minsup,
+                           k=request.k)
+        assert results_equal(serial, result)
+        assert result.stats.nodes_visited == serial.stats.nodes_visited
 
 
 class TestWarmPoolMining:
     def test_pool_reuse_across_mines(self, small_random):
-        """Two parallel mines: the second rides the warm workers."""
+        """Two pool mines: the second rides the warm workers."""
         pool = get_pool()
-        serial = mine_topk(small_random, 0, 2, k=4)
-        first = mine_topk(small_random, 0, 2, k=4, n_jobs=2)
+        first = mine_topk_requests(small_random, _requests(), n_jobs=2)
         started_after_first = pool.started
         reuses_after_first = pool.reuses
         assert started_after_first >= 1
-        second = mine_topk(small_random, 0, 2, k=4, n_jobs=2)
+        second = mine_topk_requests(small_random, _requests(), n_jobs=2)
         assert pool.started == started_after_first  # no new executor
         assert pool.reuses > reuses_after_first
-        assert results_equal(serial, first)
-        assert results_equal(serial, second)
+        _assert_serial(small_random, first)
+        _assert_serial(small_random, second)
 
     def test_mine_after_shutdown_restarts(self, small_random):
         pool = get_pool()
-        mine_topk(small_random, 0, 2, k=4, n_jobs=2)
+        mine_topk_requests(small_random, _requests(), n_jobs=2)
         pool.close()
         started_before = pool.started
-        serial = mine_topk(small_random, 0, 2, k=4)
-        revived = mine_topk(small_random, 0, 2, k=4, n_jobs=2)
+        revived = mine_topk_requests(small_random, _requests(), n_jobs=2)
         assert pool.started == started_before + 1
-        assert results_equal(serial, revived)
+        _assert_serial(small_random, revived)

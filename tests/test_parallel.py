@@ -1,10 +1,11 @@
-"""The process-pool backend must reproduce serial mining bit for bit.
+"""Every parallel path must reproduce serial mining bit for bit.
 
-The sharding invariant (DESIGN.md §7): first-level subtrees partition
-the enumeration tree, per-shard thresholds seeded from the single-item
-initialization are conservative, and a merge in ascending shard order
-restores the exact serial result — rule groups, per-row list order, and
-(for static-threshold configurations) the stats counters too.
+One top-k enumeration always runs in one process (DESIGN.md §7): its
+dynamic thresholds cannot be split across row shards.  What runs on the
+process pool are independent units — FARMER row shards, whose static
+thresholds make the ascending-order concatenation exact, hybrid
+partitions, and whole top-k mines, one per request — so every result,
+node counters included, equals the serial one.
 """
 
 from __future__ import annotations
@@ -15,14 +16,13 @@ import pytest
 
 from repro.baselines.farmer import mine_farmer
 from repro.classifiers import RCBTClassifier
+from repro.classifiers.persistence import classifier_to_payload
 from repro.core.enumeration import ENGINES, POLL_STRIDE
 from repro.core.topk_miner import mine_topk
 from repro.parallel import (
     MineRequest,
     merge_stats,
-    mine_farmer_parallel,
-    mine_topk_parallel,
-    mine_topk_sharded,
+    mine_topk_requests,
     parallel_map,
     plan_shards,
     resolve_n_jobs,
@@ -35,6 +35,34 @@ def _farmer_groups(result):
         (g.antecedent, g.consequent, g.row_set, g.support, g.confidence)
         for g in result.groups
     ]
+
+
+def _serial(dataset, request):
+    return mine_topk(dataset, request.consequent, request.minsup,
+                     k=request.k, engine=request.engine,
+                     initialize_single_items=request.initialize_single_items,
+                     dynamic_minsup=request.dynamic_minsup,
+                     use_topk_pruning=request.use_topk_pruning)
+
+
+def _benchmark_requests(k):
+    """One request per class of ``small_benchmark`` (11 AML, 27 ALL
+    training rows), each at ~70-90% of its class."""
+    return [MineRequest(consequent=0, minsup=8, k=k),
+            MineRequest(consequent=1, minsup=25, k=k)]
+
+
+def _assert_serial_units(dataset, requests, results):
+    """Each per-request unit is its serial mine, stats counters too."""
+    assert len(results) == len(requests)
+    for request, result in zip(requests, results):
+        serial = _serial(dataset, request)
+        assert results_equal(serial, result)
+        assert result.stats.nodes_visited == serial.stats.nodes_visited
+        assert result.stats.groups_emitted == serial.stats.groups_emitted
+        assert result.stats.loose_pruned == serial.stats.loose_pruned
+        assert result.stats.tight_pruned == serial.stats.tight_pruned
+        assert result.stats.backward_pruned == serial.stats.backward_pruned
 
 
 class TestPlanShards:
@@ -81,21 +109,22 @@ class TestTopkDeterminism:
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("n_jobs", (2, 3))
     def test_figure1_all_engines(self, figure1, engine, n_jobs):
-        for k in (1, 3):
-            serial = mine_topk(figure1, 1, 2, k=k, engine=engine)
-            parallel = mine_topk_parallel(
-                figure1, 1, 2, k=k, engine=engine, n_jobs=n_jobs
-            )
-            assert results_equal(serial, parallel)
+        requests = [MineRequest(consequent=1, minsup=2, k=k, engine=engine)
+                    for k in (1, 3)]
+        results = mine_topk_requests(figure1, requests, n_jobs=n_jobs)
+        _assert_serial_units(figure1, requests, results)
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_small_random_both_classes(self, small_random, engine):
+        """A direct mine ignores ``n_jobs``: it is one enumeration in
+        this process, so even the node counters are the serial ones."""
         for consequent in (0, 1):
             serial = mine_topk(small_random, consequent, 2, k=4, engine=engine)
-            parallel = mine_topk(
-                small_random, consequent, 2, k=4, engine=engine, n_jobs=3
-            )
-            assert results_equal(serial, parallel)
+            for n_jobs in (2, 3, "auto"):
+                direct = mine_topk(small_random, consequent, 2, k=4,
+                                   engine=engine, n_jobs=n_jobs)
+                assert results_equal(serial, direct)
+                assert direct.stats.nodes_visited == serial.stats.nodes_visited
 
     @pytest.mark.parametrize(
         "flags",
@@ -111,35 +140,32 @@ class TestTopkDeterminism:
         ),
     )
     def test_optimization_flags(self, small_random, flags):
-        serial = mine_topk(small_random, 0, 2, k=3, **flags)
-        parallel = mine_topk(small_random, 0, 2, k=3, n_jobs=4, **flags)
-        assert results_equal(serial, parallel)
+        requests = [MineRequest(consequent=c, minsup=2, k=3, **flags)
+                    for c in (0, 1)]
+        results = mine_topk_requests(small_random, requests, n_jobs=4)
+        _assert_serial_units(small_random, requests, results)
 
     def test_benchmark_workload(self, small_benchmark):
         train = small_benchmark.train_items
-        serial = mine_topk(train, 1, 25, k=10, engine="bitset")
-        parallel = mine_topk(train, 1, 25, k=10, engine="bitset", n_jobs=4)
-        assert results_equal(serial, parallel)
-        # Group-level totals survive the merge too.
+        requests = _benchmark_requests(k=10)
+        results = mine_topk_requests(train, requests, n_jobs=4)
+        _assert_serial_units(train, requests, results)
+        # Group-level totals are the serial ones too.
+        serial = mine_topk(train, 1, 25, k=10)
         assert [g.row_set for g in serial.unique_groups()] == [
-            g.row_set for g in parallel.unique_groups()
+            g.row_set for g in results[1].unique_groups()
         ]
 
     def test_static_config_stats_identical(self, small_random):
-        """With static thresholds, shard node counts sum to the serial count.
-
-        Dynamic thresholds make per-shard pruning weaker than serial
-        pruning (each shard only sees its own emissions), so node counts
-        are only comparable when both dynamic mechanisms are off.
-        """
-        kwargs = dict(k=3, use_topk_pruning=False, dynamic_minsup=False)
-        serial = mine_topk(small_random, 0, 2, **kwargs)
-        parallel = mine_topk(small_random, 0, 2, n_jobs=4, **kwargs)
-        assert serial.stats.nodes_visited == parallel.stats.nodes_visited
-        assert serial.stats.groups_emitted == parallel.stats.groups_emitted
-        assert serial.stats.loose_pruned == parallel.stats.loose_pruned
-        assert serial.stats.tight_pruned == parallel.stats.tight_pruned
-        assert serial.stats.backward_pruned == parallel.stats.backward_pruned
+        """Static or dynamic thresholds, a per-request unit is one whole
+        serial mine, so every stats counter matches serial."""
+        requests = [
+            MineRequest(consequent=0, minsup=2, k=3,
+                        use_topk_pruning=False, dynamic_minsup=False),
+            MineRequest(consequent=0, minsup=2, k=3),
+        ]
+        results = mine_topk_requests(small_random, requests, n_jobs=4)
+        _assert_serial_units(small_random, requests, results)
 
 
 class TestFarmerDeterminism:
@@ -170,39 +196,43 @@ class TestPartialResults:
     def test_preset_cancel_returns_partial(self, small_benchmark):
         token = threading.Event()
         token.set()
-        result = mine_topk(
-            small_benchmark.train_items, 1, 25, k=5, n_jobs=2, cancel=token
+        requests = _benchmark_requests(k=5)
+        results = mine_topk_requests(
+            small_benchmark.train_items, requests, n_jobs=2, cancel=token
         )
-        assert not result.stats.completed
-        # The cooperative stop lands within POLL_STRIDE nodes per shard.
-        assert result.stats.nodes_visited <= POLL_STRIDE * len(
-            plan_shards(small_benchmark.train_items.n_rows, 2)
-        )
+        for result in results:
+            assert not result.stats.completed
+            # The cooperative stop lands within POLL_STRIDE nodes.
+            assert result.stats.nodes_visited <= POLL_STRIDE
 
     def test_node_budget_is_per_shard(self, small_benchmark):
-        result = mine_topk(
-            small_benchmark.train_items, 1, 25, k=5, n_jobs=2, node_budget=5
-        )
+        """FARMER row shards each get the whole ``node_budget``."""
+        train = small_benchmark.train_items
+        result = mine_farmer(train, 1, 25, n_jobs=2, node_budget=5)
         assert not result.stats.completed
-        # Partial lists are still well-formed per-row lists.
-        assert all(
-            len(groups) <= 5 for groups in result.per_row.values()
-        )
+        shards = len(plan_shards(train.n_rows, 2))
+        assert 5 < result.stats.nodes_visited <= 6 * shards
+        # Partial output is still a prefix of the serial emission order.
+        serial = _farmer_groups(mine_farmer(train, 1, 25))
+        partial = _farmer_groups(result)
+        assert all(group in serial for group in partial)
 
     def test_cancel_mid_run(self, small_benchmark):
         token = threading.Event()
         timer = threading.Timer(0.05, token.set)
         timer.start()
+        requests = _benchmark_requests(k=10)
         try:
-            result = mine_topk(
-                small_benchmark.train_items, 1, 25, k=10, n_jobs=2,
+            results = mine_topk_requests(
+                small_benchmark.train_items, requests, n_jobs=2,
                 cancel=token,
             )
         finally:
             timer.cancel()
-        # Either the mine beat the timer (completed) or it was stopped
+        # Either a mine beat the timer (completed) or it was stopped
         # cooperatively and returned a partial result; both are valid.
-        assert isinstance(result.stats.completed, bool)
+        for result in results:
+            assert isinstance(result.stats.completed, bool)
 
 
 class TestShardedRequests:
@@ -211,16 +241,12 @@ class TestShardedRequests:
             MineRequest(consequent=0, minsup=2, k=3),
             MineRequest(consequent=1, minsup=2, k=2),
         ]
-        sharded = mine_topk_sharded(small_random, requests, n_jobs=3)
-        for request, result in zip(requests, sharded):
-            serial = mine_topk(
-                small_random, request.consequent, request.minsup, k=request.k
-            )
-            assert results_equal(serial, result)
+        results = mine_topk_requests(small_random, requests, n_jobs=3)
+        _assert_serial_units(small_random, requests, results)
 
     def test_n_jobs_one_runs_inline(self, small_random):
         requests = [MineRequest(consequent=0, minsup=2, k=2)]
-        (result,) = mine_topk_sharded(small_random, requests, n_jobs=1)
+        (result,) = mine_topk_requests(small_random, requests, n_jobs=1)
         serial = mine_topk(small_random, 0, 2, k=2)
         assert results_equal(serial, result)
 
@@ -239,6 +265,26 @@ class TestClassifierParallel:
         assert serial.predict(test) == parallel.predict(test)
         assert serial.n_levels_ == parallel.n_levels_
 
+    def test_rcbt_per_class_mines_are_whole_serial_mines(self,
+                                                         small_benchmark):
+        """Each class is one whole mine on a worker: the model is the
+        serial one and so is every class's ``nodes_visited`` — a
+        row-sharded mine would visit more, its shards blind to each
+        other's thresholds."""
+        train = small_benchmark.train_items
+        # At k=10 a row-sharded mine visits ~1.2-1.6x the serial nodes
+        # of each class here; k=3 trees are too small to show it.
+        serial = RCBTClassifier(k=10, nl=3).fit(train)
+        parallel = RCBTClassifier(k=10, nl=3, n_jobs=2).fit(train)
+        assert classifier_to_payload(parallel) == classifier_to_payload(serial)
+        test = small_benchmark.test_items
+        assert parallel.predict(test) == serial.predict(test)
+        assert serial.topk_results_.keys() == parallel.topk_results_.keys()
+        for class_id, result in serial.topk_results_.items():
+            assert results_equal(result, parallel.topk_results_[class_id])
+            assert (parallel.topk_results_[class_id].stats.nodes_visited
+                    == result.stats.nodes_visited)
+
 
 class TestServiceParallelMining:
     def test_mine_job_with_n_jobs_matches_serial(self, small_random):
@@ -253,6 +299,8 @@ class TestServiceParallelMining:
             "k": 2,
             "minsup": 2,
             "n_jobs": 8,  # capped at the service's mine_jobs
+            # Only a hybrid mine has units to spread over workers.
+            "strategy": "hybrid",
         }
         serial_service = RuleService(mining_workers=1, mine_jobs=1)
         parallel_service = RuleService(mining_workers=1, mine_jobs=2)
@@ -269,9 +317,8 @@ class TestServiceParallelMining:
                 cached = service.submit_mine(dict(body))
                 assert cached["cached"] is True
                 assert cached["result"] == job.result
-            # The mined output is bit-identical; only the run counters
-            # (stats) differ — shard node counts are summed and dynamic
-            # pruning is weaker per shard (DESIGN.md §7).
+            # The mined output is bit-identical; only the run stats
+            # (wall-clock times) differ.
             mined = [
                 {key: value for key, value in payload.items() if key != "stats"}
                 for payload in payloads
