@@ -432,7 +432,11 @@ def compare_reports(
     * a current entry has no comparable baseline entry.  A silently
       skipped workload is a hole in the regression gate — the fix is to
       regenerate and commit the baseline, and the failure line says
-      exactly how.
+      exactly how, or
+    * a compared benchmark's ``serial_nodes_visited`` differs from the
+      baseline's (``NODES CHANGED``): the same workload walked a
+      different enumeration tree, so the miner's search changed.
+      Entries where either report lacks the field are not node-gated.
 
     Other columns of either report (parallel, planner, and the
     per-backend columns of older baselines) are not gated.
@@ -490,11 +494,24 @@ def compare_reports(
             f"  {name}: serial {format_seconds(base_serial)} -> "
             f"{format_seconds(serial)} (x{speedup:.2f}, {status})"
         )
+        base_nodes = base.get("serial_nodes_visited")
+        nodes = entry.get("serial_nodes_visited")
+        if (
+            base_nodes is not None
+            and nodes is not None
+            and nodes != base_nodes
+        ):
+            ok = False
+            lines.append(
+                f"  {name}: NODES CHANGED — serial_nodes_visited "
+                f"{base_nodes} -> {nodes}"
+            )
     header = (
         f"baseline comparison — {compared} compared, "
         f"{'ok' if ok else 'REGRESSED'} "
         f"(fail threshold: serial > {regression_factor:g}x baseline, "
-        "or a current entry with no baseline)"
+        "serial_nodes_visited changed, or a current entry with no "
+        "baseline)"
     )
     return [header, *lines], ok
 

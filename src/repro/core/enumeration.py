@@ -28,11 +28,26 @@ Three engines are provided:
     projection is a set of trie nodes found through the header links,
     and its candidate rows are read off those nodes' row masks.
 
-All engines visit exactly the same closed nodes in the same order and call
-the same policy hooks, so outputs are identical; only the constant factors
+All engines visit exactly the same nodes in the same order, fire the same
+pruning rules and emit the same groups, so outputs and every
+:class:`MinerStats` counter are identical; only the constant factors
 differ.  That property is what lets the Figure 6 benchmarks attribute
 speedups to the prefix tree versus the top-k pruning, and it is verified
 by the cross-engine tests.
+
+Sibling cut.  Under the class dominant order (consequent rows first) the
+loose bounds of Lemma 3.2 only weaken along a node's ascending candidate
+list: for later siblings ``r < r'`` the support bound is no larger, the
+confidence bound is no larger, and the threshold rows of ``r'`` are a
+subset of those of ``r``, so their Eq. 1-2 fold can only rise.  Nothing
+is emitted between two loose-pruned siblings, and thresholds and
+``minsup`` only tighten over time.  So once a candidate is loose-pruned
+every later sibling is too, and every kernel charges the frame's
+remaining candidates in one budget call, counts them as loose prunes and
+closes the frame.  ``loose_prunable`` is therefore not called on every
+node any more; node counts, pruning counters and partial results under
+any budget are unchanged (``tests/test_kernels.py`` checks the lemma on
+the recursive reference walkers, which still test every sibling).
 """
 
 from __future__ import annotations
@@ -81,6 +96,13 @@ class SearchPolicy(Protocol):
     pass ``0`` instead of assembling the row sets — an O(n_rows) bitset
     op per candidate that matters on tall datasets.  Pruning decisions,
     node order and :class:`MinerStats` are unaffected.
+
+    ``loose_prunable`` must be side-effect free and monotone along a
+    frame: if it holds for a candidate, it must hold for every later
+    sibling's (weaker) bounds as long as no group is emitted in between.
+    The engines rely on this to close a frame at its first loose prune
+    (the sibling cut in the module docstring), so they call it once per
+    frame tail rather than once per node.
     """
 
     uses_threshold_bits: bool = True
@@ -157,6 +179,16 @@ class _Budget:
         time_budget: Optional[float],
         cancel: Optional["_CancelToken"] = None,
     ) -> None:
+        # ``not time_budget >= 0`` also catches NaN, which compares false
+        # with everything and would otherwise disable the deadline.
+        if time_budget is not None and not time_budget >= 0:
+            raise ValueError(
+                f"time_budget must be a non-negative number, got {time_budget}"
+            )
+        if node_budget is not None and node_budget < 0:
+            raise ValueError(
+                f"node_budget must be non-negative, got {node_budget}"
+            )
         self.stats = stats
         self.node_budget = node_budget
         self.deadline = (
@@ -170,17 +202,58 @@ class _Budget:
             self.node_budget is not None
             and self.stats.nodes_visited > self.node_budget
         ):
-            self.stats.completed = False
-            raise MiningBudgetExceeded(
-                f"node budget {self.node_budget} exceeded", self.stats
-            )
+            self._exceeded(f"node budget {self.node_budget} exceeded")
         if self.stats.nodes_visited % POLL_STRIDE == 0:
-            if self.deadline is not None and time.monotonic() > self.deadline:
-                self.stats.completed = False
-                raise MiningBudgetExceeded("time budget exceeded", self.stats)
-            if self.cancel is not None and self.cancel.is_set():
-                self.stats.completed = False
-                raise MiningBudgetExceeded("mining cancelled", self.stats)
+            self._poll()
+
+    def charge_nodes(self, count: int) -> None:
+        """Charge ``count`` nodes at once, exactly as ``count`` calls of
+        :meth:`charge_node` would.
+
+        The deadline and the cancel token are polled at every
+        :data:`POLL_STRIDE` multiple the charge crosses, in order, and a
+        node budget stops at ``node_budget + 1``; whichever comes first
+        raises with ``nodes_visited`` at that node.
+        """
+        stats = self.stats
+        start = stats.nodes_visited
+        end = start + count
+        over_budget = self.node_budget is not None and end > self.node_budget
+        last_polled = self.node_budget if over_budget else end
+        if self.deadline is not None or self.cancel is not None:
+            first = (start // POLL_STRIDE + 1) * POLL_STRIDE
+            for mark in range(first, last_polled + 1, POLL_STRIDE):
+                stats.nodes_visited = mark
+                self._poll()
+        if over_budget:
+            stats.nodes_visited = self.node_budget + 1
+            self._exceeded(f"node budget {self.node_budget} exceeded")
+        stats.nodes_visited = end
+
+    def charge_loose_tail(self, count: int) -> None:
+        """Charge ``count`` loose-pruned sibling nodes (the sibling cut).
+
+        The caller adds ``count`` to its own loose-prune tally after this
+        returns.  When a budget stops the charge part-way, the siblings
+        charged before the stopping node count as loose-pruned here, so
+        the partial stats match a node-by-node walk.
+        """
+        start = self.stats.nodes_visited
+        try:
+            self.charge_nodes(count)
+        except MiningBudgetExceeded:
+            self.stats.loose_pruned += self.stats.nodes_visited - start - 1
+            raise
+
+    def _poll(self) -> None:
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            self._exceeded("time budget exceeded")
+        if self.cancel is not None and self.cancel.is_set():
+            self._exceeded("mining cancelled")
+
+    def _exceeded(self, reason: str) -> None:
+        self.stats.completed = False
+        raise MiningBudgetExceeded(reason, self.stats)
 
 
 def run_enumeration(
@@ -247,9 +320,11 @@ def run_enumeration(
 # enumeration-tree node holds the not-yet-expanded candidates plus the
 # decrementally maintained rest counters, and descending into a subtree
 # is "save the loop state into the frame, push a child frame, break".
-# The DFS order, the policy-hook call sequence and the budget charges are
-# exactly those of the recursive formulation (the pre-rewrite walkers
-# survive as the reference implementations in tests/test_kernels.py);
+# The DFS order, the emitted groups and the budget charges are exactly
+# those of the recursive formulation (the pre-rewrite walkers survive as
+# the reference implementations in tests/test_kernels.py); the hook
+# sequence differs only by the sibling cut, which skips the
+# ``loose_prunable`` calls on a loose-pruned candidate's later siblings;
 # pruning counters are kept in locals and flushed in a ``finally`` so the
 # stats travelling with a budget overrun stay accurate.  First-level
 # node data comes from the view's :class:`~repro.core.view.SupportIndex`
@@ -274,6 +349,7 @@ def _walk_bitset(
     # Hot-path bindings: these are resolved once instead of per node.
     bit_count = int.bit_count
     charge_node = budget.charge_node
+    charge_loose_tail = budget.charge_loose_tail
     loose_prunable = policy.loose_prunable
     tight_prunable = policy.tight_prunable
     emit = policy.emit
@@ -323,8 +399,17 @@ def _walk_bitset(
                 else:
                     threshold_bits = 0
                 if loose_prunable(seed_p, seed_n, rem_p, rem_n, threshold_bits):
+                    # Sibling cut: every later candidate of this frame is
+                    # loose-prunable too, so charge them in one call and
+                    # close the frame.
                     loose += 1
-                    continue
+                    if allowed is not None:
+                        todo &= allowed
+                    if todo:
+                        tail = bit_count(todo)
+                        charge_loose_tail(tail)
+                        loose += tail
+                    break
                 if x_bits:
                     present = row_items[r_bit.bit_length() - 1]
                     new_items = [i for i in items if i in present]
@@ -407,6 +492,7 @@ def _walk_table(
     bit_count = int.bit_count
     bisect = bisect_left
     charge_node = budget.charge_node
+    charge_loose_tail = budget.charge_loose_tail
     loose_prunable = policy.loose_prunable
     tight_prunable = policy.tight_prunable
     emit = policy.emit
@@ -468,8 +554,18 @@ def _walk_table(
                 else:
                     threshold_bits = 0
                 if loose_prunable(seed_p, seed_n, rest_p, rest_n, threshold_bits):
+                    # Sibling cut, as in the bitset kernel.
                     loose += 1
-                    continue
+                    if allowed is None:
+                        tail = size - index
+                    else:
+                        tail = sum(
+                            1 for row in cand[index:] if allowed >> row & 1
+                        )
+                    if tail:
+                        charge_loose_tail(tail)
+                        loose += tail
+                    break
                 # Project: keep tuples whose row list contains r (bisect
                 # scan, the authentic per-node cost of pointer FARMER).
                 kept = []
@@ -559,7 +655,9 @@ def _walk_tree(
     item_rows = support.item_rows
     item_counts = support.item_counts
     item_pos_counts = support.item_pos_counts
+    bit_count = int.bit_count
     charge_node = budget.charge_node
+    charge_loose_tail = budget.charge_loose_tail
     loose_prunable = policy.loose_prunable
     tight_prunable = policy.tight_prunable
     emit = policy.emit
@@ -609,8 +707,17 @@ def _walk_tree(
                 else:
                     threshold_bits = 0
                 if loose_prunable(seed_p, seed_n, rem_p, rem_n, threshold_bits):
+                    # Sibling cut: every later candidate of this frame is
+                    # loose-prunable too, so charge them in one call and
+                    # close the frame.
                     loose += 1
-                    continue
+                    if allowed is not None:
+                        todo &= allowed
+                    if todo:
+                        tail = bit_count(todo)
+                        charge_loose_tail(tail)
+                        loose += tail
+                    break
                 r = r_bit.bit_length() - 1
                 if x_bits:
                     projected = tree.project(r)

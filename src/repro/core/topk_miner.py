@@ -258,8 +258,9 @@ class TopkPolicy:
 
         Delegates to the threshold store, which mirrors the
         ``kth_conf``/``kth_sup`` pair of every per-row list (synced on
-        each accepted offer).  This runs once per pruning check, for
-        every node (DESIGN.md §12).
+        each accepted offer).  This runs once per pruning check
+        (DESIGN.md §12); the siblings after a loose prune are cut by the
+        engines without one.
         """
         return self._store.fold(threshold_bits)
 

@@ -28,6 +28,7 @@ use case) pay mining cost once.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from typing import Optional
@@ -92,9 +93,10 @@ def _validate_budget(body: dict, name: str, default, integral: bool):
     """Validate an optional mining-budget field of a ``/mine`` body.
 
     A missing field falls back to ``default``; an explicit JSON ``null``
-    disables the budget.  Anything non-numeric (or non-positive) is
-    rejected here with a 400 instead of reaching ``mine_topk`` on the
-    worker thread and surfacing as a FAILED job with a traceback.
+    disables the budget.  Anything non-numeric, non-finite (``NaN`` and
+    ``Infinity`` parse as floats and would disable the deadline) or
+    non-positive is rejected here with a 400 instead of reaching
+    ``mine_topk`` on the worker thread.
     """
     if name not in body:
         return default
@@ -106,6 +108,8 @@ def _validate_budget(body: dict, name: str, default, integral: bool):
         value, int if integral else (int, float)
     ):
         raise ServiceError(400, f"'{name}' must be {kinds} or null")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ServiceError(400, f"'{name}' must be finite, got {value}")
     if value <= 0:
         raise ServiceError(400, f"'{name}' must be positive, got {value}")
     return value if integral else float(value)

@@ -1,8 +1,9 @@
 """The bench baseline-comparison gate (``repro bench --compare``).
 
 Pure-payload tests over :func:`repro.bench.compare_reports`: the gate
-must fail only on real serial regressions (ratio *and* absolute delta),
-skip workloads whose configuration changed, ignore the stale columns of
+must fail only on real serial regressions (ratio *and* absolute delta)
+or a changed ``serial_nodes_visited`` of a comparable workload, skip
+workloads whose configuration changed, ignore the stale columns of
 older baselines, and never crash on a baseline from a different host.
 Two harness tests pin the rules that no parallel column is recorded for
 more workers than the host has cores, nor for a direct top-k mine.
@@ -106,6 +107,43 @@ class TestCompareReports:
         )
         assert ok
         assert any("workload changed (k)" in line for line in lines)
+
+    def test_changed_node_count_fails(self):
+        """Same workload, same speed, a different enumeration tree: the
+        miner's search changed, which the seconds gate cannot see."""
+        lines, ok = compare_reports(
+            _report(_entry(serial_nodes_visited=4136)),
+            _report(_entry(serial_nodes_visited=4135)),
+        )
+        assert not ok
+        changed = [line for line in lines if "NODES CHANGED" in line]
+        assert len(changed) == 1
+        assert "4135 -> 4136" in changed[0]
+
+    def test_equal_node_count_passes(self):
+        _lines, ok = compare_reports(
+            _report(_entry(serial_nodes_visited=4135)),
+            _report(_entry(serial_nodes_visited=4135)),
+        )
+        assert ok
+
+    @pytest.mark.parametrize("side", ["current", "baseline"])
+    def test_node_count_missing_on_either_side_is_not_gated(self, side):
+        with_nodes = _entry(serial_nodes_visited=4135)
+        current, baseline = (
+            (_entry(), with_nodes) if side == "current" else (with_nodes, _entry())
+        )
+        lines, ok = compare_reports(_report(current), _report(baseline))
+        assert ok
+        assert not any("NODES CHANGED" in line for line in lines)
+
+    def test_node_count_of_a_changed_workload_is_not_gated(self):
+        lines, ok = compare_reports(
+            _report(_entry(k=100, serial_nodes_visited=9)),
+            _report(_entry(k=10, serial_nodes_visited=1)),
+        )
+        assert ok
+        assert not any("NODES CHANGED" in line for line in lines)
 
     def test_host_mismatch_noted(self):
         lines, ok = compare_reports(

@@ -86,6 +86,37 @@ class TestPartialResultsAreConsistent:
         assert isinstance(tiny.completed, bool)
 
 
+class TestBudgetArguments:
+    """A budget that cannot bound anything is an error, not "no budget"."""
+
+    @pytest.mark.parametrize("time_budget", [float("nan"), -1.0, -1e-9])
+    def test_nan_or_negative_time_budget_raises(self, small_random,
+                                                time_budget):
+        with pytest.raises(ValueError, match="time_budget"):
+            mine_topk(small_random, 1, minsup=1, k=2, time_budget=time_budget)
+
+    def test_negative_node_budget_raises(self, small_random):
+        with pytest.raises(ValueError, match="node_budget"):
+            mine_topk(small_random, 1, minsup=1, k=2, node_budget=-5)
+        with pytest.raises(ValueError, match="node_budget"):
+            mine_farmer(small_random, 1, 1, node_budget=-1)
+
+    @pytest.mark.parametrize("engine", ("bitset", "table", "tree"))
+    def test_zero_budgets_stay_legal(self, small_random, engine):
+        view = MiningView(small_random, 1, minsup=1)
+        from repro.baselines.farmer import FarmerPolicy
+
+        with pytest.raises(MiningBudgetExceeded) as exc:
+            run_enumeration(view, FarmerPolicy(view), engine=engine,
+                            node_budget=0)
+        assert exc.value.stats.nodes_visited == 1
+        result = mine_topk(small_random, 1, minsup=1, k=2, engine=engine,
+                           time_budget=0.0)
+        # The deadline is polled every POLL_STRIDE nodes, so a tiny mine
+        # may finish before the first poll; either way it returns.
+        assert isinstance(result.stats.completed, bool)
+
+
 class TestHybridFailures:
     def test_unwritable_spill_dir_raises(self, small_random, tmp_path):
         missing = tmp_path / "does" / "not" / "exist"

@@ -13,10 +13,17 @@ walkers, kept verbatim (minus the hot-path local bindings) as executable
 specification.  Cases come from the audit generator, so the comparison
 covers the same degenerate shapes (duplicates, empty rows, single class,
 tie-heavy lists) the differential audit sweeps.
+
+The kernels close a frame at its first loose prune (the sibling cut);
+the reference walkers do not, which lets the tests below check the
+lemma behind the cut on every later sibling, and check that a budget
+stopping inside a cut tail leaves exactly the node-by-node partial state.
 """
 
 from __future__ import annotations
 
+import sys
+import threading
 from bisect import bisect_left
 from itertools import product
 from typing import Optional, Sequence
@@ -26,11 +33,19 @@ import pytest
 from repro.audit.generator import generate_cases
 from repro.baselines.farmer import FarmerPolicy, mine_farmer
 from repro.core.bitset import iter_indices, mask_below
-from repro.core.enumeration import ENGINES, MinerStats, run_enumeration
+from repro.core.enumeration import (
+    ENGINES,
+    POLL_STRIDE,
+    MinerStats,
+    _Budget,
+    run_enumeration,
+)
 from repro.core.prefix_tree import PrefixTree
 from repro.core.topk_miner import TopkPolicy, mine_topk, relative_minsup
 from repro.core.view import MiningView
+from repro.data import random_discretized_dataset
 from repro.data.loaders import load_benchmark
+from repro.errors import MiningBudgetExceeded
 
 # The 2^3 combinations of the paper's §4.1.1 optimizations.
 FLAG_COMBOS = tuple(
@@ -280,10 +295,35 @@ COUNTERS = (
 )
 
 
+class _BudgetedStats(MinerStats):
+    """Reference stats whose node count stops at ``node_budget + 1``,
+    raising the way ``_Budget.charge_node`` does."""
+
+    def __init__(self, engine: str, node_budget: int) -> None:
+        super().__init__(engine=engine)
+        self.node_budget = node_budget
+
+    def __setattr__(self, name, value) -> None:
+        super().__setattr__(name, value)
+        budget = getattr(self, "node_budget", None)
+        if name == "nodes_visited" and budget is not None and value > budget:
+            self.completed = False
+            raise MiningBudgetExceeded(
+                f"node budget {budget} exceeded", self
+            )
+
+
 def _run_reference(view, policy, engine: str,
-                   first_rows: Optional[int] = None) -> MinerStats:
-    stats = MinerStats(engine=engine)
-    REFERENCE_WALKERS[engine](view, policy, stats, first_rows)
+                   first_rows: Optional[int] = None,
+                   node_budget: Optional[int] = None) -> MinerStats:
+    if node_budget is None:
+        stats = MinerStats(engine=engine)
+    else:
+        stats = _BudgetedStats(engine, node_budget)
+    try:
+        REFERENCE_WALKERS[engine](view, policy, stats, first_rows)
+    except MiningBudgetExceeded:
+        pass
     return stats
 
 
@@ -366,6 +406,182 @@ class TestKernelsMatchReference:
 
         assert _counters(kernel_stats) == _counters(reference_stats)
         assert _snapshot(kernel_policy) == _snapshot(reference_policy)
+
+
+class _SiblingCutProbe:
+    """Policy wrapper checking the sibling-cut lemma on a reference walk.
+
+    The reference walkers test every candidate of a frame, one by one,
+    even after a loose prune.  Once a candidate of a walker frame is
+    loose-pruned, the probe asserts that ``loose_prunable`` holds for
+    every later sibling of that frame, evaluated on the bounds the walker
+    computes for it — the lemma the kernels' sibling cut relies on.
+    """
+
+    def __init__(self, policy) -> None:
+        self.policy = policy
+        self.uses_threshold_bits = getattr(policy, "uses_threshold_bits", True)
+        # Walker frames that have seen a loose prune, kept alive so that
+        # their ids are not reused by later frames.
+        self._cut_frames: dict = {}
+        self.later_siblings = 0
+        self.violations: list = []
+
+    @property
+    def minsup(self) -> int:
+        return self.policy.minsup
+
+    def loose_prunable(self, x_p, x_n, r_p, r_n, threshold_bits) -> bool:
+        pruned = self.policy.loose_prunable(x_p, x_n, r_p, r_n, threshold_bits)
+        frame = sys._getframe(1)
+        if id(frame) in self._cut_frames:
+            self.later_siblings += 1
+            if not pruned:
+                self.violations.append((x_p, x_n, r_p, r_n, threshold_bits))
+        elif pruned:
+            self._cut_frames[id(frame)] = frame
+        return pruned
+
+    def tight_prunable(self, x_p, x_n, m_p, r_n, threshold_bits) -> bool:
+        return self.policy.tight_prunable(x_p, x_n, m_p, r_n, threshold_bits)
+
+    def emit(self, items, position_bits, x_p, x_n) -> None:
+        self.policy.emit(items, position_bits, x_p, x_n)
+
+
+class TestSiblingCutLemma:
+    """Loose bounds only weaken along a frame's ascending candidates, so
+    a loose prune prunes every later sibling: checked on the reference
+    walkers, apart from the kernels, for every policy configuration.  A
+    policy change that breaks the monotonicity fails here instead of
+    silently changing what the kernels find."""
+
+    # The audit cases are tiny and mostly pruned at the root, so four
+    # random 16-row datasets add frames whose loose prunes start deeper
+    # in the candidate list (a non-monotone bound fails on them).
+    INPUTS = [
+        (f"case {case.index} ({case.shape})", case.dataset,
+         case.consequent, case.minsup, case.k)
+        for case in CASES
+    ] + [
+        (f"random seed {seed}",
+         random_discretized_dataset(n_rows=16, n_items=12, density=0.5,
+                                    seed=seed),
+         1, 2, 3)
+        for seed in range(4)
+    ]
+
+    @classmethod
+    def _probe_all_inputs(cls, engine, make_policy) -> int:
+        later_siblings = 0
+        for label, dataset, consequent, minsup, k in cls.INPUTS:
+            view = MiningView(dataset, consequent, minsup)
+            probe = _SiblingCutProbe(make_policy(view, k))
+            _run_reference(view, probe, engine)
+            assert probe.violations == [], f"{label}, engine {engine}"
+            later_siblings += probe.later_siblings
+        return later_siblings
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize(
+        "flags", FLAG_COMBOS,
+        ids=["".join("ft"[v] for v in combo.values()) for combo in FLAG_COMBOS],
+    )
+    def test_topk_flag_combos(self, engine, flags):
+        checked = self._probe_all_inputs(
+            engine, lambda view, k: TopkPolicy(view, k, **flags))
+        assert checked > 0
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("minconf", [0.0, 0.6, 0.9])
+    def test_farmer(self, engine, minconf):
+        checked = self._probe_all_inputs(
+            engine, lambda view, k: FarmerPolicy(view, minconf=minconf))
+        assert checked > 0
+
+
+class TestBudgetStopsInsideCutTails:
+    """The kernels charge a cut tail in one call; a budget must still
+    stop on exactly the node a node-by-node walk stops on."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("case", CASES[:2], ids=lambda case: case.shape)
+    def test_every_node_budget(self, engine, case):
+        view = MiningView(case.dataset, case.consequent, case.minsup)
+        probe = _SiblingCutProbe(TopkPolicy(view, case.k))
+        full = _run_reference(view, probe, engine).nodes_visited
+        assert probe.later_siblings > 0, "case has no cut tail to stop in"
+        for budget in range(1, full + 1):
+            reference_policy = TopkPolicy(view, case.k)
+            reference_stats = _run_reference(view, reference_policy, engine,
+                                             node_budget=budget)
+            kernel_policy = TopkPolicy(view, case.k)
+            try:
+                kernel_stats = run_enumeration(
+                    view, kernel_policy, engine=engine, node_budget=budget)
+            except MiningBudgetExceeded as overrun:
+                kernel_stats = overrun.stats
+            label = f"engine {engine}, node_budget {budget}"
+            assert _counters(kernel_stats) == _counters(reference_stats), label
+            assert kernel_stats.completed == reference_stats.completed, label
+            assert kernel_stats.completed == (budget == full), label
+            assert _snapshot(kernel_policy) == _snapshot(reference_policy), label
+
+    def test_charge_nodes_equals_repeated_charge_node(self):
+        def outcome(start, count, node_budget, cancel, bulk):
+            stats = MinerStats(nodes_visited=start)
+            budget = _Budget(stats, node_budget, None, cancel)
+            try:
+                if bulk:
+                    budget.charge_nodes(count)
+                else:
+                    for _ in range(count):
+                        budget.charge_node()
+                stopped = None
+            except MiningBudgetExceeded as overrun:
+                stopped = str(overrun)
+            return stats.nodes_visited, stats.completed, stopped
+
+        preset = threading.Event()
+        preset.set()
+        for node_budget, cancel, start, count in product(
+            (None, 0, 1, 63, 64, 65, 130),
+            (None, threading.Event(), preset),
+            (0, 1, 63, 64, 100),
+            (0, 1, 2, 63, 64, 65, 200),
+        ):
+            if node_budget is not None and start > node_budget:
+                continue  # the walk stops before it gets here
+            label = (node_budget, cancel, start, count)
+            assert outcome(start, count, node_budget, cancel, True) == \
+                outcome(start, count, node_budget, cancel, False), label
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_preset_cancel_stops_at_the_first_poll(self, paper_train, engine,
+                                                   monkeypatch):
+        tails = []
+        charge_loose_tail = _Budget.charge_loose_tail
+
+        def recording(budget, count):
+            tails.append((budget.stats.nodes_visited, count))
+            charge_loose_tail(budget, count)
+
+        monkeypatch.setattr(_Budget, "charge_loose_tail", recording)
+        minsup = relative_minsup(paper_train, 1, 0.7)
+        token = threading.Event()
+        token.set()
+        result = mine_topk(paper_train, 1, minsup, k=10, engine=engine,
+                           cancel=token)
+        # The first poll falls inside a cut tail, not at its end.
+        assert any(start < POLL_STRIDE < start + count
+                   for start, count in tails), tails
+        assert not result.stats.completed
+        assert result.stats.nodes_visited == POLL_STRIDE
+        # Same partial walk as a node budget stopping on that node.
+        view = MiningView(paper_train, 1, minsup)
+        reference = _run_reference(view, TopkPolicy(view, 10), engine,
+                                   node_budget=POLL_STRIDE - 1)
+        assert _counters(result.stats) == _counters(reference)
 
 
 class TestKernelsAcrossBackends:

@@ -8,6 +8,8 @@ Each test here fails on the pre-fix code:
   stale in-flight entry;
 * non-numeric ``node_budget``/``time_budget`` reached ``mine_topk`` on
   the worker thread and surfaced as a FAILED job instead of a 400;
+  ``NaN`` and ``Infinity`` passed the positivity check, so the job ran
+  with no time bound at all (not even the server's default);
 * the integer ``/mine`` fields went through bare ``int()``: ``"k": 2.9``
   mined as k=2, ``"k": true`` as k=1, ``"minsup": "abc"`` raised an
   uncaught ``ValueError`` (a 500), and a non-positive ``minsup`` reached
@@ -173,6 +175,24 @@ class TestBudgetValidation:
                 service.submit_mine(_mine_body(dataset_payload, **{field: bad}))
             assert excinfo.value.status == 400
             assert field in str(excinfo.value)
+        finally:
+            service.shutdown()
+
+    @pytest.mark.parametrize("field", ["node_budget", "time_budget"])
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_budgets_are_rejected_up_front(
+        self, dataset_payload, field, literal
+    ):
+        # json.loads accepts these non-standard literals, so a /mine body
+        # can carry them.
+        body = json.loads(f'{{"{field}": {literal}}}')
+        service = RuleService(mining_workers=1, time_budget=300.0)
+        try:
+            with pytest.raises(ServiceError) as excinfo:
+                service.submit_mine(_mine_body(dataset_payload, **body))
+            assert excinfo.value.status == 400
+            assert field in str(excinfo.value)
+            assert service.jobs.snapshots() == []
         finally:
             service.shutdown()
 
