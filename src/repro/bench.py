@@ -120,18 +120,23 @@ DEFAULT_WORKLOADS = (
              k=2, fraction=0.7, scale=0.5, measure_parallel=False),
 )
 
-# Three workloads: a fast bitset sanity point, a k=100 tree mine that
-# runs long enough (~10ms serial) to carry a meaningful wall-clock
-# comparison — sub-millisecond mines drown in scheduler jitter, so the
-# regression gate needs at least one entry above the noise floor — and a
-# 128-row tall point (direct and hybrid) that keeps the tall generator
-# exercised on every CI run (small enough for seconds-long smoke, so it
-# gates regressions).
+# A fast bitset sanity point, a k=100 tree mine that runs long enough
+# (~10ms serial) to carry a meaningful wall-clock comparison —
+# sub-millisecond mines drown in scheduler jitter, so the regression
+# gate needs at least one entry above the noise floor — the shape of
+# one Table 2 RCBT class fit on OC, where 98% of the charged nodes are
+# siblings cut after a loose prune (reverting the cut leaves the node
+# count unchanged but runs ~8x slower, which the seconds gate sees),
+# and a 128-row tall point
+# (direct and hybrid) that keeps the tall generator exercised on every
+# CI run (small enough for seconds-long smoke, so it gates regressions).
 QUICK_WORKLOADS = (
     Workload("quick-topk-bitset-k5", "ALL", "topk", "bitset", k=5,
              measure_parallel=False),
     Workload("quick-topk-tree-k100", "ALL", "topk", "tree", k=100,
              measure_parallel=False),
+    Workload("quick-oc-topk-bitset-k10", "OC", "topk", "bitset", k=10,
+             fraction=0.7, measure_parallel=False),
     Workload("quick-tall-topk-bitset-k2", "tall-1k", "topk", "bitset",
              k=2, fraction=0.7, scale=0.125, measure_parallel=False),
     Workload("quick-tall-hybrid-bitset-k2", "tall-1k", "hybrid", "bitset",
@@ -334,7 +339,7 @@ def run_bench(
 ) -> BenchReport:
     """Time every workload serially and at each worker count.
 
-    ``quick`` switches to the CI smoke profile: two small workloads, two
+    ``quick`` switches to the CI smoke profile: the quick workloads, two
     workers, three repetitions, scale 0.05 — a few seconds end to end
     (best-of-3 because the quick numbers feed the ``--compare``
     regression gate, where a single noisy sample would flake).

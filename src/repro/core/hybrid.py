@@ -29,7 +29,9 @@ This module implements that sketch as the production tall path:
    budget/cancel ride the shared slot array).
 3. **Aggregation** — each discovered group is attributed to the
    partition of its closure's *smallest* item (so every group is
-   produced exactly once) and offered into global per-row top-k lists.
+   produced exactly once), and the global per-row top-k lists are built
+   from that population in one sorted pass
+   (:func:`~repro.core.rules.build_topk_lists`).
    The local→global translation is one ``&`` fold over the pass-one
    item bitsets (the antecedent contains the anchor, so the fold *is*
    the group's global row set), and the canonicality test is one subset
@@ -61,9 +63,9 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Union
 
 from .backends import resolve_backend
-from .bitset import iter_indices, popcount
+from .bitset import popcount
 from .enumeration import MinerStats
-from .rules import RuleGroup, TopKList
+from .rules import RuleGroup, build_topk_lists
 from .topk_miner import TopkResult, mine_topk
 
 if TYPE_CHECKING:  # pragma: no cover - imports are for annotations only
@@ -662,17 +664,8 @@ def _mine_streamed(
                 partition.spill_path.unlink(missing_ok=True)
 
     # -- aggregation ------------------------------------------------------
-    lists: dict[int, TopKList] = {
-        row: TopKList(k)
-        for row, label in enumerate(builder.labels)
-        if label == consequent
-    }
-    item_rows = builder.item_rows
-    class_mask = builder.class_mask
-    anchor_position = {
-        anchor: position for position, anchor in enumerate(builder.frequent)
-    }
     loose = tight = backward = 0
+    finished = []
     for index, output in enumerate(outputs):
         if output is None:
             # Skipped partition (serial break above, or a parallel job
@@ -686,30 +679,9 @@ def _mine_streamed(
         backward += partition_stats.backward_pruned
         if not partition_stats.completed:
             stats.completed = False
-        anchor = requests[index].anchor
-        lower = builder.frequent[: anchor_position[anchor]]
-        for antecedent_items, support, confidence in payload:
-            # The antecedent contains the anchor, so this intersection
-            # *is* the global row set (no per-bit translation loops).
-            global_bits = item_rows[antecedent_items[0]]
-            for item in antecedent_items[1:]:
-                global_bits &= item_rows[item]
-            if any(
-                (global_bits & item_rows[item]) == global_bits for item in lower
-            ):
-                # A lower frequent item covers every row: the closure's
-                # smallest item is below this anchor, so the group's
-                # canonical partition is an earlier one.
-                continue
-            group = RuleGroup(
-                antecedent=frozenset(antecedent_items),
-                consequent=consequent,
-                row_set=global_bits,
-                support=support,
-                confidence=confidence,
-            )
-            for row in iter_indices(global_bits & class_mask):
-                lists[row].offer(group)
+        finished.append((requests[index].anchor, payload))
+    groups = _canonical_groups(builder, consequent, finished)
+    lists = build_topk_lists(k, groups, builder.class_mask)
 
     per_row = {row: list(topk) for row, topk in lists.items()}
     miner_stats = MinerStats(
@@ -732,3 +704,45 @@ def _mine_streamed(
     )
     result.hybrid_stats = stats  # type: ignore[attr-defined]
     return result
+
+
+def _canonical_groups(
+    builder: "_PartitionBuilder", consequent: int, finished: list
+) -> list[RuleGroup]:
+    """The partitions' groups, each kept only in its canonical partition.
+
+    ``finished`` holds ``(anchor, payload)`` per mined partition.  A
+    group is kept where its anchor is its closure's smallest frequent
+    item, so no group is kept twice and the global lists can be built
+    in one sorted pass.
+    """
+    item_rows = builder.item_rows
+    anchor_position = {
+        anchor: position for position, anchor in enumerate(builder.frequent)
+    }
+    groups = []
+    for anchor, payload in finished:
+        lower = builder.frequent[: anchor_position[anchor]]
+        for antecedent_items, support, confidence in payload:
+            # The antecedent contains the anchor, so this intersection
+            # *is* the global row set (no per-bit translation loops).
+            global_bits = item_rows[antecedent_items[0]]
+            for item in antecedent_items[1:]:
+                global_bits &= item_rows[item]
+            if any(
+                (global_bits & item_rows[item]) == global_bits for item in lower
+            ):
+                # A lower frequent item covers every row: the closure's
+                # smallest item is below this anchor, so the group's
+                # canonical partition is an earlier one.
+                continue
+            groups.append(
+                RuleGroup(
+                    antecedent=frozenset(antecedent_items),
+                    consequent=consequent,
+                    row_set=global_bits,
+                    support=support,
+                    confidence=confidence,
+                )
+            )
+    return groups

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Optional
 
 from .bitset import popcount, to_indices
@@ -32,6 +33,7 @@ __all__ = [
     "more_significant",
     "cba_sort_key",
     "TopKList",
+    "build_topk_lists",
 ]
 
 
@@ -184,6 +186,13 @@ class TopKList:
     pruning bounds of Equations 1-2 read two attributes per row instead
     of calling a method.  All mutation goes through :meth:`offer`, which
     keeps every derived structure in sync.
+
+    Initial ``groups`` are offered one by one, so they may come in any
+    order: the list keeps the ``k`` smallest keys, and duplicates of one
+    ``(row_set, consequent)`` collapse to the longest antecedent, exactly
+    as if each had been offered.  When every group of a population is
+    known up front, :func:`build_topk_lists` builds all rows' lists in
+    one sorted pass instead.
     """
 
     k: int
@@ -191,13 +200,38 @@ class TopKList:
     canonical_key: Optional[Callable[[RuleGroup], int]] = None
 
     def __post_init__(self) -> None:
-        self._keys: list[tuple[float, int, int]] = [
-            self._key(group) for group in self.groups
-        ]
-        self._members: dict[tuple[int, int], RuleGroup] = {
-            (group.row_set, group.consequent): group for group in self.groups
-        }
+        initial = self.groups
+        self.groups = []
+        self._keys: list[tuple[float, int, int]] = []
+        self._members: dict[tuple[int, int], RuleGroup] = {}
         self._refresh_kth()
+        for group in initial:
+            self.offer(group)
+
+    @classmethod
+    def _from_ranked(
+        cls,
+        k: int,
+        groups: list[RuleGroup],
+        keys: list[tuple[float, int, int]],
+        canonical_key: Optional[Callable[[RuleGroup], int]],
+    ) -> "TopKList":
+        """A list from at most ``k`` distinct groups already in key order.
+
+        ``keys[i]`` must be the full sort key of ``groups[i]``; the
+        caller guarantees the invariant :meth:`offer` maintains, so
+        nothing is re-keyed or re-sorted.
+        """
+        topk = cls.__new__(cls)
+        topk.k = k
+        topk.groups = groups
+        topk.canonical_key = canonical_key
+        topk._keys = keys
+        topk._members = {
+            (group.row_set, group.consequent): group for group in groups
+        }
+        topk._refresh_kth()
+        return topk
 
     def _key(self, group: RuleGroup) -> tuple[float, int, int]:
         canon = self.canonical_key
@@ -282,3 +316,86 @@ class TopKList:
 
     def __getitem__(self, index: int) -> RuleGroup:
         return self.groups[index]
+
+
+def _stats_key(group: RuleGroup) -> tuple[float, int]:
+    return (-group.confidence, -group.support)
+
+
+def build_topk_lists(
+    k: int,
+    groups: Iterable[RuleGroup],
+    rows: int,
+    canonical_key: Optional[Callable[[RuleGroup], int]] = None,
+) -> dict[int, TopKList]:
+    """Every row's top-k list of a known group population, in one pass.
+
+    Offering a row every group that covers it leaves exactly the ``k``
+    smallest full keys ``(-confidence, -support, canonical rows)`` among
+    those groups (see :class:`TopKList`).  When the whole population is
+    known up front that set is found directly: sort the groups once by
+    ``(-confidence, -support)``, order each exact-tie run by its
+    canonical key, and walk the result handing every row the first ``k``
+    groups that cover it.  A bitset of rows whose lists are still short
+    shrinks as lists fill, and the walk stops once it is empty.
+
+    The canonical key is computed only for groups that reach a row whose
+    list is still short, once per group however many lists it enters.
+
+    Args:
+        k: list length.
+        groups: distinct rule groups (no two share ``(row_set,
+            consequent)``).
+        rows: bitset of the rows to build lists for; a group covers row
+            ``r`` of these iff bit ``r`` of its ``row_set`` is set.
+        canonical_key: the lists' tie-break translator (as for
+            :class:`TopKList`); ``None`` compares raw row sets.
+
+    Returns:
+        Row -> :class:`TopKList` for every set bit of ``rows``, each
+        carrying ``canonical_key`` so later :meth:`TopKList.offer` calls
+        rank the same way.
+    """
+    canon = (
+        canonical_key if canonical_key is not None else attrgetter("row_set")
+    )
+    members: dict[int, list[RuleGroup]] = {row: [] for row in to_indices(rows)}
+    keys: dict[int, list[tuple[float, int, int]]] = {
+        row: [] for row in members
+    }
+    ranked = sorted(groups, key=_stats_key)
+    open_rows = rows
+    start, n_ranked = 0, len(ranked)
+    while start < n_ranked and open_rows:
+        first = ranked[start]
+        conf, sup = first.confidence, first.support
+        stop = start + 1
+        while (
+            stop < n_ranked
+            and ranked[stop].support == sup
+            and ranked[stop].confidence == conf
+        ):
+            stop += 1
+        run = [
+            ((-conf, -sup, canon(group)), group)
+            for group in ranked[start:stop]
+            if group.row_set & open_rows
+        ]
+        if len(run) > 1:
+            run.sort(key=itemgetter(0))
+        start = stop
+        for key, group in run:
+            bits = group.row_set & open_rows
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                row = low.bit_length() - 1
+                row_members = members[row]
+                row_members.append(group)
+                keys[row].append(key)
+                if len(row_members) == k:
+                    open_rows ^= low
+    return {
+        row: TopKList._from_ranked(k, row_members, keys[row], canonical_key)
+        for row, row_members in members.items()
+    }

@@ -30,14 +30,14 @@ from bisect import insort
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .bitset import iter_indices, mask_below, popcount
+from .bitset import mask_below
 
 if TYPE_CHECKING:  # pragma: no cover - import is for annotations only
     from ..data.dataset import DiscretizedDataset
 from ..errors import MiningBudgetExceeded
 from .backends import resolve_backend
 from .enumeration import MinerStats, run_enumeration
-from .rules import RuleGroup, TopKList
+from .rules import RuleGroup, TopKList, build_topk_lists
 from .view import MiningView
 
 __all__ = [
@@ -74,7 +74,8 @@ class _CanonicalRowKey:
     to original row space makes the order agree with every consumer that
     compares finalized results (hybrid aggregation).  One
     instance is shared by all of a policy's lists so each distinct group
-    is translated once.
+    is translated once, and :meth:`TopkPolicy.finalize` reads its final
+    row sets from the same cache.
     """
 
     __slots__ = ("_view", "_cache")
@@ -180,16 +181,23 @@ class TopkPolicy:
         self.use_topk_pruning = use_topk_pruning
         self.dynamic_minsup = dynamic_minsup
         self._minsup = view.minsup
-        canonical = _CanonicalRowKey(view)
-        self.lists: list[TopKList] = [
-            TopKList(k, canonical_key=canonical) for _ in range(view.n_positive)
-        ]
+        self._canonical = _CanonicalRowKey(view)
         # The per-row (kth_conf, kth_sup) pairs mirrored into the
         # threshold store, whose min-fold answers Equations 1-2 at every
         # pruning check.
         self._store = ThresholdStore(view.n_positive)
-        if initialize_single_items:
-            self._initialize_from_single_items()
+        seeds = self._single_item_seeds() if initialize_single_items else ()
+        lists = build_topk_lists(
+            k, seeds, view.positive_mask, canonical_key=self._canonical
+        )
+        self.lists: list[TopKList] = [
+            lists[position] for position in range(view.n_positive)
+        ]
+        if seeds:
+            for position, topk in enumerate(self.lists):
+                self._store.update(position, topk.kth_conf, topk.kth_sup)
+            if dynamic_minsup:
+                self._maybe_raise_minsup()
 
     # -- policy protocol --------------------------------------------------
 
@@ -264,34 +272,36 @@ class TopkPolicy:
         """
         return self._store.fold(threshold_bits)
 
-    def _initialize_from_single_items(self) -> None:
-        """Seed the per-row lists from single-item rule statistics.
+    def _single_item_seeds(self) -> list[RuleGroup]:
+        """Single-item rule groups for the first optimization of §4.1.1.
 
-        Distinct single-item support sets are offered as provisional rule
-        groups (the stored antecedent is one representative item; the true
-        closed upper bound is restored by :meth:`finalize` or upgraded in
-        place when the closed group is emitted during the walk).
+        Each distinct single-item support set becomes a provisional rule
+        group.  The view keeps only items reaching ``minsup``, so every
+        set qualifies.  The stored antecedent is one representative
+        item; :meth:`finalize` restores the closed upper bound, or the
+        walk upgrades it in place when it emits the closed group.  The
+        whole population is known before the walk, so the constructor
+        builds every row's list from it in one sorted pass
+        (:func:`~repro.core.rules.build_topk_lists`) instead of one
+        offer per group and covered row, and syncs the threshold store
+        once per row.
         """
         view = self.view
-        store = self._store
+        consequent = view.consequent
+        positive_mask = view.positive_mask
+        seeds = []
         for row_bits, items in view.single_item_groups().items():
-            support = view.positive_count(row_bits)
-            if support < self._minsup:
-                continue
-            total = popcount(row_bits)
-            group = RuleGroup(
-                antecedent=frozenset(items[:1]),
-                consequent=view.consequent,
-                row_set=row_bits,
-                support=support,
-                confidence=support / total,
+            support = (row_bits & positive_mask).bit_count()
+            seeds.append(
+                RuleGroup(
+                    antecedent=frozenset(items[:1]),
+                    consequent=consequent,
+                    row_set=row_bits,
+                    support=support,
+                    confidence=support / row_bits.bit_count(),
+                )
             )
-            for position in iter_indices(row_bits & view.positive_mask):
-                topk = self.lists[position]
-                if topk.offer(group):
-                    store.update(position, topk.kth_conf, topk.kth_sup)
-        if self.dynamic_minsup:
-            self._maybe_raise_minsup()
+        return seeds
 
     def _maybe_raise_minsup(self) -> None:
         """Second optimization of Section 4.1.1.
@@ -323,6 +333,9 @@ class TopkPolicy:
         back to the dataset's row ids.
         """
         view = self.view
+        # Every listed group's translation is already in the tie-break
+        # cache (its key was computed when it entered a list).
+        canonical = self._canonical
         converted: dict[tuple[int, int], RuleGroup] = {}
         result: dict[int, list[RuleGroup]] = {}
         for position, topk in enumerate(self.lists):
@@ -340,7 +353,7 @@ class TopkPolicy:
                     final = RuleGroup(
                         antecedent=antecedent,
                         consequent=group.consequent,
-                        row_set=view.positions_to_rows(group.row_set),
+                        row_set=canonical(group),
                         support=group.support,
                         confidence=group.confidence,
                     )

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import threading
 import weakref
+from collections import Counter
+from itertools import chain
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .bitset import mask_below, popcount
@@ -100,31 +102,25 @@ class MiningView:
         # Step 1: frequent items.  A rule group's support counts only
         # consequent-class rows, so items appearing in fewer than minsup
         # such rows cannot occur in any antecedent with enough support.
-        class_rows = [
-            row for row, label in zip(dataset.rows, dataset.labels)
-            if label == consequent
-        ]
-        counts: dict[int, int] = {}
-        for row in class_rows:
-            for item in row:
-                counts[item] = counts.get(item, 0) + 1
+        rows, labels = dataset.rows, dataset.labels
+        counts = Counter(chain.from_iterable(
+            row for row, label in zip(rows, labels) if label == consequent
+        ))
         self.frequent_items: list[int] = sorted(
             item for item, count in counts.items() if count >= minsup
         )
         frequent = frozenset(self.frequent_items)
+        restricted = [row & frequent for row in rows]
 
-        # Class dominant order with ascending row length within each class.
-        def _length(row_index: int) -> int:
-            return len(dataset.rows[row_index] & frequent)
-
-        positive = sorted(dataset.rows_of_class(consequent), key=_length)
+        # Class dominant order with ascending row length within each
+        # class (stable sorts keep row order among equal lengths).
+        positive = sorted(
+            (row for row, label in enumerate(labels) if label == consequent),
+            key=lambda row: len(restricted[row]),
+        )
         negative = sorted(
-            (
-                row
-                for row in range(dataset.n_rows)
-                if dataset.labels[row] != consequent
-            ),
-            key=_length,
+            (row for row, label in enumerate(labels) if label != consequent),
+            key=lambda row: len(restricted[row]),
         )
         self.order: list[int] = positive + negative
         self.position_of: dict[int, int] = {
@@ -135,7 +131,7 @@ class MiningView:
         self.positive_mask = mask_below(self.n_positive)
 
         self.row_items: list[frozenset[int]] = [
-            dataset.rows[row] & frequent for row in self.order
+            restricted[row] for row in self.order
         ]
         max_item = (max(frequent) + 1) if frequent else 0
         self.item_rows: list[int] = [0] * max_item
@@ -201,7 +197,11 @@ class MiningView:
         support set belong to the same rule group — the paper's caveat
         that two single items initializing one row's list must not be
         lower bounds of the same upper bound is honoured by keying on the
-        support set.
+        support set.  The keys are therefore distinct groups, each
+        reaching ``minsup`` (only frequent items are kept), which is what
+        lets :class:`~repro.core.topk_miner.TopkPolicy` build every
+        row's seeded list in one sorted pass
+        (:func:`~repro.core.rules.build_topk_lists`).
         """
         groups: dict[int, list[int]] = {}
         for item in self.frequent_items:

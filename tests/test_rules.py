@@ -161,3 +161,64 @@ class TestTopKList:
             topk.offer(group(conf, sup, [row]))
         stats = [(g.confidence, g.support) for g in topk]
         assert stats == [(0.9, 9), (0.9, 2), (0.5, 1)]
+
+
+class TestTopKListInitialGroups:
+    """``TopKList(k, groups=...)`` holds what offering each group would."""
+
+    @staticmethod
+    def offered(k, groups):
+        topk = TopKList(k)
+        for g in groups:
+            topk.offer(g)
+        return topk
+
+    def test_unsorted_input_is_sorted_by_key(self):
+        groups = [group(0.5, 1, [0]), group(0.9, 2, [1]), group(0.9, 9, [2])]
+        topk = TopKList(3, groups=groups)
+        assert [(g.confidence, g.support) for g in topk] == [
+            (0.9, 9), (0.9, 2), (0.5, 1)]
+        assert topk._keys == sorted(topk._keys)
+        assert topk.kth_threshold() == (0.5, 1)
+
+    def test_longer_than_k_is_truncated(self):
+        groups = [group(0.5 + i / 10, 2, [i]) for i in range(5)]
+        topk = TopKList(2, groups=groups)
+        assert [g.confidence for g in topk] == [0.9, 0.8]
+        assert len(topk._keys) == len(topk._members) == 2
+        assert topk.kth_threshold() == (0.8, 2)
+
+    def test_duplicates_collapse_to_the_longest_antecedent(self):
+        short = group(0.9, 5, [0, 1], (1,))
+        long = group(0.9, 5, [0, 1], (1, 2, 3))
+        for groups in ([short, long], [long, short]):
+            topk = TopKList(3, groups=groups)
+            assert topk.groups == [long]
+            assert topk._members == {(long.row_set, 1): long}
+        assert TopKList(3, groups=[short, short]).groups == [short]
+
+    def test_ties_keep_the_canonical_winners(self):
+        groups = [group(0.9, 5, [row], (row,)) for row in (3, 1, 2, 0)]
+        topk = TopKList(2, groups=groups)
+        assert [g.row_set for g in topk] == [from_indices([0]),
+                                             from_indices([1])]
+
+    def test_matches_offering_and_keeps_working(self):
+        groups = [
+            group(0.9, 5, [2]), group(0.9, 5, [1]), group(1.0, 1, [3]),
+            group(0.9, 5, [2], (4, 5)), group(0.4, 7, [4]),
+        ]
+        topk = TopKList(2, groups=groups)
+        reference = self.offered(2, groups)
+        assert topk.groups == reference.groups
+        assert topk._keys == reference._keys
+        assert topk.kth_threshold() == reference.kth_threshold()
+        newcomer = group(0.95, 1, [5])
+        assert topk.offer(newcomer) and reference.offer(newcomer)
+        assert topk.groups == reference.groups
+        assert topk._keys == reference._keys
+
+    def test_caller_list_is_not_mutated(self):
+        groups = [group(0.5, 1, [0]), group(0.9, 2, [1])]
+        TopKList(1, groups=groups)
+        assert [g.confidence for g in groups] == [0.5, 0.9]
