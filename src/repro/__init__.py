@@ -30,7 +30,6 @@ from .core import (
     relative_minsup,
 )
 from .parallel import (
-    mine_farmer_parallel,
     mine_topk_requests,
     parallel_map,
     results_equal,
@@ -76,7 +75,6 @@ __all__ = [
     "generate_paper_dataset",
     "load_benchmark",
     "make_figure1_example",
-    "mine_farmer_parallel",
     "mine_topk",
     "mine_topk_requests",
     "parallel_map",

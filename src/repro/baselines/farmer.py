@@ -20,7 +20,7 @@ first-class here: on overrun the partial result is returned with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..core.backends import resolve_backend
@@ -28,11 +28,21 @@ from ..core.enumeration import MinerStats, run_enumeration
 from ..core.rules import RuleGroup
 from ..core.view import MiningView
 from ..errors import MiningBudgetExceeded
+from ..parallel import (
+    _AUTO_FARMER_SERIAL_UNITS,
+    AUTO_JOBS,
+    _execute,
+    estimate_farmer_work,
+    merge_stats,
+    plan_auto_workers,
+    plan_shards,
+    resolve_n_jobs,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import is for annotations only
     from ..data.dataset import DiscretizedDataset
 
-__all__ = ["FarmerPolicy", "FarmerResult", "mine_farmer"]
+__all__ = ["FarmerPolicy", "FarmerResult", "FarmerShard", "mine_farmer"]
 
 
 class FarmerPolicy:
@@ -139,6 +149,54 @@ class FarmerPolicy:
         ]
 
 
+@dataclass(frozen=True)
+class FarmerShard:
+    """One FARMER mine over the first-level row shard ``first_rows``.
+
+    ``first_rows`` is a position bitset of the first-level subtrees to
+    expand (``None`` expands all: the whole serial mine); the other
+    fields are :func:`mine_farmer`'s arguments of the same names.  This
+    is the pool job of a sharded mine (:func:`repro.parallel._execute`).
+    """
+
+    consequent: int
+    minsup: int
+    minconf: float = 0.0
+    engine: str = "table"
+    node_budget: Optional[int] = None
+    max_groups: Optional[int] = None
+    min_chi_square: float = 0.0
+    first_rows: Optional[int] = None
+
+    def run(self, dataset: "DiscretizedDataset", cancel=None,
+            time_budget: Optional[float] = None):
+        """Mine this shard; returns ``(groups, stats)``.
+
+        The groups are still in position space: the caller translates
+        them once, after concatenating the shards.
+        """
+        view = MiningView.cached(dataset, self.consequent, self.minsup)
+        policy = FarmerPolicy(
+            view,
+            minconf=self.minconf,
+            max_groups=self.max_groups,
+            min_chi_square=self.min_chi_square,
+        )
+        try:
+            stats = run_enumeration(
+                view,
+                policy,
+                engine=self.engine,
+                node_budget=self.node_budget,
+                time_budget=time_budget,
+                cancel=cancel,
+                first_rows=self.first_rows,
+            )
+        except MiningBudgetExceeded as overrun:
+            stats = overrun.stats
+        return policy.groups, stats
+
+
 @dataclass
 class FarmerResult:
     """Outcome of one FARMER run."""
@@ -169,8 +227,10 @@ def mine_farmer(
     time_budget: Optional[float] = None,
     max_groups: Optional[int] = None,
     min_chi_square: float = 0.0,
-    n_jobs: int = 1,
+    n_jobs: "int | str | None" = 1,
     backend=None,
+    cancel=None,
+    fault=None,
 ) -> FarmerResult:
     """Mine all rule groups above the given thresholds.
 
@@ -187,58 +247,68 @@ def mine_farmer(
         max_groups: optional cap on emitted groups.
         min_chi_square: minimum chi-square statistic of reported groups
             (FARMER's third interestingness constraint); 0 disables.
-        n_jobs: worker processes; 1 mines serially, any other value
-            mines row shards on :mod:`repro.parallel`'s process pool
-            (``None``/0 = all cores).  Output, group order and node
-            counters are identical; ``node_budget`` then applies per
-            shard.
+        n_jobs: worker processes; 1 mines serially in this process, any
+            other value mines :func:`repro.parallel.plan_shards` row
+            shards on :mod:`repro.parallel`'s process pool (``None``/0 =
+            all cores, ``"auto"`` plans from
+            :func:`repro.parallel.estimate_farmer_work`).  FARMER's
+            thresholds are static, so the shards concatenate in
+            ascending order into exactly the serial emission order:
+            output, group order and node counters are identical;
+            ``node_budget`` then applies per shard.
         backend: ``None``, ``"int"`` or ``"auto"`` (see
             :mod:`repro.core.backends`); any other value raises
             ``ValueError``.
+        cancel: object with ``is_set()``, polled on the enumeration's
+            budget stride; when set the partial result is returned.
+        fault: deterministic :class:`repro.parallel.FaultPlan` for the
+            pool path (testing hook; ignored by the serial path).
 
     Returns:
         A :class:`FarmerResult`; when a budget was exhausted it carries
         the groups found so far and ``stats.completed`` is False.
     """
-    if n_jobs != 1:
-        from ..parallel import mine_farmer_parallel
-
-        return mine_farmer_parallel(
-            dataset,
-            consequent,
-            minsup,
-            minconf=minconf,
-            engine=engine,
-            node_budget=node_budget,
-            time_budget=time_budget,
-            max_groups=max_groups,
-            min_chi_square=min_chi_square,
-            n_jobs=n_jobs,
-            backend=backend,
-        )
     # Resolve here with the farmer task so backend="auto" plans for a
     # static-threshold run (see plan_auto_backend).
     resolve_backend(backend, n_rows=dataset.n_rows, task="farmer")
     view = MiningView.cached(dataset, consequent, minsup)
-    policy = FarmerPolicy(
-        view,
+    if n_jobs == AUTO_JOBS:
+        n_workers = plan_auto_workers(
+            estimate_farmer_work(view), _AUTO_FARMER_SERIAL_UNITS
+        )
+    else:
+        n_workers = resolve_n_jobs(n_jobs)
+    shard = FarmerShard(
+        consequent=consequent,
+        minsup=minsup,
         minconf=minconf,
+        engine=engine,
+        node_budget=node_budget,
         max_groups=max_groups,
         min_chi_square=min_chi_square,
     )
-    try:
-        stats = run_enumeration(
-            view,
-            policy,
-            engine=engine,
-            node_budget=node_budget,
-            time_budget=time_budget,
+    degraded = False
+    if n_workers <= 1:
+        outputs = [shard.run(dataset, cancel, time_budget)]
+    else:
+        jobs = [
+            replace(shard, first_rows=mask)
+            for mask in plan_shards(view.n_rows, n_workers)
+        ]
+        outputs, recovery = _execute(
+            dataset, jobs, n_workers, time_budget, cancel, fault=fault
         )
-    except MiningBudgetExceeded as overrun:
-        stats = overrun.stats if overrun.stats is not None else MinerStats(
-            engine=engine, completed=False
-        )
+        degraded = recovery["degraded"]
+    merged = [group for groups, _stats in outputs for group in groups]
+    stats = merge_stats([stats for _groups, stats in outputs], engine)
+    stats.degraded = stats.degraded or degraded
+    if max_groups is not None and len(merged) > max_groups:
+        # A shard stops one group past the cap, as the serial walk does;
+        # keep the identical prefix of the DFS emission order.
+        merged = merged[: max_groups + 1]
         stats.completed = False
+    policy = FarmerPolicy(view, minconf=minconf, min_chi_square=min_chi_square)
+    policy.groups = merged
     return FarmerResult(
         groups=policy.finalize(),
         consequent=consequent,

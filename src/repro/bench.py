@@ -42,7 +42,7 @@ from .core.topk_miner import TopkResult, mine_topk, relative_minsup
 from .data.loaders import load_benchmark
 from .data.synthetic import generate_tall_cohort
 from .experiments.harness import format_seconds
-from .parallel import AUTO_JOBS, mine_farmer_parallel, pool_stats, results_equal
+from .parallel import AUTO_JOBS, pool_stats, results_equal
 
 __all__ = [
     "Workload",
@@ -254,7 +254,7 @@ def _measure(
             train, 1, minsup, minconf=workload.minconf,
             engine=workload.engine,
         )
-        parallel_fn = lambda n: mine_farmer_parallel(
+        parallel_fn = lambda n: mine_farmer(
             train, 1, minsup, minconf=workload.minconf,
             engine=workload.engine, n_jobs=n,
         )

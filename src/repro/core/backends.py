@@ -8,9 +8,8 @@ on plain Python ``int`` bitsets, which give ``&``/``|`` and
 so there is nothing to choose; DESIGN.md §12 records the measurements
 that retired the array-encoded alternatives.
 
-The ``backend=`` argument of ``mine_topk``, ``mine_topk_hybrid``,
-``mine_farmer`` and ``mine_farmer_parallel`` stays for compatibility
-and accepts ``None``, ``"int"`` or ``"auto"``; anything else raises
+The ``backend=`` argument of ``mine_topk``, ``mine_topk_hybrid`` and
+``mine_farmer`` stays for compatibility and accepts ``None``, ``"int"`` or ``"auto"``; anything else raises
 ``ValueError``.  ``"auto"`` is resolved through
 :func:`plan_auto_backend` (which answers ``"int"`` for every input) and
 counted in :func:`auto_backend_stats`, so benchmark output can report

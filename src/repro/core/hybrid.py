@@ -58,9 +58,9 @@ import json
 import shutil
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from .backends import resolve_backend
 from .bitset import popcount
@@ -71,6 +71,7 @@ from .topk_miner import TopkResult, mine_topk
 if TYPE_CHECKING:  # pragma: no cover - imports are for annotations only
     from ..data.dataset import DiscretizedDataset
     from ..data.streaming import RowChunkSource
+    from ..parallel import MineRequest
 
 __all__ = [
     "AUTO_HYBRID_ROWS",
@@ -139,9 +140,9 @@ class HybridStats:
 class PartitionCatalog:
     """Item catalog + class names shared by every partition job.
 
-    This is the ``dataset`` payload of the pool's ``"hybrid"`` job kind:
-    pickled once per run (the per-partition rows travel in the
-    requests), weak-keyed by the payload cache like any dataset.
+    This is the ``dataset`` every :class:`HybridPartitionRequest` job
+    runs over: pickled once per run (the per-partition rows travel in
+    the requests), weak-keyed by the payload cache like any dataset.
     """
 
     __slots__ = ("items", "class_names", "name", "__weakref__")
@@ -154,8 +155,9 @@ class PartitionCatalog:
 
 @dataclass(frozen=True)
 class HybridPartitionRequest:
-    """One hybrid partition mine, shippable to a pool worker.
+    """One hybrid partition mine: a pool job over a :class:`PartitionCatalog`.
 
+    ``mine`` holds the per-partition :func:`mine_topk` arguments.
     ``rows`` holds the resident tail (tuples of frequent item ids
     ``>= anchor``, in global row order); rows spilled by the builder are
     read back from ``spill_path`` (JSONL, one ``[label, items]`` line
@@ -163,17 +165,17 @@ class HybridPartitionRequest:
     """
 
     anchor: int
-    consequent: int
-    minsup: int
-    k: int = 1
-    engine: str = "bitset"
-    initialize_single_items: bool = True
-    dynamic_minsup: bool = True
-    use_topk_pruning: bool = True
-    node_budget: Optional[int] = None
-    rows: tuple = ()
-    labels: tuple = ()
+    mine: "MineRequest"
+    rows: Sequence = ()
+    labels: Sequence = ()
     spill_path: Optional[str] = None
+
+    def run(self, catalog: PartitionCatalog, cancel=None,
+            time_budget: Optional[float] = None):
+        """Mine this partition; see :func:`mine_hybrid_partition`."""
+        return mine_hybrid_partition(
+            self, catalog, cancel=cancel, time_budget=time_budget
+        )
 
 
 def _request_rows(
@@ -201,9 +203,9 @@ def mine_hybrid_partition(
 ):
     """Mine one partition; returns ``(payload, stats)``.
 
-    Shared by the serial loop and the pool workers (via the ``"hybrid"``
-    job kind of :func:`repro.parallel._mine_shard`, which bridges the
-    pool's slot cancellation and the degraded path's deadline into
+    Shared by the serial loop and the pool workers (through
+    :meth:`HybridPartitionRequest.run`; the pool bridges its slot
+    cancellation and the degraded path's deadline into
     ``cancel``/``time_budget`` here).  The payload is a tuple of
     ``(sorted antecedent, support, confidence)`` triples — supports
     measured inside the partition are exact global values, so the
@@ -220,16 +222,7 @@ def mine_hybrid_partition(
         name=f"{catalog.name}|{request.anchor}",
     )
     result = mine_topk(
-        partition,
-        request.consequent,
-        request.minsup,
-        k=request.k,
-        engine=request.engine,
-        initialize_single_items=request.initialize_single_items,
-        dynamic_minsup=request.dynamic_minsup,
-        use_topk_pruning=request.use_topk_pruning,
-        node_budget=request.node_budget,
-        time_budget=time_budget,
+        partition, **asdict(request.mine), time_budget=time_budget,
         cancel=cancel,
     )
     payload = tuple(
@@ -431,8 +424,8 @@ def mine_topk_hybrid(
         spill_dir: when set, partitions beyond the cell budget are
             projected to disk in a unique per-run subdirectory — the
             paper's Section 8 "database projection (disk-based)" route.
-            Each partition's file is deleted right after it is mined and
-            the subdirectory is removed on exit, error paths included.
+            The subdirectory and its files are removed on exit, error
+            paths included.
         source: a replayable :class:`~repro.data.streaming.RowChunkSource`
             to mine without ever materializing the cohort.
         max_resident_cells: builder cell budget (items buffered across
@@ -557,6 +550,9 @@ def _mine_streamed(
     from ..parallel import (
         _AUTO_TOPK_SERIAL_UNITS,
         AUTO_JOBS,
+        MineRequest,
+        _execute,
+        _time_left,
         plan_auto_workers,
         resolve_n_jobs,
     )
@@ -582,19 +578,24 @@ def _mine_streamed(
         ),
     )
 
+    mine = MineRequest(
+        consequent=consequent,
+        minsup=minsup,
+        k=k,
+        engine=engine,
+        initialize_single_items=initialize_single_items,
+        dynamic_minsup=dynamic_minsup,
+        use_topk_pruning=use_topk_pruning,
+        node_budget=node_budget_per_partition,
+    )
+    # The requests take over the builder's row lists (nothing appends to
+    # them after pass two), so every resident row is held once.
     requests = [
         HybridPartitionRequest(
             anchor=partition.anchor,
-            consequent=consequent,
-            minsup=minsup,
-            k=k,
-            engine=engine,
-            initialize_single_items=initialize_single_items,
-            dynamic_minsup=dynamic_minsup,
-            use_topk_pruning=use_topk_pruning,
-            node_budget=node_budget_per_partition,
-            rows=tuple(partition.rows),
-            labels=tuple(partition.labels),
+            mine=mine,
+            rows=partition.rows,
+            labels=partition.labels,
             spill_path=(
                 str(partition.spill_path)
                 if partition.spill_path is not None
@@ -622,18 +623,14 @@ def _mine_streamed(
         stats.n_skipped_partitions = len(requests)
         stats.completed = False
     elif n_workers > 1 and len(requests) > 1:
-        from ..parallel import run_hybrid_partitions
-
-        remaining = (
-            None
-            if deadline is None
-            else max(deadline - time.monotonic(), 1e-9)
-        )
-        outputs, recovery = run_hybrid_partitions(
+        # Partitions are independent whole mines, so they ride the
+        # supervision every pool job gets: slot-bridged budget/cancel,
+        # crash retries on a healed pool, lossless serial degradation.
+        outputs, recovery = _execute(
             catalog,
             requests,
             n_workers,
-            time_budget=remaining,
+            time_budget=_time_left(deadline),
             cancel=cancel,
             fault=fault,
         )
@@ -648,20 +645,10 @@ def _mine_streamed(
                 stats.n_skipped_partitions = len(requests) - index
                 stats.completed = False
                 break
-            remaining = (
-                None
-                if deadline is None
-                else max(deadline - time.monotonic(), 1e-9)
-            )
             outputs[index] = mine_hybrid_partition(
-                request, catalog, cancel=cancel, time_budget=remaining
+                request, catalog, cancel=cancel,
+                time_budget=_time_left(deadline),
             )
-            # Bounded memory: drop the partition as soon as it is mined.
-            partition = builder.partitions[index]
-            partition.rows = []
-            partition.labels = []
-            if partition.spill_path is not None:
-                partition.spill_path.unlink(missing_ok=True)
 
     # -- aggregation ------------------------------------------------------
     loose = tight = backward = 0

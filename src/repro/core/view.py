@@ -251,13 +251,12 @@ class SupportIndex:
     prefix tree — is a pure function of the view.  This index
 
     * interns the item support bitsets (equal supports share one ``int``
-      object, so repeated intersections reuse cached small-int paths and
-      the pair memo below can key on identity-cheap tuples),
+      object, so repeated intersections reuse cached small-int paths),
     * binds the fused per-node folds over those supports
       (:meth:`node_kernel`) the kernels call once per node instead of
       once per item,
     * precomputes per-item popcounts (also the planner's work estimate),
-    * memoizes pairwise support intersections on demand, and
+      and
     * memoizes the complete first-level node data per engine family.
 
     Memoized values are *data only*: pruning decisions and budget charges
@@ -300,7 +299,6 @@ class SupportIndex:
             self.item_counts[item] for item in view.frequent_items
         )
         self._kernel = _node_kernel(tuple(self.item_rows), positive_mask)
-        self._pairs: dict[tuple[int, int], int] = {}
         self._bitset_roots: dict[int, tuple] = {}
         self._tree_roots: dict[int, tuple] = {}
         self._root_tree = None
@@ -323,14 +321,6 @@ class SupportIndex:
         state, so every run (and thread) shares them.
         """
         return self._kernel
-
-    def pair_rows(self, first: int, second: int) -> int:
-        """Memoized ``R({first}) ∩ R({second})`` for two item ids."""
-        key = (first, second) if first <= second else (second, first)
-        rows = self._pairs.get(key)
-        if rows is None:
-            rows = self._pairs[key] = self.item_rows[first] & self.item_rows[second]
-        return rows
 
     def bitset_root(self, r: int) -> tuple:
         """First-level node data of the bitset engine for root row ``r``.

@@ -72,16 +72,6 @@ def _sweep_dataset(
                 )
             )
             series[f"TopkRGS k={k}"] = timing
-            if n_jobs != 1:
-                # Parallel column next to its serial twin, so speedups
-                # attributable to sharding are read off one row.
-                timing, _ = timed(
-                    lambda k=k: mine_topk(
-                        train, 1, minsup, k=k, engine="tree",
-                        time_budget=time_budget, n_jobs=n_jobs,
-                    )
-                )
-                series[f"TopkRGS k={k} [{n_jobs}j]"] = timing
         timing, _ = timed(
             lambda: mine_farmer(
                 train, 1, minsup, minconf=0.0, engine="table",
@@ -138,9 +128,10 @@ def run(
 ) -> Fig6Result:
     """Panels (a)-(d): the minsup sweep on each dataset.
 
-    ``n_jobs`` != 1 adds a ``[Nj]`` wall-clock column next to each miner
-    series, timing the same mine through the process-pool backend, so a
-    reproduction can attribute speedups to pruning vs. parallelism.
+    ``n_jobs`` != 1 adds a ``FARMER [Nj]`` wall-clock column next to the
+    serial ``FARMER`` series, timing the same mine over row shards on the
+    process pool.  MineTopkRGS has no such column: one top-k mine always
+    runs in one process.
     """
     result = Fig6Result(time_budget=time_budget)
     for name in datasets:
@@ -220,8 +211,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--column-baselines", action="store_true")
     parser.add_argument("--panel", choices=["sweep", "e", "all"], default="all")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="also time each miner on this many worker "
-                             "processes (adds [Nj] columns; 0 = all cores)")
+                        help="also time FARMER on this many worker "
+                             "processes (adds a [Nj] column; 0 = all cores)")
     args = parser.parse_args(argv)
     result = Fig6Result(time_budget=args.time_budget)
     if args.panel in ("sweep", "all"):

@@ -6,21 +6,26 @@ of the Figure 2 row enumeration tree.  A row shard of that tree cannot
 see what the other shards have found, so row-sharded top-k visits more
 nodes than the serial walk and loses to it (DESIGN.md §7).  One top-k
 enumeration therefore always runs in one process, and this module
-parallelises only units that share nothing:
+parallelises only units that share nothing.  A unit is a *job*: a
+picklable object whose ``run(dataset, cancel, time_budget)`` mines it
+and returns ``(payload, stats)``.  The pool never looks inside a job,
+so the three kinds of unit live with the miners they belong to:
 
-* **FARMER row shards** (:func:`mine_farmer_parallel`).  FARMER's
-  thresholds are static, so :func:`plan_shards` splits the first
-  enumeration level into position bitsets (singleton shards for the
-  large early subtrees, contiguous chunks for the long tail), each is
-  mined with ``run_enumeration(..., first_rows=shard)``, and the shard
-  outputs concatenate in ascending shard order into exactly the serial
-  emission order;
-* **hybrid partitions** (:func:`run_hybrid_partitions`): the column
-  partitions of :mod:`repro.core.hybrid` are whole, independent mines;
-* **whole top-k mines, one per request** (:func:`mine_topk_requests`):
-  RCBT's per-class fit mines each class as one unit.  The worker calls
-  :func:`~repro.core.topk_miner.mine_topk` itself, so nothing is merged
-  and every result, ``stats`` included, is the serial one.
+* **whole top-k mines, one per request** (:class:`MineRequest`, batched
+  by :func:`mine_topk_requests`): RCBT's per-class fit mines each class
+  as one unit.  The job calls :func:`~repro.core.topk_miner.mine_topk`
+  itself, so nothing is merged and every result, ``stats`` included, is
+  the serial one;
+* **FARMER row shards** (:class:`~repro.baselines.farmer.FarmerShard`,
+  from ``mine_farmer(n_jobs=)``).  FARMER's thresholds are static, so
+  :func:`plan_shards` splits the first enumeration level into position
+  bitsets (singleton shards for the large early subtrees, contiguous
+  chunks for the long tail), each is mined with ``run_enumeration(...,
+  first_rows=shard)``, and the shard outputs concatenate in ascending
+  shard order into exactly the serial emission order;
+* **hybrid partitions** (:class:`~repro.core.hybrid.HybridPartitionRequest`):
+  the column partitions of :mod:`repro.core.hybrid` are whole,
+  independent mines.
 
 Execution goes through a persistent :class:`MinerPool` (DESIGN.md §9):
 worker processes are started once and kept warm across mining calls, so
@@ -74,12 +79,9 @@ from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
-from .baselines.farmer import FarmerPolicy, FarmerResult
-from .core.backends import resolve_backend
-from .core.enumeration import POLL_STRIDE, MinerStats, run_enumeration
+from .core.enumeration import MinerStats
 from .core.topk_miner import TopkResult, mine_topk
 from .core.view import MiningView
-from .errors import MiningBudgetExceeded
 
 if TYPE_CHECKING:  # pragma: no cover - import is for annotations only
     from .data.dataset import DiscretizedDataset
@@ -87,7 +89,6 @@ if TYPE_CHECKING:  # pragma: no cover - import is for annotations only
 __all__ = [
     "AUTO_JOBS",
     "MineRequest",
-    "FarmerRequest",
     "FAULT_ANY",
     "Fault",
     "FaultPlan",
@@ -103,8 +104,6 @@ __all__ = [
     "estimate_farmer_work",
     "merge_stats",
     "mine_topk_requests",
-    "mine_farmer_parallel",
-    "run_hybrid_partitions",
     "parallel_map",
     "results_equal",
 ]
@@ -155,7 +154,7 @@ _AUTO_FARMER_SERIAL_UNITS = 100_000
 
 @dataclass(frozen=True)
 class MineRequest:
-    """One whole MineTopkRGS mine: a :func:`mine_topk_requests` unit.
+    """One whole MineTopkRGS mine: a :func:`mine_topk_requests` job.
 
     The fields are :func:`~repro.core.topk_miner.mine_topk`'s keyword
     arguments of the same names.
@@ -170,18 +169,12 @@ class MineRequest:
     use_topk_pruning: bool = True
     node_budget: Optional[int] = None
 
-
-@dataclass(frozen=True)
-class FarmerRequest:
-    """One FARMER mining job, split into row shards across workers."""
-
-    consequent: int
-    minsup: int
-    minconf: float = 0.0
-    engine: str = "table"
-    node_budget: Optional[int] = None
-    max_groups: Optional[int] = None
-    min_chi_square: float = 0.0
+    def run(self, dataset: "DiscretizedDataset", cancel=None,
+            time_budget: Optional[float] = None):
+        """Mine this request; returns ``(result, result.stats)``."""
+        result = mine_topk(dataset, **asdict(self), time_budget=time_budget,
+                           cancel=cancel)
+        return result, result.stats
 
 
 class InjectedFault(RuntimeError):
@@ -454,15 +447,16 @@ def _apply_fault(fault: Fault, cancel) -> None:
         time.sleep(0.005)
 
 
-def _run_shard(kind: str, request, shard_mask: int, token: str, blob: bytes,
-               slot: int, shard_index: int = 0, attempt: int = 0,
-               fault: Optional[FaultPlan] = None):
-    """Worker entry point: mine one job; returns (payload, stats).
+def _run_shard(job, token: str, blob: bytes, slot: int, shard_index: int = 0,
+               attempt: int = 0, fault: Optional[FaultPlan] = None):
+    """Worker entry point: run one job; returns its (payload, stats).
 
     The dataset arrives as ``(token, blob)``: the blob is decoded at most
     once per worker and token, so every job after the first reuses the
     cached dataset and — through ``MiningView.cached`` — the memoized
-    view and its ``SupportIndex`` root-level results.
+    view and its ``SupportIndex`` root-level results.  The job gets no
+    ``time_budget``: the parent's watcher sets the slot ``cancel``
+    reads once the global deadline passes.
 
     ``shard_index``/``attempt`` identify this execution to the fault
     plan (the explicit ``fault`` argument, or ``REPRO_FAULT`` from the
@@ -480,59 +474,7 @@ def _run_shard(kind: str, request, shard_mask: int, token: str, blob: bytes,
         entry = plan.find(shard_index, attempt)
         if entry is not None:
             _apply_fault(entry, cancel)
-    return _mine_shard(kind, request, shard_mask, dataset, cancel)
-
-
-def _mine_shard(kind: str, request, shard_mask: int, dataset, cancel,
-                time_budget: Optional[float] = None):
-    """Mine one job over ``dataset``; returns (payload, stats).
-
-    Shared by the worker entry (:func:`_run_shard`, cancel = slot token)
-    and the parent's serial fallback (caller's token polled directly,
-    remaining global deadline passed as ``time_budget``).  Three kinds:
-
-    * ``"farmer"`` mines the row shard ``shard_mask`` of a
-      :class:`FarmerRequest`; ``payload`` is its flat group list, still
-      in position space — the parent translates once, after merging;
-    * ``"topk"`` mines a whole :class:`MineRequest` (``shard_mask`` is
-      unused); ``payload`` is the finished
-      :class:`~repro.core.topk_miner.TopkResult`;
-    * ``"hybrid"`` mines one column partition of a hybrid run:
-      ``request`` is a :class:`~repro.core.hybrid.HybridPartitionRequest`
-      carrying its own rows (or spill file), ``dataset`` is the shared
-      :class:`~repro.core.hybrid.PartitionCatalog`, and ``shard_mask``
-      is unused.
-    """
-    if kind == "hybrid":
-        from .core.hybrid import mine_hybrid_partition
-
-        return mine_hybrid_partition(
-            request, dataset, cancel=cancel, time_budget=time_budget
-        )
-    if kind == "topk":
-        result = mine_topk(dataset, **asdict(request),
-                           time_budget=time_budget, cancel=cancel)
-        return result, result.stats
-    view = MiningView.cached(dataset, request.consequent, request.minsup)
-    policy = FarmerPolicy(
-        view,
-        minconf=request.minconf,
-        max_groups=request.max_groups,
-        min_chi_square=request.min_chi_square,
-    )
-    try:
-        stats = run_enumeration(
-            view,
-            policy,
-            engine=request.engine,
-            node_budget=request.node_budget,
-            time_budget=time_budget,
-            cancel=cancel,
-            first_rows=shard_mask,
-        )
-    except MiningBudgetExceeded as overrun:
-        stats = overrun.stats
-    return list(policy.groups), stats
+    return job.run(dataset, cancel, None)
 
 
 # -- parent side -------------------------------------------------------------
@@ -846,26 +788,16 @@ def _is_worker_loss(error: BaseException) -> bool:
     )
 
 
-def _run_shard_inline(kind: str, request, shard_mask: int, dataset, cancel,
-                      deadline: Optional[float]):
-    """Serial in-process execution of one job (the degradation path).
-
-    The caller's cancel token is polled directly by the enumeration
-    budget checks — no slot, no watcher thread — and the remaining
-    global deadline becomes this job's ``time_budget``.  Fault plans
-    are deliberately not consulted: an injected ``kill`` must never take
-    down the calling process.
-    """
-    time_budget = None
-    if deadline is not None:
-        time_budget = max(deadline - time.monotonic(), 1e-9)
-    return _mine_shard(kind, request, shard_mask, dataset, cancel,
-                       time_budget=time_budget)
+def _time_left(deadline: Optional[float]) -> Optional[float]:
+    """Seconds left before a ``time.monotonic()`` deadline (None = none)."""
+    if deadline is None:
+        return None
+    return max(deadline - time.monotonic(), 1e-9)
 
 
 def _run_attempt(
     pool: MinerPool,
-    jobs: Sequence[tuple[str, object, int]],
+    jobs: Sequence,
     remaining: Sequence[int],
     outputs: list,
     n_workers: int,
@@ -889,10 +821,9 @@ def _run_attempt(
     try:
         executor = pool.executor(min(n_workers, len(remaining)))
         for index in remaining:
-            kind, request, shard_mask = jobs[index]
             futures[
-                executor.submit(_run_shard, kind, request, shard_mask, token,
-                                blob, slot, index, attempt, fault)
+                executor.submit(_run_shard, jobs[index], token, blob, slot,
+                                index, attempt, fault)
             ] = index
     except BrokenExecutor:
         # The pool broke while submitting; everything unsubmitted is
@@ -920,7 +851,7 @@ def _run_attempt(
 
 def _execute(
     dataset: "DiscretizedDataset",
-    jobs: Sequence[tuple[str, object, int]],
+    jobs: Sequence,
     n_jobs: int,
     time_budget: Optional[float] = None,
     cancel=None,
@@ -928,9 +859,12 @@ def _execute(
     fault: Optional[FaultPlan] = None,
     max_attempts: int = _MAX_SHARD_ATTEMPTS,
 ) -> tuple[list[tuple[object, MinerStats]], dict]:
-    """Run ``(kind, request, shard_mask)`` jobs on the warm miner pool.
+    """Run jobs over ``dataset`` on the warm miner pool.
 
-    Returns ``(outputs, recovery)``: outputs in submission order, and a
+    Each job is a picklable object whose ``run(dataset, cancel,
+    time_budget)`` returns ``(payload, stats)``; ``dataset`` is whatever
+    its ``run`` mines (a :class:`DiscretizedDataset`, or a hybrid run's
+    shared catalog), pickled once per call like any payload.  Returns ``(outputs, recovery)``: outputs in submission order, and a
     recovery summary for this call (``shard_retries``, ``pool_restarts``,
     ``serial_degradations``, ``degraded``).  ``time_budget`` / ``cancel``
     are bridged to the workers through a leased slot of the pool's shared
@@ -961,13 +895,16 @@ def _execute(
     outputs: list = [None] * len(jobs)
 
     def _degrade_to_serial(indices: Sequence[int]) -> None:
+        # The caller's cancel token is polled directly by the budget
+        # checks (no slot, no watcher) and each job gets the time left
+        # before the global deadline.  Fault plans are deliberately not
+        # consulted: an injected kill must never take down this process.
         _count_recovery("serial_degradations", 1)
         recovery["serial_degradations"] += 1
         recovery["degraded"] = True
         for index in indices:
-            kind, request, shard_mask = jobs[index]
-            outputs[index] = _run_shard_inline(
-                kind, request, shard_mask, dataset, cancel, deadline
+            outputs[index] = jobs[index].run(
+                dataset, cancel, _time_left(deadline)
             )
 
     slot = -1
@@ -1025,39 +962,6 @@ def _execute(
             pool.release_slot(slot)
 
 
-def run_hybrid_partitions(
-    catalog,
-    requests: Sequence,
-    n_jobs: int,
-    time_budget: Optional[float] = None,
-    cancel=None,
-    pool: Optional[MinerPool] = None,
-    fault: Optional[FaultPlan] = None,
-) -> tuple[list, dict]:
-    """Fan hybrid partition jobs over the warm miner pool.
-
-    ``catalog`` is the run's shared
-    :class:`~repro.core.hybrid.PartitionCatalog` (pickled once, like a
-    dataset payload); each request carries its own partition rows.  The
-    jobs are independent whole-dataset mines, so they ride the exact
-    supervision FARMER's row shards get: slot-bridged ``time_budget`` /
-    ``cancel``, crash retries on a healed pool, and lossless serial
-    degradation past the retry cap.  Returns ``(outputs, recovery)`` in
-    request order, each output ``(payload, stats)`` from
-    :func:`repro.core.hybrid.mine_hybrid_partition`.
-    """
-    jobs = [("hybrid", request, 0) for request in requests]
-    return _execute(
-        catalog,
-        jobs,
-        n_jobs,
-        time_budget=time_budget,
-        cancel=cancel,
-        pool=pool,
-        fault=fault,
-    )
-
-
 def mine_topk_requests(
     dataset: "DiscretizedDataset",
     requests: Sequence[MineRequest],
@@ -1081,10 +985,10 @@ def mine_topk_requests(
     holds even across worker crashes: lost requests are retried on a
     healed pool and, past the retry cap, mined serially in this process
     (``stats.degraded`` marks every result of such a call).
-    ``time_budget`` / ``cancel`` are global to the batch on the pool and
-    per request on the serial path.  ``fault`` is the deterministic
-    fault-injection hook used by the tests and the audit oracle; it
-    never applies to the serial paths.
+    ``time_budget`` / ``cancel`` are global to the batch: each request
+    gets the time left before one shared deadline.  ``fault`` is the
+    deterministic fault-injection hook used by the tests and the audit
+    oracle; it never applies to the serial paths.
     """
     if n_jobs == AUTO_JOBS:
         total_units = sum(
@@ -1098,103 +1002,22 @@ def mine_topk_requests(
     else:
         n_workers = resolve_n_jobs(n_jobs)
     if n_workers <= 1 or len(requests) <= 1:
+        deadline = (
+            time.monotonic() + time_budget if time_budget is not None
+            else None
+        )
         return [
-            mine_topk(dataset, **asdict(request), time_budget=time_budget,
-                      cancel=cancel)
+            request.run(dataset, cancel, _time_left(deadline))[0]
             for request in requests
         ]
-    jobs = [("topk", request, 0) for request in requests]
     outputs, recovery = _execute(
-        dataset, jobs, n_workers, time_budget, cancel, fault=fault
+        dataset, requests, n_workers, time_budget, cancel, fault=fault
     )
     results = [result for result, _stats in outputs]
     if recovery["degraded"]:
         for result in results:
             result.stats.degraded = True
     return results
-
-
-def mine_farmer_parallel(
-    dataset: "DiscretizedDataset",
-    consequent: int,
-    minsup: int,
-    minconf: float = 0.0,
-    engine: str = "table",
-    node_budget: Optional[int] = None,
-    time_budget: Optional[float] = None,
-    max_groups: Optional[int] = None,
-    min_chi_square: float = 0.0,
-    n_jobs: Optional[int] = None,
-    cancel=None,
-    fault: Optional[FaultPlan] = None,
-    backend=None,
-) -> FarmerResult:
-    """Parallel :func:`~repro.baselines.farmer.mine_farmer`.
-
-    FARMER's thresholds are static, so shards are independent and the
-    merge is a concatenation in ascending shard order — exactly the
-    serial emission (DFS) order.  ``max_groups`` caps each shard, and the
-    merged list is truncated to the serial stopping point.
-    ``n_jobs="auto"`` plans from :func:`estimate_farmer_work`.
-    """
-    resolve_backend(backend, n_rows=dataset.n_rows, task="farmer")
-    if n_jobs == AUTO_JOBS:
-        view = MiningView.cached(dataset, consequent, minsup)
-        n_workers = plan_auto_workers(
-            estimate_farmer_work(view), _AUTO_FARMER_SERIAL_UNITS
-        )
-    else:
-        n_workers = resolve_n_jobs(n_jobs)
-    if n_workers <= 1:
-        from .baselines.farmer import mine_farmer
-
-        return mine_farmer(
-            dataset,
-            consequent,
-            minsup,
-            minconf=minconf,
-            engine=engine,
-            node_budget=node_budget,
-            time_budget=time_budget,
-            max_groups=max_groups,
-            min_chi_square=min_chi_square,
-        )
-    request = FarmerRequest(
-        consequent=consequent,
-        minsup=minsup,
-        minconf=minconf,
-        engine=engine,
-        node_budget=node_budget,
-        max_groups=max_groups,
-        min_chi_square=min_chi_square,
-    )
-    view = MiningView.cached(dataset, consequent, minsup)
-    shards = plan_shards(view.n_rows, n_workers)
-    jobs = [("farmer", request, mask) for mask in shards]
-    outputs, recovery = _execute(
-        dataset, jobs, n_workers, time_budget, cancel, fault=fault
-    )
-    merged: list = []
-    for groups, _stats in outputs:
-        merged.extend(groups)
-    stats = merge_stats([stats for _groups, stats in outputs], engine)
-    stats.degraded = stats.degraded or recovery["degraded"]
-    if max_groups is not None and len(merged) > max_groups:
-        # Serial FARMER raises after emitting one group past the cap; keep
-        # the identical prefix of the DFS emission order.
-        merged = merged[: max_groups + 1]
-        stats.completed = False
-    policy = FarmerPolicy(
-        view, minconf=minconf, max_groups=None, min_chi_square=min_chi_square
-    )
-    policy.groups = merged
-    return FarmerResult(
-        groups=policy.finalize(),
-        consequent=consequent,
-        minsup=minsup,
-        minconf=minconf,
-        stats=stats,
-    )
 
 
 def parallel_map(

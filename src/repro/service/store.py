@@ -194,16 +194,6 @@ class JobStore:
                 (job_id,),
             )
 
-    def put_result(self, result_key: str, payload: dict) -> None:
-        """Content-addressed insert of a finished mining payload."""
-        with self._lock, self._conn:
-            self._conn.execute(
-                "INSERT OR IGNORE INTO results (result_key, payload,"
-                " created_at) VALUES (?, ?, ?)",
-                (result_key, json.dumps(payload, separators=(",", ":")),
-                 time.time()),
-            )
-
     # -- reads -------------------------------------------------------------
 
     def get_result(self, result_key: str) -> Optional[dict]:

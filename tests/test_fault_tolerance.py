@@ -42,7 +42,6 @@ from repro.parallel import (
     MineRequest,
     MinerPool,
     _execute,
-    mine_farmer_parallel,
     mine_topk_requests,
     pool_stats,
     results_equal,
@@ -178,7 +177,7 @@ class TestCrashRecovery:
         stubborn shard degrades to this process and the concatenated
         groups are still the serial emission order."""
         serial = mine_farmer(small_random, 1, 2)
-        result = mine_farmer_parallel(
+        result = mine_farmer(
             small_random, 1, 2, n_jobs=2,
             fault=FaultPlan.parse("kill@0.0;kill@0.1"),
         )
@@ -224,7 +223,7 @@ class TestCrashRecovery:
 
     def test_farmer_crash_recovers(self, small_random):
         serial = mine_farmer(small_random, 1, 2)
-        recovered = mine_farmer_parallel(
+        recovered = mine_farmer(
             small_random, 1, 2, n_jobs=2, fault=FaultPlan.parse("kill@0.0")
         )
         assert _farmer_row_sets(recovered) == _farmer_row_sets(serial)
@@ -305,7 +304,7 @@ class TestHardFailures:
         RUNNING), so a healthy fix finishes in well under the all-run
         time."""
         pool = MinerPool(max_workers=1)
-        jobs = [("topk", REQUESTS[0], 0)] * 9
+        jobs = [REQUESTS[0]] * 9
         fault = FaultPlan.parse(
             "raise@0.0;" + ";".join(
                 f"delay@{shard}.0:0.5" for shard in range(1, 9)
@@ -343,7 +342,7 @@ class TestSlotExhaustionFallback:
         pool = MinerPool()
         leased = [pool.acquire_slot()
                   for _ in range(parallel_mod._POOL_CANCEL_SLOTS)]
-        jobs = [("topk", request, 0) for request in REQUESTS]
+        jobs = list(REQUESTS)
         before = pool_stats()
         try:
             outputs, recovery = _execute(
@@ -370,7 +369,7 @@ class TestSlotExhaustionFallback:
         cancel = threading.Event()
         cancel.set()
         request = MineRequest(consequent=1, minsup=1, k=8)
-        jobs = [("topk", request, 0), ("topk", request, 0)]
+        jobs = [request, request]
         try:
             outputs, recovery = _execute(
                 small_random, jobs, 2, cancel=cancel, pool=pool

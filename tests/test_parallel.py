@@ -10,7 +10,10 @@ node counters included, equals the serial one.
 
 from __future__ import annotations
 
+import ast
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +22,7 @@ from repro.classifiers import RCBTClassifier
 from repro.classifiers.persistence import classifier_to_payload
 from repro.core.enumeration import ENGINES, POLL_STRIDE
 from repro.core.topk_miner import mine_topk
+from repro.data.synthetic import random_discretized_dataset
 from repro.parallel import (
     MineRequest,
     merge_stats,
@@ -205,6 +209,37 @@ class TestPartialResults:
             # The cooperative stop lands within POLL_STRIDE nodes.
             assert result.stats.nodes_visited <= POLL_STRIDE
 
+    def test_serial_farmer_honours_preset_cancel(self, small_benchmark):
+        """The serial FARMER path polls ``cancel`` like the shards do."""
+        train = small_benchmark.train_items
+        full = mine_farmer(train, 1, 25)
+        assert full.stats.completed
+        assert full.stats.nodes_visited > POLL_STRIDE
+        token = threading.Event()
+        token.set()
+        result = mine_farmer(train, 1, 25, n_jobs=1, cancel=token)
+        assert not result.stats.completed
+        assert result.stats.nodes_visited <= POLL_STRIDE
+
+    def test_serial_requests_share_one_deadline(self):
+        """With one worker the batch's ``time_budget`` is one deadline,
+        not a fresh budget per request: two requests that would each
+        run for seconds return within the budget plus a stated slack
+        (per-request budgets would take at least twice the budget)."""
+        # Dense enough that each k=100 mine runs ~15 s unbounded.
+        dense = random_discretized_dataset(
+            n_rows=56, n_items=200, density=0.95, seed=3
+        )
+        requests = [MineRequest(consequent=c, minsup=1, k=100)
+                    for c in (0, 1)]
+        budget, slack = 0.5, 0.4
+        start = time.monotonic()
+        results = mine_topk_requests(dense, requests, n_jobs=1,
+                                     time_budget=budget)
+        elapsed = time.monotonic() - start
+        assert elapsed < budget + slack
+        assert not any(result.stats.completed for result in results)
+
     def test_node_budget_is_per_shard(self, small_benchmark):
         """FARMER row shards each get the whole ``node_budget``."""
         train = small_benchmark.train_items
@@ -380,3 +415,28 @@ class TestHelpers:
 def _square(value: int) -> int:
     # Module level so parallel_map can pickle it into workers.
     return value * value
+
+
+class TestLayering:
+    def test_parallel_imports_no_miner_module(self):
+        """The pool runs jobs it never looks inside: ``repro.parallel``
+        imports neither the baselines nor the hybrid miner, whose jobs
+        it runs."""
+        source = Path(__file__).resolve().parents[1] / "src/repro/parallel.py"
+        forbidden = ("repro.baselines", "repro.core.hybrid")
+        imported = []
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, ast.Import):
+                imported.extend(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                if node.level:
+                    base = "repro" + (f".{base}" if base else "")
+                imported.append(base)
+                imported.extend(f"{base}.{alias.name}" for alias in node.names)
+        offending = [
+            name for name in imported
+            if any(name == bad or name.startswith(bad + ".")
+                   for bad in forbidden)
+        ]
+        assert offending == []
