@@ -26,7 +26,9 @@ Three engines are provided:
     :mod:`repro.core.prefix_tree`), the paper's "FARMER+prefix" /
     MineTopkRGS structure: identical tuple prefixes share trie paths, a
     projection is a set of trie nodes found through the header links,
-    and its candidate rows are read off those nodes' row masks.
+    and its closure and candidate rows are read off those nodes' row
+    masks, so a node costs a few big-int operations per source node
+    rather than one per item.
 
 All engines visit exactly the same nodes in the same order, fire the same
 pruning rules and emit the same groups, so outputs and every
@@ -103,6 +105,12 @@ class SearchPolicy(Protocol):
     The engines rely on this to close a frame at its first loose prune
     (the sibling cut in the module docstring), so they call it once per
     frame tail rather than once per node.
+
+    The engines call ``emit`` only for a group whose ``x_p`` reaches the
+    policy's current ``minsup`` (read just before the call); a group
+    below it cannot enter any result, so its item list is never built.
+    ``MinerStats.groups_emitted`` still counts every node that reaches
+    step 13.  Policies keep their own ``x_p < minsup`` check regardless.
     """
 
     uses_threshold_bits: bool = True
@@ -358,7 +366,7 @@ def _walk_bitset(
     # surviving items *and* the positive/total closure counts come out
     # of a single kernel call, plus one masked-count call for the
     # derived candidate set.
-    fold_counts, _, masked_counts = support.node_kernel()
+    fold_counts, masked_counts = support.node_kernel()
     # Static-threshold policies (FARMER) never read the threshold row
     # sets, and assembling them is an O(n_rows/64) bitset op per
     # candidate — on tall cohorts that is real money for nothing.
@@ -455,7 +463,8 @@ def _walk_bitset(
                     tight += 1
                     continue
                 emitted += 1
-                emit(new_items, closure, new_x_p, new_x_n)
+                if new_x_p >= policy.minsup:
+                    emit(new_items, closure, new_x_p, new_x_n)
                 if new_cand:
                     frame[0] = todo
                     frame[1] = rem_p
@@ -617,7 +626,9 @@ def _walk_table(
                     tight += 1
                     continue
                 emitted += 1
-                emit([item for item, _rows in kept], closure, new_x_p, new_x_n)
+                if new_x_p >= policy.minsup:
+                    emit([item for item, _rows in kept], closure,
+                         new_x_p, new_x_n)
                 if new_cand:
                     frame[1] = index
                     frame[2] = rest_p
@@ -652,9 +663,6 @@ def _walk_tree(
 ) -> None:
     support = view.support_index()
     positive_mask = view.positive_mask
-    item_rows = support.item_rows
-    item_counts = support.item_counts
-    item_pos_counts = support.item_pos_counts
     bit_count = int.bit_count
     charge_node = budget.charge_node
     charge_loose_tail = budget.charge_loose_tail
@@ -662,10 +670,9 @@ def _walk_tree(
     tight_prunable = policy.tight_prunable
     emit = policy.emit
     tree_root = support.tree_root
-    # One fused call per node for the closure fold and the two support
-    # counts, plus one masked-count call for the candidate rows the
-    # projection's row mask leaves outside the closure.
-    _, intersect_counts, masked_counts = support.node_kernel()
+    # The closure comes off the projection's source nodes; these count
+    # it and the candidate rows its row mask leaves outside the closure.
+    _, masked_counts = support.node_kernel()
     needs_thresholds = getattr(policy, "uses_threshold_bits", True)
 
     # The root tree and its per-row projections are pure functions of the
@@ -723,21 +730,15 @@ def _walk_tree(
                     projected = tree.project(r)
                     if projected.n_items == 0:
                         continue
-                    new_items = projected.all_items()
-                    # Closure and backward check use the full item support
-                    # sets; the projected tree only keeps rows after r
-                    # (Section 3's projected transposed table), so earlier
-                    # rows must be probed against the original supports.
-                    if len(new_items) == 1:
-                        item = new_items[0]
-                        closure = item_rows[item]
-                        new_x_p = item_pos_counts[item]
-                        x_all = item_counts[item]
-                    else:
-                        closure, new_x_p, x_all = intersect_counts(new_items)
+                    # The projected tree only keeps rows after r (Section
+                    # 3's projected transposed table), but each source's
+                    # closed_rows covers the items' full row sets, so the
+                    # backward check can probe the rows before r.
+                    closure = projected.closure_rows()
                     if closure & (r_bit - 1) & ~x_bits:
                         backward += 1
                         continue
+                    new_x_p, x_all = masked_counts(closure)
                     new_cand = projected.rows_mask() & ~closure
                     if new_cand:
                         m_p, cand_all = masked_counts(new_cand)
@@ -758,13 +759,15 @@ def _walk_tree(
                     if tag == "backward":
                         backward += 1
                         continue
-                    (_, projected, new_items, closure, new_cand, new_x_p,
-                     new_x_n, m_p, new_r_n, new_threshold) = entry
+                    (_, projected, closure, new_cand, new_x_p, new_x_n,
+                     m_p, new_r_n, new_threshold) = entry
                 if tight_prunable(new_x_p, new_x_n, m_p, new_r_n, new_threshold):
                     tight += 1
                     continue
                 emitted += 1
-                emit(new_items, closure, new_x_p, new_x_n)
+                # Only a group that can enter a result gets its item list.
+                if new_x_p >= policy.minsup:
+                    emit(projected.all_items(), closure, new_x_p, new_x_n)
                 if new_cand:
                     frame[0] = todo
                     frame[1] = rem_p

@@ -20,17 +20,32 @@ There is one trie, and a projection is a list of *source nodes* in it:
 the projected table is everything strictly below those nodes.  The trie
 is frozen once, when it is first read: every node gets its DFS preorder
 number ``pre`` and subtree end ``end`` (so a node's subtree is the
-preorder range ``[pre, end)``), plus the bitset ``rows_below`` of the
-rows labelling its descendants.  The per-row node-link arrays, sorted by
-preorder, are Figure 4's header table.  ``project(r)`` then bisects row
-``r``'s links into each source's range — no subtree is walked and no
-node is created, whether the sources share one path or many (where a
-copying implementation would have to merge their subtrees).
-``n_items`` comes from the new sources' pass-through counts (an item's
-path crosses ``r`` exactly once, so they sum to ``|I(X ∪ {r})|``), the
-candidate rows from OR-ing their ``rows_below``, and the item list from
-per-node subtree caches.  The header table and row frequencies of a
-projection, which only CLOSET+ and the tests read, are walked on demand.
+preorder range ``[pre, end)``), the bitset ``rows_below`` of the rows
+labelling its descendants, and the bitset ``closed_rows`` described
+below.  The per-row node-link arrays, sorted by preorder, are Figure 4's
+header table.  ``project(r)`` then bisects row ``r``'s links into each
+source's range — no subtree is walked and no node is created, whether
+the sources share one path or many (where a copying implementation
+would have to merge their subtrees).  ``n_items`` comes from the new
+sources' pass-through counts (an item's path crosses ``r`` exactly
+once, so they sum to ``|I(X ∪ {r})|``), the candidate rows from OR-ing
+their ``rows_below``, and the item list from per-node subtree caches.
+The header table and row frequencies of a projection, which only
+CLOSET+ and the tests read, are walked on demand.
+
+``closed_rows`` is the set of rows that *every* item whose path passes
+through the node contains — the Galois closure ``R(I)`` of those items.
+It is exact because a path is an item's complete ascending row list:
+an item passing through a node holds exactly the rows on the node's
+root path plus the rows of its own path below the node.  If some item
+ends at the node, nothing below is shared by all of them, so
+``closed_rows`` is the root path itself (the rows up to and including
+``node.row``); otherwise it is the AND of the children's
+``closed_rows``.  Every item of a projection passes through exactly one
+of its sources, so ``closure_rows()`` — ``R(I(X ∪ {r}))``, with the
+rows before ``r`` the kernels' backward check probes — is the AND of
+the sources' values: a few big-int ANDs per node instead of one per
+item.
 """
 
 from __future__ import annotations
@@ -45,14 +60,15 @@ class PrefixTreeNode:
     """One trie node: a row id, pass-through count, and terminal items.
 
     ``items_below`` lazily caches the subtree's full item list (computed
-    by :func:`_node_items_below`); ``pre``, ``end`` and ``rows_below``
-    are set when the trie is frozen.  Every projection of the trie reads
-    the same nodes, so these per-node caches serve all of them.
+    by :func:`_node_items_below`); ``pre``, ``end``, ``rows_below`` and
+    ``closed_rows`` are set when the trie is frozen.  Every projection of
+    the trie reads the same nodes, so these per-node caches serve all of
+    them.
     """
 
     __slots__ = (
         "row", "count", "children", "items", "items_below",
-        "pre", "end", "rows_below",
+        "pre", "end", "rows_below", "closed_rows",
     )
 
     def __init__(self, row: int) -> None:
@@ -64,6 +80,7 @@ class PrefixTreeNode:
         self.pre = 0
         self.end = 0
         self.rows_below = 0
+        self.closed_rows = 0
 
     def __repr__(self) -> str:
         return f"PrefixTreeNode(row={self.row}, count={self.count})"
@@ -102,24 +119,32 @@ _Links = dict[int, tuple[list[int], list[PrefixTreeNode]]]
 
 def _freeze_trie(root: PrefixTreeNode) -> _Links:
     """Number the trie in DFS preorder (children in insertion order), set
-    every node's ``end`` and ``rows_below``, and return the header table:
-    row -> (preorder numbers, nodes), both ascending in preorder."""
+    every node's ``end``, ``rows_below`` and ``closed_rows``, and return
+    the header table: row -> (preorder numbers, nodes), both ascending in
+    preorder."""
     links: _Links = {}
     counter = 0
-    stack: list[tuple[PrefixTreeNode, bool]] = [(root, False)]
+    # (node, rows on its root path, subtree finished?)
+    stack: list[tuple[PrefixTreeNode, int, bool]] = [(root, 0, False)]
     pop = stack.pop
     push = stack.append
     while stack:
-        node, finished = pop()
+        node, path, finished = pop()
         children = node.children.values()
         if finished:
             node.end = counter
             below = 0
+            closed = -1
             for child in children:
                 below |= child.rows_below | 1 << child.row
+                closed &= child.closed_rows
             node.rows_below = below
+            # A node where an item ends keeps its root path, set below.
+            if children and not node.items:
+                node.closed_rows = closed
             continue
         node.pre = counter
+        node.closed_rows = path
         if node is not root:
             entry = links.get(node.row)
             if entry is None:
@@ -128,8 +153,11 @@ def _freeze_trie(root: PrefixTreeNode) -> _Links:
                 entry[0].append(counter)
                 entry[1].append(node)
         counter += 1
-        push((node, True))
-        stack.extend((child, False) for child in reversed(children))
+        push((node, path, True))
+        stack.extend(
+            (child, path | 1 << child.row, False)
+            for child in reversed(children)
+        )
     return links
 
 
@@ -258,6 +286,22 @@ class PrefixTree:
         for node in self._sources:
             mask |= node.rows_below
         return mask
+
+    def closure_rows(self) -> Optional[int]:
+        """``R(I(X))``: the rows every item of this projection contains,
+        including rows before the projection's own (None when empty).
+
+        The AND of the sources' ``closed_rows``, so it costs one big-int
+        operation per source however many items the projection holds.
+        """
+        if not self.n_items:
+            return None
+        self.freeze()
+        sources = self._sources
+        closure = sources[0].closed_rows
+        for node in sources:
+            closure &= node.closed_rows
+        return closure
 
     def all_items(self) -> list[int]:
         """Every item represented in this projection (``I(X)``).

@@ -226,20 +226,10 @@ def _node_kernel(handle: tuple, mask: int) -> tuple:
             (intersection & mask).bit_count(), intersection.bit_count(),
         )
 
-    def intersect_counts(ids):
-        iterator = iter(ids)
-        intersection = handle[next(iterator)]
-        for index in iterator:
-            intersection &= handle[index]
-        return (
-            intersection,
-            (intersection & mask).bit_count(), intersection.bit_count(),
-        )
-
     def masked_counts(bits):
         return (bits & mask).bit_count(), bits.bit_count()
 
-    return intersect_union_counts, intersect_counts, masked_counts
+    return intersect_union_counts, masked_counts
 
 
 class SupportIndex:
@@ -303,19 +293,19 @@ class SupportIndex:
         self._tree_roots: dict[int, tuple] = {}
         self._root_tree = None
 
-    def node_kernel(self) -> tuple[Callable, Callable, Callable]:
+    def node_kernel(self) -> tuple[Callable, Callable]:
         """The fused per-node folds over the supports and positive mask.
 
-        Returns ``(intersect_union_counts, intersect_counts,
-        masked_counts)``:
+        Returns ``(intersect_union_counts, masked_counts)``:
 
         * ``intersect_union_counts(ids)`` -> ``(inter, union,
           popcount(inter & mask), popcount(inter))``, folding ``&`` and
-          ``|`` over the supports of the (non-empty) item ids;
-        * ``intersect_counts(ids)`` -> ``(inter, popcount(inter & mask),
-          popcount(inter))``;
+          ``|`` over the supports of the (non-empty) item ids — the
+          bitset engine's closure;
         * ``masked_counts(bits)`` -> ``(popcount(bits & mask),
-          popcount(bits))`` for one freshly derived bitset.
+          popcount(bits))`` for one freshly derived bitset — the tree
+          engine's closure (read off the prefix tree) and every engine's
+          candidate set.
 
         The closures are built once per index and hold no per-walk
         state, so every run (and thread) shares them.
@@ -336,7 +326,7 @@ class SupportIndex:
         return entry
 
     def _compute_bitset_root(self, r: int) -> tuple:
-        fold_counts, _, masked_counts = self._kernel
+        fold_counts, masked_counts = self._kernel
         new_items = sorted(self.row_items[r])
         if not new_items:
             return self.EMPTY
@@ -389,9 +379,10 @@ class SupportIndex:
         """First-level node data of the tree engine for root row ``r``.
 
         Returns :data:`EMPTY`, :data:`BACKWARD`, or ``("node", projected,
-        new_items, closure, new_cand, new_x_p, new_x_n, m_p, new_r_n,
+        closure, new_cand, new_x_p, new_x_n, m_p, new_r_n,
         new_threshold)``.  The projected tree is shared across runs;
-        kernels only read projected trees.
+        kernels only read projected trees, and build its item list only
+        when they emit its group.
         """
         entry = self._tree_roots.get(r)
         if entry is None:
@@ -402,17 +393,17 @@ class SupportIndex:
         projected = self.root_tree().project(r)
         if projected.n_items == 0:
             return self.EMPTY
-        new_items = projected.all_items()
-        _, intersect_counts, masked_counts = self._kernel
-        closure, x_pos, x_all = intersect_counts(new_items)
+        closure = projected.closure_rows()
         if closure & ((1 << r) - 1):
             return self.BACKWARD
+        _, masked_counts = self._kernel
+        x_pos, x_all = masked_counts(closure)
         # The projection's rows all follow r; those in the closure are
         # absorbed into X and are not extension candidates.
         new_cand = projected.rows_mask() & ~closure
         m_p, cand_all = masked_counts(new_cand)
         new_threshold = (closure | new_cand) & self.positive_mask
         return (
-            "node", projected, new_items, closure, new_cand,
+            "node", projected, closure, new_cand,
             x_pos, x_all - x_pos, m_p, cand_all - m_p, new_threshold,
         )

@@ -22,9 +22,11 @@ stopping inside a cut tail leaves exactly the node-by-node partial state.
 
 from __future__ import annotations
 
+import copy
 import sys
 import threading
 from bisect import bisect_left
+from collections import Counter
 from itertools import product
 from typing import Optional, Sequence
 
@@ -706,6 +708,82 @@ class TestPaperScaleEngineIdentity:
             ))
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][1]
+
+
+class _EmitProbe:
+    """Policy wrapper recording each ``emit`` call's ``x_p`` against the
+    policy's ``minsup`` at the moment of the call."""
+
+    def __init__(self, policy) -> None:
+        self.policy = policy
+        self.uses_threshold_bits = getattr(policy, "uses_threshold_bits", True)
+        self.calls = 0
+        self.below_minsup = 0
+
+    @property
+    def minsup(self) -> int:
+        return self.policy.minsup
+
+    def loose_prunable(self, x_p, x_n, r_p, r_n, threshold_bits) -> bool:
+        return self.policy.loose_prunable(x_p, x_n, r_p, r_n, threshold_bits)
+
+    def tight_prunable(self, x_p, x_n, m_p, r_n, threshold_bits) -> bool:
+        return self.policy.tight_prunable(x_p, x_n, m_p, r_n, threshold_bits)
+
+    def emit(self, items, position_bits, x_p, x_n) -> None:
+        self.calls += 1
+        self.below_minsup += x_p < self.policy.minsup
+        self.policy.emit(items, position_bits, x_p, x_n)
+
+
+class TestEmitContract:
+    """All kernels call ``emit`` only for a group reaching the current
+    ``minsup`` (``groups_emitted`` still counts every step-13 node), and
+    the tree kernel builds a projection's item list only for those."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_emit_skips_groups_below_minsup(self, paper_train, engine):
+        # FARMER enumerates every closed group, so it gets the higher
+        # minsup it finishes at in milliseconds.
+        for fraction, make_policy in ((0.7, lambda view: TopkPolicy(view, 10)),
+                                      (0.95, FarmerPolicy)):
+            minsup = relative_minsup(paper_train, 1, fraction)
+            view = MiningView(paper_train, 1, minsup)
+            policy = make_policy(view)
+            probe = _EmitProbe(policy)
+            stats = run_enumeration(view, probe, engine=engine)
+            label = f"{type(policy).__name__}, engine {engine}"
+            assert probe.below_minsup == 0, label
+            assert 0 < probe.calls < stats.groups_emitted, label
+
+    def test_tree_item_lists_only_for_emitted_groups(self, paper_train,
+                                                      monkeypatch):
+        """Reverting to a per-node item list (or closure fold over it)
+        builds one list per node reaching the fold, many more than the
+        groups reaching ``emit``: this count catches it where a
+        wall-clock gate cannot."""
+        counts = Counter()
+        all_items = PrefixTree.all_items
+        emit = TopkPolicy.emit
+
+        def counting_all_items(tree):
+            counts["all_items"] += 1
+            return all_items(tree)
+
+        def counting_emit(policy, *args):
+            counts["emit"] += 1
+            return emit(policy, *args)
+
+        monkeypatch.setattr(PrefixTree, "all_items", counting_all_items)
+        monkeypatch.setattr(TopkPolicy, "emit", counting_emit)
+        # A copy of the dataset gets a cold view: no first-level memo
+        # entry (and no item list) survives from another test.
+        dataset = copy.copy(paper_train)
+        minsup = relative_minsup(dataset, 1, 0.7)
+        result = mine_topk(dataset, 1, minsup, k=100, engine="tree")
+        assert result.stats.completed
+        assert 0 < counts["emit"] < result.stats.groups_emitted
+        assert counts["all_items"] == counts["emit"]
 
 
 def _group_key(group) -> tuple:

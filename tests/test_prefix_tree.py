@@ -1,11 +1,18 @@
 """Tests for the prefix-tree transposed-table representation."""
 
+from functools import reduce
+from operator import and_
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.audit.generator import generate_cases
+from repro.core import bitset as B
 from repro.core.prefix_tree import PrefixTree, _iter_terminal_paths
 from repro.core.transposed import TransposedTable
+from repro.core.view import MiningView
+from repro.data import random_discretized_dataset
 
 
 def build(tuples):
@@ -137,6 +144,34 @@ class TestFreeze:
         assert tree.project(3).rows_mask() == 0
         assert tree.project(1).rows_mask() == 0b1000
 
+    def test_closed_rows_are_the_items_common_rows(self):
+        tuples = [(0, [1, 2, 3]), (1, [1, 2]), (2, [1, 2, 4]), (3, [2, 4]),
+                  (4, [])]
+        tree = build(tuples)
+        full = {item: sum(1 << row for row in rows) for item, rows in tuples}
+        for node in _subtree(tree.root):
+            through = [
+                item for item, rows in tuples
+                if node is tree.root or _passes(tree, rows, node)
+            ]
+            assert node.closed_rows == reduce(
+                and_, (full[item] for item in through)), node
+        # Item 1 ends at the shared node 1 -> 2: its root path closes it.
+        assert tree.project(1).project(2).closure_rows() == 0b110
+        assert tree.closure_rows() == 0
+        assert PrefixTree().closure_rows() is None
+        assert tree.project(9).closure_rows() is None
+
+
+def _passes(tree, rows, node):
+    """Whether the path of the row list ``rows`` passes through ``node``."""
+    current = tree.root
+    for row in rows:
+        current = current.children[row]
+        if current is node:
+            return True
+    return False
+
 
 def _subtree(node):
     stack = [node]
@@ -221,3 +256,72 @@ class TestChainedProjections:
             for row in freq:
                 mask |= 1 << row
             assert tree.rows_mask() == mask
+
+
+class TestClosureRows:
+    """``closure_rows()`` read off the sources equals the AND of the full
+    supports of the projection's items, at every projection of a walk.
+
+    The walk follows the enumeration's own projections (every row of the
+    projected table, to depth 4), so it reaches multi-source projections,
+    sources where an item ends while others pass through, and
+    projections whose rows the closure has absorbed into ``X`` — the
+    shapes the tree kernel meets."""
+
+    DEPTH = 4
+
+    @classmethod
+    def _walk(cls, tuples: dict, seen: dict) -> None:
+        """Walk the trie of ``tuples`` (item -> ascending row list)."""
+        supports = {
+            item: sum(1 << row for row in rows)
+            for item, rows in tuples.items()
+        }
+        stack = [(build(tuples.items()), 0)]
+        while stack:
+            tree, depth = stack.pop()
+            if depth:
+                items = tree.all_items()
+                expected = reduce(and_, (supports[item] for item in items))
+                assert tree.closure_rows() == expected, (depth, items)
+                seen["checked"] += 1
+                seen["deep"] += depth >= 3
+                seen["multi_source"] += len(tree._sources) > 1
+                seen["item_ends_inside"] += any(
+                    node.items and node.children for node in tree._sources)
+                seen["absorbed"] += bool(tree.rows_mask() & expected)
+            if depth < cls.DEPTH:
+                for r in tree.rows_present():
+                    projected = tree.project(r)
+                    if projected.n_items:
+                        stack.append((projected, depth + 1))
+
+    @staticmethod
+    def _view_tuples(view: MiningView, with_prefixes: bool) -> dict:
+        """The view's transposed table; ``with_prefixes`` adds, per item,
+        an item holding the first half of its rows, which ends at a trie
+        node the original item passes through."""
+        tuples = {
+            item: sorted(B.iter_indices(view.item_rows[item]))
+            for item in view.frequent_items
+        }
+        if with_prefixes:
+            offset = max(tuples, default=0) + 1
+            for item, rows in list(tuples.items()):
+                tuples[offset + item] = rows[:len(rows) // 2]
+        return tuples
+
+    def test_random_and_audit_projections(self):
+        seen = dict.fromkeys(
+            ("checked", "deep", "multi_source", "item_ends_inside",
+             "absorbed"), 0)
+        for seed in range(3):
+            dataset = random_discretized_dataset(
+                n_rows=12, n_items=10, density=0.6, seed=seed)
+            view = MiningView(dataset, 1, 1)
+            for with_prefixes in (False, True):
+                self._walk(self._view_tuples(view, with_prefixes), seen)
+        for case in generate_cases(seed=7, n_cases=4):
+            view = MiningView(case.dataset, case.consequent, case.minsup)
+            self._walk(self._view_tuples(view, False), seen)
+        assert all(seen.values()), seen
