@@ -19,10 +19,12 @@ when a closed candidate is recorded.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from ..core.bitset import popcount
+from ..core.enumeration import MinerStats, _Budget
 from ..core.rules import RuleGroup
 from ..core.view import MiningView
 from ..errors import MiningBudgetExceeded
@@ -90,36 +92,26 @@ def mine_charm(
             "CHARM which uses diff-sets" configuration).
         node_budget: optional cap on explored IT-tree nodes; on overrun a
             partial result with ``completed=False`` is returned.
-        time_budget: optional wall-clock cap in seconds, same semantics.
+        time_budget: optional wall-clock cap in seconds, same semantics;
+            polled every :data:`~repro.core.enumeration.POLL_STRIDE`
+            nodes like the row-enumeration miners' budgets (so 0 stops
+            at the first poll, and NaN or a negative value raises
+            ``ValueError``).
 
     Returns:
         A :class:`CharmResult` whose groups match FARMER at
         ``minconf = 0`` on any dataset (verified by the cross-miner
         tests).
     """
-    import time
-
     start = time.monotonic()
+    stats = MinerStats(engine="charm")
+    charge = _Budget(stats, node_budget, time_budget).charge_node
     view = MiningView(dataset, consequent, minsup)
     positive_mask = view.positive_mask
     registry = _ClosedRegistry()
-    state = {"nodes": 0, "completed": True}
 
     def class_support(tidset: int) -> int:
         return popcount(tidset & positive_mask)
-
-    deadline = time.monotonic() + time_budget if time_budget else None
-
-    def charge() -> None:
-        state["nodes"] += 1
-        if node_budget is not None and state["nodes"] > node_budget:
-            raise MiningBudgetExceeded(f"node budget {node_budget} exceeded")
-        if (
-            deadline is not None
-            and state["nodes"] % 32 == 0
-            and time.monotonic() > deadline
-        ):
-            raise MiningBudgetExceeded("time budget exceeded")
 
     # Level 1: single items as (itemset, tidset) pairs, frequency-ordered.
     # CHARM explores ascending support so that tidset-subset properties
@@ -245,7 +237,7 @@ def mine_charm(
         else:
             extend(level_one)
     except MiningBudgetExceeded:
-        state["completed"] = False
+        pass  # the budget marked stats incomplete
 
     groups = [
         RuleGroup(
@@ -261,7 +253,7 @@ def mine_charm(
         groups=groups,
         consequent=consequent,
         minsup=minsup,
-        completed=state["completed"],
-        nodes_visited=state["nodes"],
+        completed=stats.completed,
+        nodes_visited=stats.nodes_visited,
         elapsed_seconds=time.monotonic() - start,
     )

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from ..core.bitset import popcount
+from ..core.enumeration import MinerStats, _Budget
 from ..core.prefix_tree import PrefixTree
 from ..core.rules import RuleGroup
 from ..core.view import MiningView
@@ -64,12 +65,17 @@ def mine_closetplus(
             is used as the (sound) anti-monotone bound during growth and
             the class-support filter is applied to the closed results.
         node_budget: optional cap on conditional projections.
-        time_budget: optional wall-clock cap in seconds.
+        time_budget: optional wall-clock cap in seconds, polled every
+            :data:`~repro.core.enumeration.POLL_STRIDE` projections like
+            the row-enumeration miners' budgets (so 0 stops at the first
+            poll, and NaN or a negative value raises ``ValueError``).
 
     Returns:
         A :class:`ClosetResult`; partial when the budget ran out.
     """
     start = time.monotonic()
+    stats = MinerStats(engine="closetplus")
+    charge = _Budget(stats, node_budget, time_budget).charge_node
     view = MiningView(dataset, consequent, minsup)
     positive_mask = view.positive_mask
 
@@ -95,7 +101,6 @@ def mine_closetplus(
     # sub-itemset pruning.
     recorded: dict[frozenset[int], int] = {}
     by_support: dict[int, list[frozenset[int]]] = {}
-    state = {"nodes": 0, "completed": True}
 
     def record(itemset: frozenset[int], support: int) -> None:
         if itemset and itemset not in recorded:
@@ -107,14 +112,8 @@ def mine_closetplus(
             existing > itemset for existing in by_support.get(support, ())
         )
 
-    deadline = time.monotonic() + time_budget if time_budget else None
-
     def grow(current: PrefixTree, prefix: frozenset[int], support: int) -> None:
-        state["nodes"] += 1
-        if node_budget is not None and state["nodes"] > node_budget:
-            raise MiningBudgetExceeded(f"node budget {node_budget} exceeded")
-        if deadline is not None and time.monotonic() > deadline:
-            raise MiningBudgetExceeded("time budget exceeded")
+        charge()
         counts = current.row_frequencies()
         # Item merging: full-count items are in the prefix closure.
         merged = prefix | {item for item, count in counts.items() if count == support}
@@ -136,7 +135,7 @@ def mine_closetplus(
     try:
         grow(tree, frozenset(), tree.n_items)
     except MiningBudgetExceeded:
-        state["completed"] = False
+        pass  # the budget marked stats incomplete
 
     # Closure filter: drop any candidate subsumed by a same-support
     # superset, then translate the survivors into rule groups and apply
@@ -165,7 +164,7 @@ def mine_closetplus(
         groups=list(groups.values()),
         consequent=consequent,
         minsup=minsup,
-        completed=state["completed"],
-        nodes_visited=state["nodes"],
+        completed=stats.completed,
+        nodes_visited=stats.nodes_visited,
         elapsed_seconds=time.monotonic() - start,
     )

@@ -29,14 +29,11 @@ from ..core.rules import RuleGroup
 from ..core.view import MiningView
 from ..errors import MiningBudgetExceeded
 from ..parallel import (
-    _AUTO_FARMER_SERIAL_UNITS,
-    AUTO_JOBS,
-    _execute,
     estimate_farmer_work,
     merge_stats,
-    plan_auto_workers,
     plan_shards,
-    resolve_n_jobs,
+    plan_workers,
+    run_jobs,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import is for annotations only
@@ -155,8 +152,8 @@ class FarmerShard:
 
     ``first_rows`` is a position bitset of the first-level subtrees to
     expand (``None`` expands all: the whole serial mine); the other
-    fields are :func:`mine_farmer`'s arguments of the same names.  This
-    is the pool job of a sharded mine (:func:`repro.parallel._execute`).
+    fields are :func:`mine_farmer`'s arguments of the same names.  It is
+    the job :func:`repro.parallel.run_jobs` runs for every FARMER mine.
     """
 
     consequent: int
@@ -272,12 +269,9 @@ def mine_farmer(
     # static-threshold run (see plan_auto_backend).
     resolve_backend(backend, n_rows=dataset.n_rows, task="farmer")
     view = MiningView.cached(dataset, consequent, minsup)
-    if n_jobs == AUTO_JOBS:
-        n_workers = plan_auto_workers(
-            estimate_farmer_work(view), _AUTO_FARMER_SERIAL_UNITS
-        )
-    else:
-        n_workers = resolve_n_jobs(n_jobs)
+    n_workers = plan_workers(
+        n_jobs, lambda: estimate_farmer_work(view), "farmer"
+    )
     shard = FarmerShard(
         consequent=consequent,
         minsup=minsup,
@@ -287,21 +281,17 @@ def mine_farmer(
         max_groups=max_groups,
         min_chi_square=min_chi_square,
     )
-    degraded = False
-    if n_workers <= 1:
-        outputs = [shard.run(dataset, cancel, time_budget)]
-    else:
+    jobs = [shard]
+    if n_workers > 1:
         jobs = [
             replace(shard, first_rows=mask)
             for mask in plan_shards(view.n_rows, n_workers)
         ]
-        outputs, recovery = _execute(
-            dataset, jobs, n_workers, time_budget, cancel, fault=fault
-        )
-        degraded = recovery["degraded"]
+    outputs, _recovery = run_jobs(
+        dataset, jobs, n_workers, time_budget, cancel, fault=fault
+    )
     merged = [group for groups, _stats in outputs for group in groups]
     stats = merge_stats([stats for _groups, stats in outputs], engine)
-    stats.degraded = stats.degraded or degraded
     if max_groups is not None and len(merged) > max_groups:
         # A shard stops one group past the cap, as the serial walk does;
         # keep the identical prefix of the DFS emission order.

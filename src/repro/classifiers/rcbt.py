@@ -25,7 +25,11 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from ..analysis.gene_ranking import gene_entropy_scores, item_scores
 from ..core.lower_bounds import find_lower_bounds_batch
 from ..core.rules import Rule, RuleGroup
+# The class mines run through ``mine_topk_requests``; ``mine_topk`` is
+# imported only because perfbench's tracer wraps ``rcbt.mine_topk`` by
+# name.
 from ..core.topk_miner import TopkResult, mine_topk, relative_minsup
+from ..parallel import MineRequest, mine_topk_requests
 from .base import RuleBasedClassifier
 from .selection import cba_select_groups, majority_class
 
@@ -89,12 +93,13 @@ class RCBTClassifier(RuleBasedClassifier):
         use_voting: aggregate matching rules by score (paper behaviour);
             False falls back to first-match within each level, the
             ablation of Section 6.2's "collective decision" factor.
-        n_jobs: worker processes for the mining step; 1 mines each class
-            serially, any other value mines each class as one whole
-            unit on the process pool via
-            :func:`repro.parallel.mine_topk_requests` (``None``/0 = all
-            cores, ``"auto"`` = planner decides).  The fitted model and
-            every class's mining ``stats`` are identical either way.
+        n_jobs: worker processes for the mining step, which mines each
+            class as one whole unit through
+            :func:`repro.parallel.mine_topk_requests`: 1 mines the
+            classes in turn in this process, any other value on the
+            process pool (``None``/0 = all cores, ``"auto"`` = planner
+            decides).  The fitted model and every class's mining
+            ``stats`` are identical either way.
     """
 
     def __init__(
@@ -131,33 +136,21 @@ class RCBTClassifier(RuleBasedClassifier):
         """Mine top-k covering rule groups and build the classifier cascade."""
         scores = item_scores(train, gene_entropy_scores(train))
         self._class_counts = train.class_counts()
-        self.topk_results_ = {}
-        if self.n_jobs != 1:
-            # One whole mine per class: classes are independent units,
-            # while one class's tree cannot be split without losing its
-            # dynamic thresholds (DESIGN.md §7).
-            from ..parallel import MineRequest, mine_topk_requests
-
-            requests = [
-                MineRequest(
-                    consequent=class_id,
-                    minsup=relative_minsup(
-                        train, class_id, self.minsup_fraction
-                    ),
-                    k=self.k,
-                    engine=self.engine,
-                )
-                for class_id in range(train.n_classes)
-            ]
-            self.topk_results_ = dict(enumerate(
-                mine_topk_requests(train, requests, n_jobs=self.n_jobs)
-            ))
-        else:
-            for class_id in range(train.n_classes):
-                minsup = relative_minsup(train, class_id, self.minsup_fraction)
-                self.topk_results_[class_id] = mine_topk(
-                    train, class_id, minsup, k=self.k, engine=self.engine
-                )
+        # One whole mine per class: classes are independent units, while
+        # one class's tree cannot be split without losing its dynamic
+        # thresholds (DESIGN.md §7).
+        requests = [
+            MineRequest(
+                consequent=class_id,
+                minsup=relative_minsup(train, class_id, self.minsup_fraction),
+                k=self.k,
+                engine=self.engine,
+            )
+            for class_id in range(train.n_classes)
+        ]
+        self.topk_results_ = dict(enumerate(
+            mine_topk_requests(train, requests, n_jobs=self.n_jobs)
+        ))
 
         self.levels_ = []
         self._level_scores = []

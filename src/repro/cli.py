@@ -128,12 +128,10 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         # shell (e.g. --strategy hybrid --jobs 2 --fault kill@0.0).  Only
         # a hybrid mine's partitions run on workers; a direct mine is one
         # enumeration in this process, with no workers to lose.
-        from .core.hybrid import mine_topk_hybrid, plan_auto_strategy
+        from .core.hybrid import mine_topk_hybrid, resolve_strategy
         from .parallel import FaultPlan
 
-        strategy = args.strategy
-        if strategy == "auto":
-            strategy = plan_auto_strategy(dataset.n_rows)
+        strategy = resolve_strategy(args.strategy, dataset.n_rows)
         if strategy != "hybrid" or args.jobs == 1:
             print("--fault needs workers to fault: use --strategy hybrid "
                   "with --jobs != 1 (a direct mine runs in one process)",

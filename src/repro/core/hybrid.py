@@ -23,10 +23,12 @@ This module implements that sketch as the production tall path:
    per-run directory (the paper's "database projection (disk-based)
    techniques" route).
 2. **Row phase** — ordinary MineTopkRGS row enumeration inside each
-   partition, serial in anchor order or fanned out over the warm
-   :class:`~repro.parallel.MinerPool` (partitions are independent
-   units, which the pool supervises: worker crashes are retried,
-   budget/cancel ride the shared slot array).
+   partition.  Partitions are independent jobs for
+   :func:`~repro.parallel.run_jobs`, which mines them in anchor order
+   in this process or fans them out over the warm
+   :class:`~repro.parallel.MinerPool` (worker crashes are retried,
+   budget/cancel ride the shared slot array).  A partition that starts
+   after a cancel or an expired budget is skipped, on either path.
 3. **Aggregation** — each discovered group is attributed to the
    partition of its closure's *smallest* item (so every group is
    produced exactly once), and the global per-row top-k lists are built
@@ -84,6 +86,7 @@ __all__ = [
     "mine_hybrid_partition",
     "mine_topk_hybrid",
     "plan_auto_strategy",
+    "resolve_strategy",
 ]
 
 # Mining strategies accepted by ``mine_topk(strategy=...)`` and the
@@ -105,6 +108,23 @@ def plan_auto_strategy(n_rows: int) -> str:
     choice = "hybrid" if n_rows >= AUTO_HYBRID_ROWS else "direct"
     _AUTO_CHOICES[choice] += 1
     return choice
+
+
+def resolve_strategy(strategy: str, n_rows: int) -> str:
+    """Validate a mining ``strategy`` and resolve ``"auto"`` to a concrete one.
+
+    ``"auto"`` is planned from ``n_rows`` and counted
+    (:func:`auto_strategy_stats`); ``"direct"`` and ``"hybrid"`` return
+    as given; anything else raises ``ValueError``.
+    """
+    if strategy == AUTO_STRATEGY:
+        return plan_auto_strategy(n_rows)
+    if strategy not in STRATEGIES:
+        known = ", ".join((*STRATEGIES, AUTO_STRATEGY))
+        raise ValueError(
+            f"unknown strategy {strategy!r}; expected one of: {known}"
+        )
+    return strategy
 
 
 def auto_strategy_stats() -> dict:
@@ -172,7 +192,16 @@ class HybridPartitionRequest:
 
     def run(self, catalog: PartitionCatalog, cancel=None,
             time_budget: Optional[float] = None):
-        """Mine this partition; see :func:`mine_hybrid_partition`."""
+        """Mine this partition; see :func:`mine_hybrid_partition`.
+
+        Returns ``None``, without reading its rows or spill file, when
+        the partition starts after the stop: ``cancel`` is set or the
+        budget is spent.  The caller counts it as skipped.
+        """
+        if (cancel is not None and cancel.is_set()) or (
+            time_budget is not None and time_budget <= 0
+        ):
+            return None
         return mine_hybrid_partition(
             self, catalog, cancel=cancel, time_budget=time_budget
         )
@@ -203,10 +232,9 @@ def mine_hybrid_partition(
 ):
     """Mine one partition; returns ``(payload, stats)``.
 
-    Shared by the serial loop and the pool workers (through
-    :meth:`HybridPartitionRequest.run`; the pool bridges its slot
-    cancellation and the degraded path's deadline into
-    ``cancel``/``time_budget`` here).  The payload is a tuple of
+    Called through :meth:`HybridPartitionRequest.run`, in this process
+    or in a pool worker (the pool bridges its slot cancellation into
+    ``cancel`` here).  The payload is a tuple of
     ``(sorted antecedent, support, confidence)`` triples — supports
     measured inside the partition are exact global values, so the
     parent only re-derives row sets, never counters.
@@ -436,11 +464,12 @@ def mine_topk_hybrid(
         time_budget: wall-clock budget in seconds for the whole call;
             on expiry the remaining partitions are skipped and the
             result is marked incomplete.
-        cancel: object with ``is_set()`` polled between partitions and
-            inside each partition's enumeration.
-        n_jobs: partition fan-out over the warm miner pool; ``"auto"``
-            plans from the cohort's cell count, other values follow
-            :func:`repro.parallel.resolve_n_jobs`.
+        cancel: object with ``is_set()`` polled as each partition
+            starts and inside its enumeration.
+        n_jobs: partition fan-out over the warm miner pool, resolved
+            by :func:`repro.parallel.plan_workers` (``"auto"`` plans
+            from the cohort's cell count); 1 mines the partitions in
+            anchor order in this process.
         backend: ``None``, ``"int"`` or ``"auto"`` (see
             :mod:`repro.core.backends`); ``"auto"`` is planned once
             against the *full* cohort's row count.
@@ -448,7 +477,8 @@ def mine_topk_hybrid(
             Section 4.1.1 optimization flags, forwarded to each
             per-partition mine.
         fault: deterministic :class:`repro.parallel.FaultPlan` for the
-            pool path (testing hook; ignored by the serial loop).
+            pool path (testing hook; ignored by partitions mined in
+            this process).
 
     Returns:
         A :class:`TopkResult` equal to the direct miner's output; its
@@ -491,182 +521,96 @@ def mine_topk_hybrid(
         run_dir = Path(spill_dir) / f"hybrid-{uuid.uuid4().hex}"
         run_dir.mkdir()
     try:
-        return _mine_streamed(
-            source=source,
+        builder = _PartitionBuilder(
+            source, consequent, minsup, run_dir, max_resident_cells
+        )
+        builder.scan()
+        builder.build()
+
+        # One resolution against the full cohort's row count, exactly as
+        # the direct miner resolves it; the partitions need no backend.
+        resolve_backend(backend, n_rows=builder.n_rows, task="topk")
+
+        from ..parallel import MineRequest, plan_workers, run_jobs
+
+        n_workers = plan_workers(
+            n_jobs, lambda: builder.total_cells * (1 + k), "topk"
+        )
+        stats = HybridStats(
+            n_partitions=len(builder.partitions),
+            n_jobs=n_workers,
+            total_cells=builder.total_cells,
+            peak_resident_cells=builder.peak_resident_cells,
+            spilled_partitions=sum(
+                1 for partition in builder.partitions
+                if partition.n_spilled_rows
+            ),
+            max_partition_rows=max(
+                (partition.n_rows for partition in builder.partitions),
+                default=0,
+            ),
+        )
+        mine = MineRequest(
             consequent=consequent,
             minsup=minsup,
             k=k,
             engine=engine,
-            node_budget_per_partition=node_budget_per_partition,
-            run_dir=run_dir,
-            max_resident_cells=max_resident_cells,
-            time_budget=time_budget,
-            cancel=cancel,
-            n_jobs=n_jobs,
-            backend=backend,
             initialize_single_items=initialize_single_items,
             dynamic_minsup=dynamic_minsup,
             use_topk_pruning=use_topk_pruning,
-            fault=fault,
-            started=started,
-            start_monotonic=start_monotonic,
+            node_budget=node_budget_per_partition,
+        )
+        # The requests take over the builder's row lists (nothing
+        # appends to them after pass two), so every resident row is
+        # held once.
+        requests = [
+            HybridPartitionRequest(
+                anchor=partition.anchor,
+                mine=mine,
+                rows=partition.rows,
+                labels=partition.labels,
+                spill_path=(
+                    str(partition.spill_path)
+                    if partition.spill_path is not None
+                    else None
+                ),
+            )
+            for partition in builder.partitions
+        ]
+        catalog = PartitionCatalog(
+            source.items, source.class_names, source.name
+        )
+        # The budget covers the whole call, the builder's passes too.
+        time_left = (
+            None if time_budget is None
+            else max(time_budget - (time.monotonic() - start_monotonic), 0.0)
+        )
+        outputs, _recovery = run_jobs(
+            catalog, requests, n_workers, time_left, cancel, fault=fault
         )
     finally:
         if run_dir is not None:
             shutil.rmtree(run_dir, ignore_errors=True)
 
-
-def _mine_streamed(
-    *,
-    source,
-    consequent,
-    minsup,
-    k,
-    engine,
-    node_budget_per_partition,
-    run_dir,
-    max_resident_cells,
-    time_budget,
-    cancel,
-    n_jobs,
-    backend,
-    initialize_single_items,
-    dynamic_minsup,
-    use_topk_pruning,
-    fault,
-    started,
-    start_monotonic,
-) -> TopkResult:
-    builder = _PartitionBuilder(
-        source, consequent, minsup, run_dir, max_resident_cells
-    )
-    builder.scan()
-    builder.build()
-
-    # One resolution against the full cohort's row count, exactly as the
-    # direct miner resolves it; the partitions need no backend argument.
-    resolve_backend(backend, n_rows=builder.n_rows, task="topk")
-
-    from ..parallel import (
-        _AUTO_TOPK_SERIAL_UNITS,
-        AUTO_JOBS,
-        MineRequest,
-        _execute,
-        _time_left,
-        plan_auto_workers,
-        resolve_n_jobs,
-    )
-
-    if n_jobs == AUTO_JOBS:
-        n_workers = plan_auto_workers(
-            builder.total_cells * (1 + k), _AUTO_TOPK_SERIAL_UNITS
-        )
-    else:
-        n_workers = resolve_n_jobs(n_jobs)
-
-    stats = HybridStats(
-        n_partitions=len(builder.partitions),
-        n_jobs=n_workers,
-        total_cells=builder.total_cells,
-        peak_resident_cells=builder.peak_resident_cells,
-        spilled_partitions=sum(
-            1 for partition in builder.partitions
-            if partition.n_spilled_rows
-        ),
-        max_partition_rows=max(
-            (partition.n_rows for partition in builder.partitions), default=0
-        ),
-    )
-
-    mine = MineRequest(
-        consequent=consequent,
-        minsup=minsup,
-        k=k,
-        engine=engine,
-        initialize_single_items=initialize_single_items,
-        dynamic_minsup=dynamic_minsup,
-        use_topk_pruning=use_topk_pruning,
-        node_budget=node_budget_per_partition,
-    )
-    # The requests take over the builder's row lists (nothing appends to
-    # them after pass two), so every resident row is held once.
-    requests = [
-        HybridPartitionRequest(
-            anchor=partition.anchor,
-            mine=mine,
-            rows=partition.rows,
-            labels=partition.labels,
-            spill_path=(
-                str(partition.spill_path)
-                if partition.spill_path is not None
-                else None
-            ),
-        )
-        for partition in builder.partitions
-    ]
-    catalog = PartitionCatalog(
-        source.items, source.class_names, source.name
-    )
-
-    deadline = (
-        start_monotonic + time_budget if time_budget is not None else None
-    )
-    outputs: list = [None] * len(requests)
-    recovery = None
-    already_stopped = (
-        deadline is not None and time.monotonic() >= deadline
-    ) or (cancel is not None and cancel.is_set())
-    if already_stopped:
-        # Same contract as the serial loop's first-iteration check: a
-        # cancel/expiry observed before the fan-out skips every
-        # partition instead of paying a pool round-trip to learn it.
-        stats.n_skipped_partitions = len(requests)
-        stats.completed = False
-    elif n_workers > 1 and len(requests) > 1:
-        # Partitions are independent whole mines, so they ride the
-        # supervision every pool job gets: slot-bridged budget/cancel,
-        # crash retries on a healed pool, lossless serial degradation.
-        outputs, recovery = _execute(
-            catalog,
-            requests,
-            n_workers,
-            time_budget=_time_left(deadline),
-            cancel=cancel,
-            fault=fault,
-        )
-        skipped = sum(1 for output in outputs if output is None)
-        if skipped:
-            stats.n_skipped_partitions = skipped
-            stats.completed = False
-    else:
-        for index, request in enumerate(requests):
-            expired = deadline is not None and time.monotonic() >= deadline
-            if expired or (cancel is not None and cancel.is_set()):
-                stats.n_skipped_partitions = len(requests) - index
-                stats.completed = False
-                break
-            outputs[index] = mine_hybrid_partition(
-                request, catalog, cancel=cancel,
-                time_budget=_time_left(deadline),
-            )
-
     # -- aggregation ------------------------------------------------------
     loose = tight = backward = 0
+    degraded = False
     finished = []
-    for index, output in enumerate(outputs):
+    for request, output in zip(requests, outputs):
         if output is None:
-            # Skipped partition (serial break above, or a parallel job
-            # the supervisor never completed): already accounted for in
-            # n_skipped_partitions / completed.
+            # Started after a cancel or an expired budget.
+            stats.n_skipped_partitions += 1
+            stats.completed = False
             continue
         payload, partition_stats = output
         stats.total_nodes += partition_stats.nodes_visited
         loose += partition_stats.loose_pruned
         tight += partition_stats.tight_pruned
         backward += partition_stats.backward_pruned
+        degraded = degraded or partition_stats.degraded
         if not partition_stats.completed:
             stats.completed = False
-        finished.append((requests[index].anchor, payload))
+        finished.append((request.anchor, payload))
     groups = _canonical_groups(builder, consequent, finished)
     lists = build_topk_lists(k, groups, builder.class_mask)
 
@@ -680,7 +624,7 @@ def _mine_streamed(
         elapsed_seconds=time.perf_counter() - started,
         engine=f"hybrid/{engine}",
         completed=stats.completed,
-        degraded=bool(recovery and recovery["degraded"]),
+        degraded=degraded,
     )
     result = TopkResult(
         per_row=per_row,

@@ -479,12 +479,10 @@ def mine_topk(
         a budget was set and exhausted, the lists discovered so far are
         returned and ``stats.completed`` is False.
     """
-    auto_resolved = False
-    if strategy == "auto":
-        from .hybrid import plan_auto_strategy
+    from .hybrid import resolve_strategy
 
-        strategy = plan_auto_strategy(dataset.n_rows)
-        auto_resolved = True
+    auto_resolved = strategy == "auto"
+    strategy = resolve_strategy(strategy, dataset.n_rows)
     if strategy == "hybrid":
         from .hybrid import mine_topk_hybrid
 
@@ -505,11 +503,6 @@ def mine_topk(
             spill_dir=spill_dir,
             max_resident_cells=max_resident_cells,
         )
-    if strategy != "direct":
-        from .hybrid import STRATEGIES
-
-        known = ", ".join((*STRATEGIES, "auto"))
-        raise ValueError(f"unknown strategy {strategy!r}; expected one of: {known}")
     if not auto_resolved and (
         spill_dir is not None or max_resident_cells is not None
     ):

@@ -27,19 +27,26 @@ so the three kinds of unit live with the miners they belong to:
   the column partitions of :mod:`repro.core.hybrid` are whole,
   independent mines.
 
-Execution goes through a persistent :class:`MinerPool` (DESIGN.md §9):
-worker processes are started once and kept warm across mining calls, so
-repeated mines — RCBT's per-class requests, the bench harness — pay the
-fork/spawn tax once instead of per call.  Datasets ship with each task
-as a pickled blob tagged by an identity token; workers cache the last
-few decoded datasets by token, so every job (and every later request
-over the same dataset) after the first decodes nothing and reuses the
-worker-side memoized :meth:`~repro.core.view.MiningView.cached` views.
+Every unit runs through one runner, :func:`run_jobs`.  With one worker
+or one job it runs the jobs in order in the calling process, each with
+the time left before one shared deadline and the caller's ``cancel``
+polled directly.  Otherwise it runs them on a persistent
+:class:`MinerPool` (DESIGN.md §9): worker processes are started once and
+kept warm across mining calls, so repeated mines — RCBT's per-class
+requests, the bench harness — pay the fork/spawn tax once instead of per
+call.  Datasets ship with each task as a pickled blob tagged by an
+identity token; workers cache the last few decoded datasets by token, so
+every job (and every later request over the same dataset) after the
+first decodes nothing and reuses the worker-side memoized
+:meth:`~repro.core.view.MiningView.cached` views.  The entry points only
+build jobs and merge outputs.
 
+:func:`plan_workers` resolves every entry point's ``n_jobs``.
 ``n_jobs="auto"`` asks the adaptive planner to choose between serial and
-parallel execution: it estimates the enumeration work from the view's
-:class:`~repro.core.view.SupportIndex` and falls back to serial below a
-calibrated threshold where warm-pool dispatch would eat the speedup.
+parallel execution: it estimates the work (from the view's
+:class:`~repro.core.view.SupportIndex`, or a hybrid run's cell count)
+and falls back to serial below a calibrated threshold where warm-pool
+dispatch would eat the speedup.
 
 Deviation: FARMER's ``node_budget`` is applied per shard rather than
 globally (a shared atomic counter would serialize the workers);
@@ -50,12 +57,13 @@ budget checks.
 
 Fault tolerance (DESIGN.md §10): worker death — an OOM kill, a segfault,
 a container runtime reaping a process — is a retried, observable event,
-not a request-killing one.  :func:`_execute` supervises job futures as
+not a request-killing one.  :func:`run_jobs` supervises job futures as
 they complete; when the process pool breaks it heals the pool through
 the generation-replacement machinery of :class:`MinerPool` and resubmits
 only the failed jobs, with capped attempts and exponential backoff,
-before degrading losslessly to serial in-process execution (the output
-is bit-identical regardless of where a job ran).  Every recovery path is
+before degrading losslessly to the in-process loop (the output is
+bit-identical regardless of where a job ran; ``stats.degraded`` marks
+each output that loop produced).  Every recovery path is
 exercised deterministically through :class:`FaultPlan`, which can kill,
 hang, delay, or raise inside a chosen job on a chosen attempt — either
 passed explicitly or via the ``REPRO_FAULT`` environment variable for
@@ -100,12 +108,14 @@ __all__ = [
     "resolve_n_jobs",
     "plan_shards",
     "plan_auto_workers",
+    "plan_workers",
     "estimate_topk_work",
     "estimate_farmer_work",
     "merge_stats",
     "mine_topk_requests",
     "parallel_map",
     "results_equal",
+    "run_jobs",
 ]
 
 # Sentinel accepted everywhere an ``n_jobs`` is: let the planner decide.
@@ -116,7 +126,7 @@ AUTO_JOBS = "auto"
 _WATCH_INTERVAL_SECONDS = 0.02
 
 # Cancellation slots in the pool's shared flag array.  Each concurrent
-# _execute call that carries a deadline or cancel token leases one slot
+# run_jobs call that carries a deadline or cancel token leases one slot
 # for its lifetime; 64 concurrent cancellable mines per process is far
 # beyond what the service's job queue admits.
 _POOL_CANCEL_SLOTS = 64
@@ -194,7 +204,7 @@ FAULT_ANY = -1
 class Fault:
     """One injected fault: ``mode`` fires on ``(shard, attempt)``.
 
-    ``shard`` is the index of the job within one :func:`_execute` call:
+    ``shard`` is the index of the job within one :func:`run_jobs` call:
     the :func:`plan_shards` index of a FARMER mine, the partition index
     of a hybrid mine, or the request index of :func:`mine_topk_requests`.
     ``attempt`` is the supervisor's resubmission count for that job
@@ -240,8 +250,8 @@ class FaultPlan:
         hang@0.0:30           hang job 0 for up to 30 s (or until cancel)
         delay@*.0:0.5         delay every first-attempt job by 0.5 s
 
-    Faults are applied only inside pool worker processes — the parent's
-    serial fallback ignores the plan, so a ``kill`` can never take down
+    Faults are applied only inside pool worker processes — the runner's
+    in-process loop ignores the plan, so a ``kill`` can never take down
     the caller.  This is a testing hook: it exists so every recovery
     path of the supervisor is exercised in CI rather than trusted.
     """
@@ -299,13 +309,13 @@ def resolve_n_jobs(n_jobs: Optional[int]) -> int:
     ``None`` or ``0`` mean "all cores"; negative values count back from
     the core count (``-1`` = all cores, ``-2`` = all but one, the joblib
     convention); positive values are used as given.  The :data:`AUTO_JOBS`
-    sentinel is workload-dependent and resolved by the mining entry
-    points themselves (via :func:`plan_auto_workers`), not here.
+    sentinel is workload-dependent and resolved by :func:`plan_workers`,
+    not here.
     """
     if n_jobs == AUTO_JOBS:
         raise ValueError(
-            "n_jobs='auto' is resolved per workload by the mining entry "
-            "points; resolve_n_jobs only handles integers"
+            "n_jobs='auto' is resolved per workload by plan_workers; "
+            "resolve_n_jobs only handles integers"
         )
     cores = os.cpu_count() or 1
     if n_jobs is None or n_jobs == 0:
@@ -643,11 +653,11 @@ _DEFAULT_POOL_LOCK = threading.Lock()
 _PLANNER_LOCK = threading.Lock()
 _PLANNER_SERIAL_FALLBACKS = 0
 
-# Crash-recovery counters, process-wide (every pool, every _execute):
+# Crash-recovery counters, process-wide (every pool, every run_jobs):
 # shard_retries            — shard jobs resubmitted after worker loss;
 # pool_restarts_on_failure — executor generations retired by heal();
-# serial_degradations      — _execute calls that ran shards serially
-#                            in-process (retries exhausted, or no
+# serial_degradations      — pool runs that fell back to the in-process
+#                            loop (retries exhausted, or no
 #                            cancellation slot free within the wait).
 _RECOVERY_LOCK = threading.Lock()
 _RECOVERY = {
@@ -776,6 +786,24 @@ def plan_auto_workers(work_units: int, serial_threshold: int) -> int:
     return cores
 
 
+def plan_workers(n_jobs: "int | str | None", work: Callable[[], int],
+                 task: str) -> int:
+    """Resolve a mining entry point's ``n_jobs`` into a worker count.
+
+    :data:`AUTO_JOBS` calls ``work()`` for the estimated work units and
+    asks :func:`plan_auto_workers` with the ``task``'s calibrated
+    threshold (``"topk"`` or ``"farmer"``); any other value goes to
+    :func:`resolve_n_jobs` and ``work`` is never called.
+    """
+    if n_jobs != AUTO_JOBS:
+        return resolve_n_jobs(n_jobs)
+    thresholds = {
+        "topk": _AUTO_TOPK_SERIAL_UNITS,
+        "farmer": _AUTO_FARMER_SERIAL_UNITS,
+    }
+    return plan_auto_workers(work(), thresholds[task])
+
+
 def _is_worker_loss(error: BaseException) -> bool:
     """True for errors meaning "a worker process died", not "the shard
     raised": those shards are retryable on a healed pool."""
@@ -789,10 +817,11 @@ def _is_worker_loss(error: BaseException) -> bool:
 
 
 def _time_left(deadline: Optional[float]) -> Optional[float]:
-    """Seconds left before a ``time.monotonic()`` deadline (None = none)."""
+    """Seconds left before a ``time.monotonic()`` deadline (None = none),
+    clamped at 0: a job handed 0 starts after the stop."""
     if deadline is None:
         return None
-    return max(deadline - time.monotonic(), 1e-9)
+    return max(deadline - time.monotonic(), 0.0)
 
 
 def _run_attempt(
@@ -849,63 +878,79 @@ def _run_attempt(
     return sorted(lost)
 
 
-def _execute(
+def run_jobs(
     dataset: "DiscretizedDataset",
     jobs: Sequence,
-    n_jobs: int,
+    n_workers: int,
     time_budget: Optional[float] = None,
     cancel=None,
     pool: Optional[MinerPool] = None,
     fault: Optional[FaultPlan] = None,
     max_attempts: int = _MAX_SHARD_ATTEMPTS,
-) -> tuple[list[tuple[object, MinerStats]], dict]:
-    """Run jobs over ``dataset`` on the warm miner pool.
+) -> tuple[list, dict]:
+    """Run jobs over ``dataset``: the one place any mining unit runs.
 
     Each job is a picklable object whose ``run(dataset, cancel,
-    time_budget)`` returns ``(payload, stats)``; ``dataset`` is whatever
+    time_budget)`` returns ``(payload, stats)``, or ``None`` when it
+    starts after the stop and skips its work; ``dataset`` is whatever
     its ``run`` mines (a :class:`DiscretizedDataset`, or a hybrid run's
-    shared catalog), pickled once per call like any payload.  Returns ``(outputs, recovery)``: outputs in submission order, and a
-    recovery summary for this call (``shard_retries``, ``pool_restarts``,
-    ``serial_degradations``, ``degraded``).  ``time_budget`` / ``cancel``
-    are bridged to the workers through a leased slot of the pool's shared
-    flag array, set by a watcher thread in this process; workers poll it
-    cooperatively and return their partial results with
-    ``stats.completed`` False.
+    shared catalog).  Returns ``(outputs, recovery)``: outputs in job
+    order, and a recovery summary for this call (``shard_retries``,
+    ``pool_restarts``, ``serial_degradations``, ``degraded``).
+
+    With one worker or one job the jobs run in order in this process,
+    each with the time left before one deadline (clamped at 0) and the
+    caller's ``cancel`` polled directly.  Otherwise they run on the warm
+    pool: ``time_budget`` / ``cancel`` are bridged to the workers
+    through a leased slot of the pool's shared flag array, set by a
+    watcher thread in this process; workers poll it cooperatively and
+    return their partial results with ``stats.completed`` False.  A NaN
+    or negative ``time_budget`` raises ``ValueError``, as it does in
+    every miner.
 
     Crash recovery: jobs whose worker died are resubmitted on a healed
     pool with exponential backoff, up to ``max_attempts`` total pool
-    attempts each, then executed serially in this process — a job's
-    output does not depend on where it ran, so degradation is lossless.
-    No ``BrokenProcessPool`` ever escapes to the caller.
+    attempts each, then run by the in-process loop — a job's output does
+    not depend on where it ran, so degradation is lossless, and
+    ``stats.degraded`` marks every output the fallback produced.  No
+    ``BrokenProcessPool`` ever escapes to the caller.
     """
+    if time_budget is not None and not time_budget >= 0:
+        raise ValueError(
+            f"time_budget must be a non-negative number, got {time_budget}"
+        )
     recovery = {
         "shard_retries": 0,
         "pool_restarts": 0,
         "serial_degradations": 0,
         "degraded": False,
     }
-    if not jobs:
-        return [], recovery
-    if pool is None:
-        pool = get_pool()
-    token, blob = _dataset_payload(dataset)
     deadline = (
         time.monotonic() + time_budget if time_budget is not None else None
     )
     outputs: list = [None] * len(jobs)
 
-    def _degrade_to_serial(indices: Sequence[int]) -> None:
+    def _run_here(indices: Sequence[int], degraded: bool) -> None:
         # The caller's cancel token is polled directly by the budget
         # checks (no slot, no watcher) and each job gets the time left
-        # before the global deadline.  Fault plans are deliberately not
+        # before the one deadline.  Fault plans are deliberately not
         # consulted: an injected kill must never take down this process.
-        _count_recovery("serial_degradations", 1)
-        recovery["serial_degradations"] += 1
-        recovery["degraded"] = True
+        if degraded:
+            _count_recovery("serial_degradations", 1)
+            recovery["serial_degradations"] += 1
+            recovery["degraded"] = True
         for index in indices:
-            outputs[index] = jobs[index].run(
-                dataset, cancel, _time_left(deadline)
-            )
+            output = jobs[index].run(dataset, cancel, _time_left(deadline))
+            if degraded and output is not None:
+                output[1].degraded = True
+            outputs[index] = output
+
+    if n_workers <= 1 or len(jobs) <= 1:
+        _run_here(range(len(jobs)), degraded=False)
+        return outputs, recovery
+    if pool is None:
+        pool = get_pool()
+    token, blob = _dataset_payload(dataset)
 
     slot = -1
     watcher: Optional[threading.Thread] = None
@@ -914,10 +959,10 @@ def _execute(
         slot = pool.acquire_slot(timeout=_SLOT_WAIT_SECONDS)
         if slot < 0:
             # Every cancellation slot stayed leased past the bounded
-            # wait: degrade to watcher-free serial execution instead of
-            # failing the mine (pre-fix this raised and the service
+            # wait: degrade to watcher-free in-process execution instead
+            # of failing the mine (pre-fix this raised and the service
             # returned a 500 on the 65th concurrent cancellable mine).
-            _degrade_to_serial(range(len(jobs)))
+            _run_here(range(len(jobs)), degraded=True)
             return outputs, recovery
         if cancel is not None and cancel.is_set():
             pool.cancel_slot(slot)
@@ -940,14 +985,14 @@ def _execute(
         attempt = 0
         while remaining:
             if attempt >= max_attempts:
-                # Retries exhausted: finish the surviving shards here.
-                _degrade_to_serial(remaining)
+                # Retries exhausted: finish the surviving jobs here.
+                _run_here(remaining, degraded=True)
                 break
             if attempt > 0:
                 _count_recovery("shard_retries", len(remaining))
                 recovery["shard_retries"] += len(remaining)
                 time.sleep(_RETRY_BACKOFF_SECONDS * (2 ** (attempt - 1)))
-            lost = _run_attempt(pool, jobs, remaining, outputs, n_jobs,
+            lost = _run_attempt(pool, jobs, remaining, outputs, n_workers,
                                 token, blob, slot, attempt, fault)
             if lost and pool.heal():
                 recovery["pool_restarts"] += 1
@@ -970,10 +1015,10 @@ def mine_topk_requests(
     cancel=None,
     fault: Optional[FaultPlan] = None,
 ) -> list[TopkResult]:
-    """Mine several whole top-k requests, one pool job per request.
+    """Mine several whole top-k requests, one job per request.
 
-    This is the engine behind RCBT's per-class parallelism: each class's
-    mine is an independent unit whose worker runs
+    This is the engine behind RCBT's per-class mines: each class's mine
+    is an independent unit whose job runs
     :func:`~repro.core.topk_miner.mine_topk` itself, so every result is
     the serial one — per-row lists and ``stats`` counters alike — and
     nothing needs merging.  ``n_jobs`` caps the worker count;
@@ -983,41 +1028,28 @@ def mine_topk_requests(
 
     Returns one :class:`TopkResult` per request, in request order.  That
     holds even across worker crashes: lost requests are retried on a
-    healed pool and, past the retry cap, mined serially in this process
-    (``stats.degraded`` marks every result of such a call).
+    healed pool and, past the retry cap, mined in this process
+    (``stats.degraded`` marks each result mined that way).
     ``time_budget`` / ``cancel`` are global to the batch: each request
     gets the time left before one shared deadline.  ``fault`` is the
     deterministic fault-injection hook used by the tests and the audit
-    oracle; it never applies to the serial paths.
+    oracle; it never applies to requests mined in this process.
     """
-    if n_jobs == AUTO_JOBS:
-        total_units = sum(
+    n_workers = plan_workers(
+        n_jobs,
+        lambda: sum(
             estimate_topk_work(
                 MiningView.cached(dataset, request.consequent, request.minsup),
                 request.k,
             )
             for request in requests
-        )
-        n_workers = plan_auto_workers(total_units, _AUTO_TOPK_SERIAL_UNITS)
-    else:
-        n_workers = resolve_n_jobs(n_jobs)
-    if n_workers <= 1 or len(requests) <= 1:
-        deadline = (
-            time.monotonic() + time_budget if time_budget is not None
-            else None
-        )
-        return [
-            request.run(dataset, cancel, _time_left(deadline))[0]
-            for request in requests
-        ]
-    outputs, recovery = _execute(
+        ),
+        "topk",
+    )
+    outputs, _recovery = run_jobs(
         dataset, requests, n_workers, time_budget, cancel, fault=fault
     )
-    results = [result for result, _stats in outputs]
-    if recovery["degraded"]:
-        for result in results:
-            result.stats.degraded = True
-    return results
+    return [result for result, _stats in outputs]
 
 
 def parallel_map(

@@ -37,12 +37,7 @@ import numpy as np
 
 from ..core.bitset import iter_indices
 from ..core.enumeration import ENGINES
-from ..core.hybrid import (
-    AUTO_STRATEGY,
-    STRATEGIES,
-    auto_strategy_stats,
-    plan_auto_strategy,
-)
+from ..core.hybrid import auto_strategy_stats, resolve_strategy
 from ..core.topk_miner import TopkResult, mine_topk, relative_minsup
 from ..data.dataset import GeneExpressionDataset
 from ..data.loaders import discretized_from_payload
@@ -407,18 +402,16 @@ class RuleService:
             raise ServiceError(
                 400, f"unknown engine {engine!r}; expected one of {ENGINES}"
             )
-        strategy = body.get("strategy", "direct")
-        if strategy not in (*STRATEGIES, AUTO_STRATEGY):
-            raise ServiceError(
-                400, f"unknown strategy {strategy!r}; expected one of "
-                     f"{(*STRATEGIES, AUTO_STRATEGY)}"
+        # Resolve "auto" before keying: the cache/store key records what
+        # actually ran, so auto requests deduplicate with explicit
+        # requests for the same concrete strategy and replays never
+        # re-plan.
+        try:
+            strategy = resolve_strategy(
+                body.get("strategy", "direct"), dataset.n_rows
             )
-        if strategy == AUTO_STRATEGY:
-            # Resolve before keying: the cache/store key records what
-            # actually ran, so auto requests deduplicate with explicit
-            # requests for the same concrete strategy and replays never
-            # re-plan.
-            strategy = plan_auto_strategy(dataset.n_rows)
+        except ValueError as error:
+            raise ServiceError(400, str(error))
         minsup = body.get("minsup")
         if minsup is None:
             try:

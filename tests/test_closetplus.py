@@ -3,6 +3,7 @@
 import pytest
 
 from repro.baselines import mine_closetplus, naive_farmer
+from repro.core.enumeration import POLL_STRIDE
 from repro.data.synthetic import random_discretized_dataset
 
 
@@ -44,6 +45,21 @@ class TestClosedness:
 
 
 class TestBudget:
+    # 14 rows x 20 items is several POLL_STRIDE strides of nodes, so the
+    # shared budget's first poll comes well before the walk ends.
+    def test_zero_time_budget_stops_at_first_poll(self):
+        ds = random_discretized_dataset(14, 20, density=0.6, seed=2)
+        assert mine_closetplus(ds, 1, 1).nodes_visited > POLL_STRIDE
+        result = mine_closetplus(ds, 1, 1, time_budget=0)
+        assert result.completed is False
+        assert result.nodes_visited == POLL_STRIDE
+
+    @pytest.mark.parametrize("time_budget", [float("nan"), -1.0])
+    def test_nan_or_negative_time_budget_raises(self, small_random,
+                                                time_budget):
+        with pytest.raises(ValueError, match="time_budget"):
+            mine_closetplus(small_random, 1, 1, time_budget=time_budget)
+
     def test_budget_truncates(self, small_random):
         result = mine_closetplus(small_random, 1, 1, node_budget=1)
         assert not result.completed

@@ -1,6 +1,6 @@
 """Fault injection for the process pool's crash-recovery supervisor.
 
-Every recovery path of ``repro.parallel._execute`` is exercised here
+Every recovery path of ``repro.parallel.run_jobs`` is exercised here
 deterministically through :class:`~repro.parallel.FaultPlan` instead of
 being trusted, on the pool's three kinds of independent unit: whole
 top-k mines (one per request), FARMER row shards and hybrid partitions.
@@ -41,7 +41,7 @@ from repro.parallel import (
     InjectedFault,
     MineRequest,
     MinerPool,
-    _execute,
+    run_jobs,
     mine_topk_requests,
     pool_stats,
     results_equal,
@@ -303,6 +303,8 @@ class TestHardFailures:
         prefetches ~2 into its call queue, where futures are already
         RUNNING), so a healthy fix finishes in well under the all-run
         time."""
+        # Two workers asked for, so the jobs go to the pool (one worker
+        # runs them in this process); the pool caps itself at one.
         pool = MinerPool(max_workers=1)
         jobs = [REQUESTS[0]] * 9
         fault = FaultPlan.parse(
@@ -313,7 +315,7 @@ class TestHardFailures:
         try:
             start = time.monotonic()
             with pytest.raises(InjectedFault):
-                _execute(small_random, jobs, 1, pool=pool, fault=fault)
+                run_jobs(small_random, jobs, 2, pool=pool, fault=fault)
             elapsed = time.monotonic() - start
             # All-run (pre-fix) is 8 * 0.5 = 4 s on the lone worker;
             # post-fix at most the prefetched couple of delays run.
@@ -345,7 +347,7 @@ class TestSlotExhaustionFallback:
         jobs = list(REQUESTS)
         before = pool_stats()
         try:
-            outputs, recovery = _execute(
+            outputs, recovery = run_jobs(
                 small_random, jobs, 2, cancel=threading.Event(), pool=pool
             )
         finally:
@@ -371,7 +373,7 @@ class TestSlotExhaustionFallback:
         request = MineRequest(consequent=1, minsup=1, k=8)
         jobs = [request, request]
         try:
-            outputs, recovery = _execute(
+            outputs, recovery = run_jobs(
                 small_random, jobs, 2, cancel=cancel, pool=pool
             )
         finally:

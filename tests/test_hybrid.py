@@ -15,8 +15,12 @@ import pytest
 from repro.core.backends import auto_backend_stats
 from repro.core.hybrid import (
     AUTO_HYBRID_ROWS,
+    HybridPartitionRequest,
+    PartitionCatalog,
+    auto_strategy_stats,
     mine_topk_hybrid,
     plan_auto_strategy,
+    resolve_strategy,
 )
 from repro.core.topk_miner import mine_topk
 from repro.data import (
@@ -26,7 +30,7 @@ from repro.data import (
     generate_tall_cohort,
 )
 from repro.data.synthetic import TallCohortSpec, random_discretized_dataset
-from repro.parallel import results_equal, shutdown_pool
+from repro.parallel import MineRequest, results_equal, shutdown_pool
 
 
 def profiles(per_row):
@@ -95,6 +99,16 @@ class TestEquivalence:
     def test_auto_strategy_planner_rung(self):
         assert plan_auto_strategy(AUTO_HYBRID_ROWS - 1) == "direct"
         assert plan_auto_strategy(AUTO_HYBRID_ROWS) == "hybrid"
+
+    def test_resolve_strategy_validates_resolves_and_counts(self):
+        before = auto_strategy_stats()
+        assert resolve_strategy("direct", AUTO_HYBRID_ROWS) == "direct"
+        assert resolve_strategy("hybrid", 1) == "hybrid"
+        assert auto_strategy_stats() == before
+        assert resolve_strategy("auto", AUTO_HYBRID_ROWS) == "hybrid"
+        assert auto_strategy_stats()["hybrid"] == before["hybrid"] + 1
+        with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
+            resolve_strategy("bogus", 1)
 
 
 # Test-size scales for the committed cohorts.  The chunk draws are
@@ -222,6 +236,37 @@ class TestCancellation:
         stats = result.hybrid_stats
         assert stats.n_skipped_partitions == stats.n_partitions
         assert all(groups == [] for groups in result.per_row.values())
+
+    def test_preset_cancel_skips_every_partition_on_the_pool(
+            self, small_random):
+        """The pool path reports skips like the in-process path: every
+        partition starts after the stop, so every one is skipped."""
+        cancel = threading.Event()
+        cancel.set()
+        result = mine_topk_hybrid(small_random, 1, minsup=1, k=2,
+                                  cancel=cancel, n_jobs=2)
+        assert not result.stats.completed
+        stats = result.hybrid_stats
+        assert stats.n_jobs == 2 and stats.n_partitions > 1
+        assert stats.n_skipped_partitions == stats.n_partitions
+        assert all(groups == [] for groups in result.per_row.values())
+
+    @pytest.mark.parametrize("stop", ("cancel", "budget"))
+    def test_partition_started_after_the_stop_reads_nothing(
+            self, tmp_path, stop):
+        """A partition that starts after the stop returns None before
+        it opens its spill file (which here does not exist)."""
+        request = HybridPartitionRequest(
+            anchor=0, mine=MineRequest(consequent=1, minsup=1),
+            spill_path=str(tmp_path / "missing.jsonl"),
+        )
+        catalog = PartitionCatalog([], ["neg", "pos"], "empty")
+        cancel = threading.Event()
+        if stop == "cancel":
+            cancel.set()
+            assert request.run(catalog, cancel=cancel) is None
+        else:
+            assert request.run(catalog, cancel=cancel, time_budget=0.0) is None
 
     def test_cancel_between_partitions_stops_early(self, small_random):
         class TripAfter:

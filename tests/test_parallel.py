@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.parallel as parallel_mod
 from repro.baselines.farmer import mine_farmer
 from repro.classifiers import RCBTClassifier
 from repro.classifiers.persistence import classifier_to_payload
@@ -24,13 +25,18 @@ from repro.core.enumeration import ENGINES, POLL_STRIDE
 from repro.core.topk_miner import mine_topk
 from repro.data.synthetic import random_discretized_dataset
 from repro.parallel import (
+    AUTO_JOBS,
     MineRequest,
+    MinerPool,
     merge_stats,
     mine_topk_requests,
     parallel_map,
     plan_shards,
+    plan_workers,
+    pool_stats,
     resolve_n_jobs,
     results_equal,
+    run_jobs,
 )
 
 
@@ -440,3 +446,63 @@ class TestLayering:
                    for bad in forbidden)
         ]
         assert offending == []
+
+    @pytest.mark.parametrize("module", (
+        "core/hybrid.py", "baselines/farmer.py", "classifiers/rcbt.py",
+    ))
+    def test_job_owners_use_only_the_public_runner(self, module):
+        """The job owners build jobs and merge outputs through
+        ``repro.parallel``'s public names; the runner's private helpers
+        and planner constants stay inside it."""
+        source = Path(__file__).resolve().parents[1] / "src/repro" / module
+        private = []
+        for node in ast.walk(ast.parse(source.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level:
+                target = node.module or ""
+            else:
+                target = (node.module or "").removeprefix("repro.")
+            if target == "parallel":
+                private.extend(alias.name for alias in node.names
+                               if alias.name.startswith("_"))
+        assert private == []
+
+
+class TestRunner:
+    def test_one_worker_runs_in_process_without_degrading(self, small_random):
+        """One worker: the jobs run here, in order, never touching the
+        pool or the recovery counters."""
+        jobs = [MineRequest(consequent=1, minsup=2, k=3),
+                MineRequest(consequent=0, minsup=2, k=3)]
+        pool = MinerPool()
+        before = pool_stats()["serial_degradations"]
+        outputs, recovery = run_jobs(small_random, jobs, 1, pool=pool)
+        assert pool.started == 0
+        assert recovery["degraded"] is False
+        assert pool_stats()["serial_degradations"] == before
+        for request, (result, stats) in zip(jobs, outputs):
+            assert stats is result.stats and stats.degraded is False
+            assert results_equal(result, _serial(small_random, request))
+
+    def test_plan_workers_estimates_only_for_auto(self, monkeypatch):
+        def never():
+            raise AssertionError("work estimated for a fixed n_jobs")
+
+        assert plan_workers(3, never, "topk") == 3
+        assert plan_workers(1, never, "farmer") == 1
+        monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 4)
+        assert plan_workers(AUTO_JOBS, lambda: 10, "topk") == 1
+        assert plan_workers(AUTO_JOBS, lambda: 10**9, "topk") == 4
+        # The FARMER rung sits below the top-k one.
+        units = (parallel_mod._AUTO_FARMER_SERIAL_UNITS
+                 + parallel_mod._AUTO_TOPK_SERIAL_UNITS) // 2
+        assert plan_workers(AUTO_JOBS, lambda: units, "farmer") == 4
+        assert plan_workers(AUTO_JOBS, lambda: units, "topk") == 1
+
+    @pytest.mark.parametrize("time_budget", (float("nan"), -1.0))
+    def test_bad_time_budget_raises(self, small_random, time_budget):
+        with pytest.raises(ValueError, match="time_budget"):
+            run_jobs(small_random, [MineRequest(consequent=1, minsup=2)], 1,
+                     time_budget=time_budget)
+
