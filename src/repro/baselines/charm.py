@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from ..core.bitset import popcount
-from ..core.enumeration import MinerStats, _Budget
+from ..core.enumeration import POLL_STRIDE, MinerStats, _Budget
 from ..core.rules import RuleGroup
 from ..core.view import MiningView
 from ..errors import MiningBudgetExceeded
@@ -81,6 +81,7 @@ def mine_charm(
     use_diffsets: bool = True,
     node_budget: Optional[int] = None,
     time_budget: Optional[float] = None,
+    cancel=None,
 ) -> CharmResult:
     """Mine all rule-group upper bounds by column enumeration.
 
@@ -96,7 +97,12 @@ def mine_charm(
             polled every :data:`~repro.core.enumeration.POLL_STRIDE`
             nodes like the row-enumeration miners' budgets (so 0 stops
             at the first poll, and NaN or a negative value raises
-            ``ValueError``).
+            ``ValueError``), and every ``POLL_STRIDE`` pair tests inside
+            one node's scan of its prefix class, which on wide data can
+            hold thousands of items.
+        cancel: optional cancellation token (anything with ``is_set()``),
+            polled with the deadline; when set the partial result comes
+            back with ``completed=False``.
 
     Returns:
         A :class:`CharmResult` whose groups match FARMER at
@@ -105,7 +111,9 @@ def mine_charm(
     """
     start = time.monotonic()
     stats = MinerStats(engine="charm")
-    charge = _Budget(stats, node_budget, time_budget).charge_node
+    budget = _Budget(stats, node_budget, time_budget, cancel)
+    charge = budget.charge_node
+    poll = budget.poll
     view = MiningView(dataset, consequent, minsup)
     positive_mask = view.positive_mask
     registry = _ClosedRegistry()
@@ -134,7 +142,12 @@ def mine_charm(
             merged_itemset = itemset_i
             children: list[tuple[frozenset[int], int]] = []
             j = index + 1
+            tests = 0
             while j < len(nodes):
+                tests += 1
+                if tests == POLL_STRIDE:
+                    tests = 0
+                    poll()
                 itemset_j, tidset_j = nodes[j]
                 tidset_ij = tidset_i & tidset_j
                 if class_support(tidset_ij) < minsup:
@@ -188,7 +201,14 @@ def mine_charm(
             tidset_i = prefix_tidset & ~diffset_i
             children: list[tuple[frozenset[int], int, int]] = []
             j = index + 1
+            tests = 0
             while j < len(nodes):
+                # The pair scan polls on its own stride (counting no
+                # nodes): one prefix class can outlast many node strides.
+                tests += 1
+                if tests == POLL_STRIDE:
+                    tests = 0
+                    poll()
                 itemset_j, diffset_j, _support_j = nodes[j]
                 # d(X_i X_j) relative to X_i: rows in t(X_i) lost by X_j.
                 diffset_ij = diffset_j & ~diffset_i

@@ -45,15 +45,17 @@ subset of those of ``r``, so their Eq. 1-2 fold can only rise.  Nothing
 is emitted between two loose-pruned siblings, and thresholds and
 ``minsup`` only tighten over time.  So once a candidate is loose-pruned
 every later sibling is too, and every kernel charges the frame's
-remaining candidates in one budget call, counts them as loose prunes and
-closes the frame.  ``loose_prunable`` is therefore not called on every
-node any more; node counts, pruning counters and partial results under
-any budget are unchanged (``tests/test_kernels.py`` checks the lemma on
-the recursive reference walkers, which still test every sibling).
+remaining candidates at once (one budget call when they cross a poll or
+budget mark), counts them as loose prunes and closes the frame.
+``loose_prunable`` is therefore not called on every node any more; node
+counts, pruning counters and partial results under any budget are
+unchanged (``tests/test_kernels.py`` checks the lemma on the recursive
+reference walkers, which still test every sibling).
 """
 
 from __future__ import annotations
 
+import sys
 import time
 from bisect import bisect_left
 from collections import Counter
@@ -79,6 +81,9 @@ ENGINES = ("bitset", "table", "tree")
 # cooperative stop lands within the same bounded number of nodes whether
 # a mine runs in this process or in a worker.
 POLL_STRIDE = 64
+
+# The mark of a walk with neither a node budget nor anything to poll.
+_NO_MARK = sys.maxsize
 
 
 class _CancelToken(Protocol):
@@ -178,6 +183,12 @@ class _Budget:
     :data:`POLL_STRIDE`-node stride as the deadline so a long-running
     mine can be stopped cooperatively from another thread (the service
     job queue and the process-pool backend rely on this).
+
+    The kernels keep the node count in a local and compare it with the
+    next *mark* (:meth:`next_mark`): the next poll stride multiple or the
+    node just past ``node_budget``, whichever comes first.  Only a node
+    that reaches the mark calls :meth:`reach_mark`, which runs exactly
+    the checks :meth:`charge_node` runs at that node.
     """
 
     def __init__(
@@ -212,7 +223,26 @@ class _Budget:
         ):
             self._exceeded(f"node budget {self.node_budget} exceeded")
         if self.stats.nodes_visited % POLL_STRIDE == 0:
-            self._poll()
+            self.poll()
+
+    def next_mark(self, nodes: int) -> int:
+        """The first node count after ``nodes`` that needs a check."""
+        mark = _NO_MARK
+        if self.deadline is not None or self.cancel is not None:
+            mark = (nodes // POLL_STRIDE + 1) * POLL_STRIDE
+        if self.node_budget is not None and self.node_budget < mark:
+            mark = self.node_budget + 1
+        return mark
+
+    def reach_mark(self, nodes: int) -> int:
+        """Record ``nodes`` visited and run :meth:`charge_node`'s checks
+        for that node; returns the next mark."""
+        self.stats.nodes_visited = nodes
+        if self.node_budget is not None and nodes > self.node_budget:
+            self._exceeded(f"node budget {self.node_budget} exceeded")
+        if nodes % POLL_STRIDE == 0:
+            self.poll()
+        return self.next_mark(nodes)
 
     def charge_nodes(self, count: int) -> None:
         """Charge ``count`` nodes at once, exactly as ``count`` calls of
@@ -232,7 +262,7 @@ class _Budget:
             first = (start // POLL_STRIDE + 1) * POLL_STRIDE
             for mark in range(first, last_polled + 1, POLL_STRIDE):
                 stats.nodes_visited = mark
-                self._poll()
+                self.poll()
         if over_budget:
             stats.nodes_visited = self.node_budget + 1
             self._exceeded(f"node budget {self.node_budget} exceeded")
@@ -253,7 +283,12 @@ class _Budget:
             self.stats.loose_pruned += self.stats.nodes_visited - start - 1
             raise
 
-    def _poll(self) -> None:
+    def poll(self) -> None:
+        """Check the deadline and the cancel token; counts no nodes.
+
+        Miners whose per-node work is unbounded (CHARM's pair loop) call
+        this inside that work as well.
+        """
         if self.deadline is not None and time.monotonic() > self.deadline:
             self._exceeded("time budget exceeded")
         if self.cancel is not None and self.cancel.is_set():
@@ -333,12 +368,14 @@ def run_enumeration(
 # the reference implementations in tests/test_kernels.py); the hook
 # sequence differs only by the sibling cut, which skips the
 # ``loose_prunable`` calls on a loose-pruned candidate's later siblings;
-# pruning counters are kept in locals and flushed in a ``finally`` so the
-# stats travelling with a budget overrun stay accurate.  First-level
-# node data comes from the view's :class:`~repro.core.view.SupportIndex`
-# memo where a pure recomputation would otherwise dominate the walk
-# (bitset and tree engines only — the table engine keeps FARMER's cost
-# profile).
+# the node count and the pruning counters are kept in locals and flushed
+# in a ``finally`` so the stats travelling with a budget overrun stay
+# accurate.  A node costs one compare against the budget's next mark
+# (``_Budget.next_mark``); only a node reaching it calls the budget.
+# First-level node data comes from the view's
+# :class:`~repro.core.view.SupportIndex` memo where a pure recomputation
+# would otherwise dominate the walk (bitset and tree engines only — the
+# table engine keeps FARMER's cost profile).
 
 
 def _walk_bitset(
@@ -356,7 +393,7 @@ def _walk_bitset(
     positive_mask = view.positive_mask
     # Hot-path bindings: these are resolved once instead of per node.
     bit_count = int.bit_count
-    charge_node = budget.charge_node
+    reach_mark = budget.reach_mark
     charge_loose_tail = budget.charge_loose_tail
     loose_prunable = policy.loose_prunable
     tight_prunable = policy.tight_prunable
@@ -383,6 +420,8 @@ def _walk_bitset(
         [all_rows, root_rem_p, root_rem_n, 0, 0, 0, None, first_rows]
     ]
     loose = tight = backward = emitted = 0
+    nodes = stats.nodes_visited
+    mark = budget.next_mark(nodes)
     try:
         while stack:
             frame = stack[-1]
@@ -401,7 +440,9 @@ def _walk_bitset(
                     seed_n = x_n + 1
                 if allowed is not None and not allowed & r_bit:
                     continue
-                charge_node()
+                nodes += 1
+                if nodes >= mark:
+                    mark = reach_mark(nodes)
                 if needs_thresholds:
                     threshold_bits = (x_bits | r_bit | todo) & positive_mask
                 else:
@@ -415,7 +456,15 @@ def _walk_bitset(
                         todo &= allowed
                     if todo:
                         tail = bit_count(todo)
-                        charge_loose_tail(tail)
+                        if nodes + tail < mark:
+                            nodes += tail
+                        else:
+                            stats.nodes_visited = nodes
+                            try:
+                                charge_loose_tail(tail)
+                            finally:
+                                nodes = stats.nodes_visited
+                            mark = budget.next_mark(nodes)
                         loose += tail
                     break
                 if x_bits:
@@ -478,6 +527,7 @@ def _walk_bitset(
             if not pushed:
                 stack.pop()
     finally:
+        stats.nodes_visited = nodes
         stats.loose_pruned += loose
         stats.tight_pruned += tight
         stats.backward_pruned += backward
@@ -500,7 +550,7 @@ def _walk_table(
     n_positive = view.n_positive
     bit_count = int.bit_count
     bisect = bisect_left
-    charge_node = budget.charge_node
+    reach_mark = budget.reach_mark
     charge_loose_tail = budget.charge_loose_tail
     loose_prunable = policy.loose_prunable
     tight_prunable = policy.tight_prunable
@@ -533,6 +583,8 @@ def _walk_table(
          0, 0, 0, root_tuples, first_rows]
     ]
     loose = tight = backward = emitted = 0
+    nodes = stats.nodes_visited
+    mark = budget.next_mark(nodes)
     try:
         while stack:
             frame = stack[-1]
@@ -555,7 +607,9 @@ def _walk_table(
                     seed_n = x_n + 1
                 if allowed is not None and not allowed & r_bit:
                     continue
-                charge_node()
+                nodes += 1
+                if nodes >= mark:
+                    mark = reach_mark(nodes)
                 if needs_thresholds:
                     threshold_bits = (
                         ((x_bits | r_bit) & positive_mask) | rest_pos_bits
@@ -571,9 +625,16 @@ def _walk_table(
                         tail = sum(
                             1 for row in cand[index:] if allowed >> row & 1
                         )
-                    if tail:
-                        charge_loose_tail(tail)
-                        loose += tail
+                    if nodes + tail < mark:
+                        nodes += tail
+                    else:
+                        stats.nodes_visited = nodes
+                        try:
+                            charge_loose_tail(tail)
+                        finally:
+                            nodes = stats.nodes_visited
+                        mark = budget.next_mark(nodes)
+                    loose += tail
                     break
                 # Project: keep tuples whose row list contains r (bisect
                 # scan, the authentic per-node cost of pointer FARMER).
@@ -643,6 +704,7 @@ def _walk_table(
             if not pushed:
                 stack.pop()
     finally:
+        stats.nodes_visited = nodes
         stats.loose_pruned += loose
         stats.tight_pruned += tight
         stats.backward_pruned += backward
@@ -664,7 +726,7 @@ def _walk_tree(
     support = view.support_index()
     positive_mask = view.positive_mask
     bit_count = int.bit_count
-    charge_node = budget.charge_node
+    reach_mark = budget.reach_mark
     charge_loose_tail = budget.charge_loose_tail
     loose_prunable = policy.loose_prunable
     tight_prunable = policy.tight_prunable
@@ -690,6 +752,8 @@ def _walk_tree(
          0, 0, 0, root_tree, first_rows]
     ]
     loose = tight = backward = emitted = 0
+    nodes = stats.nodes_visited
+    mark = budget.next_mark(nodes)
     try:
         while stack:
             frame = stack[-1]
@@ -708,7 +772,9 @@ def _walk_tree(
                     seed_n = x_n + 1
                 if allowed is not None and not allowed & r_bit:
                     continue
-                charge_node()
+                nodes += 1
+                if nodes >= mark:
+                    mark = reach_mark(nodes)
                 if needs_thresholds:
                     threshold_bits = (x_bits | r_bit | todo) & positive_mask
                 else:
@@ -722,7 +788,15 @@ def _walk_tree(
                         todo &= allowed
                     if todo:
                         tail = bit_count(todo)
-                        charge_loose_tail(tail)
+                        if nodes + tail < mark:
+                            nodes += tail
+                        else:
+                            stats.nodes_visited = nodes
+                            try:
+                                charge_loose_tail(tail)
+                            finally:
+                                nodes = stats.nodes_visited
+                            mark = budget.next_mark(nodes)
                         loose += tail
                     break
                 r = r_bit.bit_length() - 1
@@ -781,6 +855,7 @@ def _walk_tree(
             if not pushed:
                 stack.pop()
     finally:
+        stats.nodes_visited = nodes
         stats.loose_pruned += loose
         stats.tight_pruned += tight
         stats.backward_pruned += backward

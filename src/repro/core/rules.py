@@ -173,9 +173,14 @@ class TopKList:
     order.  That is what lets the direct and the hybrid partitioned
     miners converge to bit-identical lists.
 
-    ``offer`` is the hottest policy operation of the whole miner (every
-    emitted group is offered to every consequent-class row it covers), so
-    the list keeps two derived structures alongside ``groups``:
+    The miner no longer offers during its walk: it keeps only the rows'
+    k-th pairs and the accepted groups, and builds every list once with
+    :func:`build_topk_lists`, which yields exactly the lists these
+    offers would.  :meth:`offer` stays for lists grown from groups in no
+    particular order (the initial ``groups`` below, the tests'
+    offer-by-offer references, and perfbench's tracer, which patches it
+    by name).  The list keeps two derived structures alongside
+    ``groups``:
 
     * ``_keys`` — the full sort keys in ascending order, so an insertion
       position comes from one :func:`bisect.bisect_right` call.

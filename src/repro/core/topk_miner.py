@@ -2,9 +2,10 @@
 
 This module implements the algorithm of Figure 3.  A depth-first row
 enumeration (any engine from :mod:`repro.core.enumeration`) is driven by
-:class:`TopkPolicy`, which maintains one :class:`~repro.core.rules.TopKList`
-per consequent-class row and prunes with the *dynamic* thresholds of
-Section 3:
+:class:`TopkPolicy`, which keeps the k best (confidence, support) pairs of
+every consequent-class row during the walk, builds each row's
+:class:`~repro.core.rules.TopKList` once at the end, and prunes with the
+*dynamic* thresholds of Section 3:
 
 * ``minconf``/``sup`` are the confidence and support of the least
   significant k-th list entry among the rows the current subtree could
@@ -37,7 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover - import is for annotations only
 from ..errors import MiningBudgetExceeded
 from .backends import resolve_backend
 from .enumeration import MinerStats, run_enumeration
-from .rules import RuleGroup, TopKList, build_topk_lists
+from .rules import RuleGroup, build_topk_lists
 from .view import MiningView
 
 __all__ = [
@@ -68,14 +69,13 @@ class _CanonicalRowKey:
     """Memoized position-to-row translation for canonical tie-breaking.
 
     ``TopKList`` breaks exact confidence/support ties by the group's row
-    set, but the policy's lists hold groups in enumeration-position
-    space, whose order is an engine heuristic (class-dominant, ascending
-    row length) — not monotone in row id.  Translating the tie-break key
-    to original row space makes the order agree with every consumer that
-    compares finalized results (hybrid aggregation).  One
-    instance is shared by all of a policy's lists so each distinct group
-    is translated once, and :meth:`TopkPolicy.finalize` reads its final
-    row sets from the same cache.
+    set, but the policy's groups live in enumeration-position space,
+    whose order is an engine heuristic (class-dominant, ascending row
+    length) — not monotone in row id.  Translating the tie-break key to
+    original row space makes the order agree with every consumer that
+    compares finalized results (hybrid aggregation).  The final build
+    translates each distinct group once, and :meth:`TopkPolicy.finalize`
+    reads its final row sets from the same cache.
     """
 
     __slots__ = ("_view", "_cache")
@@ -164,7 +164,27 @@ class ThresholdStore:
 
 
 class TopkPolicy:
-    """Search policy implementing the top-k pruning of Section 4.1.1."""
+    """Search policy implementing the top-k pruning of Section 4.1.1.
+
+    Figure 3 step 13 offers every found group to the list of each row it
+    covers, but only the rows' k-th ``(conf, sup)`` pairs steer the walk
+    (Equations 1-2), and each final list depends only on which groups
+    were offered to it (:class:`~repro.core.rules.TopKList`).  So during
+    the walk the policy keeps just two things:
+
+    * per consequent-class row, its k best ``(conf, sup)`` pairs
+      (ascending), whose k-th is mirrored into the :class:`ThresholdStore`;
+    * one dict from row set to every group some covered row accepted
+      (its pair at most the group's) when it was emitted.
+
+    A group rejected on its pair can never come back, since k-th pairs
+    only rise, so :meth:`finalize` builds every list once from the dict
+    with :func:`~repro.core.rules.build_topk_lists` and gets the lists the
+    per-row offers would have left.  Exact ties and re-emitted groups
+    leave the pair lists alone: a tie swaps members of equal pair, and a
+    re-emission (a single-item seed found again by the walk) only
+    upgrades the antecedent kept in the dict.
+    """
 
     def __init__(
         self,
@@ -181,21 +201,21 @@ class TopkPolicy:
         self.use_topk_pruning = use_topk_pruning
         self.dynamic_minsup = dynamic_minsup
         self._minsup = view.minsup
+        self._positive_mask = view.positive_mask
         self._canonical = _CanonicalRowKey(view)
         # The per-row (kth_conf, kth_sup) pairs mirrored into the
         # threshold store, whose min-fold answers Equations 1-2 at every
-        # pruning check.
-        self._store = ThresholdStore(view.n_positive)
-        seeds = self._single_item_seeds() if initialize_single_items else ()
-        lists = build_topk_lists(
-            k, seeds, view.positive_mask, canonical_key=self._canonical
-        )
-        self.lists: list[TopKList] = [
-            lists[position] for position in range(view.n_positive)
+        # pruning check.  The checks and ``emit`` read its buckets
+        # directly (the store mutates them in place, never rebinds).
+        store = self._store = ThresholdStore(view.n_positive)
+        self._buckets = store._buckets
+        self._order = store._order
+        self._pairs: list[list[tuple[float, int]]] = [
+            [] for _ in range(view.n_positive)
         ]
-        if seeds:
-            for position, topk in enumerate(self.lists):
-                self._store.update(position, topk.kth_conf, topk.kth_sup)
+        self._groups: dict[int, RuleGroup] = {}
+        if initialize_single_items:
+            self._seed_single_items()
             if dynamic_minsup:
                 self._maybe_raise_minsup()
 
@@ -209,54 +229,88 @@ class TopkPolicy:
         self, x_p: int, x_n: int, r_p: int, r_n: int, threshold_bits: int
     ) -> bool:
         sup_ub = x_p + r_p
-        return self._prunable(sup_ub, x_n, threshold_bits)
-
-    def tight_prunable(
-        self, x_p: int, x_n: int, m_p: int, r_n: int, threshold_bits: int
-    ) -> bool:
-        sup_ub = x_p + m_p
-        return self._prunable(sup_ub, x_n, threshold_bits)
-
-    def _prunable(self, sup_ub: int, x_n: int, threshold_bits: int) -> bool:
-        if sup_ub < self._minsup:
-            return True
-        if not threshold_bits:
-            # No consequent-class row can still benefit (Lemma 3.2).
+        if sup_ub < self._minsup or not threshold_bits:
+            # Below minsup, or no consequent-class row can still benefit
+            # (Lemma 3.2).
             return True
         if not self.use_topk_pruning:
             return False
-        min_conf, min_sup = self._thresholds(threshold_bits)
-        conf_ub = sup_ub / (sup_ub + x_n)
-        if conf_ub < min_conf:
-            return True
-        return conf_ub == min_conf and sup_ub < min_sup
+        # Equations 1-2 inlined (one frame per check): the subtree is
+        # prunable iff its bound pair lies below every threshold row's
+        # k-th pair, i.e. no row in ``threshold_bits`` holds a pair at
+        # most the bound.  The store's pairs ascend, so the scan stops at
+        # the first pair above the bound.
+        bound = (sup_ub / (sup_ub + x_n), sup_ub)
+        buckets = self._buckets
+        for pair in self._order:
+            if pair > bound:
+                return True
+            if buckets[pair] & threshold_bits:
+                return False
+        return True
+
+    # Step 11 is the same test on the scanned bound: ``x_p + m_p``.
+    tight_prunable = loose_prunable
 
     def emit(
         self, items: Sequence[int], position_bits: int, x_p: int, x_n: int
     ) -> None:
         if x_p < self._minsup:
             return
+        groups = self._groups
+        known = groups.get(position_bits)
+        if known is not None:
+            # A seed found again by the walk: the closed antecedent
+            # replaces the representative item, no pair moves.
+            if len(items) > len(known.antecedent):
+                groups[position_bits] = RuleGroup(
+                    antecedent=frozenset(items),
+                    consequent=known.consequent,
+                    row_set=position_bits,
+                    support=x_p,
+                    confidence=known.confidence,
+                )
+            return
         confidence = x_p / (x_p + x_n)
-        group = RuleGroup(
+        pair = (confidence, x_p)
+        # Covered rows whose k-th pair is below the group's (improving)
+        # or equal to it (an exact tie, decided by the canonical key at
+        # finalize).
+        buckets = self._buckets
+        improving = tied = 0
+        for kth in self._order:
+            if kth >= pair:
+                if kth == pair:
+                    tied = buckets[kth]
+                break
+            improving |= buckets[kth]
+        covered = position_bits & self._positive_mask
+        improving &= covered
+        if not (improving or tied & covered):
+            return
+        groups[position_bits] = RuleGroup(
             antecedent=frozenset(items),
             consequent=self.view.consequent,
             row_set=position_bits,
             support=x_p,
             confidence=confidence,
         )
-        changed = False
-        lists = self.lists
-        store = self._store
-        bits = position_bits & self.view.positive_mask
-        while bits:
-            low = bits & -bits
-            bits ^= low
+        if not improving:
+            return
+        k = self.k
+        pair_lists = self._pairs
+        update = self._store.update
+        while improving:
+            low = improving & -improving
+            improving ^= low
             position = low.bit_length() - 1
-            topk = lists[position]
-            if topk.offer(group):
-                store.update(position, topk.kth_conf, topk.kth_sup)
-                changed = True
-        if changed and self.dynamic_minsup:
+            pairs = pair_lists[position]
+            insort(pairs, pair)
+            if len(pairs) > k:
+                del pairs[0]
+            if len(pairs) == k:
+                update(position, *pairs[0])
+        if self.dynamic_minsup:
             self._maybe_raise_minsup()
 
     # -- internals ---------------------------------------------------------
@@ -264,44 +318,71 @@ class TopkPolicy:
     def _thresholds(self, threshold_bits: int) -> tuple[float, int]:
         """Equations 1-2: the weakest k-th entry among the given rows.
 
-        Delegates to the threshold store, which mirrors the
-        ``kth_conf``/``kth_sup`` pair of every per-row list (synced on
-        each accepted offer).  This runs once per pruning check
-        (DESIGN.md §12); the siblings after a loose prune are cut by the
-        engines without one.
+        The pruning checks inline this fold and stop at the bound
+        (DESIGN.md §12); this one-call form stays as the named entry
+        point for callers outside the walk (perfbench's tracer patches it
+        by name, so a traced walk counts no calls here).
         """
         return self._store.fold(threshold_bits)
 
-    def _single_item_seeds(self) -> list[RuleGroup]:
+    def _seed_single_items(self) -> None:
         """Single-item rule groups for the first optimization of §4.1.1.
 
         Each distinct single-item support set becomes a provisional rule
         group.  The view keeps only items reaching ``minsup``, so every
         set qualifies.  The stored antecedent is one representative
         item; :meth:`finalize` restores the closed upper bound, or the
-        walk upgrades it in place when it emits the closed group.  The
-        whole population is known before the walk, so the constructor
-        builds every row's list from it in one sorted pass
-        (:func:`~repro.core.rules.build_topk_lists`) instead of one
-        offer per group and covered row, and syncs the threshold store
-        once per row.
+        walk upgrades it when it emits the closed group.
+
+        The whole population is known before the walk, so one pass over
+        it in descending pair order hands every row the pairs of its k
+        best seeds, the way :func:`~repro.core.rules.build_topk_lists`
+        hands out groups.  No list is built and no canonical key is
+        computed: the seeds of one tied run share their pair.  A seed
+        joins the group dict when a row it covers is still short as its
+        tied run begins, i.e. when some covered row accepts it by the
+        rule :meth:`emit` applies.  The store is synced once per row.
         """
         view = self.view
-        consequent = view.consequent
-        positive_mask = view.positive_mask
-        seeds = []
+        positive_mask = self._positive_mask
+        by_pair: dict[tuple[float, int], list[tuple[int, int]]] = {}
         for row_bits, items in view.single_item_groups().items():
             support = (row_bits & positive_mask).bit_count()
-            seeds.append(
-                RuleGroup(
-                    antecedent=frozenset(items[:1]),
+            pair = (support / row_bits.bit_count(), support)
+            by_pair.setdefault(pair, []).append((row_bits, items[0]))
+        k = self.k
+        consequent = view.consequent
+        pair_lists = self._pairs
+        groups = self._groups
+        open_rows = positive_mask
+        for pair in sorted(by_pair, reverse=True):
+            if not open_rows:
+                break
+            run_open = open_rows
+            for row_bits, item in by_pair[pair]:
+                bits = row_bits & run_open
+                if not bits:
+                    continue
+                groups[row_bits] = RuleGroup(
+                    antecedent=frozenset((item,)),
                     consequent=consequent,
                     row_set=row_bits,
-                    support=support,
-                    confidence=support / row_bits.bit_count(),
+                    support=pair[1],
+                    confidence=pair[0],
                 )
-            )
-        return seeds
+                bits &= open_rows
+                while bits:
+                    low = bits & -bits
+                    bits ^= low
+                    pairs = pair_lists[low.bit_length() - 1]
+                    pairs.append(pair)
+                    if len(pairs) == k:
+                        open_rows ^= low
+        update = self._store.update
+        for position, pairs in enumerate(pair_lists):
+            pairs.reverse()
+            if len(pairs) == k:
+                update(position, *pairs[0])
 
     def _maybe_raise_minsup(self) -> None:
         """Second optimization of Section 4.1.1.
@@ -328,38 +409,43 @@ class TopkPolicy:
     def finalize(self) -> dict[int, list[RuleGroup]]:
         """Per-row top-k lists in original row space.
 
-        Provisional single-item entries are upgraded to their closed upper
-        bounds, and row bitsets are translated from enumeration positions
-        back to the dataset's row ids.
+        Every row's list is built once from the accepted groups.
+        Provisional single-item entries are upgraded to their closed
+        upper bounds, and row bitsets are translated from enumeration
+        positions back to the dataset's row ids.  Safe to call more than
+        once (it reads the walk's state, it does not consume it).
         """
         view = self.view
+        canonical = self._canonical
+        lists = build_topk_lists(
+            self.k,
+            self._groups.values(),
+            self._positive_mask,
+            canonical_key=canonical,
+        )
         # Every listed group's translation is already in the tie-break
         # cache (its key was computed when it entered a list).
-        canonical = self._canonical
-        converted: dict[tuple[int, int], RuleGroup] = {}
+        converted: dict[int, RuleGroup] = {}
         result: dict[int, list[RuleGroup]] = {}
-        for position, topk in enumerate(self.lists):
-            row_id = view.order[position]
-            groups = []
-            for group in topk:
-                key = (group.row_set, group.consequent)
-                final = converted.get(key)
+        for position, row_id in enumerate(view.order[: view.n_positive]):
+            row_groups = []
+            for group in lists[position]:
+                final = converted.get(group.row_set)
                 if final is None:
                     antecedent = group.antecedent
                     if len(antecedent) == 1:
                         closed = view.closed_items(group.row_set)
                         if len(closed) > 1:
                             antecedent = closed
-                    final = RuleGroup(
+                    final = converted[group.row_set] = RuleGroup(
                         antecedent=antecedent,
                         consequent=group.consequent,
                         row_set=canonical(group),
                         support=group.support,
                         confidence=group.confidence,
                     )
-                    converted[key] = final
-                groups.append(final)
-            result[row_id] = groups
+                row_groups.append(final)
+            result[row_id] = row_groups
         return result
 
 

@@ -1,10 +1,24 @@
 """Tests for the CHARM column-enumeration baseline."""
 
+import threading
+
 import pytest
 
 from repro.baselines import mine_charm, naive_farmer
 from repro.core.enumeration import POLL_STRIDE
 from repro.data.synthetic import random_discretized_dataset
+
+
+class _SetAfter:
+    """Cancel token that reads set from its ``n``-th ``is_set()`` call."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.calls = 0
+
+    def is_set(self) -> bool:
+        self.calls += 1
+        return self.calls >= self.n
 
 
 def keys(groups):
@@ -59,6 +73,36 @@ class TestBudget:
         result = mine_charm(ds, 1, 1, time_budget=0)
         assert result.completed is False
         assert result.nodes_visited == POLL_STRIDE
+
+    @pytest.mark.parametrize("use_diffsets", (True, False))
+    def test_cancel_lands_inside_a_wide_prefix_class(self, use_diffsets):
+        # 300 items over 10 rows: the first node's pair scan tests ~300
+        # pairs, so a token set at the second poll stops that scan.  A
+        # node-stride poll alone would run to node 2 * POLL_STRIDE.
+        ds = random_discretized_dataset(10, 300, density=0.5, seed=4)
+        token = _SetAfter(2)
+        result = mine_charm(ds, 1, 1, use_diffsets=use_diffsets,
+                            cancel=token)
+        assert result.completed is False
+        assert result.nodes_visited == 1
+        assert token.calls == 2
+
+    @pytest.mark.parametrize("shape, nodes, groups", [
+        ((14, 20, 0.6, 2), 575, 330),
+        ((12, 60, 0.5, 1), 6217, 807),
+    ])
+    def test_pair_polls_count_no_nodes(self, shape, nodes, groups):
+        n_rows, n_items, density, seed = shape
+        ds = random_discretized_dataset(n_rows, n_items, density=density,
+                                        seed=seed)
+        for use_diffsets in (True, False):
+            plain = mine_charm(ds, 1, 1, use_diffsets=use_diffsets)
+            polled = mine_charm(ds, 1, 1, use_diffsets=use_diffsets,
+                                time_budget=3600,
+                                cancel=threading.Event())
+            assert plain.nodes_visited == polled.nodes_visited == nodes
+            assert len(plain.groups) == groups
+            assert keys(polled.groups) == keys(plain.groups)
 
     @pytest.mark.parametrize("time_budget", [float("nan"), -1.0])
     def test_nan_or_negative_time_budget_raises(self, small_random,

@@ -329,14 +329,20 @@ def _run_reference(view, policy, engine: str,
     return stats
 
 
-def _snapshot(policy: TopkPolicy) -> list:
-    return [
-        [
-            (g.antecedent, g.consequent, g.row_set, g.support, g.confidence)
-            for g in topk.groups
-        ]
-        for topk in policy.lists
-    ]
+def _snapshot(policy: TopkPolicy) -> tuple:
+    """The finalized lists, the store's per-row k-th pairs and minsup."""
+    return (
+        {
+            row: [
+                (g.antecedent, g.consequent, g.row_set, g.support,
+                 g.confidence)
+                for g in groups
+            ]
+            for row, groups in policy.finalize().items()
+        },
+        list(policy._store._pairs),
+        policy.minsup,
+    )
 
 
 def _counters(stats: MinerStats) -> dict:
@@ -584,6 +590,41 @@ class TestBudgetStopsInsideCutTails:
         reference = _run_reference(view, TopkPolicy(view, 10), engine,
                                    node_budget=POLL_STRIDE - 1)
         assert _counters(result.stats) == _counters(reference)
+
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("polls", (2, 5))
+    def test_cancel_set_at_a_later_poll_stops_on_its_stride(
+            self, paper_train, engine, polls):
+        # The kernels count nodes in a local and call the budget only at
+        # the next mark; a token that reads set at the n-th poll must
+        # stop the walk on node n * POLL_STRIDE, like a node budget one
+        # below it, with the same partial lists.
+        minsup = relative_minsup(paper_train, 1, 0.7)
+        token = _SetAfter(polls)
+        result = mine_topk(paper_train, 1, minsup, k=10, engine=engine,
+                           cancel=token)
+        assert not result.stats.completed
+        assert token.calls == polls
+        assert result.stats.nodes_visited == polls * POLL_STRIDE
+        view = MiningView(paper_train, 1, minsup)
+        policy = TopkPolicy(view, 10)
+        reference = _run_reference(view, policy, engine,
+                                   node_budget=polls * POLL_STRIDE - 1)
+        assert _counters(result.stats) == _counters(reference)
+        assert result.per_row == policy.finalize()
+
+
+class _SetAfter:
+    """Cancel token that reads set from its ``n``-th ``is_set()`` call."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.calls = 0
+
+    def is_set(self) -> bool:
+        self.calls += 1
+        return self.calls >= self.n
 
 
 class TestKernelsAcrossBackends:

@@ -123,14 +123,21 @@ class TestOptimizationFlags:
 
 class TestDynamicMinsup:
     """Second optimization of Section 4.1.1, checked against its rule
-    read straight off the per-row lists."""
+    read straight off the finalized per-row lists."""
 
     @staticmethod
     def _rule(policy):
-        lists = policy.lists
+        # finalize() lists rows in enumeration-position order, the
+        # store's order; the store must hold each list's k-th pair.
+        lists = list(policy.finalize().values())
+        pairs = [
+            (topk[-1].confidence, topk[-1].support)
+            if len(topk) == policy.k else (0.0, 0)
+            for topk in lists
+        ]
+        assert policy._store._pairs == pairs
         if not lists or any(len(topk) < policy.k for topk in lists):
             return policy.view.minsup
-        pairs = [topk.kth_threshold() for topk in lists]
         if min(conf for conf, _ in pairs) < 1.0:
             return policy.view.minsup
         return max(policy.view.minsup, min(sup for _, sup in pairs))
