@@ -1,7 +1,8 @@
 """Differential fuzzing and invariant auditing (``repro audit``).
 
 The paper's central claims are equivalences — every enumeration engine
-visits the same nodes, MineTopkRGS equals the naive top-k baseline,
+finds the same groups (and the bitset and table engines visit the same
+nodes), MineTopkRGS equals the naive top-k baseline,
 hybrid and pool-worker mines are bit-identical to direct ones — so
 correctness can be audited without any hand-written expected outputs.  This package
 exploits that:

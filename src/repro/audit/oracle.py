@@ -4,8 +4,10 @@ The paper's correctness claims are equivalence claims, which makes the
 repo rich in free oracles.  For one generated case this module:
 
 * mines with every engine (``bitset``/``table``/``tree``) and asserts
-  the results are **bit-identical** (engines visit the same closed nodes
-  in the same order, so even tie order must agree);
+  the results are **bit-identical** (even tie order must agree), and
+  that the walk counters (nodes, prunes, emits) of ``table`` equal
+  ``bitset``'s, as do ``tree``'s when every row holds a frequent item —
+  otherwise the tree engine's root frame lacks the empty rows;
 * mines with every optimization-flag combination and asserts the
   (confidence, support) **profiles** match the naive brute-force
   baseline (flag variants may discover ties in a different order, so
@@ -57,6 +59,7 @@ from ..classifiers.persistence import classifier_from_payload, classifier_to_pay
 from ..classifiers.rcbt import RCBTClassifier
 from ..core.enumeration import ENGINES
 from ..core.topk_miner import TopkResult, mine_topk
+from ..core.view import MiningView
 from ..data.dataset import GeneExpressionDataset
 from ..data.discretize import EntropyDiscretizer, entropy, mdl_cut_points
 from ..data.loaders import discretized_from_payload, discretized_to_payload
@@ -106,6 +109,14 @@ class AuditFailure:
             f"case {self.case_index} [{self.check}] {self.message}\n"
             f"    reproduce: {self.repro_command}"
         )
+
+
+def _walk_counters(stats) -> dict:
+    """The counters of :class:`MinerStats` that describe the walk."""
+    return {name: getattr(stats, name) for name in (
+        "nodes_visited", "loose_pruned", "tight_pruned", "backward_pruned",
+        "groups_emitted",
+    )}
 
 
 def profiles(per_row: dict) -> dict:
@@ -199,6 +210,11 @@ def audit_case(
     reference = engine_results.get("bitset")
     if reference is None:
         return auditor.failures, auditor.checks_run
+    # The table engine walks the bitset engine's tree node for node; the
+    # tree engine does too when every row holds a frequent item (its
+    # root candidates are the rows of its root prefix tree).
+    view = MiningView.cached(dataset, case.consequent, case.minsup)
+    every_row_holds_an_item = all(view.row_items)
     for engine, result in engine_results.items():
         if engine == "bitset":
             continue
@@ -207,6 +223,16 @@ def audit_case(
             results_equal(reference, result),
             f"{engine} result differs bit-for-bit from bitset",
         )
+        if engine == "table" or every_row_holds_an_item:
+            counters, expected = (
+                _walk_counters(result.stats), _walk_counters(reference.stats)
+            )
+            auditor.expect(
+                f"engine-counters:{engine}",
+                counters == expected,
+                f"{engine} walk counters {counters} differ from bitset's "
+                f"{expected}",
+            )
 
     # -- naive baseline: profile equality ---------------------------------
     expected_profiles: dict | None = None

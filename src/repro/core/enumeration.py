@@ -1,4 +1,4 @@
-"""Row enumeration engines and the shared depth-first driver.
+"""Row enumeration: one depth-first walk, three projection engines.
 
 All miners in this package (MineTopkRGS and the FARMER baselines) are a
 depth-first walk of the row enumeration tree of Figure 2.  What differs is
@@ -8,7 +8,13 @@ depth-first walk of the row enumeration tree of Figure 2.  What differs is
 * the *engine* — the data structure used to project transposed tables and
   count row frequencies at each node.
 
-Three engines are provided:
+There is one walk, :func:`_walk`: its frame stack, the Lemma 3.2 rest
+counters, the threshold rows, the sibling cut, the budget marks, the
+tight prune, the emit and the push are shared by every engine.  An
+engine only supplies how a node projects its transposed table (Section
+4.2) — its root state, its root candidate rows, a projection step, and
+the builder of an emitted group's item list.  Three engines are
+provided:
 
 ``bitset``
     Item support sets are integer bitsets over row positions; closures are
@@ -30,12 +36,17 @@ Three engines are provided:
     masks, so a node costs a few big-int operations per source node
     rather than one per item.
 
-All engines visit exactly the same nodes in the same order, fire the same
-pruning rules and emit the same groups, so outputs and every
-:class:`MinerStats` counter are identical; only the constant factors
-differ.  That property is what lets the Figure 6 benchmarks attribute
-speedups to the prefix tree versus the top-k pruning, and it is verified
-by the cross-engine tests.
+The ``bitset`` and ``table`` engines visit exactly the same nodes in the
+same order, fire the same pruning rules and emit the same groups, so
+outputs and every :class:`MinerStats` counter are identical; only the
+constant factors differ.  The ``tree`` engine's root candidates are the
+rows of its root prefix tree, i.e. the rows holding a frequent item, so
+its counters match too when every row holds one.  Otherwise its root
+frame has fewer candidates, and so tighter Lemma 3.2 bounds, and its
+counters may differ while its outputs stay identical.  That is what
+lets the Figure 6 benchmarks attribute speedups to the prefix tree
+versus the top-k pruning; the cross-engine tests and the audit verify
+it.
 
 Sibling cut.  Under the class dominant order (consequent rows first) the
 loose bounds of Lemma 3.2 only weaken along a node's ascending candidate
@@ -44,13 +55,13 @@ confidence bound is no larger, and the threshold rows of ``r'`` are a
 subset of those of ``r``, so their Eq. 1-2 fold can only rise.  Nothing
 is emitted between two loose-pruned siblings, and thresholds and
 ``minsup`` only tighten over time.  So once a candidate is loose-pruned
-every later sibling is too, and every kernel charges the frame's
+every later sibling is too, and the walk charges the frame's
 remaining candidates at once (one budget call when they cross a poll or
 budget mark), counts them as loose prunes and closes the frame.
-``loose_prunable`` is therefore not called on every node any more; node
-counts, pruning counters and partial results under any budget are
-unchanged (``tests/test_kernels.py`` checks the lemma on the recursive
-reference walkers, which still test every sibling).
+So ``loose_prunable`` runs once per frame tail, yet node counts, pruning
+counters and partial results under any budget equal those of a walk
+that tests every sibling (``tests/test_kernels.py`` checks the lemma on
+its recursive reference walkers).
 """
 
 from __future__ import annotations
@@ -59,11 +70,12 @@ import sys
 import time
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
-from typing import Optional, Protocol, Sequence
+from dataclasses import asdict, dataclass
+from typing import Any, Callable, NamedTuple, Optional, Protocol, Sequence
 
 from ..errors import MiningBudgetExceeded
 from .bitset import iter_indices, mask_below
+from .prefix_tree import PrefixTree
 from .view import MiningView
 
 __all__ = [
@@ -99,19 +111,19 @@ class SearchPolicy(Protocol):
     of consequent-class rows whose top-k lists the subtree could still
     improve (``X_p ∪ R_p`` of Lemma 3.2); static-threshold policies may
     ignore it.  A policy that never reads it can declare
-    ``uses_threshold_bits = False`` (default ``True``) and the engines
-    pass ``0`` instead of assembling the row sets — an O(n_rows) bitset
+    ``uses_threshold_bits = False`` (default ``True``) and the walk
+    passes ``0`` instead of assembling the row sets — an O(n_rows) bitset
     op per candidate that matters on tall datasets.  Pruning decisions,
     node order and :class:`MinerStats` are unaffected.
 
     ``loose_prunable`` must be side-effect free and monotone along a
     frame: if it holds for a candidate, it must hold for every later
     sibling's (weaker) bounds as long as no group is emitted in between.
-    The engines rely on this to close a frame at its first loose prune
-    (the sibling cut in the module docstring), so they call it once per
+    The walk relies on this to close a frame at its first loose prune
+    (the sibling cut in the module docstring), so it calls it once per
     frame tail rather than once per node.
 
-    The engines call ``emit`` only for a group whose ``x_p`` reaches the
+    The walk calls ``emit`` only for a group whose ``x_p`` reaches the
     policy's current ``minsup`` (read just before the call); a group
     below it cannot enter any result, so its item list is never built.
     ``MinerStats.groups_emitted`` still counts every node that reaches
@@ -162,21 +174,11 @@ class MinerStats:
     degraded: bool = False
 
     def as_dict(self) -> dict:
-        return {
-            "nodes_visited": self.nodes_visited,
-            "groups_emitted": self.groups_emitted,
-            "loose_pruned": self.loose_pruned,
-            "tight_pruned": self.tight_pruned,
-            "backward_pruned": self.backward_pruned,
-            "elapsed_seconds": self.elapsed_seconds,
-            "engine": self.engine,
-            "completed": self.completed,
-            "degraded": self.degraded,
-        }
+        return asdict(self)
 
 
 class _Budget:
-    """Node-count, wall-clock and cancellation limits shared by all engines.
+    """Node-count, wall-clock and cancellation limits of one walk.
 
     ``cancel`` is any object with an ``is_set()`` method (typically a
     :class:`threading.Event`); it is polled on the same
@@ -184,7 +186,7 @@ class _Budget:
     mine can be stopped cooperatively from another thread (the service
     job queue and the process-pool backend rely on this).
 
-    The kernels keep the node count in a local and compare it with the
+    The walk keeps the node count in a local and compare it with the
     next *mark* (:meth:`next_mark`): the next poll stride multiple or the
     node just past ``node_budget``, whichever comes first.  Only a node
     that reaches the mark calls :meth:`reach_mark`, which runs exactly
@@ -331,18 +333,14 @@ def run_enumeration(
         The :class:`MinerStats` of the completed run.  On budget overrun
         the exception carries the partial stats instead.
     """
+    setup = _ENGINE_SETUPS.get(engine)
+    if setup is None:
+        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     stats = MinerStats(engine=engine)
     budget = _Budget(stats, node_budget, time_budget, cancel)
     start = time.monotonic()
     try:
-        if engine == "bitset":
-            _walk_bitset(view, policy, stats, budget, first_rows)
-        elif engine == "table":
-            _walk_table(view, policy, stats, budget, first_rows)
-        elif engine == "tree":
-            _walk_tree(view, policy, stats, budget, first_rows)
-        else:
-            raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
+        _walk(view, policy, stats, budget, first_rows, setup(view))
     except MiningBudgetExceeded as overrun:
         # Policies may raise their own budget errors (e.g. a group cap);
         # make sure the run's stats travel with the exception either way.
@@ -356,40 +354,192 @@ def run_enumeration(
 
 
 # ---------------------------------------------------------------------------
-# bitset engine
+# the walk
 # ---------------------------------------------------------------------------
 #
-# All three engines are iterative explicit-stack kernels: a frame per
-# enumeration-tree node holds the not-yet-expanded candidates plus the
-# decrementally maintained rest counters, and descending into a subtree
-# is "save the loop state into the frame, push a child frame, break".
-# The DFS order, the emitted groups and the budget charges are exactly
-# those of the recursive formulation (the pre-rewrite walkers survive as
-# the reference implementations in tests/test_kernels.py); the hook
-# sequence differs only by the sibling cut, which skips the
-# ``loose_prunable`` calls on a loose-pruned candidate's later siblings;
-# the node count and the pruning counters are kept in locals and flushed
-# in a ``finally`` so the stats travelling with a budget overrun stay
-# accurate.  A node costs one compare against the budget's next mark
-# (``_Budget.next_mark``); only a node reaching it calls the budget.
-# First-level node data comes from the view's
-# :class:`~repro.core.view.SupportIndex` memo where a pure recomputation
-# would otherwise dominate the walk (bitset and tree engines only — the
-# table engine keeps FARMER's cost profile).
+# One iterative explicit-stack kernel serves every engine: a frame per
+# enumeration-tree node holds the not-yet-expanded candidates, the
+# decrementally maintained rest counters and the engine's projection
+# state, and descending into a subtree is "save the loop state into the
+# frame, push a child frame, break".  The DFS order, the emitted groups
+# and the budget charges are exactly those of the recursive formulation
+# (the pre-rewrite walkers survive as the reference implementations in
+# tests/test_kernels.py); the hook sequence differs only by the sibling
+# cut.  The node count and the pruning counters are kept in locals and
+# flushed in a ``finally`` so the stats travelling with a budget overrun
+# stay accurate.  A node costs one compare against the budget's next
+# mark (``_Budget.next_mark``); only a node reaching it calls the budget.
+#
+# An engine's ``step(state, r_bit, todo, x_bits)`` projects the frame's
+# state onto row ``r`` (Figure 3 steps 6-10), given the frame's
+# candidates after ``r`` and its closure.  It returns ``None`` for an
+# empty projection, ``_BACKWARD`` for a backward-pruned node (step 7),
+# or ``(child_state, closure, new_cand, x_p, x_n, m_p, r_n)``.  At the
+# root frame the step depends on the view and ``r`` only, so the walk
+# memoizes it per engine in the view's ``SupportIndex.first_level`` —
+# except for the table engine, which keeps FARMER's cost profile.
+
+_BACKWARD = ("backward",)
+# A first-level memo miss (``None`` is a memoized empty projection).
+_UNSET = object()
 
 
-def _walk_bitset(
-    view: MiningView,
-    policy: SearchPolicy,
-    stats: MinerStats,
-    budget: _Budget,
-    first_rows: Optional[int] = None,
-) -> None:
+class _Engine(NamedTuple):
+    """What one engine contributes to :func:`_walk` (see above)."""
+
+    root_state: Any
+    root_cand: int
+    step: Callable[[Any, int, int, int], Any]
+    # ``None`` when the step's child state already is the item list.
+    items_of: Optional[Callable[[Any], Sequence[int]]]
+    # Root-frame step results by row; ``None`` disables the memo.
+    memo: Optional[dict]
+
+
+def _bitset_engine(view: MiningView) -> _Engine:
+    # State: the node's sorted item list (``None`` at the root: all).
     support = view.support_index()
     item_rows = support.item_rows
     item_counts = support.item_counts
     item_pos_counts = support.item_pos_counts
     row_items = view.row_items
+    # One fused call per node: the closure/union fold over the node's
+    # surviving items *and* the positive/total closure counts come out
+    # of a single kernel call, plus one masked-count call for the
+    # derived candidate set.
+    fold_counts, masked_counts = support.node_kernel()
+
+    def step(items, r_bit, todo, x_bits):
+        present = row_items[r_bit.bit_length() - 1]
+        if items is None:
+            new_items = sorted(present)
+        else:
+            new_items = [i for i in items if i in present]
+        if not new_items:
+            return None
+        if len(new_items) == 1:
+            item = new_items[0]
+            closure = union = item_rows[item]
+            x_p = item_pos_counts[item]
+            x_all = item_counts[item]
+        else:
+            closure, union, x_p, x_all = fold_counts(new_items)
+        # Backward pruning (step 7): a row before r outside X containing
+        # I(X ∪ {r}) means this group was found in an earlier subtree.
+        if closure & (r_bit - 1) & ~x_bits:
+            return _BACKWARD
+        new_cand = todo & union & ~closure
+        if new_cand:
+            m_p, cand_all = masked_counts(new_cand)
+        else:
+            m_p = cand_all = 0
+        return (new_items, closure, new_cand,
+                x_p, x_all - x_p, m_p, cand_all - m_p)
+
+    return _Engine(None, mask_below(view.n_rows), step, None,
+                   support.first_level.setdefault("bitset", {}))
+
+
+def _table_engine(view: MiningView) -> _Engine:
+    # State: the projected transposed table, a list of (item, ascending
+    # row list) tuples passed down by reference.
+    positive_mask = view.positive_mask
+    bit_count = int.bit_count
+    bisect = bisect_left
+
+    def step(tuples, r_bit, todo, x_bits):
+        r = r_bit.bit_length() - 1
+        # Project: keep tuples whose row list contains r (bisect scan,
+        # the authentic per-node cost of pointer FARMER).
+        kept = []
+        for entry in tuples:
+            rows = entry[1]
+            position = bisect(rows, r)
+            if position < len(rows) and rows[position] == r:
+                kept.append(entry)
+        if not kept:
+            return None
+        # Count frequencies over the kept tuples' full row lists
+        # (Counter.update walks each list at C speed).
+        freq = Counter()
+        freq_update = freq.update
+        for entry in kept:
+            freq_update(entry[1])
+        n_tuples = len(kept)
+        closure = new_cand = 0
+        for row, count in freq.items():
+            if count == n_tuples:
+                if row < r and not x_bits >> row & 1:
+                    return _BACKWARD
+                closure |= 1 << row
+            elif row > r:
+                new_cand |= 1 << row
+        x_p = bit_count(closure & positive_mask)
+        m_p = bit_count(new_cand & positive_mask)
+        return (kept, closure, new_cand, x_p, bit_count(closure) - x_p,
+                m_p, bit_count(new_cand) - m_p)
+
+    # The root transposed table: one tuple per frequent item, carrying
+    # the item's full ascending row list.  Rebuilt per run and never
+    # memoized: this engine exists to preserve FARMER's per-node cost
+    # profile, so it takes nothing from the SupportIndex.
+    root_tuples = [
+        (item, sorted(iter_indices(view.item_rows[item])))
+        for item in view.frequent_items
+    ]
+    return _Engine(root_tuples, mask_below(view.n_rows), step,
+                   lambda kept: [item for item, _rows in kept], None)
+
+
+def _tree_engine(view: MiningView) -> _Engine:
+    # State: the node's projected prefix tree (Section 4.2).
+    support = view.support_index()
+    _, masked_counts = support.node_kernel()
+
+    def step(tree, r_bit, todo, x_bits):
+        projected = tree.project(r_bit.bit_length() - 1)
+        if projected.n_items == 0:
+            return None
+        # The projected tree only keeps rows after r (Section 3's
+        # projected transposed table), but each source's closed_rows
+        # covers the items' full row sets, so the backward check can
+        # probe the rows before r.
+        closure = projected.closure_rows()
+        if closure & (r_bit - 1) & ~x_bits:
+            return _BACKWARD
+        x_p, x_all = masked_counts(closure)
+        # Rows absorbed into X by a closure step remain in the projected
+        # tree's paths but are not extension candidates.
+        new_cand = projected.rows_mask() & ~closure
+        m_p, cand_all = masked_counts(new_cand)
+        return (projected, closure, new_cand,
+                x_p, x_all - x_p, m_p, cand_all - m_p)
+
+    # The root tree is built once per view; walks only read projected
+    # trees, so sharing it and the memoized first-level projections
+    # across runs is safe.
+    root_tree = support.root_tree()
+    return _Engine(root_tree, root_tree.rows_mask(), step,
+                   PrefixTree.all_items,
+                   support.first_level.setdefault("tree", {}))
+
+
+_ENGINE_SETUPS = {
+    "bitset": _bitset_engine,
+    "table": _table_engine,
+    "tree": _tree_engine,
+}
+
+
+def _walk(
+    view: MiningView,
+    policy: SearchPolicy,
+    stats: MinerStats,
+    budget: _Budget,
+    first_rows: Optional[int],
+    engine: _Engine,
+) -> None:
+    root_state, root_cand, step, items_of, memo = engine
     positive_mask = view.positive_mask
     # Hot-path bindings: these are resolved once instead of per node.
     bit_count = int.bit_count
@@ -398,26 +548,19 @@ def _walk_bitset(
     loose_prunable = policy.loose_prunable
     tight_prunable = policy.tight_prunable
     emit = policy.emit
-    bitset_root = support.bitset_root
-    # One fused call per node: the closure/union fold over the node's
-    # surviving items *and* the positive/total closure counts come out
-    # of a single kernel call, plus one masked-count call for the
-    # derived candidate set.
-    fold_counts, masked_counts = support.node_kernel()
     # Static-threshold policies (FARMER) never read the threshold row
     # sets, and assembling them is an O(n_rows/64) bitset op per
     # candidate — on tall cohorts that is real money for nothing.
     needs_thresholds = getattr(policy, "uses_threshold_bits", True)
 
-    all_rows = mask_below(view.n_rows)
-    root_rem_p = bit_count(all_rows & positive_mask)
-    root_rem_n = bit_count(all_rows) - root_rem_p
-    # Frame: [todo, rem_p, rem_n, x_bits, x_p, x_n, items, allowed].
+    root_rem_p = bit_count(root_cand & positive_mask)
+    # Frame: [todo, rem_p, rem_n, x_bits, x_p, x_n, state, allowed].
     # ``todo`` doubles as the candidate iterator (lowest set bit = next
     # row, ascending) and as the "remaining candidates after r" mask of
     # the Lemma 3.2 bounds.
     stack: list[list] = [
-        [all_rows, root_rem_p, root_rem_n, 0, 0, 0, None, first_rows]
+        [root_cand, root_rem_p, bit_count(root_cand) - root_rem_p,
+         0, 0, 0, root_state, first_rows]
     ]
     loose = tight = backward = emitted = 0
     nodes = stats.nodes_visited
@@ -425,7 +568,7 @@ def _walk_bitset(
     try:
         while stack:
             frame = stack[-1]
-            todo, rem_p, rem_n, x_bits, x_p, x_n, items, allowed = frame
+            todo, rem_p, rem_n, x_bits, x_p, x_n, state, allowed = frame
             pushed = False
             while todo:
                 r_bit = todo & -todo
@@ -443,10 +586,10 @@ def _walk_bitset(
                 nodes += 1
                 if nodes >= mark:
                     mark = reach_mark(nodes)
-                if needs_thresholds:
-                    threshold_bits = (x_bits | r_bit | todo) & positive_mask
-                else:
-                    threshold_bits = 0
+                threshold_bits = (
+                    (x_bits | r_bit | todo) & positive_mask
+                    if needs_thresholds else 0
+                )
                 if loose_prunable(seed_p, seed_n, rem_p, rem_n, threshold_bits):
                     # Sibling cut: every later candidate of this frame is
                     # loose-prunable too, so charge them in one call and
@@ -467,388 +610,37 @@ def _walk_bitset(
                             mark = budget.next_mark(nodes)
                         loose += tail
                     break
-                if x_bits:
-                    present = row_items[r_bit.bit_length() - 1]
-                    new_items = [i for i in items if i in present]
-                    if not new_items:
-                        continue
-                    if len(new_items) == 1:
-                        item = new_items[0]
-                        closure = union = item_rows[item]
-                        new_x_p = item_pos_counts[item]
-                        x_all = item_counts[item]
-                    else:
-                        closure, union, new_x_p, x_all = fold_counts(new_items)
-                    # Backward pruning (step 7): a row before r outside X
-                    # containing I(X ∪ {r}) means this group was found in
-                    # an earlier subtree.
-                    if closure & (r_bit - 1) & ~x_bits:
-                        backward += 1
-                        continue
-                    new_cand = todo & union & ~closure
-                    if new_cand:
-                        m_p, cand_all = masked_counts(new_cand)
-                    else:
-                        m_p = cand_all = 0
-                    new_x_n = x_all - new_x_p
-                    new_r_n = cand_all - m_p
-                    if needs_thresholds:
-                        new_threshold = (closure | new_cand) & positive_mask
-                    else:
-                        new_threshold = 0
-                else:
-                    # Root frame: every value below is a pure function of
-                    # the view, memoized on the SupportIndex.
-                    entry = bitset_root(r_bit.bit_length() - 1)
-                    tag = entry[0]
-                    if tag == "empty":
-                        continue
-                    if tag == "backward":
-                        backward += 1
-                        continue
-                    (_, new_items, closure, new_cand, new_x_p, new_x_n,
-                     m_p, new_r_n, new_threshold) = entry
-                if tight_prunable(new_x_p, new_x_n, m_p, new_r_n, new_threshold):
-                    tight += 1
+                if x_bits or memo is None:
+                    result = step(state, r_bit, todo, x_bits)
+                else:  # the root frame, the only one with an empty X
+                    r = r_bit.bit_length() - 1
+                    result = memo.get(r, _UNSET)
+                    if result is _UNSET:
+                        result = memo[r] = step(state, r_bit, todo, 0)
+                if result is None:
                     continue
-                emitted += 1
-                if new_x_p >= policy.minsup:
-                    emit(new_items, closure, new_x_p, new_x_n)
-                if new_cand:
-                    frame[0] = todo
-                    frame[1] = rem_p
-                    frame[2] = rem_n
-                    stack.append(
-                        [new_cand, m_p, new_r_n, closure,
-                         new_x_p, new_x_n, new_items, None]
-                    )
-                    pushed = True
-                    break
-            if not pushed:
-                stack.pop()
-    finally:
-        stats.nodes_visited = nodes
-        stats.loose_pruned += loose
-        stats.tight_pruned += tight
-        stats.backward_pruned += backward
-        stats.groups_emitted += emitted
-
-
-# ---------------------------------------------------------------------------
-# table engine (FARMER-style projected transposed tables)
-# ---------------------------------------------------------------------------
-
-
-def _walk_table(
-    view: MiningView,
-    policy: SearchPolicy,
-    stats: MinerStats,
-    budget: _Budget,
-    first_rows: Optional[int] = None,
-) -> None:
-    positive_mask = view.positive_mask
-    n_positive = view.n_positive
-    bit_count = int.bit_count
-    bisect = bisect_left
-    reach_mark = budget.reach_mark
-    charge_loose_tail = budget.charge_loose_tail
-    loose_prunable = policy.loose_prunable
-    tight_prunable = policy.tight_prunable
-    emit = policy.emit
-
-    # The root transposed table: one tuple per frequent item, carrying the
-    # item's full ascending row list.  Projection passes tuple references
-    # down unchanged; the scan position is implied by r.  Rebuilt per run
-    # on purpose: this engine exists to preserve FARMER's per-node cost
-    # profile, so it takes no SupportIndex memo.
-    needs_thresholds = getattr(policy, "uses_threshold_bits", True)
-    root_tuples = [
-        (item, sorted(iter_indices(view.item_rows[item])))
-        for item in view.frequent_items
-    ]
-    root_cand = list(range(view.n_rows))
-    root_rest_p = 0
-    root_pos_bits = 0
-    for row in root_cand:
-        if row < n_positive:
-            root_rest_p += 1
-            root_pos_bits |= 1 << row
-    root_rest_n = len(root_cand) - root_rest_p
-    # Frame: [cand, index, rest_p, rest_pos_bits, rest_n,
-    #         x_bits, x_p, x_n, tuples, allowed].  The rest counters of a
-    # child frame are seeded from the parent's scan (m_p etc.) instead of
-    # being recomputed at frame entry.
-    stack: list[list] = [
-        [root_cand, 0, root_rest_p, root_pos_bits, root_rest_n,
-         0, 0, 0, root_tuples, first_rows]
-    ]
-    loose = tight = backward = emitted = 0
-    nodes = stats.nodes_visited
-    mark = budget.next_mark(nodes)
-    try:
-        while stack:
-            frame = stack[-1]
-            (cand, index, rest_p, rest_pos_bits, rest_n,
-             x_bits, x_p, x_n, tuples, allowed) = frame
-            size = len(cand)
-            pushed = False
-            while index < size:
-                r = cand[index]
-                index += 1
-                r_bit = 1 << r
-                if r < n_positive:
-                    rest_p -= 1
-                    rest_pos_bits &= ~r_bit
-                    seed_p = x_p + 1
-                    seed_n = x_n
-                else:
-                    rest_n -= 1
-                    seed_p = x_p
-                    seed_n = x_n + 1
-                if allowed is not None and not allowed & r_bit:
-                    continue
-                nodes += 1
-                if nodes >= mark:
-                    mark = reach_mark(nodes)
-                if needs_thresholds:
-                    threshold_bits = (
-                        ((x_bits | r_bit) & positive_mask) | rest_pos_bits
-                    )
-                else:
-                    threshold_bits = 0
-                if loose_prunable(seed_p, seed_n, rest_p, rest_n, threshold_bits):
-                    # Sibling cut, as in the bitset kernel.
-                    loose += 1
-                    if allowed is None:
-                        tail = size - index
-                    else:
-                        tail = sum(
-                            1 for row in cand[index:] if allowed >> row & 1
-                        )
-                    if nodes + tail < mark:
-                        nodes += tail
-                    else:
-                        stats.nodes_visited = nodes
-                        try:
-                            charge_loose_tail(tail)
-                        finally:
-                            nodes = stats.nodes_visited
-                        mark = budget.next_mark(nodes)
-                    loose += tail
-                    break
-                # Project: keep tuples whose row list contains r (bisect
-                # scan, the authentic per-node cost of pointer FARMER).
-                kept = []
-                for entry in tuples:
-                    rows = entry[1]
-                    position = bisect(rows, r)
-                    if position < len(rows) and rows[position] == r:
-                        kept.append(entry)
-                if not kept:
-                    continue
-                # Count frequencies over the kept tuples' full row lists
-                # (Counter.update walks each list at C speed; key order is
-                # first encounter, same as the explicit nested loop).
-                freq = Counter()
-                freq_update = freq.update
-                for entry in kept:
-                    freq_update(entry[1])
-                n_tuples = len(kept)
-                closure = 0
-                backward_hit = False
-                for row, count in freq.items():
-                    if count == n_tuples:
-                        if row < r and not x_bits >> row & 1:
-                            backward_hit = True
-                            break
-                        closure |= 1 << row
-                if backward_hit:
+                if result is _BACKWARD:
                     backward += 1
                     continue
-                new_cand = sorted(
-                    row
-                    for row, count in freq.items()
-                    if row > r and count < n_tuples
+                child, closure, new_cand, new_x_p, new_x_n, m_p, new_r_n = result
+                new_threshold = (
+                    (closure | new_cand) & positive_mask
+                    if needs_thresholds else 0
                 )
-                new_x_p = bit_count(closure & positive_mask)
-                new_x_n = bit_count(closure) - new_x_p
-                m_p = 0
-                new_cand_pos_bits = 0
-                for row in new_cand:
-                    if row < n_positive:
-                        m_p += 1
-                        new_cand_pos_bits |= 1 << row
-                new_r_n = len(new_cand) - m_p
-                if needs_thresholds:
-                    new_threshold = (closure & positive_mask) | new_cand_pos_bits
-                else:
-                    new_threshold = 0
                 if tight_prunable(new_x_p, new_x_n, m_p, new_r_n, new_threshold):
                     tight += 1
                     continue
                 emitted += 1
                 if new_x_p >= policy.minsup:
-                    emit([item for item, _rows in kept], closure,
-                         new_x_p, new_x_n)
-                if new_cand:
-                    frame[1] = index
-                    frame[2] = rest_p
-                    frame[3] = rest_pos_bits
-                    frame[4] = rest_n
-                    stack.append(
-                        [new_cand, 0, m_p, new_cand_pos_bits, new_r_n,
-                         closure, new_x_p, new_x_n, kept, None]
-                    )
-                    pushed = True
-                    break
-            if not pushed:
-                stack.pop()
-    finally:
-        stats.nodes_visited = nodes
-        stats.loose_pruned += loose
-        stats.tight_pruned += tight
-        stats.backward_pruned += backward
-        stats.groups_emitted += emitted
-
-
-# ---------------------------------------------------------------------------
-# tree engine (prefix-tree projected transposed tables, Section 4.2)
-# ---------------------------------------------------------------------------
-
-
-def _walk_tree(
-    view: MiningView,
-    policy: SearchPolicy,
-    stats: MinerStats,
-    budget: _Budget,
-    first_rows: Optional[int] = None,
-) -> None:
-    support = view.support_index()
-    positive_mask = view.positive_mask
-    bit_count = int.bit_count
-    reach_mark = budget.reach_mark
-    charge_loose_tail = budget.charge_loose_tail
-    loose_prunable = policy.loose_prunable
-    tight_prunable = policy.tight_prunable
-    emit = policy.emit
-    tree_root = support.tree_root
-    # The closure comes off the projection's source nodes; these count
-    # it and the candidate rows its row mask leaves outside the closure.
-    _, masked_counts = support.node_kernel()
-    needs_thresholds = getattr(policy, "uses_threshold_bits", True)
-
-    # The root tree and its per-row projections are pure functions of the
-    # view; both come from the SupportIndex (kernels only read projected
-    # trees, so sharing them across runs is safe).
-    root_tree = support.root_tree()
-    root_cand = root_tree.rows_mask()
-    root_rem_p, root_rem_all = masked_counts(root_cand)
-    # Frame: [todo, rem_p, rem_n, x_bits, x_p, x_n, tree, allowed], as in
-    # the bitset kernel.  A child's candidates are its projection's rows
-    # outside the closure: rows absorbed into X by a closure step remain
-    # in the projected tree's paths but are not extension candidates.
-    stack: list[list] = [
-        [root_cand, root_rem_p, root_rem_all - root_rem_p,
-         0, 0, 0, root_tree, first_rows]
-    ]
-    loose = tight = backward = emitted = 0
-    nodes = stats.nodes_visited
-    mark = budget.next_mark(nodes)
-    try:
-        while stack:
-            frame = stack[-1]
-            todo, rem_p, rem_n, x_bits, x_p, x_n, tree, allowed = frame
-            pushed = False
-            while todo:
-                r_bit = todo & -todo
-                todo ^= r_bit
-                if r_bit & positive_mask:
-                    rem_p -= 1
-                    seed_p = x_p + 1
-                    seed_n = x_n
-                else:
-                    rem_n -= 1
-                    seed_p = x_p
-                    seed_n = x_n + 1
-                if allowed is not None and not allowed & r_bit:
-                    continue
-                nodes += 1
-                if nodes >= mark:
-                    mark = reach_mark(nodes)
-                if needs_thresholds:
-                    threshold_bits = (x_bits | r_bit | todo) & positive_mask
-                else:
-                    threshold_bits = 0
-                if loose_prunable(seed_p, seed_n, rem_p, rem_n, threshold_bits):
-                    # Sibling cut: every later candidate of this frame is
-                    # loose-prunable too, so charge them in one call and
-                    # close the frame.
-                    loose += 1
-                    if allowed is not None:
-                        todo &= allowed
-                    if todo:
-                        tail = bit_count(todo)
-                        if nodes + tail < mark:
-                            nodes += tail
-                        else:
-                            stats.nodes_visited = nodes
-                            try:
-                                charge_loose_tail(tail)
-                            finally:
-                                nodes = stats.nodes_visited
-                            mark = budget.next_mark(nodes)
-                        loose += tail
-                    break
-                r = r_bit.bit_length() - 1
-                if x_bits:
-                    projected = tree.project(r)
-                    if projected.n_items == 0:
-                        continue
-                    # The projected tree only keeps rows after r (Section
-                    # 3's projected transposed table), but each source's
-                    # closed_rows covers the items' full row sets, so the
-                    # backward check can probe the rows before r.
-                    closure = projected.closure_rows()
-                    if closure & (r_bit - 1) & ~x_bits:
-                        backward += 1
-                        continue
-                    new_x_p, x_all = masked_counts(closure)
-                    new_cand = projected.rows_mask() & ~closure
-                    if new_cand:
-                        m_p, cand_all = masked_counts(new_cand)
-                    else:
-                        m_p = cand_all = 0
-                    new_x_n = x_all - new_x_p
-                    new_r_n = cand_all - m_p
-                    if needs_thresholds:
-                        new_threshold = (closure | new_cand) & positive_mask
-                    else:
-                        new_threshold = 0
-                else:
-                    # Root frame: first-level data memoized on the view.
-                    entry = tree_root(r)
-                    tag = entry[0]
-                    if tag == "empty":
-                        continue
-                    if tag == "backward":
-                        backward += 1
-                        continue
-                    (_, projected, closure, new_cand, new_x_p, new_x_n,
-                     m_p, new_r_n, new_threshold) = entry
-                if tight_prunable(new_x_p, new_x_n, m_p, new_r_n, new_threshold):
-                    tight += 1
-                    continue
-                emitted += 1
-                # Only a group that can enter a result gets its item list.
-                if new_x_p >= policy.minsup:
-                    emit(projected.all_items(), closure, new_x_p, new_x_n)
+                    emit(child if items_of is None else items_of(child),
+                         closure, new_x_p, new_x_n)
                 if new_cand:
                     frame[0] = todo
                     frame[1] = rem_p
                     frame[2] = rem_n
                     stack.append(
                         [new_cand, m_p, new_r_n, closure,
-                         new_x_p, new_x_n, projected, None]
+                         new_x_p, new_x_n, child, None]
                     )
                     pushed = True
                     break

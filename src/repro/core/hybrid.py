@@ -66,7 +66,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from .backends import resolve_backend
 from .bitset import popcount
-from .enumeration import MinerStats
+from .enumeration import ENGINES, MinerStats
 from .rules import RuleGroup, build_topk_lists
 from .topk_miner import TopkResult, mine_topk
 
@@ -497,6 +497,8 @@ def mine_topk_hybrid(
         raise ValueError(f"minsup must be >= 1, got {minsup}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     n_classes = len(source.class_names)
     if not 0 <= consequent < n_classes:
         raise ValueError(
@@ -612,9 +614,7 @@ def mine_topk_hybrid(
             stats.completed = False
         finished.append((request.anchor, payload))
     groups = _canonical_groups(builder, consequent, finished)
-    lists = build_topk_lists(k, groups, builder.class_mask)
-
-    per_row = {row: list(topk) for row, topk in lists.items()}
+    per_row = build_topk_lists(k, groups, builder.class_mask)
     miner_stats = MinerStats(
         nodes_visited=stats.total_nodes,
         groups_emitted=sum(len(groups) for groups in per_row.values()),

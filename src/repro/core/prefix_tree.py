@@ -43,7 +43,7 @@ ends at the node, nothing below is shared by all of them, so
 ``node.row``); otherwise it is the AND of the children's
 ``closed_rows``.  Every item of a projection passes through exactly one
 of its sources, so ``closure_rows()`` — ``R(I(X ∪ {r}))``, with the
-rows before ``r`` the kernels' backward check probes — is the AND of
+rows before ``r`` the tree engine's backward check probes — is the AND of
 the sources' values: a few big-int ANDs per node instead of one per
 item.
 """

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Callable, Iterable, Optional
 
 from .bitset import popcount, to_indices
@@ -173,14 +173,13 @@ class TopKList:
     order.  That is what lets the direct and the hybrid partitioned
     miners converge to bit-identical lists.
 
-    The miner no longer offers during its walk: it keeps only the rows'
-    k-th pairs and the accepted groups, and builds every list once with
-    :func:`build_topk_lists`, which yields exactly the lists these
-    offers would.  :meth:`offer` stays for lists grown from groups in no
-    particular order (the initial ``groups`` below, the tests'
-    offer-by-offer references, and perfbench's tracer, which patches it
-    by name).  The list keeps two derived structures alongside
-    ``groups``:
+    When a whole population is known up front,
+    :func:`build_topk_lists` builds every row's ``groups`` in one sorted
+    pass; the miner does that at finalize instead of offering during its
+    walk.  :meth:`offer` grows a list from groups in no particular order
+    (the initial ``groups`` below, the tests' offer-by-offer references,
+    and perfbench's tracer, which patches it by name).  The list keeps
+    two derived structures alongside ``groups``:
 
     * ``_keys`` — the full sort keys in ascending order, so an insertion
       position comes from one :func:`bisect.bisect_right` call.
@@ -195,9 +194,7 @@ class TopKList:
     Initial ``groups`` are offered one by one, so they may come in any
     order: the list keeps the ``k`` smallest keys, and duplicates of one
     ``(row_set, consequent)`` collapse to the longest antecedent, exactly
-    as if each had been offered.  When every group of a population is
-    known up front, :func:`build_topk_lists` builds all rows' lists in
-    one sorted pass instead.
+    as if each had been offered.
     """
 
     k: int
@@ -212,31 +209,6 @@ class TopKList:
         self._refresh_kth()
         for group in initial:
             self.offer(group)
-
-    @classmethod
-    def _from_ranked(
-        cls,
-        k: int,
-        groups: list[RuleGroup],
-        keys: list[tuple[float, int, int]],
-        canonical_key: Optional[Callable[[RuleGroup], int]],
-    ) -> "TopKList":
-        """A list from at most ``k`` distinct groups already in key order.
-
-        ``keys[i]`` must be the full sort key of ``groups[i]``; the
-        caller guarantees the invariant :meth:`offer` maintains, so
-        nothing is re-keyed or re-sorted.
-        """
-        topk = cls.__new__(cls)
-        topk.k = k
-        topk.groups = groups
-        topk.canonical_key = canonical_key
-        topk._keys = keys
-        topk._members = {
-            (group.row_set, group.consequent): group for group in groups
-        }
-        topk._refresh_kth()
-        return topk
 
     def _key(self, group: RuleGroup) -> tuple[float, int, int]:
         canon = self.canonical_key
@@ -332,7 +304,7 @@ def build_topk_lists(
     groups: Iterable[RuleGroup],
     rows: int,
     canonical_key: Optional[Callable[[RuleGroup], int]] = None,
-) -> dict[int, TopKList]:
+) -> dict[int, list[RuleGroup]]:
     """Every row's top-k list of a known group population, in one pass.
 
     Offering a row every group that covers it leaves exactly the ``k``
@@ -344,8 +316,9 @@ def build_topk_lists(
     groups that cover it.  A bitset of rows whose lists are still short
     shrinks as lists fill, and the walk stops once it is empty.
 
-    The canonical key is computed only for groups that reach a row whose
-    list is still short, once per group however many lists it enters.
+    The canonical key is computed only for tied groups that reach a row
+    whose list is still short, once per group however many lists it
+    enters.
 
     Args:
         k: list length.
@@ -357,17 +330,13 @@ def build_topk_lists(
             :class:`TopKList`); ``None`` compares raw row sets.
 
     Returns:
-        Row -> :class:`TopKList` for every set bit of ``rows``, each
-        carrying ``canonical_key`` so later :meth:`TopKList.offer` calls
-        rank the same way.
+        Row -> its groups, most significant first, for every set bit of
+        ``rows``: the ``groups`` of a :class:`TopKList` offered them.
     """
     canon = (
         canonical_key if canonical_key is not None else attrgetter("row_set")
     )
     members: dict[int, list[RuleGroup]] = {row: [] for row in to_indices(rows)}
-    keys: dict[int, list[tuple[float, int, int]]] = {
-        row: [] for row in members
-    }
     ranked = sorted(groups, key=_stats_key)
     open_rows = rows
     start, n_ranked = 0, len(ranked)
@@ -382,25 +351,19 @@ def build_topk_lists(
         ):
             stop += 1
         run = [
-            ((-conf, -sup, canon(group)), group)
-            for group in ranked[start:stop]
-            if group.row_set & open_rows
+            group for group in ranked[start:stop] if group.row_set & open_rows
         ]
         if len(run) > 1:
-            run.sort(key=itemgetter(0))
+            # An exact (confidence, support) tie: the canonical key decides.
+            run.sort(key=canon)
         start = stop
-        for key, group in run:
+        for group in run:
             bits = group.row_set & open_rows
             while bits:
                 low = bits & -bits
                 bits ^= low
-                row = low.bit_length() - 1
-                row_members = members[row]
+                row_members = members[low.bit_length() - 1]
                 row_members.append(group)
-                keys[row].append(key)
                 if len(row_members) == k:
                     open_rows ^= low
-    return {
-        row: TopKList._from_ranked(k, row_members, keys[row], canonical_key)
-        for row, row_members in members.items()
-    }
+    return members

@@ -3,8 +3,8 @@
 This module implements the algorithm of Figure 3.  A depth-first row
 enumeration (any engine from :mod:`repro.core.enumeration`) is driven by
 :class:`TopkPolicy`, which keeps the k best (confidence, support) pairs of
-every consequent-class row during the walk, builds each row's
-:class:`~repro.core.rules.TopKList` once at the end, and prunes with the
+every consequent-class row during the walk, builds each row's top-k
+list once at the end, and prunes with the
 *dynamic* thresholds of Section 3:
 
 * ``minconf``/``sup`` are the confidence and support of the least
@@ -423,8 +423,8 @@ class TopkPolicy:
             self._positive_mask,
             canonical_key=canonical,
         )
-        # Every listed group's translation is already in the tie-break
-        # cache (its key was computed when it entered a list).
+        # Each listed group is translated once; a tied one already was,
+        # when the build broke its tie.
         converted: dict[int, RuleGroup] = {}
         result: dict[int, list[RuleGroup]] = {}
         for position, row_id in enumerate(view.order[: view.n_positive]):

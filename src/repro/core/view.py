@@ -21,7 +21,8 @@ from collections import Counter
 from itertools import chain
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from .bitset import mask_below, popcount
+from .bitset import iter_indices, mask_below, popcount
+from .prefix_tree import PrefixTree
 
 if TYPE_CHECKING:  # pragma: no cover - import is for annotations only
     from ..data.dataset import DiscretizedDataset
@@ -235,7 +236,7 @@ def _node_kernel(handle: tuple, mask: int) -> tuple:
 class SupportIndex:
     """Interned supports and first-level memos for one :class:`MiningView`.
 
-    The enumeration kernels spend most of their nodes on the first level
+    The enumeration walk spends most of its nodes on the first level
     of the row enumeration tree (one subtree per row), and everything
     computed there — item lists, closures, candidate sets, the projected
     prefix tree — is a pure function of the view.  This index
@@ -243,11 +244,13 @@ class SupportIndex:
     * interns the item support bitsets (equal supports share one ``int``
       object, so repeated intersections reuse cached small-int paths),
     * binds the fused per-node folds over those supports
-      (:meth:`node_kernel`) the kernels call once per node instead of
+      (:meth:`node_kernel`) the engines call once per node instead of
       once per item,
     * precomputes per-item popcounts (also the planner's work estimate),
       and
-    * memoizes the complete first-level node data per engine family.
+    * holds ``first_level``, one memo per engine of its projection step
+      at the root frame, which the walk fills as it expands each root
+      row.
 
     Memoized values are *data only*: pruning decisions and budget charges
     still happen per run against the live policy, so
@@ -261,17 +264,11 @@ class SupportIndex:
     because every writer computes the same value.
     """
 
-    EMPTY = ("empty",)
-    BACKWARD = ("backward",)
-
     def __init__(self, view: MiningView) -> None:
         # The index keeps the view's fields, not the view: the view holds
         # the index, and a back reference would make every view and its
         # memos cyclic garbage, freed only by the cycle collector.
-        self.row_items = view.row_items
         self.frequent_items = view.frequent_items
-        self.n_rows = view.n_rows
-        self.positive_mask = view.positive_mask
         interned: dict[int, int] = {}
         self.item_rows: list[int] = [
             interned.setdefault(rows, rows) for rows in view.item_rows
@@ -280,7 +277,7 @@ class SupportIndex:
             rows.bit_count() for rows in self.item_rows
         ]
         # Per-item positive supports, so the single-item fast path of the
-        # kernels reads both counts instead of re-counting the closure.
+        # bitset engine reads both counts instead of re-counting the closure.
         positive_mask = view.positive_mask
         self.item_pos_counts: list[int] = [
             (rows & positive_mask).bit_count() for rows in self.item_rows
@@ -289,8 +286,9 @@ class SupportIndex:
             self.item_counts[item] for item in view.frequent_items
         )
         self._kernel = _node_kernel(tuple(self.item_rows), positive_mask)
-        self._bitset_roots: dict[int, tuple] = {}
-        self._tree_roots: dict[int, tuple] = {}
+        # Engine name -> root row -> the engine's first-level step
+        # result, filled by the walk (see repro.core.enumeration).
+        self.first_level: dict[str, dict[int, object]] = {}
         self._root_tree = None
 
     def node_kernel(self) -> tuple[Callable, Callable]:
@@ -304,58 +302,13 @@ class SupportIndex:
           bitset engine's closure;
         * ``masked_counts(bits)`` -> ``(popcount(bits & mask),
           popcount(bits))`` for one freshly derived bitset — the tree
-          engine's closure (read off the prefix tree) and every engine's
-          candidate set.
+          engine's closure (read off the prefix tree) and the bitset and
+          tree engines' candidate sets.
 
         The closures are built once per index and hold no per-walk
         state, so every run (and thread) shares them.
         """
         return self._kernel
-
-    def bitset_root(self, r: int) -> tuple:
-        """First-level node data of the bitset engine for root row ``r``.
-
-        Returns :data:`EMPTY`, :data:`BACKWARD`, or ``("node", new_items,
-        closure, new_cand, new_x_p, new_x_n, m_p, new_r_n,
-        new_threshold)`` — exactly the values the kernel would compute at
-        the root frame, where the candidate set is always "rows after r".
-        """
-        entry = self._bitset_roots.get(r)
-        if entry is None:
-            entry = self._bitset_roots[r] = self._compute_bitset_root(r)
-        return entry
-
-    def _compute_bitset_root(self, r: int) -> tuple:
-        fold_counts, masked_counts = self._kernel
-        new_items = sorted(self.row_items[r])
-        if not new_items:
-            return self.EMPTY
-        if len(new_items) == 1:
-            item = new_items[0]
-            closure = union = self.item_rows[item]
-            x_pos = self.item_pos_counts[item]
-            x_all = self.item_counts[item]
-        else:
-            closure, union, x_pos, x_all = fold_counts(new_items)
-        r_bit = 1 << r
-        if closure & (r_bit - 1):
-            return self.BACKWARD
-        positive_mask = self.positive_mask
-        above = mask_below(self.n_rows) & ~(r_bit | (r_bit - 1))
-        new_cand = above & union & ~closure
-        if new_cand:
-            cand_pos, cand_all = masked_counts(new_cand)
-        else:
-            cand_pos = cand_all = 0
-        new_x_p = x_pos
-        new_x_n = x_all - x_pos
-        m_p = cand_pos
-        new_r_n = cand_all - cand_pos
-        new_threshold = (closure | new_cand) & positive_mask
-        return (
-            "node", new_items, closure, new_cand,
-            new_x_p, new_x_n, m_p, new_r_n, new_threshold,
-        )
 
     def root_tree(self):
         """The root prefix tree of the tree engine, built once per view.
@@ -366,44 +319,8 @@ class SupportIndex:
         """
         tree = self._root_tree
         if tree is None:
-            from .prefix_tree import PrefixTree
-            from .bitset import iter_indices
-
             tree = self._root_tree = PrefixTree.from_items(
                 (item, sorted(iter_indices(self.item_rows[item])))
                 for item in self.frequent_items
             )
         return tree
-
-    def tree_root(self, r: int) -> tuple:
-        """First-level node data of the tree engine for root row ``r``.
-
-        Returns :data:`EMPTY`, :data:`BACKWARD`, or ``("node", projected,
-        closure, new_cand, new_x_p, new_x_n, m_p, new_r_n,
-        new_threshold)``.  The projected tree is shared across runs;
-        kernels only read projected trees, and build its item list only
-        when they emit its group.
-        """
-        entry = self._tree_roots.get(r)
-        if entry is None:
-            entry = self._tree_roots[r] = self._compute_tree_root(r)
-        return entry
-
-    def _compute_tree_root(self, r: int) -> tuple:
-        projected = self.root_tree().project(r)
-        if projected.n_items == 0:
-            return self.EMPTY
-        closure = projected.closure_rows()
-        if closure & ((1 << r) - 1):
-            return self.BACKWARD
-        _, masked_counts = self._kernel
-        x_pos, x_all = masked_counts(closure)
-        # The projection's rows all follow r; those in the closure are
-        # absorbed into X and are not extension candidates.
-        new_cand = projected.rows_mask() & ~closure
-        m_p, cand_all = masked_counts(new_cand)
-        new_threshold = (closure | new_cand) & self.positive_mask
-        return (
-            "node", projected, closure, new_cand,
-            x_pos, x_all - x_pos, m_p, cand_all - m_p, new_threshold,
-        )

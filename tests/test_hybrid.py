@@ -93,6 +93,11 @@ class TestEquivalence:
         assert hybrid.stats.engine == "hybrid/bitset"
         with pytest.raises(ValueError, match="unknown strategy"):
             mine_topk(small_random, 1, 1, strategy="bogus")
+        # Rejected before any pass, even when no item is frequent.
+        with pytest.raises(ValueError, match="unknown engine 'bogus'"):
+            mine_topk(small_random, 1, 100, engine="bogus", strategy="hybrid")
+        with pytest.raises(ValueError, match="unknown engine 'bogus'"):
+            mine_topk(small_random, 1, 1, engine="bogus", strategy="hybrid")
         with pytest.raises(ValueError, match="strategy='hybrid'"):
             mine_topk(small_random, 1, 1, spill_dir="/tmp")
 

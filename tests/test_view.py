@@ -165,3 +165,25 @@ class TestViewCache:
         finally:
             if enabled:
                 gc.enable()
+
+
+class TestFirstLevelMemo:
+    def test_table_engine_takes_no_memo(self):
+        # The table engine is Figure 6's FARMER column: every run pays
+        # its own first-level projections, so it must leave no memo on
+        # the view, while the bitset and tree engines fill theirs.
+        from repro.baselines.farmer import FarmerPolicy
+        from repro.core.enumeration import run_enumeration
+        from repro.core.topk_miner import TopkPolicy
+
+        dataset = random_discretized_dataset(12, 10, density=0.5, seed=3)
+        view = MiningView(dataset, consequent=1, minsup=2)
+        run_enumeration(view, TopkPolicy(view, 2), engine="table")
+        run_enumeration(view, FarmerPolicy(view), engine="table")
+        memo = view.support_index().first_level
+        assert not memo.get("table")
+        for engine in ("bitset", "tree"):
+            run_enumeration(view, TopkPolicy(view, 2), engine=engine)
+            assert memo[engine], engine
+        run_enumeration(view, FarmerPolicy(view), engine="table")
+        assert not memo.get("table")
