@@ -20,11 +20,15 @@ when a closed candidate is recorded.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from ..core.bitset import popcount
-from ..core.enumeration import POLL_STRIDE, MinerStats, _Budget
+from ..core.enumeration import (
+    POLL_STRIDE,
+    ClosedSetResult,
+    MinerStats,
+    _Budget,
+)
 from ..core.rules import RuleGroup
 from ..core.view import MiningView
 from ..errors import MiningBudgetExceeded
@@ -32,46 +36,30 @@ from ..errors import MiningBudgetExceeded
 if TYPE_CHECKING:  # pragma: no cover - import is for annotations only
     from ..data.dataset import DiscretizedDataset
 
-__all__ = ["CharmResult", "mine_charm"]
-
-
-@dataclass
-class CharmResult:
-    """Outcome of one CHARM run."""
-
-    groups: list[RuleGroup]
-    consequent: int
-    minsup: int
-    completed: bool
-    nodes_visited: int
-    elapsed_seconds: float = 0.0
+__all__ = ["mine_charm"]
 
 
 class _ClosedRegistry:
     """Closed-set store with the subsumption check of CHARM.
 
     A candidate itemset is subsumed iff an already-recorded closed set
-    with the same tidset is a superset.  Candidates are bucketed by
-    tidset so the check is a few set comparisons.
+    with the same tidset is a superset.  Groups are bucketed by tidset
+    so the check is a few set comparisons, and each is built in row-id
+    space as it is added.
     """
 
-    def __init__(self) -> None:
-        self._by_tidset: dict[int, list[frozenset[int]]] = {}
-
-    def subsumed(self, itemset: frozenset[int], tidset: int) -> bool:
-        return any(
-            existing >= itemset for existing in self._by_tidset.get(tidset, ())
-        )
+    def __init__(self, view: MiningView) -> None:
+        self._view = view
+        self._by_tidset: dict[int, list[RuleGroup]] = {}
 
     def add(self, itemset: frozenset[int], tidset: int) -> None:
-        self._by_tidset.setdefault(tidset, []).append(itemset)
+        """Record ``itemset`` unless a same-tidset closed set subsumes it."""
+        bucket = self._by_tidset.setdefault(tidset, [])
+        if not any(group.antecedent >= itemset for group in bucket):
+            bucket.append(self._view.rule_group(itemset, tidset))
 
-    def items(self) -> list[tuple[frozenset[int], int]]:
-        return [
-            (itemset, tidset)
-            for tidset, itemsets in self._by_tidset.items()
-            for itemset in itemsets
-        ]
+    def groups(self) -> list[RuleGroup]:
+        return [group for bucket in self._by_tidset.values() for group in bucket]
 
 
 def mine_charm(
@@ -82,7 +70,7 @@ def mine_charm(
     node_budget: Optional[int] = None,
     time_budget: Optional[float] = None,
     cancel=None,
-) -> CharmResult:
+) -> ClosedSetResult:
     """Mine all rule-group upper bounds by column enumeration.
 
     Args:
@@ -105,9 +93,9 @@ def mine_charm(
             back with ``completed=False``.
 
     Returns:
-        A :class:`CharmResult` whose groups match FARMER at
-        ``minconf = 0`` on any dataset (verified by the cross-miner
-        tests).
+        A :class:`~repro.core.enumeration.ClosedSetResult` whose groups
+        match FARMER at ``minconf = 0`` on any dataset (verified by the
+        cross-miner tests).
     """
     start = time.monotonic()
     stats = MinerStats(engine="charm")
@@ -116,7 +104,7 @@ def mine_charm(
     poll = budget.poll
     view = MiningView(dataset, consequent, minsup)
     positive_mask = view.positive_mask
-    registry = _ClosedRegistry()
+    registry = _ClosedRegistry(view)
 
     def class_support(tidset: int) -> int:
         return popcount(tidset & positive_mask)
@@ -180,8 +168,7 @@ def mine_charm(
                 ]
                 fixed.sort(key=lambda pair: popcount(pair[1]))
                 extend(fixed)
-            if not registry.subsumed(merged_itemset, tidset_i):
-                registry.add(merged_itemset, tidset_i)
+            registry.add(merged_itemset, tidset_i)
             index += 1
 
     def extend_diffsets(
@@ -242,8 +229,7 @@ def mine_charm(
                     key=lambda node: -popcount(node[1])
                 )  # largest diffset = smallest tidset first
                 extend_diffsets(fixed, tidset_i)
-            if not registry.subsumed(merged_itemset, tidset_i):
-                registry.add(merged_itemset, tidset_i)
+            registry.add(merged_itemset, tidset_i)
             index += 1
 
     try:
@@ -259,21 +245,10 @@ def mine_charm(
     except MiningBudgetExceeded:
         pass  # the budget marked stats incomplete
 
-    groups = [
-        RuleGroup(
-            antecedent=itemset,
-            consequent=consequent,
-            row_set=view.positions_to_rows(tidset),
-            support=class_support(tidset),
-            confidence=class_support(tidset) / popcount(tidset),
-        )
-        for itemset, tidset in registry.items()
-    ]
-    return CharmResult(
-        groups=groups,
+    stats.elapsed_seconds = time.monotonic() - start
+    return ClosedSetResult(
+        groups=registry.groups(),
         consequent=consequent,
         minsup=minsup,
-        completed=stats.completed,
-        nodes_visited=stats.nodes_visited,
-        elapsed_seconds=time.monotonic() - start,
+        stats=stats,
     )

@@ -21,11 +21,11 @@ paper's "CLOSET+ is usually unable to run to completion" observation.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import TYPE_CHECKING, Optional
 
 from ..core.bitset import popcount
-from ..core.enumeration import MinerStats, _Budget
+from ..core.enumeration import ClosedSetResult, MinerStats, _Budget
 from ..core.prefix_tree import PrefixTree
 from ..core.rules import RuleGroup
 from ..core.view import MiningView
@@ -34,19 +34,7 @@ from ..errors import MiningBudgetExceeded
 if TYPE_CHECKING:  # pragma: no cover - import is for annotations only
     from ..data.dataset import DiscretizedDataset
 
-__all__ = ["ClosetResult", "mine_closetplus"]
-
-
-@dataclass
-class ClosetResult:
-    """Outcome of one CLOSET+ run."""
-
-    groups: list[RuleGroup]
-    consequent: int
-    minsup: int
-    completed: bool
-    nodes_visited: int
-    elapsed_seconds: float = 0.0
+__all__ = ["mine_closetplus"]
 
 
 def mine_closetplus(
@@ -55,7 +43,7 @@ def mine_closetplus(
     minsup: int,
     node_budget: Optional[int] = None,
     time_budget: Optional[float] = None,
-) -> ClosetResult:
+) -> ClosedSetResult:
     """Mine all rule-group upper bounds by FP-tree pattern growth.
 
     Args:
@@ -71,13 +59,14 @@ def mine_closetplus(
             poll, and NaN or a negative value raises ``ValueError``).
 
     Returns:
-        A :class:`ClosetResult`; partial when the budget ran out.
+        A :class:`~repro.core.enumeration.ClosedSetResult`, one group
+        per row set in the order the row sets were first reached;
+        partial when the budget ran out.
     """
     start = time.monotonic()
     stats = MinerStats(engine="closetplus")
     charge = _Budget(stats, node_budget, time_budget).charge_node
     view = MiningView(dataset, consequent, minsup)
-    positive_mask = view.positive_mask
 
     # Global ascending-frequency order.  Transactions inserted in this
     # order put rare items near the root, so PrefixTree.project(item)
@@ -96,16 +85,27 @@ def mine_closetplus(
         if items:
             tree.insert(position, sorted(items, key=order.__getitem__))
 
-    # Every recorded candidate: itemset -> total support.  Subsumption is
-    # resolved in a final pass; during the walk the registry only powers
-    # sub-itemset pruning.
-    recorded: dict[frozenset[int], int] = {}
+    # Every recorded candidate, and by total support for sub-itemset
+    # pruning.  A same-support strict superset of a candidate has the
+    # same row set, so the closed sets are the largest antecedent of
+    # each row set: the group of a row set is built when it is first
+    # reached and its antecedent replaced when a larger one turns up.
+    recorded: set[frozenset[int]] = set()
     by_support: dict[int, list[frozenset[int]]] = {}
+    groups: dict[int, RuleGroup] = {}
 
     def record(itemset: frozenset[int], support: int) -> None:
-        if itemset and itemset not in recorded:
-            recorded[itemset] = support
-            by_support.setdefault(support, []).append(itemset)
+        if not itemset or itemset in recorded:
+            return
+        recorded.add(itemset)
+        by_support.setdefault(support, []).append(itemset)
+        row_bits = view.closure_rows(itemset)
+        group = groups.get(row_bits)
+        if group is None:
+            if view.positive_count(row_bits) >= minsup:
+                groups[row_bits] = view.rule_group(itemset, row_bits)
+        elif len(itemset) > len(group.antecedent):
+            groups[row_bits] = replace(group, antecedent=itemset)
 
     def subsumed(itemset: frozenset[int], support: int) -> bool:
         return any(
@@ -137,34 +137,10 @@ def mine_closetplus(
     except MiningBudgetExceeded:
         pass  # the budget marked stats incomplete
 
-    # Closure filter: drop any candidate subsumed by a same-support
-    # superset, then translate the survivors into rule groups and apply
-    # the consequent-class support threshold.
-    groups: dict[int, RuleGroup] = {}
-    for itemset, support in recorded.items():
-        if subsumed(itemset, support):
-            continue
-        row_bits = view.closure_rows(sorted(itemset))
-        if row_bits is None:
-            continue
-        class_support = popcount(row_bits & positive_mask)
-        if class_support < minsup:
-            continue
-        existing = groups.get(row_bits)
-        if existing is not None and len(existing.antecedent) >= len(itemset):
-            continue
-        groups[row_bits] = RuleGroup(
-            antecedent=itemset,
-            consequent=consequent,
-            row_set=view.positions_to_rows(row_bits),
-            support=class_support,
-            confidence=class_support / popcount(row_bits),
-        )
-    return ClosetResult(
+    stats.elapsed_seconds = time.monotonic() - start
+    return ClosedSetResult(
         groups=list(groups.values()),
         consequent=consequent,
         minsup=minsup,
-        completed=stats.completed,
-        nodes_visited=stats.nodes_visited,
-        elapsed_seconds=time.monotonic() - start,
+        stats=stats,
     )

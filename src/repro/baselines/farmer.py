@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..core.backends import resolve_backend
-from ..core.enumeration import MinerStats, run_enumeration
+from ..core.enumeration import ClosedSetResult, run_enumeration
 from ..core.rules import RuleGroup
 from ..core.view import MiningView
 from ..errors import MiningBudgetExceeded
@@ -39,7 +39,7 @@ from ..parallel import (
 if TYPE_CHECKING:  # pragma: no cover - import is for annotations only
     from ..data.dataset import DiscretizedDataset
 
-__all__ = ["FarmerPolicy", "FarmerResult", "FarmerShard", "mine_farmer"]
+__all__ = ["FarmerPolicy", "FarmerShard", "mine_farmer"]
 
 
 class FarmerPolicy:
@@ -49,7 +49,8 @@ class FarmerPolicy:
     group is reported only if its 2x2 chi-square statistic against the
     consequent class clears the threshold.  It filters output (like the
     original's final check); it is not anti-monotone, so it cannot prune
-    the search.
+    the search.  ``groups`` collects every reported group in row-id
+    space, in emission order.
     """
 
     # The static thresholds never read the Lemma 3.2 row sets, so the
@@ -117,33 +118,11 @@ class FarmerPolicy:
             )
             if statistic < self.min_chi_square:
                 return
-        self.groups.append(
-            RuleGroup(
-                antecedent=frozenset(items),
-                consequent=self.view.consequent,
-                row_set=position_bits,
-                support=x_p,
-                confidence=confidence,
-            )
-        )
+        self.groups.append(self.view.rule_group(items, position_bits))
         if self.max_groups is not None and len(self.groups) > self.max_groups:
             raise MiningBudgetExceeded(
                 f"group budget {self.max_groups} exceeded"
             )
-
-    def finalize(self) -> list[RuleGroup]:
-        """Groups with row bitsets translated to original row ids."""
-        view = self.view
-        return [
-            RuleGroup(
-                antecedent=group.antecedent,
-                consequent=group.consequent,
-                row_set=view.positions_to_rows(group.row_set),
-                support=group.support,
-                confidence=group.confidence,
-            )
-            for group in self.groups
-        ]
 
 
 @dataclass(frozen=True)
@@ -167,11 +146,8 @@ class FarmerShard:
 
     def run(self, dataset: "DiscretizedDataset", cancel=None,
             time_budget: Optional[float] = None):
-        """Mine this shard; returns ``(groups, stats)``.
-
-        The groups are still in position space: the caller translates
-        them once, after concatenating the shards.
-        """
+        """Mine this shard; returns ``(groups, stats)``, the groups in
+        row-id space and in emission order."""
         view = MiningView.cached(dataset, self.consequent, self.minsup)
         policy = FarmerPolicy(
             view,
@@ -194,26 +170,6 @@ class FarmerShard:
         return policy.groups, stats
 
 
-@dataclass
-class FarmerResult:
-    """Outcome of one FARMER run."""
-
-    groups: list[RuleGroup]
-    consequent: int
-    minsup: int
-    minconf: float
-    stats: MinerStats
-
-    @property
-    def completed(self) -> bool:
-        return self.stats.completed
-
-    def sorted_by_significance(self) -> list[RuleGroup]:
-        return sorted(
-            self.groups, key=lambda g: (g.confidence, g.support), reverse=True
-        )
-
-
 def mine_farmer(
     dataset: "DiscretizedDataset",
     consequent: int,
@@ -228,7 +184,7 @@ def mine_farmer(
     backend=None,
     cancel=None,
     fault=None,
-) -> FarmerResult:
+) -> ClosedSetResult:
     """Mine all rule groups above the given thresholds.
 
     Args:
@@ -262,8 +218,9 @@ def mine_farmer(
             pool path (testing hook; ignored by the serial path).
 
     Returns:
-        A :class:`FarmerResult`; when a budget was exhausted it carries
-        the groups found so far and ``stats.completed`` is False.
+        A :class:`~repro.core.enumeration.ClosedSetResult`; when a budget
+        was exhausted it carries the groups found so far and
+        ``stats.completed`` is False.
     """
     # Resolve here with the farmer task so backend="auto" plans for a
     # static-threshold run (see plan_auto_backend).
@@ -297,12 +254,10 @@ def mine_farmer(
         # keep the identical prefix of the DFS emission order.
         merged = merged[: max_groups + 1]
         stats.completed = False
-    policy = FarmerPolicy(view, minconf=minconf, min_chi_square=min_chi_square)
-    policy.groups = merged
-    return FarmerResult(
-        groups=policy.finalize(),
+    return ClosedSetResult(
+        groups=merged,
         consequent=consequent,
         minsup=minsup,
-        minconf=minconf,
         stats=stats,
+        minconf=minconf,
     )

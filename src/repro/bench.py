@@ -36,7 +36,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from .baselines.farmer import FarmerResult, mine_farmer
+from .baselines.farmer import mine_farmer
+from .core.enumeration import ClosedSetResult
 from .core.hybrid import mine_topk_hybrid
 from .core.topk_miner import TopkResult, mine_topk, relative_minsup
 from .data.loaders import load_benchmark
@@ -218,7 +219,7 @@ def _best_of(fn: Callable[[], object], repeats: int) -> tuple[float, object]:
     return best, result
 
 
-def _farmer_identical(a: FarmerResult, b: FarmerResult) -> bool:
+def _farmer_identical(a: ClosedSetResult, b: ClosedSetResult) -> bool:
     key = lambda g: (g.antecedent, g.consequent, g.row_set, g.support,
                      g.confidence)
     return list(map(key, a.groups)) == list(map(key, b.groups))
@@ -399,8 +400,12 @@ REGRESSION_MIN_DELTA_SECONDS = 0.005
 
 # Keys that must match for a baseline entry to be comparable: if any
 # differ, the workload itself changed and a wall-clock diff is
-# meaningless.
-_COMPARE_KEYS = ("dataset", "miner", "engine", "k", "minsup", "n_rows")
+# meaningless.  ``scale`` is one of them because a scaled dataset can
+# keep its row count and minsup while its item count changes (ALL has
+# 38 training rows and minsup 25 at every scale).
+_COMPARE_KEYS = (
+    "dataset", "miner", "engine", "k", "minsup", "n_rows", "scale",
+)
 
 # What to run (and commit) when the gate reports a missing baseline
 # entry, surfaced verbatim in the failure line.

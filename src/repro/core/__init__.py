@@ -1,7 +1,7 @@
 """Core algorithms: rule groups, row enumeration, MineTopkRGS, FindLB."""
 
 from .bitset import from_indices, iter_indices, popcount, to_indices
-from .enumeration import ENGINES, MinerStats, run_enumeration
+from .enumeration import ENGINES, ClosedSetResult, MinerStats, run_enumeration
 from .hybrid import HybridStats, mine_topk_hybrid
 from .lower_bounds import LowerBoundResult, find_lower_bounds, find_lower_bounds_batch
 from .prefix_tree import PrefixTree, PrefixTreeNode
@@ -13,6 +13,7 @@ from .view import MiningView
 
 __all__ = [
     "ENGINES",
+    "ClosedSetResult",
     "HybridStats",
     "LowerBoundResult",
     "MinerStats",

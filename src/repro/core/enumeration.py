@@ -76,11 +76,13 @@ from typing import Any, Callable, NamedTuple, Optional, Protocol, Sequence
 from ..errors import MiningBudgetExceeded
 from .bitset import iter_indices, mask_below
 from .prefix_tree import PrefixTree
+from .rules import RuleGroup
 from .view import MiningView
 
 __all__ = [
     "SearchPolicy",
     "MinerStats",
+    "ClosedSetResult",
     "run_enumeration",
     "ENGINES",
     "POLL_STRIDE",
@@ -175,6 +177,40 @@ class MinerStats:
 
     def as_dict(self) -> dict:
         return asdict(self)
+
+
+@dataclass
+class ClosedSetResult:
+    """Outcome of one closed-set mine: FARMER, CHARM or CLOSET+.
+
+    Every rule group is in original row-id space, built by
+    :meth:`~repro.core.view.MiningView.rule_group` where the miner found
+    it, so a budgeted run returns as soon as its walk stops.
+
+    Attributes:
+        groups: the rule groups found, in the miner's emission order.
+        consequent: mined class id.
+        minsup: absolute minimum support (consequent-class rows).
+        stats: the run's counters; ``stats.completed`` is False when a
+            budget or a cancel cut the walk short, and ``groups`` then
+            holds what was found before.
+        minconf: minimum confidence (0 for CHARM and CLOSET+).
+    """
+
+    groups: list[RuleGroup]
+    consequent: int
+    minsup: int
+    stats: MinerStats
+    minconf: float = 0.0
+
+    @property
+    def completed(self) -> bool:
+        return self.stats.completed
+
+    def sorted_by_significance(self) -> list[RuleGroup]:
+        return sorted(
+            self.groups, key=lambda g: (g.confidence, g.support), reverse=True
+        )
 
 
 class _Budget:

@@ -483,7 +483,7 @@ def mine_topk_hybrid(
     Returns:
         A :class:`TopkResult` equal to the direct miner's output; its
         ``stats`` sums the per-partition counters and its
-        ``hybrid_stats`` attribute carries the :class:`HybridStats`.
+        ``hybrid_stats`` carries the :class:`HybridStats`.
     """
     started = time.perf_counter()
     start_monotonic = time.monotonic()
@@ -626,15 +626,14 @@ def mine_topk_hybrid(
         completed=stats.completed,
         degraded=degraded,
     )
-    result = TopkResult(
+    return TopkResult(
         per_row=per_row,
         consequent=consequent,
         minsup=minsup,
         k=k,
         stats=miner_stats,
+        hybrid_stats=stats,
     )
-    result.hybrid_stats = stats  # type: ignore[attr-defined]
-    return result
 
 
 def _canonical_groups(

@@ -28,13 +28,14 @@ from __future__ import annotations
 import math
 import os
 from bisect import insort
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .bitset import mask_below
 
-if TYPE_CHECKING:  # pragma: no cover - import is for annotations only
+if TYPE_CHECKING:  # pragma: no cover - imports are for annotations only
     from ..data.dataset import DiscretizedDataset
+    from .hybrid import HybridStats
 from ..errors import MiningBudgetExceeded
 from .backends import resolve_backend
 from .enumeration import MinerStats, run_enumeration
@@ -460,6 +461,9 @@ class TopkResult:
         minsup: user-specified absolute minimum support.
         k: requested list length.
         stats: enumeration statistics.
+        hybrid_stats: the partition-level statistics of a hybrid mine;
+            None for a direct one.  It takes no part in equality, which
+            stays a matter of the lists and ``stats``.
     """
 
     per_row: dict[int, list[RuleGroup]]
@@ -467,6 +471,7 @@ class TopkResult:
     minsup: int
     k: int
     stats: MinerStats
+    hybrid_stats: Optional["HybridStats"] = field(default=None, compare=False)
 
     def unique_groups(self) -> list[RuleGroup]:
         """All distinct rule groups across rows, most significant first."""

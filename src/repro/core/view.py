@@ -19,10 +19,11 @@ import threading
 import weakref
 from collections import Counter
 from itertools import chain
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from .bitset import iter_indices, mask_below, popcount
 from .prefix_tree import PrefixTree
+from .rules import RuleGroup
 
 if TYPE_CHECKING:  # pragma: no cover - import is for annotations only
     from ..data.dataset import DiscretizedDataset
@@ -164,7 +165,26 @@ class MiningView:
             result |= 1 << self.order[position]
         return result
 
-    def closure_rows(self, items: Sequence[int]) -> Optional[int]:
+    def rule_group(
+        self, antecedent: Iterable[int], position_bits: int
+    ) -> RuleGroup:
+        """The rule group of ``antecedent`` whose rows are the positions
+        ``position_bits``, built in original row-id space.
+
+        Every closed-set miner (FARMER, CHARM, CLOSET+) builds its groups
+        here as it finds them, so the translation runs inside the mine's
+        budget; the consequent support is counted once.
+        """
+        support = popcount(position_bits & self.positive_mask)
+        return RuleGroup(
+            antecedent=frozenset(antecedent),
+            consequent=self.consequent,
+            row_set=self.positions_to_rows(position_bits),
+            support=support,
+            confidence=support / popcount(position_bits),
+        )
+
+    def closure_rows(self, items: Iterable[int]) -> Optional[int]:
         """``R(itemset)`` in position space (None for the empty itemset)."""
         result: Optional[int] = None
         for item in items:

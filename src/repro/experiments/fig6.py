@@ -102,17 +102,15 @@ def _sweep_dataset(
         )
         series["FARMER+prefix"] = timing
         if column_baselines:
-            timing, result = timed(
+            timing, _ = timed(
                 lambda: mine_charm(train, 1, minsup, time_budget=time_budget)
             )
-            timing.completed = result.completed
             series["CHARM"] = timing
-            timing, result = timed(
+            timing, _ = timed(
                 lambda: mine_closetplus(
                     train, 1, minsup, time_budget=time_budget
                 )
             )
-            timing.completed = result.completed
             series["CLOSET+"] = timing
         rows.append((fraction, minsup, series))
     return rows

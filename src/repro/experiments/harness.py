@@ -74,18 +74,14 @@ class Timing:
 def timed(fn: Callable[[], object]) -> tuple[Timing, object]:
     """Run ``fn`` and measure wall-clock time.
 
-    The callee signals truncation by returning an object with a
-    ``completed`` or ``stats.completed`` attribute; both are honoured.
+    The callee signals truncation by returning an object whose
+    ``stats.completed`` is False, as every miner's result does.
     """
     start = time.perf_counter()
     result = fn()
     elapsed = time.perf_counter() - start
-    completed = True
     stats = getattr(result, "stats", None)
-    if stats is not None and hasattr(stats, "completed"):
-        completed = bool(stats.completed)
-    elif hasattr(result, "completed"):
-        completed = bool(result.completed)
+    completed = bool(getattr(stats, "completed", True))
     return Timing(seconds=elapsed, completed=completed), result
 
 

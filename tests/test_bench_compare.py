@@ -108,6 +108,23 @@ class TestCompareReports:
         assert ok
         assert any("workload changed (k)" in line for line in lines)
 
+    def test_changed_scale_skipped(self):
+        """ALL keeps 38 training rows and minsup 25 at every scale, so
+        only the scale tells a 0.25 run from the 0.1 baseline: its
+        slower time and larger tree are not a regression."""
+        lines, ok = compare_reports(
+            _report(_entry(serial=0.59, scale=0.25,
+                           serial_nodes_visited=27188)),
+            _report(_entry(serial=0.04, scale=0.1,
+                           serial_nodes_visited=4135)),
+        )
+        assert ok
+        assert "0 compared" in lines[0]
+        assert any("workload changed (scale) — skipped" in line
+                   for line in lines)
+        assert not any("NODES CHANGED" in line or "REGRESSION" in line
+                       for line in lines)
+
     def test_changed_node_count_fails(self):
         """Same workload, same speed, a different enumeration tree: the
         miner's search changed, which the seconds gate cannot see."""

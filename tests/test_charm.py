@@ -69,10 +69,10 @@ class TestBudget:
     # shared budget's first poll comes well before the walk ends.
     def test_zero_time_budget_stops_at_first_poll(self):
         ds = random_discretized_dataset(14, 20, density=0.6, seed=2)
-        assert mine_charm(ds, 1, 1).nodes_visited > POLL_STRIDE
+        assert mine_charm(ds, 1, 1).stats.nodes_visited > POLL_STRIDE
         result = mine_charm(ds, 1, 1, time_budget=0)
         assert result.completed is False
-        assert result.nodes_visited == POLL_STRIDE
+        assert result.stats.nodes_visited == POLL_STRIDE
 
     @pytest.mark.parametrize("use_diffsets", (True, False))
     def test_cancel_lands_inside_a_wide_prefix_class(self, use_diffsets):
@@ -84,7 +84,7 @@ class TestBudget:
         result = mine_charm(ds, 1, 1, use_diffsets=use_diffsets,
                             cancel=token)
         assert result.completed is False
-        assert result.nodes_visited == 1
+        assert result.stats.nodes_visited == 1
         assert token.calls == 2
 
     @pytest.mark.parametrize("shape, nodes, groups", [
@@ -100,7 +100,8 @@ class TestBudget:
             polled = mine_charm(ds, 1, 1, use_diffsets=use_diffsets,
                                 time_budget=3600,
                                 cancel=threading.Event())
-            assert plain.nodes_visited == polled.nodes_visited == nodes
+            assert plain.stats.nodes_visited == nodes
+            assert polled.stats.nodes_visited == nodes
             assert len(plain.groups) == groups
             assert keys(polled.groups) == keys(plain.groups)
 
@@ -115,10 +116,10 @@ class TestBudget:
         assert not result.completed
         full = mine_charm(small_random, 1, 1)
         assert full.completed
-        assert result.nodes_visited <= full.nodes_visited
+        assert result.stats.nodes_visited <= full.stats.nodes_visited
 
     def test_metadata(self, small_random):
         result = mine_charm(small_random, 1, 2)
         assert result.consequent == 1
         assert result.minsup == 2
-        assert result.elapsed_seconds >= 0.0
+        assert result.stats.elapsed_seconds >= 0.0

@@ -49,10 +49,10 @@ class TestBudget:
     # shared budget's first poll comes well before the walk ends.
     def test_zero_time_budget_stops_at_first_poll(self):
         ds = random_discretized_dataset(14, 20, density=0.6, seed=2)
-        assert mine_closetplus(ds, 1, 1).nodes_visited > POLL_STRIDE
+        assert mine_closetplus(ds, 1, 1).stats.nodes_visited > POLL_STRIDE
         result = mine_closetplus(ds, 1, 1, time_budget=0)
         assert result.completed is False
-        assert result.nodes_visited == POLL_STRIDE
+        assert result.stats.nodes_visited == POLL_STRIDE
 
     @pytest.mark.parametrize("time_budget", [float("nan"), -1.0])
     def test_nan_or_negative_time_budget_raises(self, small_random,
@@ -67,4 +67,4 @@ class TestBudget:
     def test_full_run_completes(self, small_random):
         result = mine_closetplus(small_random, 1, 1)
         assert result.completed
-        assert result.nodes_visited >= 1
+        assert result.stats.nodes_visited >= 1

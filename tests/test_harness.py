@@ -68,13 +68,6 @@ class TestTiming:
         timing, _ = timed(lambda: Result())
         assert not timing.completed
 
-    def test_timed_reads_completed_attribute(self):
-        class Result:
-            completed = False
-
-        timing, _ = timed(lambda: Result())
-        assert not timing.completed
-
 
 class TestErrors:
     def test_hierarchy(self):
