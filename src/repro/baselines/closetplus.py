@@ -25,7 +25,12 @@ from dataclasses import replace
 from typing import TYPE_CHECKING, Optional
 
 from ..core.bitset import popcount
-from ..core.enumeration import ClosedSetResult, MinerStats, _Budget
+from ..core.enumeration import (
+    POLL_STRIDE,
+    ClosedSetResult,
+    MinerStats,
+    _Budget,
+)
 from ..core.prefix_tree import PrefixTree
 from ..core.rules import RuleGroup
 from ..core.view import MiningView
@@ -53,10 +58,14 @@ def mine_closetplus(
             is used as the (sound) anti-monotone bound during growth and
             the class-support filter is applied to the closed results.
         node_budget: optional cap on conditional projections.
-        time_budget: optional wall-clock cap in seconds, polled every
-            :data:`~repro.core.enumeration.POLL_STRIDE` projections like
-            the row-enumeration miners' budgets (so 0 stops at the first
-            poll, and NaN or a negative value raises ``ValueError``).
+        time_budget: optional wall-clock cap in seconds.  As in every
+            miner the first check comes at the
+            :data:`~repro.core.enumeration.POLL_STRIDE`-th projection
+            (so 0 stops there, and NaN or a negative value raises
+            ``ValueError``); after it the deadline is checked on every
+            projection, because one projection walks its whole
+            conditional tree and can cost milliseconds, so a stride
+            would overshoot by tens of them.
 
     Returns:
         A :class:`~repro.core.enumeration.ClosedSetResult`, one group
@@ -65,7 +74,7 @@ def mine_closetplus(
     """
     start = time.monotonic()
     stats = MinerStats(engine="closetplus")
-    charge = _Budget(stats, node_budget, time_budget).charge_node
+    budget = _Budget(stats, node_budget, time_budget)
     view = MiningView(dataset, consequent, minsup)
 
     # Global ascending-frequency order.  Transactions inserted in this
@@ -113,7 +122,9 @@ def mine_closetplus(
         )
 
     def grow(current: PrefixTree, prefix: frozenset[int], support: int) -> None:
-        charge()
+        budget.charge_node()  # polls at the first stride
+        if stats.nodes_visited > POLL_STRIDE:
+            budget.poll()
         counts = current.row_frequencies()
         # Item merging: full-count items are in the prefix closure.
         merged = prefix | {item for item, count in counts.items() if count == support}

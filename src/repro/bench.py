@@ -24,6 +24,12 @@ Honesty rules baked in:
 * :func:`compare_reports` (``repro bench --compare``) diffs a fresh run
   against a committed baseline and fails on serial-time regressions, so
   perf changes land with evidence.
+
+The report envelope (:class:`Report`, :func:`write_report`) and the
+baseline gate (:class:`Gate`) are shared with ``repro loadtest``
+(:mod:`repro.service.loadtest`); each harness supplies only its entry
+key, its compare keys and its per-entry verdict.  Both commands are
+parsed in :mod:`repro.cli`.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ import platform
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, ClassVar, Optional, Sequence
 
 from .baselines.farmer import mine_farmer
 from .core.enumeration import ClosedSetResult
@@ -46,12 +52,14 @@ from .experiments.harness import format_seconds
 from .parallel import AUTO_JOBS, pool_stats, results_equal
 
 __all__ = [
+    "Gate",
+    "Report",
     "Workload",
     "BenchReport",
+    "probe_host",
     "run_bench",
     "write_report",
     "compare_reports",
-    "main",
 ]
 
 SCHEMA_VERSION = 1
@@ -145,9 +153,24 @@ QUICK_WORKLOADS = (
 )
 
 
+def probe_host() -> dict:
+    """The host fields every report carries and the gate checks."""
+    return {
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+        "cpu_count": os.cpu_count() or 1,
+    }
+
+
 @dataclass
-class BenchReport:
-    """Everything ``repro bench`` measured, JSON-ready."""
+class Report:
+    """The JSON envelope of ``repro bench`` and ``repro loadtest``.
+
+    Each harness subclasses it with its own ``schema`` number and
+    ``summary_lines``; ``benchmarks`` holds one dict per measured entry.
+    """
+
+    schema: ClassVar[int]
 
     host: dict
     config: dict
@@ -156,12 +179,24 @@ class BenchReport:
 
     def as_dict(self) -> dict:
         return {
-            "schema": SCHEMA_VERSION,
+            "schema": self.schema,
             "created_at": self.created_at,
             "host": self.host,
             "config": self.config,
             "benchmarks": self.benchmarks,
         }
+
+
+def write_report(report: Report, path: str | Path) -> None:
+    Path(path).write_text(
+        json.dumps(report.as_dict(), indent=2) + "\n", encoding="utf-8"
+    )
+
+
+class BenchReport(Report):
+    """Everything ``repro bench`` measured, JSON-ready."""
+
+    schema = SCHEMA_VERSION
 
     def summary_lines(self) -> list[str]:
         lines = [
@@ -357,11 +392,7 @@ def run_bench(
     elif workloads is None:
         workloads = DEFAULT_WORKLOADS
     report = BenchReport(
-        host={
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-            "cpu_count": os.cpu_count() or 1,
-        },
+        host=probe_host(),
         config={
             "scale": scale,
             "jobs": [int(n) for n in jobs],
@@ -378,12 +409,6 @@ def run_bench(
                 _measure(workload, min(scale, 0.05), QUICK_JOBS, repeats)
             )
     return report
-
-
-def write_report(report: BenchReport, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(report.as_dict(), indent=2) + "\n", encoding="utf-8"
-    )
 
 
 # A serial time more than this factor above the baseline fails the
@@ -410,170 +435,142 @@ _COMPARE_KEYS = (
 # What to run (and commit) when the gate reports a missing baseline
 # entry, surfaced verbatim in the failure line.
 _REBASELINE_COMMAND = (
-    "PYTHONPATH=src python -m repro.bench --include-quick "
+    "PYTHONPATH=src python -m repro.cli bench --include-quick "
     "--output BENCH_core.json"
 )
 
 
-def _is_regression(
-    base_seconds: float, seconds: float, regression_factor: float
-) -> bool:
-    return (
-        base_seconds > 0
-        and seconds > regression_factor * base_seconds
-        and seconds - base_seconds > REGRESSION_MIN_DELTA_SECONDS
-    )
+# An entry's verdict: the lines it prints and whether it passes.
+Verdict = Callable[[str, dict, dict], tuple[list[str], bool]]
 
 
-def compare_reports(
-    current: dict,
-    baseline: dict,
-    regression_factor: float = REGRESSION_FACTOR,
-) -> tuple[list[str], bool]:
-    """Diff ``current`` against ``baseline`` (both ``as_dict`` payloads).
+@dataclass(frozen=True)
+class Gate:
+    """One harness's baseline comparison (``--compare BASELINE``).
 
-    Benchmarks are matched by name and only compared when their workload
-    configuration is identical (:data:`_COMPARE_KEYS`).  Returns the
-    human-readable diff lines and an ``ok`` flag that is False iff
-
-    * any compared benchmark's ``serial_seconds`` regressed by more
-      than ``regression_factor`` *and* by more than
-      :data:`REGRESSION_MIN_DELTA_SECONDS` in absolute terms, or
-    * a current entry has no comparable baseline entry.  A silently
-      skipped workload is a hole in the regression gate — the fix is to
-      regenerate and commit the baseline, and the failure line says
-      exactly how, or
-    * a compared benchmark's ``serial_nodes_visited`` differs from the
-      baseline's (``NODES CHANGED``): the same workload walked a
-      different enumeration tree, so the miner's search changed.
-      Entries where either report lacks the field are not node-gated.
-
-    Other columns of either report (parallel, planner, and the
-    per-backend columns of older baselines) are not gated.
+    The gate matches each current entry to the baseline entry with the
+    same ``key``, fails on an entry the baseline lacks (``MISSING
+    BASELINE``, naming ``rebaseline``), skips an entry whose
+    ``compare_keys`` differ (its workload changed, so a diff means
+    nothing), and hands every other pair to ``verdict(name, entry,
+    base)``.  ``changed`` and ``measure`` word the skip line and the
+    host-mismatch note; ``threshold`` states the fail rule in the
+    header.
     """
-    lines: list[str] = []
-    ok = True
-    current_host = current.get("host", {})
-    baseline_host = baseline.get("host", {})
-    if (
-        current_host.get("platform") != baseline_host.get("platform")
-        or current_host.get("cpu_count") != baseline_host.get("cpu_count")
-    ):
-        lines.append(
-            "  note: baseline host differs "
-            f"({baseline_host.get('platform')}, "
-            f"{baseline_host.get('cpu_count')} cores vs "
-            f"{current_host.get('platform')}, "
-            f"{current_host.get('cpu_count')} cores); wall-clock deltas "
-            "partly reflect hardware"
-        )
-    baseline_by_name = {
-        entry.get("name"): entry for entry in baseline.get("benchmarks", [])
-    }
-    compared = 0
-    for entry in current.get("benchmarks", []):
-        name = entry.get("name")
-        base = baseline_by_name.get(name)
-        if base is None:
-            ok = False
-            lines.append(
-                f"  {name}: MISSING BASELINE — no entry in the committed "
-                f"report; regenerate it with: {_REBASELINE_COMMAND}"
-            )
-            continue
-        mismatched = [
-            key for key in _COMPARE_KEYS if entry.get(key) != base.get(key)
-        ]
-        if mismatched:
-            lines.append(
-                f"  {name}: workload changed ({', '.join(mismatched)}) "
-                "— skipped"
-            )
-            continue
-        compared += 1
-        base_serial = base["serial_seconds"]
-        serial = entry["serial_seconds"]
-        speedup = base_serial / serial if serial > 0 else float("inf")
-        regressed = _is_regression(base_serial, serial, regression_factor)
-        if regressed:
-            ok = False
-        status = "REGRESSION" if regressed else (
-            "faster" if speedup >= 1.0 else "slower"
-        )
-        lines.append(
-            f"  {name}: serial {format_seconds(base_serial)} -> "
-            f"{format_seconds(serial)} (x{speedup:.2f}, {status})"
-        )
-        base_nodes = base.get("serial_nodes_visited")
-        nodes = entry.get("serial_nodes_visited")
+
+    key: str
+    compare_keys: tuple[str, ...]
+    verdict: Verdict
+    threshold: str
+    rebaseline: str
+    changed: str = "workload"
+    measure: str = "wall-clock"
+
+    def compare(self, current: dict, baseline: dict) -> tuple[list[str], bool]:
+        """Diff ``current`` against ``baseline`` (both ``as_dict``
+        payloads); returns the printed lines and the ``ok`` flag."""
+        lines: list[str] = []
+        ok = True
+        current_host = current.get("host", {})
+        baseline_host = baseline.get("host", {})
         if (
-            base_nodes is not None
-            and nodes is not None
-            and nodes != base_nodes
+            current_host.get("platform") != baseline_host.get("platform")
+            or current_host.get("cpu_count") != baseline_host.get("cpu_count")
         ):
-            ok = False
             lines.append(
-                f"  {name}: NODES CHANGED — serial_nodes_visited "
-                f"{base_nodes} -> {nodes}"
+                "  note: baseline host differs "
+                f"({baseline_host.get('platform')}, "
+                f"{baseline_host.get('cpu_count')} cores vs "
+                f"{current_host.get('platform')}, "
+                f"{current_host.get('cpu_count')} cores); {self.measure} "
+                "deltas partly reflect hardware"
             )
-    header = (
-        f"baseline comparison — {compared} compared, "
-        f"{'ok' if ok else 'REGRESSED'} "
-        f"(fail threshold: serial > {regression_factor:g}x baseline, "
-        "serial_nodes_visited changed, or a current entry with no "
-        "baseline)"
+        baseline_by_key = {
+            entry.get(self.key): entry
+            for entry in baseline.get("benchmarks", [])
+        }
+        compared = 0
+        for entry in current.get("benchmarks", []):
+            name = entry.get(self.key)
+            base = baseline_by_key.get(name)
+            if base is None:
+                ok = False
+                lines.append(
+                    f"  {name}: MISSING BASELINE — no entry in the "
+                    "committed report; regenerate it with: "
+                    f"{self.rebaseline}"
+                )
+                continue
+            mismatched = [
+                key for key in self.compare_keys
+                if entry.get(key) != base.get(key)
+            ]
+            if mismatched:
+                lines.append(
+                    f"  {name}: {self.changed} changed "
+                    f"({', '.join(mismatched)}) — skipped"
+                )
+                continue
+            compared += 1
+            entry_lines, entry_ok = self.verdict(name, entry, base)
+            lines.extend(entry_lines)
+            ok = ok and entry_ok
+        header = (
+            f"baseline comparison — {compared} compared, "
+            f"{'ok' if ok else 'REGRESSED'} (fail threshold: {self.threshold})"
+        )
+        return [header, *lines], ok
+
+
+def _serial_verdict(
+    name: str, entry: dict, base: dict
+) -> tuple[list[str], bool]:
+    """Fail a serial time above :data:`REGRESSION_FACTOR` times the
+    baseline *and* :data:`REGRESSION_MIN_DELTA_SECONDS` slower, or a
+    changed ``serial_nodes_visited`` (``NODES CHANGED``: the same
+    workload walked a different enumeration tree).  Entries where
+    either side lacks the node count are not node-gated; other columns
+    (parallel, planner, older baselines' per-backend columns) are not
+    gated at all."""
+    base_serial = base["serial_seconds"]
+    serial = entry["serial_seconds"]
+    speedup = base_serial / serial if serial > 0 else float("inf")
+    regressed = (
+        base_serial > 0
+        and serial > REGRESSION_FACTOR * base_serial
+        and serial - base_serial > REGRESSION_MIN_DELTA_SECONDS
     )
-    return [header, *lines], ok
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Standalone entry point (``benchmarks/bench_runner.py`` wraps it)."""
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--output", default="BENCH_core.json")
-    parser.add_argument("--jobs", type=int, nargs="+", default=[2, 4])
-    parser.add_argument("--scale", type=float, default=0.25)
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--quick", action="store_true")
-    parser.add_argument("--include-quick", action="store_true")
-    parser.add_argument("--compare", metavar="BASELINE",
-                        help="diff against this committed report; exit "
-                             "non-zero on a serial-time regression")
-    parser.add_argument("--only", metavar="SUBSTRING",
-                        help="run only workloads whose name contains this "
-                             "substring (applied to the active profile)")
-    args = parser.parse_args(argv)
-    workloads: Optional[tuple[Workload, ...]] = None
-    if args.only:
-        pool = QUICK_WORKLOADS if args.quick else DEFAULT_WORKLOADS
-        workloads = tuple(w for w in pool if args.only in w.name)
-        if not workloads:
-            names = ", ".join(w.name for w in pool)
-            print(f"--only {args.only!r} matches no workload; "
-                  f"available: {names}")
-            return 2
-    # Read the baseline before writing, in case --output points at it.
-    baseline = None
-    if args.compare:
-        baseline = json.loads(Path(args.compare).read_text(encoding="utf-8"))
-    report = run_bench(
-        scale=args.scale, jobs=tuple(args.jobs), repeats=args.repeats,
-        quick=args.quick, include_quick=args.include_quick,
-        workloads=workloads,
+    status = "REGRESSION" if regressed else (
+        "faster" if speedup >= 1.0 else "slower"
     )
-    write_report(report, args.output)
-    for line in report.summary_lines():
-        print(line)
-    print(f"wrote {args.output}")
-    if baseline is not None:
-        lines, ok = compare_reports(report.as_dict(), baseline)
-        for line in lines:
-            print(line)
-        if not ok:
-            return 1
-    return 0
+    lines = [
+        f"  {name}: serial {format_seconds(base_serial)} -> "
+        f"{format_seconds(serial)} (x{speedup:.2f}, {status})"
+    ]
+    base_nodes = base.get("serial_nodes_visited")
+    nodes = entry.get("serial_nodes_visited")
+    nodes_changed = (
+        base_nodes is not None and nodes is not None and nodes != base_nodes
+    )
+    if nodes_changed:
+        lines.append(
+            f"  {name}: NODES CHANGED — serial_nodes_visited "
+            f"{base_nodes} -> {nodes}"
+        )
+    return lines, not (regressed or nodes_changed)
 
 
-if __name__ == "__main__":
-    raise SystemExit(main())
+# ``repro bench --compare``: benchmarks match by name, and a workload
+# is compared only when its configuration (:data:`_COMPARE_KEYS`) is
+# identical.  A current entry with no baseline fails: a silently
+# skipped workload is a hole in the regression gate.
+compare_reports = Gate(
+    key="name",
+    compare_keys=_COMPARE_KEYS,
+    verdict=_serial_verdict,
+    threshold=(
+        f"serial > {REGRESSION_FACTOR:g}x baseline, serial_nodes_visited "
+        "changed, or a current entry with no baseline"
+    ),
+    rebaseline=_REBASELINE_COMMAND,
+).compare

@@ -16,7 +16,8 @@ Steps 2-4 of Section 2.2, shared by every rule-based classifier here
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from operator import attrgetter
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ..core.bitset import mask_below, popcount
 from ..core.rules import Rule, RuleGroup, cba_sort_key
@@ -57,6 +58,75 @@ def majority_class(labels: Sequence[int], n_classes: int) -> int:
     return max(range(n_classes), key=lambda c: (counts[c], -c))
 
 
+def _coverage_test(
+    ordered: Sequence,
+    covered_rows: Iterable[int],
+    dataset: "DiscretizedDataset",
+    error_cut: bool,
+) -> tuple[list, int, int]:
+    """CBA's Step 3 over candidates already in ``≺`` order, and Step 4
+    when ``error_cut`` is set.
+
+    ``covered_rows`` yields each candidate's matching training rows as
+    a bitset, in ``ordered``'s order; it is consumed lazily, so
+    matching stops once every training row is covered.  Returns the
+    kept candidates, the default class and the training errors.
+    """
+    n_classes = dataset.n_classes
+    n_rows = dataset.n_rows
+    class_masks = [dataset.class_mask(c) for c in range(n_classes)]
+
+    remaining = mask_below(n_rows)
+    selected: list = []
+    # Per kept candidate: (cumulative errors, default class, total errors).
+    checkpoints: list[tuple[int, int, int]] = []
+    kept_errors = 0
+    for candidate, rows in zip(ordered, covered_rows):
+        if not remaining:
+            break
+        covered = rows & remaining
+        if not covered:
+            continue
+        correct = covered & class_masks[candidate.consequent]
+        if not correct:
+            continue
+        selected.append(candidate)
+        kept_errors += popcount(covered) - popcount(correct)
+        remaining &= ~covered
+        default = max(
+            range(n_classes),
+            key=lambda c: (popcount(remaining & class_masks[c]), -c),
+        )
+        default_errors = popcount(remaining) - popcount(
+            remaining & class_masks[default]
+        )
+        checkpoints.append(
+            (kept_errors, default, kept_errors + default_errors)
+        )
+
+    overall_default = majority_class(dataset.labels, n_classes)
+    if not selected:
+        base_errors = n_rows - popcount(class_masks[overall_default])
+        return [], overall_default, base_errors
+
+    if error_cut:
+        best_index = min(range(len(checkpoints)), key=lambda i: checkpoints[i][2])
+        _, best_default, best_total = checkpoints[best_index]
+        return selected[: best_index + 1], best_default, best_total
+
+    # Coverage test only: keep every candidate that earned its place.
+    # The default class is the majority of whatever stayed uncovered
+    # (the overall majority when nothing did).
+    if remaining:
+        final_default = max(
+            range(n_classes),
+            key=lambda c: (popcount(remaining & class_masks[c]), -c),
+        )
+    else:
+        final_default = overall_default
+    return selected, final_default, checkpoints[-1][2]
+
+
 def cba_select(rules: Sequence[Rule], dataset: "DiscretizedDataset") -> SelectedRules:
     """Run the CBA coverage test over ``rules`` against ``dataset``.
 
@@ -70,46 +140,17 @@ def cba_select(rules: Sequence[Rule], dataset: "DiscretizedDataset") -> Selected
         usable rules the classifier is empty and the default class is the
         training majority.
     """
-    n_classes = dataset.n_classes
-    n_rows = dataset.n_rows
-    class_masks = [dataset.class_mask(c) for c in range(n_classes)]
-    ordered = sorted(
-        ((rule, index) for index, rule in enumerate(rules)),
-        key=lambda pair: cba_sort_key(pair[0], pair[1]),
-    )
-
-    remaining = mask_below(n_rows)
-    selected: list[Rule] = []
-    # Per kept rule: (cumulative rule errors, default class, total errors).
-    checkpoints: list[tuple[int, int, int]] = []
-    rule_errors = 0
-    for rule, _index in ordered:
-        if not remaining:
-            break
-        covered = dataset.support_set(rule.antecedent) & remaining
-        if not covered:
-            continue
-        correct = covered & class_masks[rule.consequent]
-        if not correct:
-            continue
-        selected.append(rule)
-        rule_errors += popcount(covered) - popcount(correct)
-        remaining &= ~covered
-        default = max(
-            range(n_classes),
-            key=lambda c: (popcount(remaining & class_masks[c]), -c),
+    ordered = [
+        rule for _index, rule in sorted(
+            enumerate(rules), key=lambda pair: cba_sort_key(pair[1], pair[0])
         )
-        default_errors = popcount(remaining) - popcount(remaining & class_masks[default])
-        checkpoints.append((rule_errors, default, rule_errors + default_errors))
-
-    overall_default = majority_class(dataset.labels, n_classes)
-    if not selected:
-        base_errors = n_rows - popcount(class_masks[overall_default])
-        return SelectedRules([], overall_default, base_errors)
-
-    best_index = min(range(len(checkpoints)), key=lambda i: checkpoints[i][2])
-    _, best_default, best_total = checkpoints[best_index]
-    return SelectedRules(selected[: best_index + 1], best_default, best_total)
+    ]
+    covered_rows = map(
+        dataset.support_set, map(attrgetter("antecedent"), ordered)
+    )
+    return SelectedRules(
+        *_coverage_test(ordered, covered_rows, dataset, error_cut=True)
+    )
 
 
 @dataclass
@@ -144,58 +185,11 @@ def cba_select_groups(
     opposing class without voters; pass ``error_cut=True`` to get the
     full CBA behaviour anyway.
     """
-    n_classes = dataset.n_classes
-    n_rows = dataset.n_rows
-    class_masks = [dataset.class_mask(c) for c in range(n_classes)]
+    # The sort is stable, so ties keep discovery order.
     ordered = sorted(
-        enumerate(groups),
-        key=lambda pair: (-pair[1].confidence, -pair[1].support, pair[0]),
+        groups, key=lambda group: (-group.confidence, -group.support)
     )
-
-    remaining = mask_below(n_rows)
-    selected: list[RuleGroup] = []
-    checkpoints: list[tuple[int, int, int]] = []
-    group_errors = 0
-    for _index, group in ordered:
-        if not remaining:
-            break
-        covered = group.row_set & remaining
-        if not covered:
-            continue
-        correct = covered & class_masks[group.consequent]
-        if not correct:
-            continue
-        selected.append(group)
-        group_errors += popcount(covered) - popcount(correct)
-        remaining &= ~covered
-        default = max(
-            range(n_classes),
-            key=lambda c: (popcount(remaining & class_masks[c]), -c),
-        )
-        default_errors = popcount(remaining) - popcount(
-            remaining & class_masks[default]
-        )
-        checkpoints.append((group_errors, default, group_errors + default_errors))
-
-    overall_default = majority_class(dataset.labels, n_classes)
-    if not selected:
-        base_errors = n_rows - popcount(class_masks[overall_default])
-        return SelectedGroups([], overall_default, base_errors)
-
-    if error_cut:
-        best_index = min(range(len(checkpoints)), key=lambda i: checkpoints[i][2])
-        _, best_default, best_total = checkpoints[best_index]
-        return SelectedGroups(selected[: best_index + 1], best_default, best_total)
-
-    # Coverage test only: keep every group that earned its place.  The
-    # default class is the majority of whatever stayed uncovered (the
-    # overall majority when nothing did).
-    if remaining:
-        final_default = max(
-            range(n_classes),
-            key=lambda c: (popcount(remaining & class_masks[c]), -c),
-        )
-    else:
-        final_default = overall_default
-    final_errors = checkpoints[-1][2] if checkpoints else 0
-    return SelectedGroups(selected, final_default, final_errors)
+    covered_rows = map(attrgetter("row_set"), ordered)
+    return SelectedGroups(
+        *_coverage_test(ordered, covered_rows, dataset, error_cut)
+    )

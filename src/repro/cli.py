@@ -282,15 +282,34 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import json
+def _run_gated(args: argparse.Namespace, run, compare) -> int:
+    """The shared tail of ``bench`` and ``loadtest``: read the baseline,
+    run, write the report, print it, then gate it against the baseline."""
+    from .bench import write_report
 
+    # Read the baseline before writing, in case --output points at it.
+    baseline = None
+    if args.compare:
+        baseline = json.loads(Path(args.compare).read_text(encoding="utf-8"))
+    report = run()
+    write_report(report, args.output)
+    for line in report.summary_lines():
+        print(line)
+    print(f"wrote {args.output}")
+    if baseline is None:
+        return 0
+    lines, ok = compare(report.as_dict(), baseline)
+    for line in lines:
+        print(line)
+    return 0 if ok else 1
+
+
+def _cmd_bench(args: argparse.Namespace) -> int:
     from .bench import (
         DEFAULT_WORKLOADS,
         QUICK_WORKLOADS,
         compare_reports,
         run_bench,
-        write_report,
     )
 
     workloads = None
@@ -302,55 +321,23 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             print(f"--only {args.only!r} matches no workload; "
                   f"available: {names}", file=sys.stderr)
             return 2
-    # Read the baseline before writing, in case --output points at it.
-    baseline = None
-    if args.compare:
-        baseline = json.loads(Path(args.compare).read_text(encoding="utf-8"))
-    report = run_bench(
+    return _run_gated(args, lambda: run_bench(
         scale=args.scale,
         jobs=tuple(args.jobs),
         repeats=args.repeats,
         quick=args.quick,
         include_quick=args.include_quick,
         workloads=workloads,
-    )
-    write_report(report, args.output)
-    for line in report.summary_lines():
-        print(line)
-    print(f"wrote {args.output}")
-    if baseline is not None:
-        lines, ok = compare_reports(report.as_dict(), baseline)
-        for line in lines:
-            print(line)
-        if not ok:
-            return 1
-    return 0
+    ), compare_reports)
 
 
 def _cmd_loadtest(args: argparse.Namespace) -> int:
-    import json
+    from .service.loadtest import compare_reports, run_loadtest
 
-    from .service.loadtest import compare_reports, run_loadtest, write_report
-
-    # Read the baseline before writing, in case --output points at it.
-    baseline = None
-    if args.compare:
-        baseline = json.loads(Path(args.compare).read_text(encoding="utf-8"))
-    report = run_loadtest(
+    return _run_gated(args, lambda: run_loadtest(
         quick=args.quick,
         progress=print if args.verbose else None,
-    )
-    write_report(report, args.output)
-    for line in report.summary_lines():
-        print(line)
-    print(f"wrote {args.output}")
-    if baseline is not None:
-        lines, ok = compare_reports(report.as_dict(), baseline)
-        for line in lines:
-            print(line)
-        if not ok:
-            return 1
-    return 0
+    ), compare_reports)
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:

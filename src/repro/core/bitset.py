@@ -21,7 +21,6 @@ __all__ = [
     "to_indices",
     "iter_indices",
     "popcount",
-    "popcount_masked",
     "is_subset",
     "contains",
     "lowest_bit_index",
@@ -71,16 +70,6 @@ def iter_indices(bits: int) -> Iterator[int]:
 def popcount(bits: int) -> int:
     """Return the number of elements in the bitset."""
     return bits.bit_count()
-
-
-def popcount_masked(bits: int, mask: int) -> tuple[int, int]:
-    """Return ``(popcount(bits & mask), popcount(bits))`` in one call.
-
-    The pair every enumeration node needs — the consequent-class count
-    and the total count of a row set — without naming the intermediate
-    masked bitset twice at the call site.
-    """
-    return (bits & mask).bit_count(), bits.bit_count()
 
 
 def is_subset(smaller: int, larger: int) -> bool:

@@ -66,7 +66,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from .backends import resolve_backend
 from .bitset import popcount
-from .enumeration import ENGINES, MinerStats
+from .enumeration import ENGINES
 from .rules import RuleGroup, build_topk_lists
 from .topk_miner import TopkResult, mine_topk
 
@@ -533,7 +533,7 @@ def mine_topk_hybrid(
         # the direct miner resolves it; the partitions need no backend.
         resolve_backend(backend, n_rows=builder.n_rows, task="topk")
 
-        from ..parallel import MineRequest, plan_workers, run_jobs
+        from ..parallel import MineRequest, merge_stats, plan_workers, run_jobs
 
         n_workers = plan_workers(
             n_jobs, lambda: builder.total_cells * (1 + k), "topk"
@@ -595,37 +595,28 @@ def mine_topk_hybrid(
             shutil.rmtree(run_dir, ignore_errors=True)
 
     # -- aggregation ------------------------------------------------------
-    loose = tight = backward = 0
-    degraded = False
     finished = []
+    partition_stats = []
     for request, output in zip(requests, outputs):
         if output is None:
             # Started after a cancel or an expired budget.
             stats.n_skipped_partitions += 1
             stats.completed = False
             continue
-        payload, partition_stats = output
-        stats.total_nodes += partition_stats.nodes_visited
-        loose += partition_stats.loose_pruned
-        tight += partition_stats.tight_pruned
-        backward += partition_stats.backward_pruned
-        degraded = degraded or partition_stats.degraded
-        if not partition_stats.completed:
-            stats.completed = False
+        payload, mined = output
+        partition_stats.append(mined)
         finished.append((request.anchor, payload))
+    miner_stats = merge_stats(partition_stats, engine=f"hybrid/{engine}")
+    stats.total_nodes = miner_stats.nodes_visited
+    stats.completed = miner_stats.completed = (
+        stats.completed and miner_stats.completed
+    )
     groups = _canonical_groups(builder, consequent, finished)
     per_row = build_topk_lists(k, groups, builder.class_mask)
-    miner_stats = MinerStats(
-        nodes_visited=stats.total_nodes,
-        groups_emitted=sum(len(groups) for groups in per_row.values()),
-        loose_pruned=loose,
-        tight_pruned=tight,
-        backward_pruned=backward,
-        elapsed_seconds=time.perf_counter() - started,
-        engine=f"hybrid/{engine}",
-        completed=stats.completed,
-        degraded=degraded,
+    miner_stats.groups_emitted = sum(
+        len(groups) for groups in per_row.values()
     )
+    miner_stats.elapsed_seconds = time.perf_counter() - started
     return TopkResult(
         per_row=per_row,
         consequent=consequent,

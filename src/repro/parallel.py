@@ -364,7 +364,8 @@ def merge_stats(shard_stats: Sequence[MinerStats], engine: str) -> MinerStats:
     Node/prune/emit counters sum; ``elapsed_seconds`` is the maximum
     (shards overlap in wall-clock time); ``completed`` is the conjunction.
     FARMER's thresholds are static, so the summed counters are exactly
-    the serial ones.
+    the serial ones.  A hybrid mine sums its partitions' counters here
+    too, then sets its own ``groups_emitted`` and ``elapsed_seconds``.
     """
     total = MinerStats(engine=engine)
     for stats in shard_stats:

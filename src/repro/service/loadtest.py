@@ -4,11 +4,13 @@
 miners: a reproducible harness that starts the asyncio front end on an
 ephemeral port, drives it with real HTTP traffic, and writes
 ``BENCH_service.json`` so every serving change lands with
-throughput/latency evidence.  ``--compare`` diffs a fresh run against
-the committed baseline and fails on throughput regressions with the same
-generosity rules as the core gate (2x factor *and* an absolute floor,
-because CI containers are noisy), on request errors, and on a run the
-baseline has no entry for.
+throughput/latency evidence.  ``--compare`` runs the core harness's
+:class:`~repro.bench.Gate` over the scenarios: it fails on throughput
+regressions with the same generosity rules as the core gate (2x factor
+*and* an absolute floor, because CI containers are noisy), on request
+errors, and on a run the baseline has no entry for.  The report shares
+the core harness's envelope (:class:`~repro.bench.Report`) under its own
+``schema`` number.
 
 Three scenarios, all against one registered RCBT model:
 
@@ -31,20 +33,18 @@ from __future__ import annotations
 
 import http.client
 import json
-import os
-import platform
 import socket
 import threading
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional, Sequence
+
+from ..bench import Gate, Report, probe_host
 
 __all__ = [
     "Scenario",
     "LoadReport",
     "run_loadtest",
-    "write_report",
     "compare_reports",
 ]
 
@@ -308,23 +308,10 @@ def _batch_histogram(server) -> Optional[dict]:
 # -- report ------------------------------------------------------------------
 
 
-@dataclass
-class LoadReport:
+class LoadReport(Report):
     """Everything ``repro loadtest`` measured, JSON-ready."""
 
-    host: dict
-    config: dict
-    benchmarks: list[dict] = field(default_factory=list)
-    created_at: float = field(default_factory=time.time)
-
-    def as_dict(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "created_at": self.created_at,
-            "host": self.host,
-            "config": self.config,
-            "benchmarks": self.benchmarks,
-        }
+    schema = SCHEMA_VERSION
 
     def summary_lines(self) -> list[str]:
         lines = [
@@ -360,11 +347,7 @@ def run_loadtest(
         scenarios = QUICK_SCENARIOS if quick else DEFAULT_SCENARIOS
     model_payload, rows = _build_model_and_rows()
     report = LoadReport(
-        host={
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-            "cpu_count": os.cpu_count() or 1,
-        },
+        host=probe_host(),
         config={
             "quick": quick,
             "scenarios": [scenario.name for scenario in scenarios],
@@ -386,96 +369,46 @@ def run_loadtest(
     return report
 
 
-def write_report(report: LoadReport, path) -> None:
-    Path(path).write_text(
-        json.dumps(report.as_dict(), indent=2) + "\n", encoding="utf-8"
-    )
-
-
-def compare_reports(
-    current: dict,
-    baseline: dict,
-    regression_factor: float = REGRESSION_FACTOR,
+def _rps_verdict(
+    name: str, entry: dict, base: dict
 ) -> tuple[list[str], bool]:
-    """Diff ``current`` against ``baseline`` (both ``as_dict`` payloads).
-
-    Runs are matched by scenario and compared only when their traffic
-    shape is identical (:data:`_COMPARE_KEYS`).  ``ok`` is False iff
-
-    * any compared run's RPS fell more than ``regression_factor`` below
-      baseline *and* by more than :data:`REGRESSION_MIN_DELTA_RPS`
-      absolute, or it had request errors, or
-    * a current run has no baseline entry.  A re-keyed report would
-      otherwise pass while comparing nothing; the failure line says how
-      to regenerate the baseline.
-    """
-    lines: list[str] = []
-    ok = True
-    current_host = current.get("host", {})
-    baseline_host = baseline.get("host", {})
-    if (
-        current_host.get("platform") != baseline_host.get("platform")
-        or current_host.get("cpu_count") != baseline_host.get("cpu_count")
-    ):
-        lines.append(
-            "  note: baseline host differs "
-            f"({baseline_host.get('platform')}, "
-            f"{baseline_host.get('cpu_count')} cores vs "
-            f"{current_host.get('platform')}, "
-            f"{current_host.get('cpu_count')} cores); RPS deltas partly "
-            "reflect hardware"
-        )
-    baseline_by_scenario = {
-        entry.get("scenario"): entry
-        for entry in baseline.get("benchmarks", [])
-    }
-    compared = 0
-    for entry in current.get("benchmarks", []):
-        name = entry.get("scenario")
-        base = baseline_by_scenario.get(name)
-        if base is None:
-            ok = False
-            lines.append(
-                f"  {name}: MISSING BASELINE — no entry in the committed "
-                f"report; regenerate it with: {_REBASELINE_COMMAND}"
-            )
-            continue
-        mismatched = [
-            field_name for field_name in _COMPARE_KEYS
-            if entry.get(field_name) != base.get(field_name)
-        ]
-        if mismatched:
-            lines.append(
-                f"  {name}: traffic shape changed "
-                f"({', '.join(mismatched)}) — skipped"
-            )
-            continue
-        compared += 1
-        base_rps = base["rps"]
-        rps = entry["rps"]
-        ratio = rps / base_rps if base_rps > 0 else float("inf")
-        regressed = (
-            base_rps > 0
-            and rps * regression_factor < base_rps
-            and base_rps - rps > REGRESSION_MIN_DELTA_RPS
-        )
-        errored = entry.get("errors", 0) > 0
-        if regressed or errored:
-            ok = False
-        status = (
-            "ERRORS" if errored
-            else "REGRESSION" if regressed
-            else "faster" if ratio >= 1.0 else "slower"
-        )
-        lines.append(
-            f"  {name}: {base_rps:.0f} -> {rps:.0f} rps "
-            f"(x{ratio:.2f}, {status})"
-        )
-    header = (
-        f"baseline comparison — {compared} compared, "
-        f"{'ok' if ok else 'REGRESSED'} "
-        f"(fail threshold: rps < baseline/{regression_factor:g} and "
-        f"delta > {REGRESSION_MIN_DELTA_RPS:g} rps, any errors, or a "
-        "current run with no baseline)"
+    """Fail RPS more than :data:`REGRESSION_FACTOR` below baseline *and*
+    :data:`REGRESSION_MIN_DELTA_RPS` lower, or any request errors."""
+    base_rps = base["rps"]
+    rps = entry["rps"]
+    ratio = rps / base_rps if base_rps > 0 else float("inf")
+    regressed = (
+        base_rps > 0
+        and rps * REGRESSION_FACTOR < base_rps
+        and base_rps - rps > REGRESSION_MIN_DELTA_RPS
     )
-    return [header, *lines], ok
+    errored = entry.get("errors", 0) > 0
+    status = (
+        "ERRORS" if errored
+        else "REGRESSION" if regressed
+        else "faster" if ratio >= 1.0 else "slower"
+    )
+    line = (
+        f"  {name}: {base_rps:.0f} -> {rps:.0f} rps "
+        f"(x{ratio:.2f}, {status})"
+    )
+    return [line], not (regressed or errored)
+
+
+# ``repro loadtest --compare``: runs match by scenario and are compared
+# only when their traffic shape (:data:`_COMPARE_KEYS`) is identical; a
+# current run with no baseline entry fails, since a re-keyed report
+# would otherwise pass while comparing nothing.
+compare_reports = Gate(
+    key="scenario",
+    compare_keys=_COMPARE_KEYS,
+    verdict=_rps_verdict,
+    threshold=(
+        f"rps < baseline/{REGRESSION_FACTOR:g} and delta > "
+        f"{REGRESSION_MIN_DELTA_RPS:g} rps, any errors, or a current run "
+        "with no baseline"
+    ),
+    rebaseline=_REBASELINE_COMMAND,
+    changed="traffic shape",
+    measure="RPS",
+).compare

@@ -12,9 +12,11 @@ more workers than the host has cores, nor for a direct top-k mine.
 from __future__ import annotations
 
 import os
+import shlex
 
 import pytest
 
+from repro import cli
 from repro.bench import (
     DEFAULT_WORKLOADS,
     QUICK_WORKLOADS,
@@ -25,6 +27,7 @@ from repro.bench import (
     _measure,
     compare_reports,
 )
+from repro.service import loadtest
 
 _HOST = {"platform": "test", "cpu_count": 1}
 
@@ -96,7 +99,7 @@ class TestCompareReports:
         missing = [line for line in lines if "MISSING BASELINE" in line]
         assert len(missing) == 1
         assert "new-workload" in missing[0]
-        assert "repro.bench --include-quick" in missing[0]
+        assert "repro.cli bench --include-quick" in missing[0]
 
     def test_changed_workload_skipped(self):
         """A k change makes the wall-clock diff meaningless — even a huge
@@ -169,6 +172,24 @@ class TestCompareReports:
         )
         assert ok
         assert any("baseline host differs" in line for line in lines)
+
+
+@pytest.mark.parametrize("command, compare, key", [
+    ("bench", compare_reports, "name"),
+    ("loadtest", loadtest.compare_reports, "scenario"),
+])
+def test_rebaseline_command_parses(command, compare, key):
+    """The command a MISSING BASELINE line tells the reader to run is a
+    valid invocation of the same ``repro`` subcommand."""
+    lines, ok = compare(_report({key: "new"}), _report())
+    assert not ok
+    [missing] = [line for line in lines if "MISSING BASELINE" in line]
+    prefix = "regenerate it with: PYTHONPATH=src python -m repro.cli "
+    assert prefix in missing
+    argv = shlex.split(missing.split(prefix, 1)[1])
+    args = cli.build_parser().parse_args(argv)
+    assert args.command == command
+    assert args.handler is getattr(cli, f"_cmd_{command}")
 
 
 def _backends(**columns):

@@ -62,3 +62,19 @@ def test_budgeted_mine_returns_by_the_deadline(pc_train, miner):
         f"(bound {BOUND:.3f}s)"
     )
     assert not result.stats.completed, f"{miner} finished inside the budget"
+
+
+def test_closetplus_stops_within_a_few_of_its_own_nodes(pc_train):
+    """One CLOSET+ projection walks its whole conditional tree, about a
+    millisecond here, so a poll every POLL_STRIDE projections stopped
+    tens of milliseconds late.  The deadline is checked on every
+    projection: the walk ends within three of its own mean per-node
+    times of the budget, on the miner's own clock (which excludes
+    freeing the prefix trees after the stop)."""
+    result = mine_closetplus(pc_train, 1, MINSUP, time_budget=BUDGET)
+    stats = result.stats
+    per_node = stats.elapsed_seconds / stats.nodes_visited
+    assert stats.elapsed_seconds <= BUDGET + 3 * per_node, (
+        f"stopped {1000 * (stats.elapsed_seconds - BUDGET):.1f} ms past a "
+        f"{BUDGET}s budget; one node costs {1000 * per_node:.2f} ms"
+    )
