@@ -34,6 +34,11 @@ repo rich in free oracles.  For one generated case this module:
   through :mod:`repro.classifiers.persistence`;
 * runs the invariant catalog of :mod:`.invariants` on every mined
   result;
+* runs FindLB on every mined group whose upper bound has at most
+  :data:`LOWER_BOUND_MAX_ITEMS` items and asserts its rules are the
+  first ``nl`` minimal subsets that an exhaustive enumeration over the
+  raw rows finds, that ``complete=True`` never hides a further bound,
+  and that a trimmed frontier still yields only minimal bounds;
 * discretizes the case's raw matrix and asserts the batched
   :class:`~repro.data.discretize.EntropyDiscretizer` cuts and rows are
   bit-identical to :func:`reference_mdl_cut_points`, the per-gene
@@ -56,8 +61,11 @@ import numpy as np
 from ..baselines.naive_topk import naive_topk
 from ..classifiers.cba import CBAClassifier
 from ..classifiers.persistence import classifier_from_payload, classifier_to_payload
+from ..analysis.gene_ranking import gene_entropy_scores, item_scores
 from ..classifiers.rcbt import RCBTClassifier
 from ..core.enumeration import ENGINES
+from ..core.lower_bounds import find_lower_bounds
+from ..core.rules import RuleGroup
 from ..core.topk_miner import TopkResult, mine_topk
 from ..core.view import MiningView
 from ..data.dataset import GeneExpressionDataset
@@ -93,6 +101,9 @@ __all__ = [
 FLAG_COMBOS = tuple(itertools.product((True, False), repeat=3))
 # The cheap subset used by --quick: defaults plus the all-off ablation.
 QUICK_FLAG_COMBOS = ((True, True, True), (False, False, False))
+# Upper bounds up to this size get FindLB's exhaustive oracle (2^12
+# subsets each).
+LOWER_BOUND_MAX_ITEMS = 12
 
 
 @dataclass(frozen=True)
@@ -434,6 +445,12 @@ def audit_case(
         ),
     )
 
+    # -- FindLB vs exhaustive minimal-subset enumeration -------------------
+    auditor.run(
+        "lower-bounds",
+        lambda: _audit_lower_bounds(dataset, reference.unique_groups()),
+    )
+
     # -- discretization: batched kernel vs the per-gene reference ----------
     auditor.run("discretize", lambda: _audit_discretization(case))
 
@@ -469,6 +486,95 @@ def _audit_cba(dataset) -> None:
         raise InvariantViolation(
             "CBA predictions changed across the persistence round-trip"
         )
+
+
+# -- FindLB oracle ----------------------------------------------------------
+
+
+def reference_minimal_subsets(
+    dataset, group: RuleGroup, ranked: Sequence[int]
+) -> list[tuple[int, ...]]:
+    """Every minimal non-empty subset of ``ranked`` (the group's upper
+    bound in FindLB's rank order) whose rows are the group's row set.
+
+    Subsets are ranked-index tuples in (size, tuple) order — FindLB's
+    breadth-first discovery order.  Row sets come from a scan of the raw
+    ``dataset.rows``, not from the dataset's cached item row sets.
+    """
+    position = {item: index for index, item in enumerate(ranked)}
+    columns = [0] * len(ranked)
+    for row_index, row in enumerate(dataset.rows):
+        for item in row:
+            if item in position:
+                columns[position[item]] |= 1 << row_index
+    n_subsets = 1 << len(ranked)
+    rows = [(1 << dataset.n_rows) - 1] * n_subsets
+    is_bound = [False] * n_subsets
+    for subset in range(1, n_subsets):
+        low = subset & -subset
+        rows[subset] = rows[subset ^ low] & columns[low.bit_length() - 1]
+        is_bound[subset] = rows[subset] == group.row_set
+    minimal = []
+    for subset in range(1, n_subsets):
+        if not is_bound[subset]:
+            continue
+        members = [i for i in range(len(ranked)) if subset >> i & 1]
+        # is_bound[0] is False: the empty set is never a lower bound.
+        if not any(is_bound[subset ^ (1 << i)] for i in members):
+            minimal.append(tuple(members))
+    minimal.sort(key=lambda members: (len(members), members))
+    return minimal
+
+
+def _audit_lower_bounds(dataset, groups: Sequence[RuleGroup]) -> None:
+    """FindLB on small upper bounds against :func:`reference_minimal_subsets`."""
+    scores = item_scores(dataset, gene_entropy_scores(dataset))
+    for group in groups:
+        if len(group.antecedent) > LOWER_BOUND_MAX_ITEMS:
+            continue
+        ranked = sorted(group.antecedent, key=lambda i: (-scores[i], i))
+        minimal = [
+            frozenset(ranked[i] for i in members)
+            for members in reference_minimal_subsets(dataset, group, ranked)
+        ]
+        for nl, max_size in ((1, 6), (3, 6), (3, 2), (50, 6)):
+            within = [lower for lower in minimal if len(lower) <= max_size]
+            # With no bound within max_size, FindLB falls back to the
+            # upper bound itself.
+            fallback = [frozenset(group.antecedent)] if group.antecedent else []
+            expected = sorted(
+                within[:nl] or fallback,
+                key=lambda lower: (len(lower), sorted(lower)),
+            )
+            for max_frontier in (100_000, 2):
+                result = find_lower_bounds(
+                    dataset, group, nl=nl, item_scores=scores,
+                    max_size=max_size, max_frontier=max_frontier,
+                )
+                found = [rule.antecedent for rule in result.rules]
+                where = (
+                    f"FindLB(upper bound {sorted(group.antecedent)}, nl={nl}, "
+                    f"max_size={max_size}, max_frontier={max_frontier})"
+                )
+                if result.complete and within[:nl] != minimal[:nl]:
+                    raise InvariantViolation(
+                        f"{where} says complete but a bound longer than "
+                        f"max_size precedes {len(within[:nl])} found ones"
+                    )
+                if max_frontier == 100_000 or result.complete:
+                    if found != expected:
+                        raise InvariantViolation(
+                            f"{where} returned {[sorted(f) for f in found]}, "
+                            f"expected {[sorted(e) for e in expected]}"
+                        )
+                elif any(
+                    lower not in minimal and lower != group.antecedent
+                    for lower in found
+                ):
+                    raise InvariantViolation(
+                        f"{where} returned a non-minimal bound: "
+                        f"{[sorted(f) for f in found]}"
+                    )
 
 
 # -- reference MDL discretization ------------------------------------------

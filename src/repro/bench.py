@@ -37,6 +37,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -574,3 +575,12 @@ compare_reports = Gate(
     ),
     rebaseline=_REBASELINE_COMMAND,
 ).compare
+
+
+if __name__ == "__main__":
+    print(
+        "repro.bench is a library module and runs nothing; "
+        "use: python -m repro.cli bench",
+        file=sys.stderr,
+    )
+    sys.exit(2)

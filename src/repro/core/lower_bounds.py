@@ -12,14 +12,23 @@ of their genes (entropy score), with bitmap containment tests.  A subset
 conditions 1 and 3 are structural: the search only generates subsets, and
 breadth-first order plus superset skipping guarantees minimality).
 
-Two prunings keep the search tractable:
+Three prunings keep the search tractable:
 
 * supersets of already-found lower bounds are never extended;
 * an item that does not shrink the current subset's support set is
   redundant in *every* superset of that subset (since
   ``R(S) = R(S∖{i}) ∩ R(i)`` and ``R(c ∪ {i}) = R(c)`` propagates), so
   such extensions are dropped outright.  This generalizes the paper's
-  pairwise upper-bound intersection heuristic.
+  pairwise upper-bound intersection heuristic;
+* a subset that can no longer reach the target is dropped (a dead end).
+  Every item of the upper bound holds the whole target row set, so the
+  smallest row set any extension of a subset can reach is its own row
+  set ANDed with every later-ranked item (singleton bounds left out:
+  the first pruning never adds them).  When that is not the target, no
+  extension is a lower bound.
+
+``max_frontier`` caps the live subsets kept per level; dead ends never
+count against it.
 """
 
 from __future__ import annotations
@@ -42,9 +51,14 @@ class LowerBoundResult:
     Attributes:
         rules: up to ``nl`` lower bound rules, shortest first, each
             carrying the group's support and confidence.
-        complete: True when the search was exhaustive up to the point it
-            stopped (no frontier or item truncation happened before the
-            requested count was reached).
+        complete: True when the search was exhaustive: ``rules`` are
+            the first ``nl`` lower bounds in ranked breadth-first order
+            over the searched items (the ``max_items`` best when that
+            caps the list), or the search proved that no further bound
+            exists.  False when the frontier cap trimmed a level,
+            ``max_items`` cut the list before ``nl`` bounds were found,
+            or the size cap stopped the search with live subsets
+            pending; the fallback upper bound is never complete.
         subsets_tested: number of candidate subsets whose support set was
             evaluated.
     """
@@ -78,8 +92,10 @@ def find_lower_bounds(
             upper bound (the paper's "items from the most discriminant
             genes"); None keeps all.
         max_size: largest lower bound length searched.
-        max_frontier: cap on retained partial subsets per level; when the
-            cap trims the frontier the result may be incomplete.
+        max_frontier: cap on live partial subsets kept per level; when
+            the cap trims the frontier the result is incomplete (bounds
+            found after a trim are still minimal, but earlier ones may
+            have been cut away).
 
     Returns:
         A :class:`LowerBoundResult`; ``rules`` is empty only if the upper
@@ -95,6 +111,15 @@ def find_lower_bounds(
         truncated = True
     item_rows = dataset.item_row_sets()
     target = group.row_set
+    # reach[j]: the AND of the row sets of items[j:], singleton bounds
+    # left out — the smallest row set an extension drawing on items[j:]
+    # can reach.  A subset whose last item is items[j - 1] is live iff
+    # its row set ANDed with reach[j] is still the target (-1 is the
+    # all-rows identity of &).
+    reach = [-1] * (len(items) + 1)
+    for index in range(len(items) - 1, -1, -1):
+        rows = item_rows[items[index]]
+        reach[index] = reach[index + 1] & (-1 if rows == target else rows)
 
     found: list[frozenset[int]] = []
     # For the minimality/superset check: item -> [lower bound minus that
@@ -110,6 +135,17 @@ def find_lower_bounds(
         for member in lower:
             found_remainders.setdefault(member, []).append(lower - {member})
 
+    def _is_minimal(lower: tuple[int, ...]) -> bool:
+        """No subset one item smaller has the target row set."""
+        for skip in range(len(lower)):
+            rows = -1
+            for position, member in enumerate(lower):
+                if position != skip:
+                    rows &= item_rows[member]
+            if rows == target:
+                return False
+        return True
+
     tested = 0
     # Frontier entries: (row bitset of the subset, index of its last item
     # in the ranked list, the subset itself as a tuple).
@@ -121,7 +157,7 @@ def find_lower_bounds(
             _register(frozenset([item]))
             if len(found) >= nl:
                 break
-        else:
+        elif rows & reach[index + 1] == target:
             frontier.append((rows, index, (item,)))
 
     size = 1
@@ -146,16 +182,27 @@ def find_lower_bounds(
                     continue
                 tested += 1
                 if new_rows == target:
-                    _register(frozenset(combo + (item,)))
-                    if len(found) >= nl:
-                        break
-                else:
+                    # Before any trim, breadth-first order and the
+                    # superset skip make every hit minimal; after one, a
+                    # smaller bound may have been cut from the frontier.
+                    if not frontier_trimmed or _is_minimal(combo + (item,)):
+                        _register(frozenset(combo + (item,)))
+                        if len(found) >= nl:
+                            break
+                elif new_rows & reach[index + 1] == target:
                     next_frontier.append((new_rows, index, combo + (item,)))
         if len(next_frontier) > max_frontier:
             next_frontier = next_frontier[:max_frontier]
             frontier_trimmed = True
         frontier = next_frontier
 
+    # Only live subsets are kept, so an empty frontier proves no further
+    # bound exists; a non-empty one at exit means the size cap stopped
+    # the search with candidates pending.  A trim may have cut away
+    # bounds that precede the found ones.
+    complete = not frontier_trimmed and (
+        len(found) >= nl or not (truncated or frontier)
+    )
     if not found and group.antecedent:
         # No minimal subset was reachable within the search limits; fall
         # back to the full upper bound, which always satisfies
@@ -170,13 +217,6 @@ def find_lower_bounds(
         )
         for lower in sorted(found, key=lambda s: (len(s), sorted(s)))[:nl]
     ]
-    # A non-empty frontier at exit means the size cap stopped the search
-    # with candidates still pending.
-    size_capped = bool(frontier)
-    complete = (
-        len(found) >= nl
-        or not (truncated or frontier_trimmed or size_capped)
-    )
     return LowerBoundResult(rules=rules, complete=complete, subsets_tested=tested)
 
 

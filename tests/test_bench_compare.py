@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import os
 import shlex
+import subprocess
+import sys
 
 import pytest
 
@@ -190,6 +192,22 @@ def test_rebaseline_command_parses(command, compare, key):
     args = cli.build_parser().parse_args(argv)
     assert args.command == command
     assert args.handler is getattr(cli, f"_cmd_{command}")
+
+
+def test_module_run_points_at_the_cli():
+    """``python -m repro.bench`` is not a command: it must fail loudly and
+    name the one that is, not exit 0 having run nothing."""
+    source = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=source)
+    result = subprocess.run(
+        [sys.executable, "-m", "repro.bench"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    [line] = result.stderr.splitlines()
+    assert "python -m repro.cli bench" in line
 
 
 def _backends(**columns):

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core.lower_bounds import find_lower_bounds, find_lower_bounds_batch
+from repro.core.rules import RuleGroup
 from repro.core.topk_miner import mine_topk
+from repro.data.dataset import DiscretizedDataset, Item
 from repro.data.synthetic import random_discretized_dataset
 
 
@@ -106,6 +108,77 @@ class TestSearchControls:
         # search degenerates but must still return a valid rule.
         assert result.rules
         assert ds.support_set(result.rules[0].antecedent) == group.row_set
+
+    def test_fallback_is_never_complete(self):
+        # Rows {0,1,2}, {0,2}, {1,2}: item 2 holds every row, so the only
+        # lower bound of {0,1,2} -> row 0 is {0,1}.  With max_size=1 the
+        # search falls back to the non-minimal upper bound and must not
+        # claim the first bound was found.
+        ds = DiscretizedDataset(
+            [frozenset({0, 1, 2}), frozenset({0, 2}), frozenset({1, 2})],
+            [1, 0, 0],
+            [Item(i, i, f"g{i}", float("-inf"), float("inf"))
+             for i in range(3)],
+        )
+        group = RuleGroup(frozenset({0, 1, 2}), 1, 0b001, 1, 1.0)
+        result = find_lower_bounds(ds, group, nl=1, max_size=1)
+        assert result.rules[0].antecedent == group.antecedent
+        assert not result.complete
+        result = find_lower_bounds(ds, group, nl=1, max_size=2)
+        assert result.rules[0].antecedent == frozenset({0, 1})
+        assert result.complete
+
+
+class TestFrontierCap:
+    """``max_frontier`` trims a level: later hits must still be minimal,
+    and the result must say it may have missed earlier bounds."""
+
+    def _group(self):
+        ds = random_discretized_dataset(12, 10, density=0.4, seed=0)
+        group = next(
+            g for g in top_groups(ds, consequent=0)
+            if g.antecedent == frozenset({1, 3, 4, 5, 8, 9})
+        )
+        return ds, group
+
+    def test_trimmed_search_returns_minimal_bounds(self):
+        ds, group = self._group()
+        result = find_lower_bounds(ds, group, nl=3, max_frontier=5)
+        # {1,5,8,9} has the support set of {5,8,9}; a trim that cuts a
+        # prefix of {5,8,9} away must not let it through.
+        assert frozenset({1, 5, 8, 9}) not in [r.antecedent for r in result.rules]
+        for rule in result.rules:
+            assert ds.support_set(rule.antecedent) == group.row_set
+            for item in rule.antecedent:
+                assert ds.support_set(rule.antecedent - {item}) != group.row_set
+        assert not result.complete
+
+    def test_untrimmed_search_is_complete(self):
+        ds, group = self._group()
+        result = find_lower_bounds(ds, group, nl=3)
+        assert [sorted(r.antecedent) for r in result.rules] == [
+            [3, 9], [4, 5], [5, 8, 9]
+        ]
+        assert result.complete
+
+    @pytest.mark.parametrize("cap", (1, 2, 5))
+    def test_trimmed_bounds_minimal_on_random_data(self, cap):
+        for seed in range(20):
+            ds = random_discretized_dataset(12, 10, density=0.4, seed=seed)
+            for group in top_groups(ds, consequent=0):
+                full = find_lower_bounds(ds, group, nl=3)
+                result = find_lower_bounds(ds, group, nl=3, max_frontier=cap)
+                for rule in result.rules:
+                    lower = rule.antecedent
+                    assert ds.support_set(lower) == group.row_set
+                    if lower == group.antecedent:
+                        continue  # the fallback need not be minimal
+                    for item in lower:
+                        smaller = lower - {item}
+                        if smaller:
+                            assert ds.support_set(smaller) != group.row_set
+                if result.complete:
+                    assert result.rules == full.rules
 
 
 class TestBatch:
