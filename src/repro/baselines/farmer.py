@@ -23,18 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from ..core.backends import resolve_backend
 from ..core.enumeration import ClosedSetResult, run_enumeration
+from ..core.planner import plan
 from ..core.rules import RuleGroup
 from ..core.view import MiningView
 from ..errors import MiningBudgetExceeded
-from ..parallel import (
-    estimate_farmer_work,
-    merge_stats,
-    plan_shards,
-    plan_workers,
-    run_jobs,
-)
+from ..parallel import merge_stats, plan_shards, run_jobs
 
 if TYPE_CHECKING:  # pragma: no cover - import is for annotations only
     from ..data.dataset import DiscretizedDataset
@@ -203,8 +197,8 @@ def mine_farmer(
         n_jobs: worker processes; 1 mines serially in this process, any
             other value mines :func:`repro.parallel.plan_shards` row
             shards on :mod:`repro.parallel`'s process pool (``None``/0 =
-            all cores, ``"auto"`` plans from
-            :func:`repro.parallel.estimate_farmer_work`).  FARMER's
+            all usable CPUs, ``"auto"`` lets :func:`repro.core.planner.plan`
+            decide from the support mass times the row count).  FARMER's
             thresholds are static, so the shards concatenate in
             ascending order into exactly the serial emission order:
             output, group order and node counters are identical;
@@ -222,12 +216,9 @@ def mine_farmer(
         was exhausted it carries the groups found so far and
         ``stats.completed`` is False.
     """
-    # Resolve here with the farmer task so backend="auto" plans for a
-    # static-threshold run (see plan_auto_backend).
-    resolve_backend(backend, n_rows=dataset.n_rows, task="farmer")
-    view = MiningView.cached(dataset, consequent, minsup)
-    n_workers = plan_workers(
-        n_jobs, lambda: estimate_farmer_work(view), "farmer"
+    planned = plan(
+        dataset, consequent, minsup, task="farmer", n_jobs=n_jobs,
+        backend=backend,
     )
     shard = FarmerShard(
         consequent=consequent,
@@ -239,16 +230,17 @@ def mine_farmer(
         min_chi_square=min_chi_square,
     )
     jobs = [shard]
-    if n_workers > 1:
+    if planned.workers > 1:
         jobs = [
             replace(shard, first_rows=mask)
-            for mask in plan_shards(view.n_rows, n_workers)
+            for mask in plan_shards(dataset.n_rows, planned.workers)
         ]
     outputs, _recovery = run_jobs(
-        dataset, jobs, n_workers, time_budget, cancel, fault=fault
+        dataset, jobs, planned.workers, time_budget, cancel, fault=fault
     )
     merged = [group for groups, _stats in outputs for group in groups]
     stats = merge_stats([stats for _groups, stats in outputs], engine)
+    stats.plan = planned
     if max_groups is not None and len(merged) > max_groups:
         # A shard stops one group past the cap, as the serial walk does;
         # keep the identical prefix of the DFS emission order.

@@ -35,7 +35,6 @@ parsed in :mod:`repro.cli`.
 from __future__ import annotations
 
 import json
-import os
 import platform
 import sys
 import time
@@ -50,7 +49,7 @@ from .core.topk_miner import TopkResult, mine_topk, relative_minsup
 from .data.loaders import load_benchmark
 from .data.synthetic import generate_tall_cohort
 from .experiments.harness import format_seconds
-from .parallel import AUTO_JOBS, pool_stats, results_equal
+from .parallel import AUTO_JOBS, results_equal, usable_cpus
 
 __all__ = [
     "Gate",
@@ -159,7 +158,7 @@ def probe_host() -> dict:
     return {
         "platform": platform.platform(),
         "python": platform.python_version(),
-        "cpu_count": os.cpu_count() or 1,
+        "cpu_count": usable_cpus(),
     }
 
 
@@ -297,7 +296,7 @@ def _measure(
         )
         identical = _farmer_identical
     serial_seconds, serial_result = _best_of(serial_fn, repeats)
-    cpu_count = os.cpu_count() or 1
+    cpu_count = usable_cpus()
     entry = {
         "name": workload.name,
         "dataset": workload.dataset,
@@ -335,6 +334,8 @@ def _measure(
             "n_partitions": hybrid_stats.n_partitions,
             "total_cells": hybrid_stats.total_cells,
             "peak_resident_cells": hybrid_stats.peak_resident_cells,
+            "strategy": serial_result.stats.plan.strategy,
+            "density": serial_result.stats.plan.density,
         }
     if not workload.measure_parallel:
         return entry
@@ -354,14 +355,12 @@ def _measure(
     # The planner path is measured unconditionally: "auto" must never be
     # meaningfully slower than whatever it picked against (the acceptance
     # bar is within 5% of serial on serial-sized workloads).
-    fallbacks_before = pool_stats()["planner_serial_fallbacks"]
     auto_seconds, auto_result = _best_of(lambda: parallel_fn(AUTO_JOBS), repeats)
-    chose_serial = pool_stats()["planner_serial_fallbacks"] > fallbacks_before
     entry["auto"] = {
         "seconds": auto_seconds,
         "speedup": serial_seconds / auto_seconds if auto_seconds > 0 else 0.0,
         "identical_output": identical(serial_result, auto_result),
-        "chose_serial": chose_serial,
+        "chose_serial": auto_result.stats.plan.workers == 1,
     }
     return entry
 

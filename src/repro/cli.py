@@ -128,23 +128,24 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         # shell (e.g. --strategy hybrid --jobs 2 --fault kill@0.0).  Only
         # a hybrid mine's partitions run on workers; a direct mine is one
         # enumeration in this process, with no workers to lose.
-        from .core.hybrid import mine_topk_hybrid, resolve_strategy
-        from .parallel import FaultPlan
+        from .core.hybrid import mine_topk_hybrid
+        from .parallel import FaultPlan, plan
 
-        strategy = resolve_strategy(args.strategy, dataset.n_rows)
-        if strategy != "hybrid" or args.jobs == 1:
+        planned = plan(dataset, args.consequent, minsup, task="topk",
+                       k=args.k, n_jobs=args.jobs, strategy=args.strategy)
+        if planned.strategy != "hybrid" or planned.workers == 1:
             print("--fault needs workers to fault: use --strategy hybrid "
                   "with --jobs != 1 (a direct mine runs in one process)",
                   file=sys.stderr)
             return 2
         try:
-            plan = FaultPlan.parse(args.fault)
+            faults = FaultPlan.parse(args.fault)
         except ValueError as error:
             print(f"--fault: {error}", file=sys.stderr)
             return 2
         result = mine_topk_hybrid(
             dataset, args.consequent, minsup, k=args.k, engine=args.engine,
-            n_jobs=args.jobs, fault=plan, spill_dir=args.spill_dir,
+            n_jobs=planned.workers, fault=faults, spill_dir=args.spill_dir,
         )
     else:
         result = mine_topk(
@@ -160,6 +161,10 @@ def _cmd_mine(args: argparse.Namespace) -> int:
               f"peak {hybrid_stats.peak_resident_cells} partition cells "
               f"resident (matrix {hybrid_stats.total_cells} cells)",
               file=sys.stderr)
+    planned = result.stats.plan
+    density = "-" if planned.density is None else f"{planned.density:.4f}"
+    print(f"plan: {planned.strategy}, {planned.workers} worker(s), "
+          f"density {density}", file=sys.stderr)
     if result.stats.degraded:
         print("note: worker loss degraded this mine to serial execution "
               "(result is still exact)", file=sys.stderr)
@@ -409,7 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="direct enumerates the whole dataset in one "
                            "walk; hybrid partitions column-first for tall "
                            "datasets (bit-identical output); auto picks "
-                           "by row count")
+                           "hybrid when the frequent items per row are "
+                           "few for the row count (DESIGN.md §13)")
     mine.add_argument("--hybrid", dest="strategy", action="store_const",
                       const="hybrid",
                       help="shorthand for --strategy hybrid")

@@ -70,14 +70,19 @@ import sys
 import time
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import asdict, dataclass
-from typing import Any, Callable, NamedTuple, Optional, Protocol, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import (
+    TYPE_CHECKING, Any, Callable, NamedTuple, Optional, Protocol, Sequence,
+)
 
 from ..errors import MiningBudgetExceeded
 from .bitset import iter_indices, mask_below
 from .prefix_tree import PrefixTree
 from .rules import RuleGroup
 from .view import MiningView
+
+if TYPE_CHECKING:  # pragma: no cover - import is for annotations only
+    from .planner import Plan
 
 __all__ = [
     "SearchPolicy",
@@ -174,6 +179,8 @@ class MinerStats:
     # in-process execution for some jobs (repro.parallel); the result
     # itself is still bit-identical to a healthy run.
     degraded: bool = False
+    # The entry point's resolved Plan; equality ignores it.
+    plan: Optional["Plan"] = field(default=None, compare=False)
 
     def as_dict(self) -> dict:
         return asdict(self)

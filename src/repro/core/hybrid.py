@@ -64,9 +64,9 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
-from .backends import resolve_backend
 from .bitset import popcount
 from .enumeration import ENGINES
+from .planner import AUTO_STRATEGY, STRATEGIES, plan, support_mass
 from .rules import RuleGroup, build_topk_lists
 from .topk_miner import TopkResult, mine_topk
 
@@ -76,7 +76,7 @@ if TYPE_CHECKING:  # pragma: no cover - imports are for annotations only
     from ..parallel import MineRequest
 
 __all__ = [
-    "AUTO_HYBRID_ROWS",
+    "AUTO_HYBRID_DENSITY",
     "AUTO_STRATEGY",
     "HybridPartitionRequest",
     "HybridStats",
@@ -86,45 +86,23 @@ __all__ = [
     "mine_hybrid_partition",
     "mine_topk_hybrid",
     "plan_auto_strategy",
-    "resolve_strategy",
 ]
 
-# Mining strategies accepted by ``mine_topk(strategy=...)`` and the
-# service's ``"strategy"`` field; AUTO_STRATEGY resolves per dataset.
-STRATEGIES = ("direct", "hybrid")
-AUTO_STRATEGY = "auto"
-
-# The planner rung for strategy="auto": below this row count the
-# direct miner's single enumeration wins; at or above it the
-# bounded-memory hybrid path takes over (tall-16k and up under the
-# committed cohorts).
-AUTO_HYBRID_ROWS = 8192
+# The planner rung for strategy="auto", on the density support mass /
+# rows² (mean frequent items per row ÷ rows).  Every measured shape at
+# 0.038 or below mines faster hybrid, every paper shape (0.59 and up)
+# 50x or more faster direct; between 0.057 and 0.083 the outcomes mix
+# within ~17 ms (DESIGN.md §13).
+AUTO_HYBRID_DENSITY = 0.05
 
 _AUTO_CHOICES = {"direct": 0, "hybrid": 0}
 
 
-def plan_auto_strategy(n_rows: int) -> str:
-    """Resolve ``strategy="auto"`` from the row count (observable)."""
-    choice = "hybrid" if n_rows >= AUTO_HYBRID_ROWS else "direct"
+def plan_auto_strategy(density: float) -> str:
+    """``strategy="auto"`` from the density, counted; see ``planner``."""
+    choice = "hybrid" if density < AUTO_HYBRID_DENSITY else "direct"
     _AUTO_CHOICES[choice] += 1
     return choice
-
-
-def resolve_strategy(strategy: str, n_rows: int) -> str:
-    """Validate a mining ``strategy`` and resolve ``"auto"`` to a concrete one.
-
-    ``"auto"`` is planned from ``n_rows`` and counted
-    (:func:`auto_strategy_stats`); ``"direct"`` and ``"hybrid"`` return
-    as given; anything else raises ``ValueError``.
-    """
-    if strategy == AUTO_STRATEGY:
-        return plan_auto_strategy(n_rows)
-    if strategy not in STRATEGIES:
-        known = ", ".join((*STRATEGIES, AUTO_STRATEGY))
-        raise ValueError(
-            f"unknown strategy {strategy!r}; expected one of: {known}"
-        )
-    return strategy
 
 
 def auto_strategy_stats() -> dict:
@@ -151,7 +129,6 @@ class HybridStats:
     total_nodes: int = 0
     max_partition_rows: int = 0
     completed: bool = True
-    n_jobs: int = 1
     total_cells: int = 0
     peak_resident_cells: int = 0
     spilled_partitions: int = 0
@@ -467,9 +444,9 @@ def mine_topk_hybrid(
         cancel: object with ``is_set()`` polled as each partition
             starts and inside its enumeration.
         n_jobs: partition fan-out over the warm miner pool, resolved
-            by :func:`repro.parallel.plan_workers` (``"auto"`` plans
-            from the cohort's cell count); 1 mines the partitions in
-            anchor order in this process.
+            by :func:`repro.core.planner.plan` after pass one (``"auto"``
+            plans from the support mass the scan counted); 1 mines the
+            partitions in anchor order in this process.
         backend: ``None``, ``"int"`` or ``"auto"`` (see
             :mod:`repro.core.backends`); ``"auto"`` is planned once
             against the *full* cohort's row count.
@@ -482,8 +459,9 @@ def mine_topk_hybrid(
 
     Returns:
         A :class:`TopkResult` equal to the direct miner's output; its
-        ``stats`` sums the per-partition counters and its
-        ``hybrid_stats`` carries the :class:`HybridStats`.
+        ``stats`` sums the per-partition counters and records the
+        :class:`~repro.core.planner.Plan`, and its ``hybrid_stats``
+        carries the :class:`HybridStats`.
     """
     started = time.perf_counter()
     start_monotonic = time.monotonic()
@@ -527,20 +505,20 @@ def mine_topk_hybrid(
             source, consequent, minsup, run_dir, max_resident_cells
         )
         builder.scan()
+        # Planned against the full cohort from pass one's item bitsets;
+        # the partitions need no backend.
+        planned = plan(
+            builder, consequent, minsup, task="topk", k=k, n_jobs=n_jobs,
+            strategy="hybrid", backend=backend, mass=support_mass(
+                builder.item_rows, builder.class_mask, minsup
+            ),
+        )
         builder.build()
 
-        # One resolution against the full cohort's row count, exactly as
-        # the direct miner resolves it; the partitions need no backend.
-        resolve_backend(backend, n_rows=builder.n_rows, task="topk")
+        from ..parallel import MineRequest, merge_stats, run_jobs
 
-        from ..parallel import MineRequest, merge_stats, plan_workers, run_jobs
-
-        n_workers = plan_workers(
-            n_jobs, lambda: builder.total_cells * (1 + k), "topk"
-        )
         stats = HybridStats(
             n_partitions=len(builder.partitions),
-            n_jobs=n_workers,
             total_cells=builder.total_cells,
             peak_resident_cells=builder.peak_resident_cells,
             spilled_partitions=sum(
@@ -588,7 +566,7 @@ def mine_topk_hybrid(
             else max(time_budget - (time.monotonic() - start_monotonic), 0.0)
         )
         outputs, _recovery = run_jobs(
-            catalog, requests, n_workers, time_left, cancel, fault=fault
+            catalog, requests, planned.workers, time_left, cancel, fault=fault
         )
     finally:
         if run_dir is not None:
@@ -617,6 +595,7 @@ def mine_topk_hybrid(
         len(groups) for groups in per_row.values()
     )
     miner_stats.elapsed_seconds = time.perf_counter() - started
+    miner_stats.plan = planned
     return TopkResult(
         per_row=per_row,
         consequent=consequent,

@@ -37,8 +37,8 @@ if TYPE_CHECKING:  # pragma: no cover - imports are for annotations only
     from ..data.dataset import DiscretizedDataset
     from .hybrid import HybridStats
 from ..errors import MiningBudgetExceeded
-from .backends import resolve_backend
 from .enumeration import MinerStats, run_enumeration
+from .planner import plan
 from .rules import RuleGroup, build_topk_lists
 from .view import MiningView
 
@@ -553,7 +553,8 @@ def mine_topk(
             one walk; ``hybrid`` dispatches to the partitioned
             out-of-core miner of :mod:`repro.core.hybrid` (bit-identical
             per-row lists, ``node_budget`` applied per partition);
-            ``auto`` picks by row count (DESIGN.md §13).
+            ``auto`` picks by density (DESIGN.md §13); all three are
+            resolved by one :func:`repro.core.planner.plan` call.
         spill_dir: hybrid only — existing directory for partition spill
             files; mining runs in a private subdirectory removed on exit.
         max_resident_cells: hybrid only — resident-cell budget for the
@@ -566,15 +567,16 @@ def mine_topk(
     first violated property.
 
     Returns:
-        A :class:`TopkResult` with per-row lists and run statistics.  When
-        a budget was set and exhausted, the lists discovered so far are
-        returned and ``stats.completed`` is False.
+        A :class:`TopkResult` with per-row lists and run statistics
+        (``stats.plan`` is the resolved plan).  When a budget was set
+        and exhausted, the lists discovered so far are returned and
+        ``stats.completed`` is False.
     """
-    from .hybrid import resolve_strategy
-
-    auto_resolved = strategy == "auto"
-    strategy = resolve_strategy(strategy, dataset.n_rows)
-    if strategy == "hybrid":
+    planned = plan(
+        dataset, consequent, minsup, task="topk", k=k, n_jobs=n_jobs,
+        strategy=strategy, backend=backend,
+    )
+    if planned.strategy == "hybrid":
         from .hybrid import mine_topk_hybrid
 
         return mine_topk_hybrid(
@@ -589,18 +591,16 @@ def mine_topk(
             node_budget_per_partition=node_budget,
             time_budget=time_budget,
             cancel=cancel,
-            n_jobs=n_jobs,
-            backend=backend,
+            n_jobs=planned.workers,
             spill_dir=spill_dir,
             max_resident_cells=max_resident_cells,
         )
-    if not auto_resolved and (
+    if strategy != "auto" and (
         spill_dir is not None or max_resident_cells is not None
     ):
         # strategy="auto" may legitimately pre-provision a spill dir and
         # land on direct; an explicit direct mine with one is a mistake.
         raise ValueError("spill_dir/max_resident_cells require strategy='hybrid'")
-    resolve_backend(backend, n_rows=dataset.n_rows)
     view = MiningView.cached(dataset, consequent, minsup)
     policy = TopkPolicy(
         view,
@@ -620,6 +620,7 @@ def mine_topk(
         )
     except MiningBudgetExceeded as overrun:
         stats = overrun.stats
+    stats.plan = planned
     result = TopkResult(
         per_row=policy.finalize(),
         consequent=consequent,

@@ -41,12 +41,12 @@ first decodes nothing and reuses the worker-side memoized
 :meth:`~repro.core.view.MiningView.cached` views.  The entry points only
 build jobs and merge outputs.
 
-:func:`plan_workers` resolves every entry point's ``n_jobs``.
-``n_jobs="auto"`` asks the adaptive planner to choose between serial and
-parallel execution: it estimates the work (from the view's
-:class:`~repro.core.view.SupportIndex`, or a hybrid run's cell count)
-and falls back to serial below a calibrated threshold where warm-pool
-dispatch would eat the speedup.
+:func:`~repro.core.planner.plan` (re-exported here) resolves every
+entry point's ``n_jobs``.  ``n_jobs="auto"`` asks it to choose between
+serial and parallel execution: it estimates the work from the support
+mass (the summed row counts of the frequent items) and falls back to
+serial below a calibrated threshold where warm-pool dispatch would eat
+the speedup.
 
 Deviation: FARMER's ``node_budget`` is applied per shard rather than
 globally (a shared atomic counter would serialize the workers);
@@ -88,8 +88,15 @@ from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from .core.enumeration import MinerStats
+from .core.planner import (
+    AUTO_JOBS,
+    Plan,
+    plan,
+    planner_serial_fallbacks,
+    resolve_n_jobs,
+    usable_cpus,
+)
 from .core.topk_miner import TopkResult, mine_topk
-from .core.view import MiningView
 
 if TYPE_CHECKING:  # pragma: no cover - import is for annotations only
     from .data.dataset import DiscretizedDataset
@@ -102,24 +109,20 @@ __all__ = [
     "FaultPlan",
     "InjectedFault",
     "MinerPool",
+    "Plan",
     "get_pool",
     "shutdown_pool",
     "pool_stats",
     "resolve_n_jobs",
+    "plan",
     "plan_shards",
-    "plan_auto_workers",
-    "plan_workers",
-    "estimate_topk_work",
-    "estimate_farmer_work",
     "merge_stats",
     "mine_topk_requests",
     "parallel_map",
     "results_equal",
     "run_jobs",
+    "usable_cpus",
 ]
-
-# Sentinel accepted everywhere an ``n_jobs`` is: let the planner decide.
-AUTO_JOBS = "auto"
 
 # How often (seconds) the parent watcher thread checks the user's cancel
 # token and the global deadline.
@@ -151,16 +154,6 @@ _HANG_CAP_SECONDS = 10.0
 # token.  Small: each entry pins a full dataset (and, via the view cache,
 # its SupportIndex memos) in every worker.
 _WORKER_DATASET_CAP = 4
-
-# Planner thresholds, in abstract work units (see estimate_topk_work /
-# estimate_farmer_work).  Calibrated on the bench datasets: warm-pool
-# dispatch costs ~10-30 ms, so parallel only pays off once the serial
-# work is well past ~0.1 s.  At the calibration point the ALL-AML
-# top-100 mine (~156k units) runs in ~0.04 s serial (stay serial) while
-# the PC FARMER mine (~350k units) takes seconds (go parallel).
-_AUTO_TOPK_SERIAL_UNITS = 400_000
-_AUTO_FARMER_SERIAL_UNITS = 100_000
-
 
 @dataclass(frozen=True)
 class MineRequest:
@@ -301,28 +294,6 @@ class FaultPlan:
             if fault.matches(shard, attempt):
                 return fault
         return None
-
-
-def resolve_n_jobs(n_jobs: Optional[int]) -> int:
-    """Translate a user ``n_jobs`` into a concrete worker count.
-
-    ``None`` or ``0`` mean "all cores"; negative values count back from
-    the core count (``-1`` = all cores, ``-2`` = all but one, the joblib
-    convention); positive values are used as given.  The :data:`AUTO_JOBS`
-    sentinel is workload-dependent and resolved by :func:`plan_workers`,
-    not here.
-    """
-    if n_jobs == AUTO_JOBS:
-        raise ValueError(
-            "n_jobs='auto' is resolved per workload by plan_workers; "
-            "resolve_n_jobs only handles integers"
-        )
-    cores = os.cpu_count() or 1
-    if n_jobs is None or n_jobs == 0:
-        return cores
-    if n_jobs < 0:
-        return max(1, cores + 1 + n_jobs)
-    return n_jobs
 
 
 def plan_shards(n_rows: int, n_jobs: int) -> list[int]:
@@ -649,11 +620,6 @@ class MinerPool:
 _DEFAULT_POOL: Optional[MinerPool] = None
 _DEFAULT_POOL_LOCK = threading.Lock()
 
-# Planner decisions (n_jobs="auto" resolving to serial) are counted
-# globally, not per pool: the fallback path never touches the pool.
-_PLANNER_LOCK = threading.Lock()
-_PLANNER_SERIAL_FALLBACKS = 0
-
 # Crash-recovery counters, process-wide (every pool, every run_jobs):
 # shard_retries            — shard jobs resubmitted after worker loss;
 # pool_restarts_on_failure — executor generations retired by heal();
@@ -705,7 +671,7 @@ def pool_stats() -> dict:
     return {
         "miner_pool_started": pool.started if pool is not None else 0,
         "miner_pool_reuses": pool.reuses if pool is not None else 0,
-        "planner_serial_fallbacks": _PLANNER_SERIAL_FALLBACKS,
+        "planner_serial_fallbacks": planner_serial_fallbacks(),
         **recovery,
     }
 
@@ -743,66 +709,6 @@ def _dataset_payload(dataset: "DiscretizedDataset") -> tuple[str, bytes]:
             entry = (token, blob)
             _DATASET_TOKENS[dataset] = entry
         return entry
-
-
-# -- adaptive planner --------------------------------------------------------
-
-
-def estimate_topk_work(view: MiningView, k: int) -> int:
-    """Abstract work units for one top-k mine over ``view``.
-
-    ``support_mass`` (the summed support of all frequent items, free from
-    the view's :class:`SupportIndex`) tracks how much intersection work
-    each enumeration node costs; the ``1 + k`` factor tracks how deep the
-    dynamic thresholds let the tree grow before top-k pruning bites
-    (k=1 trees collapse almost immediately, k=100 trees do not).
-    """
-    return view.support_index().support_mass * (1 + k)
-
-
-def estimate_farmer_work(view: MiningView) -> int:
-    """Abstract work units for one FARMER mine over ``view``.
-
-    FARMER has no top-k pruning, so the tree size scales with the number
-    of enumerable rows instead of ``k``.
-    """
-    return view.support_index().support_mass * max(1, view.n_rows)
-
-
-def plan_auto_workers(work_units: int, serial_threshold: int) -> int:
-    """Resolve ``n_jobs="auto"``: 1 (serial) or all cores.
-
-    Serial when the machine has a single core or the estimated work is
-    below ``serial_threshold`` — there the warm-pool dispatch and merge
-    overhead (~tens of milliseconds) rivals the mine itself.  Every
-    serial decision increments the ``planner_serial_fallbacks`` counter
-    surfaced by :func:`pool_stats`.
-    """
-    global _PLANNER_SERIAL_FALLBACKS
-    cores = os.cpu_count() or 1
-    if cores <= 1 or work_units < serial_threshold:
-        with _PLANNER_LOCK:
-            _PLANNER_SERIAL_FALLBACKS += 1
-        return 1
-    return cores
-
-
-def plan_workers(n_jobs: "int | str | None", work: Callable[[], int],
-                 task: str) -> int:
-    """Resolve a mining entry point's ``n_jobs`` into a worker count.
-
-    :data:`AUTO_JOBS` calls ``work()`` for the estimated work units and
-    asks :func:`plan_auto_workers` with the ``task``'s calibrated
-    threshold (``"topk"`` or ``"farmer"``); any other value goes to
-    :func:`resolve_n_jobs` and ``work`` is never called.
-    """
-    if n_jobs != AUTO_JOBS:
-        return resolve_n_jobs(n_jobs)
-    thresholds = {
-        "topk": _AUTO_TOPK_SERIAL_UNITS,
-        "farmer": _AUTO_FARMER_SERIAL_UNITS,
-    }
-    return plan_auto_workers(work(), thresholds[task])
 
 
 def _is_worker_loss(error: BaseException) -> bool:
@@ -1024,7 +930,7 @@ def mine_topk_requests(
     the serial one — per-row lists and ``stats`` counters alike — and
     nothing needs merging.  ``n_jobs`` caps the worker count;
     ``n_jobs="auto"`` lets the planner pick serial or all-cores from the
-    estimated total work of the batch (:func:`estimate_topk_work`).  A
+    batch's summed support mass times ``1 + k`` (its largest ``k``).  A
     single request, or a single worker, runs in this process.
 
     Returns one :class:`TopkResult` per request, in request order.  That
@@ -1036,19 +942,13 @@ def mine_topk_requests(
     deterministic fault-injection hook used by the tests and the audit
     oracle; it never applies to requests mined in this process.
     """
-    n_workers = plan_workers(
-        n_jobs,
-        lambda: sum(
-            estimate_topk_work(
-                MiningView.cached(dataset, request.consequent, request.minsup),
-                request.k,
-            )
-            for request in requests
-        ),
-        "topk",
+    planned = plan(
+        dataset, [request.consequent for request in requests],
+        [request.minsup for request in requests], task="requests",
+        k=max((request.k for request in requests), default=1), n_jobs=n_jobs,
     )
     outputs, _recovery = run_jobs(
-        dataset, requests, n_workers, time_budget, cancel, fault=fault
+        dataset, requests, planned.workers, time_budget, cancel, fault=fault
     )
     return [result for result, _stats in outputs]
 

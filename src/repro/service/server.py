@@ -37,11 +37,11 @@ import numpy as np
 
 from ..core.bitset import iter_indices
 from ..core.enumeration import ENGINES
-from ..core.hybrid import auto_strategy_stats, resolve_strategy
+from ..core.hybrid import auto_strategy_stats
 from ..core.topk_miner import TopkResult, mine_topk, relative_minsup
 from ..data.dataset import GeneExpressionDataset
 from ..data.loaders import discretized_from_payload
-from ..parallel import AUTO_JOBS, pool_stats
+from ..parallel import AUTO_JOBS, plan, pool_stats
 from .cache import MiningCache, dataset_fingerprint, mining_key
 from .jobs import DONE, FAILED, QUEUED, RUNNING, JobQueue
 from .registry import ModelRecord, ModelRegistry
@@ -402,16 +402,6 @@ class RuleService:
             raise ServiceError(
                 400, f"unknown engine {engine!r}; expected one of {ENGINES}"
             )
-        # Resolve "auto" before keying: the cache/store key records what
-        # actually ran, so auto requests deduplicate with explicit
-        # requests for the same concrete strategy and replays never
-        # re-plan.
-        try:
-            strategy = resolve_strategy(
-                body.get("strategy", "direct"), dataset.n_rows
-            )
-        except ValueError as error:
-            raise ServiceError(400, str(error))
         minsup = body.get("minsup")
         if minsup is None:
             try:
@@ -425,6 +415,36 @@ class RuleService:
             minsup = _validate_int(body, "minsup", None)
             if minsup < 1:
                 raise ServiceError(400, f"minsup must be >= 1, got {minsup}")
+        n_jobs = body.get("n_jobs", self.mine_jobs)
+        if n_jobs == AUTO_JOBS:
+            # The planner decides serial vs parallel per workload; an
+            # operator who pinned mine_jobs to 1 has disabled parallel
+            # mining, which overrides the request.
+            if self.mine_jobs != AUTO_JOBS and self.mine_jobs <= 1:
+                n_jobs = 1
+        else:
+            if not _is_int(n_jobs):
+                raise ServiceError(400, "'n_jobs' must be an integer or 'auto'")
+            if n_jobs < 1:
+                raise ServiceError(400, f"n_jobs must be >= 1, got {n_jobs}")
+            # Cap per-request parallelism at the operator's configuration
+            # so one client cannot fan a single job out over every core
+            # (an 'auto' operator configuration delegates the cap to the
+            # planner, which never exceeds the usable CPUs).
+            if self.mine_jobs != AUTO_JOBS:
+                n_jobs = min(n_jobs, self.mine_jobs)
+        # Plan before keying: the cache/store key records the strategy
+        # that actually runs, so auto requests deduplicate with explicit
+        # requests for the same concrete strategy and replays never
+        # re-plan.
+        try:
+            planned = plan(
+                dataset, consequent, minsup, task="topk", k=k, n_jobs=n_jobs,
+                strategy=body.get("strategy", "direct"),
+            )
+        except ValueError as error:
+            raise ServiceError(400, str(error))
+        strategy = planned.strategy
 
         key = mining_key(
             dataset_fingerprint(dataset), consequent, minsup, k, engine,
@@ -465,31 +485,13 @@ class RuleService:
         time_budget = _validate_budget(
             body, "time_budget", self.time_budget, integral=False
         )
-        n_jobs = body.get("n_jobs", self.mine_jobs)
-        if n_jobs == AUTO_JOBS:
-            # The adaptive planner decides serial vs parallel per
-            # workload; an operator who pinned mine_jobs to 1 has
-            # disabled parallel mining, which overrides the request.
-            if self.mine_jobs != AUTO_JOBS and self.mine_jobs <= 1:
-                n_jobs = 1
-        else:
-            if not _is_int(n_jobs):
-                raise ServiceError(400, "'n_jobs' must be an integer or 'auto'")
-            if n_jobs < 1:
-                raise ServiceError(400, f"n_jobs must be >= 1, got {n_jobs}")
-            # Cap per-request parallelism at the operator's configuration
-            # so one client cannot fan a single job out over every core
-            # (an 'auto' operator configuration delegates the cap to the
-            # planner, which never exceeds the core count).
-            if self.mine_jobs != AUTO_JOBS:
-                n_jobs = min(n_jobs, self.mine_jobs)
 
         def run(job):
             try:
                 result = mine_topk(
                     dataset, consequent, minsup, k=k, engine=engine,
                     node_budget=node_budget, time_budget=time_budget,
-                    cancel=job.cancel_event, n_jobs=n_jobs,
+                    cancel=job.cancel_event, n_jobs=planned.workers,
                     strategy=strategy,
                 )
                 # Pure enumeration time, excluding queueing, dataset
@@ -556,7 +558,7 @@ class RuleService:
                     "strategy": strategy,
                     "node_budget": node_budget,
                     "time_budget": time_budget,
-                    "n_jobs": n_jobs,
+                    "n_jobs": planned.workers,
                 })
             if job_id is None:
                 job = self.jobs.submit(run)

@@ -124,7 +124,7 @@ class TestMineFaultStrategy:
 
         items, taken = paths
         monkeypatch.setattr(hybrid, "plan_auto_strategy",
-                            lambda n_rows: "hybrid")
+                            lambda density: "hybrid")
         code = main(["mine", str(items), "--minsup", "2", "--jobs", "2",
                      "--strategy", "auto", "--fault", "kill@0.0"])
         assert code == 0

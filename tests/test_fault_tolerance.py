@@ -31,6 +31,7 @@ import time
 
 import pytest
 
+import repro.core.planner as planner
 import repro.parallel as parallel_mod
 from repro.core.topk_miner import mine_topk
 from repro.parallel import (
@@ -211,8 +212,8 @@ class TestCrashRecovery:
                                             serial_results, monkeypatch):
         """n_jobs="auto" forced into the parallel branch + a worker kill:
         the planner path recovers exactly like the explicit path."""
-        monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(parallel_mod, "_AUTO_TOPK_SERIAL_UNITS", 0)
+        monkeypatch.setattr(planner, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(planner, "_AUTO_TOPK_SERIAL_UNITS", 0)
         before = pool_stats()
         results = mine_topk_requests(
             small_random, REQUESTS, n_jobs=AUTO_JOBS,

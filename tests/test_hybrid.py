@@ -14,15 +14,14 @@ import pytest
 
 from repro.core.backends import auto_backend_stats
 from repro.core.hybrid import (
-    AUTO_HYBRID_ROWS,
+    AUTO_HYBRID_DENSITY,
     HybridPartitionRequest,
     PartitionCatalog,
     auto_strategy_stats,
     mine_topk_hybrid,
     plan_auto_strategy,
-    resolve_strategy,
 )
-from repro.core.topk_miner import mine_topk
+from repro.core.topk_miner import mine_topk, relative_minsup
 from repro.data import (
     TALL_COHORTS,
     DatasetChunkSource,
@@ -30,7 +29,7 @@ from repro.data import (
     generate_tall_cohort,
 )
 from repro.data.synthetic import TallCohortSpec, random_discretized_dataset
-from repro.parallel import MineRequest, results_equal, shutdown_pool
+from repro.parallel import MineRequest, plan, results_equal, shutdown_pool
 
 
 def profiles(per_row):
@@ -102,18 +101,38 @@ class TestEquivalence:
             mine_topk(small_random, 1, 1, spill_dir="/tmp")
 
     def test_auto_strategy_planner_rung(self):
-        assert plan_auto_strategy(AUTO_HYBRID_ROWS - 1) == "direct"
-        assert plan_auto_strategy(AUTO_HYBRID_ROWS) == "hybrid"
+        # The fitted rung sits between the densest shape that mined
+        # faster hybrid (0.038) and the mixed band (0.057+).
+        assert 0.038 < AUTO_HYBRID_DENSITY < 0.057
+        assert plan_auto_strategy(AUTO_HYBRID_DENSITY * 0.99) == "hybrid"
+        assert plan_auto_strategy(AUTO_HYBRID_DENSITY) == "direct"
 
-    def test_resolve_strategy_validates_resolves_and_counts(self):
+    def test_resolve_strategy_validates_resolves_and_counts(
+            self, small_random):
+        def strategy(name):
+            return plan(small_random, 1, 1, task="topk",
+                        strategy=name).strategy
+
         before = auto_strategy_stats()
-        assert resolve_strategy("direct", AUTO_HYBRID_ROWS) == "direct"
-        assert resolve_strategy("hybrid", 1) == "hybrid"
+        assert strategy("direct") == "direct"
+        assert strategy("hybrid") == "hybrid"
         assert auto_strategy_stats() == before
-        assert resolve_strategy("auto", AUTO_HYBRID_ROWS) == "hybrid"
-        assert auto_strategy_stats()["hybrid"] == before["hybrid"] + 1
+        chosen = strategy("auto")
+        after = auto_strategy_stats()
+        assert after[chosen] == before[chosen] + 1
+        assert sum(after.values()) == sum(before.values()) + 1
         with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
-            resolve_strategy("bogus", 1)
+            strategy("bogus")
+
+    def test_auto_matches_direct_on_the_perfbench_tall_shape(self):
+        """tall-1k at 256 rows (density 0.029) plans hybrid, and the
+        output is the direct mine's."""
+        ds = generate_tall_cohort(TALL_COHORTS["tall-1k"].scaled(0.25))
+        minsup = relative_minsup(ds, 1, 0.7)
+        auto = mine_topk(ds, 1, minsup, k=2, strategy="auto")
+        direct = mine_topk(ds, 1, minsup, k=2)
+        assert auto.stats.plan.strategy == "hybrid"
+        assert results_equal(auto, direct)
 
 
 # Test-size scales for the committed cohorts.  The chunk draws are
@@ -252,7 +271,7 @@ class TestCancellation:
                                   cancel=cancel, n_jobs=2)
         assert not result.stats.completed
         stats = result.hybrid_stats
-        assert stats.n_jobs == 2 and stats.n_partitions > 1
+        assert result.stats.plan.workers == 2 and stats.n_partitions > 1
         assert stats.n_skipped_partitions == stats.n_partitions
         assert all(groups == [] for groups in result.per_row.values())
 
@@ -332,7 +351,7 @@ class TestExecutionSurface:
         finally:
             shutdown_pool()
         assert results_equal(fanned, serial)
-        assert fanned.hybrid_stats.n_jobs == 2
+        assert fanned.stats.plan.workers == 2
 
 
 class TestDiskSpill:

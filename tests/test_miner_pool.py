@@ -11,8 +11,8 @@ per request (:func:`repro.parallel.mine_topk_requests`).
 
 Pool tests use private :class:`MinerPool` instances so the process-wide
 default pool's state (warmed by other test modules) never leaks in;
-planner tests monkeypatch ``os.cpu_count`` so they are deterministic on
-any host.
+planner tests monkeypatch :func:`repro.parallel.usable_cpus` so they
+are deterministic on any host.
 """
 
 from __future__ import annotations
@@ -23,19 +23,16 @@ import time
 
 import pytest
 
-import repro.parallel as parallel_mod
+import repro.core.planner as planner
 from repro.core.topk_miner import mine_topk
 from repro.parallel import (
     AUTO_JOBS,
     MineRequest,
     MinerPool,
-    _AUTO_TOPK_SERIAL_UNITS,
     _POOL_CANCEL_SLOTS,
-    estimate_farmer_work,
-    estimate_topk_work,
     get_pool,
     mine_topk_requests,
-    plan_auto_workers,
+    plan,
     pool_stats,
     results_equal,
 )
@@ -172,33 +169,59 @@ class TestMinerPoolLifecycle:
         assert all(isinstance(v, int) and v >= 0 for v in stats.values())
 
 
+class _Masses:
+    """Dataset stand-in for the planner: ``n_items`` items on every row,
+    so the support mass of any consequent is ``n_rows * n_items``."""
+
+    def __init__(self, n_rows, n_items):
+        self.n_rows = n_rows
+        self.n_items = n_items
+
+    def item_row_sets(self):
+        return [(1 << self.n_rows) - 1] * self.n_items
+
+    def class_mask(self, consequent):
+        return (1 << self.n_rows) - 1
+
+
+def _auto_workers(dataset, task="requests", k=1):
+    pairs = ([1], [1]) if task == "requests" else (1, 1)
+    return plan(dataset, *pairs, task=task, k=k, n_jobs=AUTO_JOBS).workers
+
+
 class TestAdaptivePlanner:
     def test_serial_below_threshold(self, monkeypatch):
-        monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(planner, "usable_cpus", lambda: 4)
         before = pool_stats()["planner_serial_fallbacks"]
-        assert plan_auto_workers(10, serial_threshold=100) == 1
+        assert _auto_workers(_Masses(10, 10)) == 1
         assert pool_stats()["planner_serial_fallbacks"] == before + 1
 
     def test_parallel_above_threshold(self, monkeypatch):
-        monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(planner, "usable_cpus", lambda: 4)
         before = pool_stats()["planner_serial_fallbacks"]
-        assert plan_auto_workers(1_000_000, serial_threshold=100) == 4
+        assert _auto_workers(_Masses(1000, 1000)) == 4
         assert pool_stats()["planner_serial_fallbacks"] == before
 
     def test_single_core_always_serial(self, monkeypatch):
-        monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 1)
-        assert plan_auto_workers(10**12, serial_threshold=100) == 1
+        monkeypatch.setattr(planner, "usable_cpus", lambda: 1)
+        assert _auto_workers(_Masses(1000, 1000)) == 1
 
-    def test_work_estimates_scale(self, small_random):
-        view = MiningView.cached(small_random, 0, 2)
-        mass = view.support_index().support_mass
+    def test_work_estimates_scale(self, small_random, monkeypatch):
+        """Top-k work is support mass x (1 + k), FARMER work support
+        mass x rows; both read the mass the miners' index counts."""
+        monkeypatch.setattr(planner, "usable_cpus", lambda: 4)
+        mass = MiningView.cached(small_random, 0, 2).support_index().support_mass
         assert mass > 0
-        assert estimate_topk_work(view, 1) == mass * 2
-        assert estimate_topk_work(view, 100) == mass * 101
-        assert estimate_farmer_work(view) == mass * max(1, view.n_rows)
-        # FARMER trees (no top-k pruning) always cost at least as much
-        # as a k=1 top-k mine of the same view.
-        assert estimate_farmer_work(view) >= estimate_topk_work(view, 1)
+        planned = plan(small_random, [0], [2], task="requests",
+                       n_jobs=AUTO_JOBS)
+        assert planned.support_mass == mass
+        assert planned.density == mass / small_random.n_rows ** 2
+        # 100 rows x 1000 items: 100k mass.  k=1 top-k work (200k) is
+        # below its rung, k=3 (400k) and FARMER (10M) are not.
+        cohort = _Masses(100, 1000)
+        assert _auto_workers(cohort, k=1) == 1
+        assert _auto_workers(cohort, k=3) == 4
+        assert _auto_workers(cohort, task="farmer") == 4
 
     def test_auto_matches_serial_bit_for_bit(self, small_random):
         for consequent in (0, 1):
@@ -211,7 +234,8 @@ class TestAdaptivePlanner:
         """A tiny batch is far below _AUTO_TOPK_SERIAL_UNITS, so the
         planner must pick serial and count the decision once."""
         view = MiningView.cached(small_random, 0, 2)
-        assert 2 * estimate_topk_work(view, 4) < _AUTO_TOPK_SERIAL_UNITS
+        assert 2 * view.support_index().support_mass * 5 < (
+            planner._AUTO_TOPK_SERIAL_UNITS)
         before = pool_stats()["planner_serial_fallbacks"]
         mine_topk_requests(small_random, _requests(), n_jobs=AUTO_JOBS)
         assert pool_stats()["planner_serial_fallbacks"] == before + 1
@@ -221,8 +245,8 @@ class TestAdaptivePlanner:
         """Force the planner into the parallel branch (cores=2, zero
         threshold) and check the warm-pool path still reproduces the
         serial results exactly."""
-        monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(parallel_mod, "_AUTO_TOPK_SERIAL_UNITS", 0)
+        monkeypatch.setattr(planner, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(planner, "_AUTO_TOPK_SERIAL_UNITS", 0)
         before = pool_stats()["planner_serial_fallbacks"]
         auto = mine_topk_requests(small_random, _requests(), n_jobs=AUTO_JOBS)
         assert pool_stats()["planner_serial_fallbacks"] == before

@@ -14,10 +14,11 @@ import ast
 import threading
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-import repro.parallel as parallel_mod
+import repro.core.planner as planner
 from repro.baselines.farmer import mine_farmer
 from repro.classifiers import RCBTClassifier
 from repro.classifiers.persistence import classifier_to_payload
@@ -31,12 +32,13 @@ from repro.parallel import (
     merge_stats,
     mine_topk_requests,
     parallel_map,
+    plan,
     plan_shards,
-    plan_workers,
     pool_stats,
     resolve_n_jobs,
     results_equal,
     run_jobs,
+    usable_cpus,
 )
 
 
@@ -104,9 +106,7 @@ class TestPlanShards:
 
 class TestResolveNJobs:
     def test_values(self):
-        import os
-
-        cores = os.cpu_count() or 1
+        cores = usable_cpus()
         assert resolve_n_jobs(1) == 1
         assert resolve_n_jobs(3) == 3
         assert resolve_n_jobs(None) == cores
@@ -447,6 +447,39 @@ class TestLayering:
         ]
         assert offending == []
 
+    def test_parallel_loads_no_miner_module_through_its_imports(self):
+        """Nor does any module it imports at module level, followed
+        transitively (package ``__init__`` files aside): the planner it
+        re-exports asks the hybrid miner's rung only when it runs."""
+        root = Path(__file__).resolve().parents[1] / "src"
+        forbidden = ("repro.baselines", "repro.core.hybrid")
+        seen, pending = set(), ["repro.parallel"]
+        while pending:
+            name = pending.pop()
+            path = root / (name.replace(".", "/") + ".py")
+            if name in seen or not path.exists():
+                seen.add(name)
+                continue
+            seen.add(name)
+            package = name.split(".")[:-1]
+            for node in ast.parse(path.read_text()).body:
+                if isinstance(node, ast.Import):
+                    pending.extend(alias.name for alias in node.names)
+                elif isinstance(node, ast.ImportFrom):
+                    base = node.module or ""
+                    if node.level:
+                        parts = package[:len(package) - node.level + 1]
+                        base = ".".join(parts + ([base] if base else []))
+                    pending.append(base)
+                    pending.extend(f"{base}.{alias.name}"
+                                   for alias in node.names)
+        assert "repro.core.planner" in seen
+        assert [
+            name for name in seen
+            if any(name == bad or name.startswith(bad + ".")
+                   for bad in forbidden)
+        ] == []
+
     @pytest.mark.parametrize("module", (
         "core/hybrid.py", "baselines/farmer.py", "classifiers/rcbt.py",
     ))
@@ -486,19 +519,36 @@ class TestRunner:
             assert results_equal(result, _serial(small_random, request))
 
     def test_plan_workers_estimates_only_for_auto(self, monkeypatch):
-        def never():
-            raise AssertionError("work estimated for a fixed n_jobs")
+        class Untouchable:
+            n_rows = 10
 
-        assert plan_workers(3, never, "topk") == 3
-        assert plan_workers(1, never, "farmer") == 1
-        monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 4)
-        assert plan_workers(AUTO_JOBS, lambda: 10, "topk") == 1
-        assert plan_workers(AUTO_JOBS, lambda: 10**9, "topk") == 4
-        # The FARMER rung sits below the top-k one.
-        units = (parallel_mod._AUTO_FARMER_SERIAL_UNITS
-                 + parallel_mod._AUTO_TOPK_SERIAL_UNITS) // 2
-        assert plan_workers(AUTO_JOBS, lambda: units, "farmer") == 4
-        assert plan_workers(AUTO_JOBS, lambda: units, "topk") == 1
+            def item_row_sets(self):
+                raise AssertionError("work estimated for a fixed n_jobs")
+
+            class_mask = item_row_sets
+
+        dataset = Untouchable()
+        assert plan(dataset, [1], [1], task="requests", n_jobs=3).workers == 3
+        assert plan(dataset, 1, 1, task="farmer", n_jobs=1).workers == 1
+        assert plan(dataset, 1, 1, task="topk", n_jobs=2,
+                    strategy="hybrid").workers == 2
+        # A direct top-k mine is one enumeration: one worker, no estimate.
+        assert plan(dataset, 1, 1, task="topk", n_jobs=AUTO_JOBS).workers == 1
+        monkeypatch.setattr(planner, "usable_cpus", lambda: 4)
+        ones = SimpleNamespace(
+            n_rows=100,
+            item_row_sets=lambda: [(1 << 100) - 1] * 2,
+            class_mask=lambda consequent: (1 << 100) - 1,
+        )
+        # 200 mass: 400 top-k units at k=1, 20k FARMER units.
+        assert plan(ones, 1, 1, task="farmer", n_jobs=AUTO_JOBS).workers == 1
+        monkeypatch.setattr(planner, "_AUTO_FARMER_SERIAL_UNITS", 20_000)
+        monkeypatch.setattr(planner, "_AUTO_TOPK_SERIAL_UNITS", 401)
+        assert plan(ones, 1, 1, task="farmer", n_jobs=AUTO_JOBS).workers == 4
+        assert plan(ones, [1], [1], task="requests",
+                    n_jobs=AUTO_JOBS).workers == 1
+        assert plan(ones, [1], [1], task="requests", k=2,
+                    n_jobs=AUTO_JOBS).workers == 4
 
     @pytest.mark.parametrize("time_budget", (float("nan"), -1.0))
     def test_bad_time_budget_raises(self, small_random, time_budget):
