@@ -28,10 +28,13 @@ repo rich in free oracles.  For one generated case this module:
   worker **kill** on request 0 (:class:`repro.parallel.FaultPlan`) and
   asserts the crash-recovery supervisor returns results bit-identical
   to the serial oracle, with the retry visible in ``pool_stats()``;
-* round-trips the result through the service cache and its JSON
-  payload, the dataset through its payload codec (fingerprints and
-  re-mined results must survive), and fitted RCBT/CBA classifiers
-  through :mod:`repro.classifiers.persistence`;
+* renders the result as the service's ``/mine`` payload, asserts it
+  encodes to the same JSON as an independent slot-by-slot rendering,
+  holds one entry object per distinct rule group and round-trips
+  through the service cache; round-trips the dataset through its
+  payload codec (fingerprints and re-mined results must survive), and
+  fitted RCBT/CBA classifiers through
+  :mod:`repro.classifiers.persistence`;
 * runs the invariant catalog of :mod:`.invariants` on every mined
   result;
 * runs FindLB on every mined group whose upper bound has at most
@@ -63,6 +66,7 @@ from ..classifiers.cba import CBAClassifier
 from ..classifiers.persistence import classifier_from_payload, classifier_to_payload
 from ..analysis.gene_ranking import gene_entropy_scores, item_scores
 from ..classifiers.rcbt import RCBTClassifier
+from ..core.bitset import to_indices
 from ..core.enumeration import ENGINES
 from ..core.lower_bounds import find_lower_bounds
 from ..core.rules import RuleGroup
@@ -183,6 +187,38 @@ class _CaseAuditor:
             self.record(check, f"mine_topk crashed: "
                                f"{type(error).__name__}: {error}")
             return None
+
+
+def _per_slot_payload(result: TopkResult) -> dict:
+    """The ``/mine`` payload rendered slot by slot, as the reference.
+
+    Every ``per_row`` slot gets its own entry, built from the group in
+    that slot, and the group count comes from
+    :meth:`~repro.core.topk_miner.TopkResult.unique_groups`; the service's
+    renderer shares one entry per distinct group and must encode to the
+    same JSON text.
+    """
+    return {
+        "consequent": result.consequent,
+        "minsup": result.minsup,
+        "k": result.k,
+        "completed": result.stats.completed,
+        "degraded": result.stats.degraded,
+        "stats": result.stats.as_dict(),
+        "n_unique_groups": len(result.unique_groups()),
+        "per_row": {
+            str(row): [
+                {
+                    "antecedent": sorted(group.antecedent),
+                    "support": group.support,
+                    "confidence": group.confidence,
+                    "rows": to_indices(group.row_set),
+                }
+                for group in groups
+            ]
+            for row, groups in sorted(result.per_row.items())
+        },
+    }
 
 
 def audit_case(
@@ -407,12 +443,22 @@ def audit_case(
             dataset_fingerprint(dataset), case.consequent, case.minsup,
             case.k, "bitset",
         )
-        cache.put(key, reference)
-        cached = cache.get(key)
-        if cached is None or not results_equal(reference, cached):
+        payload = topk_result_to_payload(reference)
+        cache.put(key, payload)
+        if cache.get(key) is not payload:
             raise InvariantViolation("cache get() does not return the "
-                                     "result put()")
-        payload = topk_result_to_payload(cached)
+                                     "payload put()")
+        if json.dumps(payload) != json.dumps(_per_slot_payload(reference)):
+            raise InvariantViolation(
+                "topk_result_to_payload differs from a per-slot rendering"
+            )
+        entries = {id(entry) for slots in payload["per_row"].values()
+                   for entry in slots}
+        if len(entries) != payload["n_unique_groups"]:
+            raise InvariantViolation(
+                f"payload holds {len(entries)} entry objects for "
+                f"{payload['n_unique_groups']} distinct rule groups"
+            )
         if json.loads(json.dumps(payload)) != payload:
             raise InvariantViolation(
                 "topk_result_to_payload is not JSON-stable"

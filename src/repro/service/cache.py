@@ -1,4 +1,4 @@
-"""Content-addressed cache of :func:`~repro.core.topk_miner.mine_topk` runs.
+"""Content-addressed cache of rendered ``/mine`` results.
 
 The paper's intended workflow is interactive: a biologist loads one
 discretized dataset and re-mines it while sweeping ``minsup``/``k``.
@@ -6,10 +6,16 @@ Every such request is a pure function of ``(dataset contents, consequent,
 minsup, k, engine)``, so the service keys a cache on a SHA-256
 fingerprint of exactly those inputs and answers repeats in O(1).
 
+The cache holds the JSON-safe payload the finishing job rendered
+(:func:`~repro.service.server.topk_result_to_payload`), not the
+``TopkResult``: a hit is answered with that payload as it is, so it
+costs the request's decode, fingerprint and one lookup, and the job's
+result, the cache entry and every hit response share one set of objects.
+
 The cache is an LRU bounded by an *estimated byte size* rather than an
-entry count, because one ``TopkResult`` can range from a handful of rule
-groups to tens of thousands; bounding bytes keeps the resident set
-predictable regardless of workload shape.
+entry count, because one result can range from a handful of rule groups
+to tens of thousands; bounding bytes keeps the resident set predictable
+regardless of workload shape.
 """
 
 from __future__ import annotations
@@ -18,10 +24,10 @@ import hashlib
 import json
 import sys
 import threading
+from bisect import bisect_right
 from collections import OrderedDict
 from typing import Optional
 
-from ..core.topk_miner import TopkResult
 from ..data.dataset import DiscretizedDataset
 
 __all__ = ["dataset_fingerprint", "mining_key", "MiningCache"]
@@ -72,35 +78,67 @@ def mining_key(
     return key
 
 
-def _estimate_result_bytes(result: TopkResult) -> int:
-    """Rough resident size of a cached result.
+# CPython shares one object for each int up to 256, so a list slot
+# holding one costs only its pointer; a larger int is an object of its
+# own (28 bytes below 2**30, which covers every row and item id).
+_SHARED_INT_MAX = 256
+_INT_BYTES = sys.getsizeof(2**29)
 
-    Exact deep sizes are not worth the traversal cost; rule groups
-    dominate, so charge each distinct group its measured container sizes
-    and each per-row list slot a pointer.  The estimate only needs to be
-    proportional enough for the byte bound to behave sensibly.
+
+def _sorted_ints_bytes(values: list[int]) -> int:
+    """Resident size of an ascending list of non-negative ints."""
+    owned = len(values) - bisect_right(values, _SHARED_INT_MAX)
+    return sys.getsizeof(values) + _INT_BYTES * owned
+
+
+def _object_bytes(value) -> int:
+    """Deep size of the payload's stats: scalars and nested dicts."""
+    total = sys.getsizeof(value)
+    if isinstance(value, dict):
+        total += sum(_object_bytes(k) + _object_bytes(v)
+                     for k, v in value.items())
+    return total
+
+
+def _estimate_payload_bytes(payload: dict) -> int:
+    """Resident size of a cached ``/mine`` payload.
+
+    The payload is the shape :func:`~repro.service.server.
+    topk_result_to_payload` builds: each distinct rule group is one entry
+    dict that every ``per_row`` slot it fills references.  Each entry is
+    charged once, with its sorted ``antecedent`` and ``rows`` lists and
+    the int objects they own; each slot is charged its list pointer.
+    Small shared objects (interned keys, cached small ints, booleans) are
+    not charged, since the cache does not hold them alone.
     """
+    per_row = payload["per_row"]
+    total = (sys.getsizeof(payload) + _object_bytes(payload["stats"])
+             + sys.getsizeof(per_row))
     seen: set[int] = set()
-    total = sys.getsizeof(result.per_row)
-    for groups in result.per_row.values():
-        total += sys.getsizeof(groups) + 8 * len(groups)
-        for group in groups:
-            if id(group) in seen:
+    for row, entries in per_row.items():
+        total += sys.getsizeof(row) + sys.getsizeof(entries)
+        for entry in entries:
+            if id(entry) in seen:
                 continue
-            seen.add(id(group))
-            total += 128  # dataclass + scalar fields
-            total += sys.getsizeof(group.antecedent)
-            total += sys.getsizeof(group.row_set)
+            seen.add(id(entry))
+            total += (sys.getsizeof(entry)
+                      + sys.getsizeof(entry["confidence"])
+                      + _sorted_ints_bytes(entry["antecedent"])
+                      + _sorted_ints_bytes(entry["rows"]))
     return total
 
 
 class MiningCache:
-    """Byte-bounded LRU cache of finished mining results.
+    """Byte-bounded LRU cache of rendered mining results.
+
+    Values are ``/mine`` payloads as
+    :func:`~repro.service.server.topk_result_to_payload` builds them;
+    they are shared with their callers and must not be mutated.
 
     Args:
-        max_bytes: bound on the summed size estimates of cached results.
+        max_bytes: bound on the summed size estimates of cached payloads.
             Oldest (least recently used) entries are evicted to fit; a
-            single result larger than the bound is simply not cached.
+            single payload larger than the bound is simply not cached.
     """
 
     def __init__(self, max_bytes: int = 64 * 1024 * 1024) -> None:
@@ -108,14 +146,14 @@ class MiningCache:
             raise ValueError(f"max_bytes must be positive, got {max_bytes}")
         self.max_bytes = max_bytes
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[str, tuple[TopkResult, int]]" = OrderedDict()
+        self._entries: "OrderedDict[str, tuple[dict, int]]" = OrderedDict()
         self._bytes = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
-    def get(self, key: str) -> Optional[TopkResult]:
-        """Cached result for ``key``, refreshing its recency; else None."""
+    def get(self, key: str) -> Optional[dict]:
+        """Cached payload for ``key``, refreshing its recency; else None."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
@@ -125,14 +163,14 @@ class MiningCache:
             self.hits += 1
             return entry[0]
 
-    def put(self, key: str, result: TopkResult) -> None:
-        """Insert (or refresh) a finished mining result.
+    def put(self, key: str, payload: dict) -> None:
+        """Insert (or refresh) the payload of a finished mine.
 
-        A result larger than the whole cache bound is simply not cached
+        A payload larger than the whole cache bound is simply not cached
         — and leaves any previously cached entry for the key in place,
         rather than dropping a good entry on the way to bailing out.
         """
-        size = _estimate_result_bytes(result)
+        size = _estimate_payload_bytes(payload)
         with self._lock:
             if size > self.max_bytes:
                 return
@@ -143,7 +181,7 @@ class MiningCache:
                 _, (_, evicted_size) = self._entries.popitem(last=False)
                 self._bytes -= evicted_size
                 self.evictions += 1
-            self._entries[key] = (result, size)
+            self._entries[key] = (payload, size)
             self._bytes += size
 
     def clear(self) -> None:

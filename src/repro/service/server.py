@@ -38,6 +38,7 @@ import numpy as np
 from ..core.bitset import iter_indices
 from ..core.enumeration import ENGINES
 from ..core.hybrid import auto_strategy_stats
+from ..core.rules import RuleGroup
 from ..core.topk_miner import TopkResult, mine_topk, relative_minsup
 from ..data.dataset import GeneExpressionDataset
 from ..data.loaders import discretized_from_payload
@@ -46,7 +47,7 @@ from .cache import MiningCache, dataset_fingerprint, mining_key
 from .jobs import DONE, FAILED, QUEUED, RUNNING, JobQueue
 from .registry import ModelRecord, ModelRegistry
 from .store import JobStore
-from .telemetry import BATCH_SIZE_BUCKETS, Telemetry
+from .telemetry import BATCH_SIZE_BUCKETS, Telemetry, process_memory
 
 __all__ = ["RuleService", "ServiceError", "topk_result_to_payload"]
 
@@ -60,7 +61,36 @@ class ServiceError(Exception):
 
 
 def topk_result_to_payload(result: TopkResult) -> dict:
-    """JSON-safe rendering of a mining result."""
+    """JSON-safe rendering of a mining result.
+
+    Top-k covering lists overlap heavily: a rule group that is top-k for
+    one row is usually top-k for many (the rank sets ``RG_j`` of Section
+    5.2).  Each distinct group is therefore rendered once, keyed on its
+    :class:`~repro.core.rules.RuleGroup` value, and every ``per_row``
+    slot it fills references that one entry dict.  The JSON text is the
+    same as a slot-by-slot rendering; the Python payload is a fraction of
+    its size.  The entries are shared, across slots and, in the service,
+    between a job's result, the mining cache and every cache-hit
+    response, so an in-process embedder must treat the payload as
+    read-only.
+    """
+    entries: dict[RuleGroup, dict] = {}
+
+    def entry(group: RuleGroup) -> dict:
+        rendered = entries.get(group)
+        if rendered is None:
+            rendered = entries[group] = {
+                "antecedent": sorted(group.antecedent),
+                "support": group.support,
+                "confidence": group.confidence,
+                "rows": list(iter_indices(group.row_set)),
+            }
+        return rendered
+
+    per_row = {
+        str(row): [entry(group) for group in groups]
+        for row, groups in sorted(result.per_row.items())
+    }
     return {
         "consequent": result.consequent,
         "minsup": result.minsup,
@@ -68,19 +98,8 @@ def topk_result_to_payload(result: TopkResult) -> dict:
         "completed": result.stats.completed,
         "degraded": result.stats.degraded,
         "stats": result.stats.as_dict(),
-        "n_unique_groups": len(result.unique_groups()),
-        "per_row": {
-            str(row): [
-                {
-                    "antecedent": sorted(group.antecedent),
-                    "support": group.support,
-                    "confidence": group.confidence,
-                    "rows": list(iter_indices(group.row_set)),
-                }
-                for group in groups
-            ]
-            for row, groups in sorted(result.per_row.items())
-        },
+        "n_unique_groups": len(entries),
+        "per_row": per_row,
     }
 
 
@@ -258,6 +277,8 @@ class RuleService:
             f"auto_strategy_{name}": count
             for name, count in auto_strategy_stats().items()
         })
+        # The server's own memory, so an operator can see it stay flat.
+        self.telemetry.set_gauges(process_memory())
         extra = {
             "cache": self.cache.stats(),
             "jobs": self.jobs.describe(),
@@ -459,7 +480,7 @@ class RuleService:
                 "status": DONE,
                 "cached": True,
                 "key": key,
-                "result": topk_result_to_payload(cached),
+                "result": cached,
             }
         self.telemetry.increment("mine_cache_misses")
         if self.store is not None:
@@ -503,9 +524,12 @@ class RuleService:
                     # The mine survived worker loss by degrading to
                     # serial execution; the result is still exact.
                     self.telemetry.increment("mine_degraded")
+                # Rendered once: the job's result, the cache entry and
+                # every later cache hit share this one payload.
+                payload = topk_result_to_payload(result)
                 if result.stats.completed:
-                    self.cache.put(key, result)
-                return topk_result_to_payload(result)
+                    self.cache.put(key, payload)
+                return payload
             finally:
                 with self._lock:
                     if self._inflight.get(key) == job.job_id:

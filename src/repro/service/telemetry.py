@@ -10,11 +10,16 @@ counters from it, and an operator can scrape it with curl.
 
 from __future__ import annotations
 
+import os
+import resource
+import sys
 import threading
 from bisect import bisect_left
 from typing import Optional, Sequence
 
-__all__ = ["Telemetry", "LatencyHistogram", "BATCH_SIZE_BUCKETS"]
+__all__ = [
+    "Telemetry", "LatencyHistogram", "BATCH_SIZE_BUCKETS", "process_memory",
+]
 
 # Upper bucket edges in seconds; chosen to resolve both sub-millisecond
 # cache hits and multi-second mining runs.
@@ -28,6 +33,32 @@ DEFAULT_BUCKETS = (
 BATCH_SIZE_BUCKETS = (
     1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, float("inf")
 )
+
+
+def process_memory() -> dict:
+    """This process's resident set size, current and peak, in bytes.
+
+    ``rss_bytes`` reads ``/proc/self/statm`` and is left out where that
+    file does not exist.  ``rss_peak_bytes`` is ``getrusage``'s
+    high-water mark (kilobytes on Linux, bytes on macOS), raised to the
+    current size: Linux updates the mark lazily, so it can trail a
+    recent growth.  ``/metrics`` exports both as gauges, so a soak of
+    distinct ``/mine`` payloads shows whether the server's memory stays
+    flat.
+    """
+    gauges = {}
+    try:
+        with open("/proc/self/statm", encoding="ascii") as statm:
+            resident_pages = int(statm.read().split()[1])
+    except OSError:
+        pass
+    else:
+        gauges["rss_bytes"] = resident_pages * os.sysconf("SC_PAGE_SIZE")
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    if sys.platform != "darwin":
+        peak *= 1024
+    gauges["rss_peak_bytes"] = max(peak, gauges.get("rss_bytes", 0))
+    return gauges
 
 
 class LatencyHistogram:

@@ -6,6 +6,7 @@ from repro.core.topk_miner import mine_topk
 from repro.data import make_figure1_example
 from repro.data.loaders import discretized_from_payload, discretized_to_payload
 from repro.service.cache import MiningCache, dataset_fingerprint, mining_key
+from repro.service.server import topk_result_to_payload
 
 
 class TestFingerprint:
@@ -47,7 +48,7 @@ class TestFingerprint:
 
 class TestMiningCache:
     def _result(self, figure1, k=1):
-        return mine_topk(figure1, 1, 2, k=k)
+        return topk_result_to_payload(mine_topk(figure1, 1, 2, k=k))
 
     def test_get_miss_then_hit(self, figure1):
         cache = MiningCache(max_bytes=1 << 20)

@@ -50,6 +50,7 @@ from repro.service import (
     MiningCache,
     RuleService,
     ServiceError,
+    topk_result_to_payload,
 )
 from repro.service.jobs import Job, JobQueue
 
@@ -373,15 +374,15 @@ class TestMalformedContentLength:
 
 class TestOversizePutRetention:
     def test_oversize_put_keeps_existing_entry(self):
-        from repro.service.cache import _estimate_result_bytes
+        from repro.service.cache import _estimate_payload_bytes
 
         dataset = random_discretized_dataset(
             n_rows=6, n_items=5, density=0.5, seed=3
         )
-        small = mine_topk(dataset, 1, 1, k=1)
-        big = mine_topk(dataset, 1, 1, k=10)
-        small_size = _estimate_result_bytes(small)
-        big_size = _estimate_result_bytes(big)
+        small = topk_result_to_payload(mine_topk(dataset, 1, 1, k=1))
+        big = topk_result_to_payload(mine_topk(dataset, 1, 1, k=10))
+        small_size = _estimate_payload_bytes(small)
+        big_size = _estimate_payload_bytes(big)
         assert small_size < big_size
         cache = MiningCache(max_bytes=(small_size + big_size) // 2)
         cache.put("key", small)
