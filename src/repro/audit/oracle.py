@@ -82,7 +82,12 @@ from ..parallel import (
     pool_stats,
     results_equal,
 )
-from ..service.cache import MiningCache, dataset_fingerprint, mining_key
+from ..service.cache import (
+    MiningCache,
+    dataset_fingerprint,
+    encode_json,
+    mining_key,
+)
 from ..service.server import topk_result_to_payload
 from .generator import AuditCase, generate_raw_matrix
 from .invariants import (
@@ -448,9 +453,24 @@ def audit_case(
         if cache.get(key) is not payload:
             raise InvariantViolation("cache get() does not return the "
                                      "payload put()")
-        if json.dumps(payload) != json.dumps(_per_slot_payload(reference)):
+        expected = json.dumps(_per_slot_payload(reference))
+        if json.dumps(payload) != expected:
             raise InvariantViolation(
                 "topk_result_to_payload differs from a per-slot rendering"
+            )
+        # The service sends and stores the payload through its own
+        # encoder, which splices the text of each shared entry.
+        if encode_json(payload) != expected:
+            raise InvariantViolation(
+                "encode_json text differs from json.dumps of a per-slot "
+                "rendering"
+            )
+        compact = (",", ":")
+        if encode_json(payload, compact) != json.dumps(
+                _per_slot_payload(reference), separators=compact):
+            raise InvariantViolation(
+                "compact encode_json text differs from json.dumps of a "
+                "per-slot rendering"
             )
         entries = {id(entry) for slots in payload["per_row"].values()
                    for entry in slots}

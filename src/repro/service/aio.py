@@ -39,15 +39,15 @@ The embedding surface is ``start`` / ``stop`` / ``serve_forever`` /
 from __future__ import annotations
 
 import asyncio
-import json
 import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
+from .cache import encode_json
 from .registry import ModelRecord
-from .server import RuleService, ServiceError
+from .server import RuleService, ServiceError, parse_json_body
 
 __all__ = ["AsyncReproServer"]
 
@@ -613,14 +613,17 @@ class AsyncReproServer:
             # is a 404 whatever its body.
             if path not in ("/models", "/classify", "/mine"):
                 raise ServiceError(404, f"no route for POST {path}")
-            body = self._json_body(request)
+            if path == "/mine":
+                # Parsed on the executor, in the submit's own call.
+                payload = await self._call(
+                    service.submit_mine_json, request.body
+                )
+                return 202, payload, "POST /mine"
+            body = parse_json_body(request.body)
             if path == "/models":
                 payload = await self._call(service.register_model, body)
                 return 201, payload, "POST /models"
-            if path == "/classify":
-                return 200, await self._classify(body), "POST /classify"
-            payload = await self._call(service.submit_mine, body)
-            return 202, payload, "POST /mine"
+            return 200, await self._classify(body), "POST /classify"
         if method == "DELETE":
             if path.startswith("/jobs/"):
                 job_id = path[len("/jobs/"):]
@@ -659,17 +662,6 @@ class AsyncReproServer:
         """Run a blocking service call on the request executor."""
         return await self._loop.run_in_executor(self._executor, fn, *args)
 
-    def _json_body(self, request: _Request) -> dict:
-        if not request.body:
-            raise ServiceError(400, "missing request body")
-        try:
-            body = json.loads(request.body)
-        except json.JSONDecodeError as error:
-            raise ServiceError(400, f"invalid JSON body: {error}")
-        if not isinstance(body, dict):
-            raise ServiceError(400, "request body must be a JSON object")
-        return body
-
     def _render(
         self,
         status: int,
@@ -677,7 +669,7 @@ class AsyncReproServer:
         keep_alive: bool,
         retry_after: bool = False,
     ) -> bytes:
-        body = json.dumps(payload).encode("utf-8")
+        body = encode_json(payload).encode("utf-8")
         reason = _REASONS.get(status, "Unknown")
         head = [
             f"HTTP/1.1 {status} {reason}",

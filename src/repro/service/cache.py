@@ -11,6 +11,8 @@ The cache holds the JSON-safe payload the finishing job rendered
 ``TopkResult``: a hit is answered with that payload as it is, so it
 costs the request's decode, fingerprint and one lookup, and the job's
 result, the cache entry and every hit response share one set of objects.
+:func:`encode_json` turns such a payload into its JSON text for the
+wire and the durable store, encoding each shared entry once.
 
 The cache is an LRU bounded by an *estimated byte size* rather than an
 entry count, because one result can range from a handful of rule groups
@@ -24,13 +26,43 @@ import hashlib
 import json
 import sys
 import threading
+from array import array
 from bisect import bisect_right
 from collections import OrderedDict
+from itertools import chain
 from typing import Optional
 
 from ..data.dataset import DiscretizedDataset
 
-__all__ = ["dataset_fingerprint", "mining_key", "MiningCache"]
+__all__ = ["dataset_fingerprint", "encode_json", "mining_key", "MiningCache"]
+
+
+# Version tag of the fingerprint's canonical form.  A form change
+# re-keys every result older stores hold; each is mined once more.
+_FINGERPRINT_FORM = b"repro-dataset-v2\0"
+
+
+def _section(digest, tag: bytes, data: bytes) -> None:
+    """Feed one tagged, length-prefixed section to ``digest``."""
+    digest.update(tag + len(data).to_bytes(8, "little"))
+    digest.update(data)
+
+
+def _packed(digest, code: str, values: list) -> None:
+    """One column as ``array(code)`` bytes (native byte order).
+
+    A column an ``array`` cannot hold (a non-numeric or out-of-range
+    ``gene_index`` or bound, which mining never reads) is hashed as its
+    JSON text under its own tag instead, so any dataset the service
+    accepts has a fingerprint and the two forms never collide.
+    """
+    try:
+        packed = array(code, values)
+    except (TypeError, OverflowError):
+        text = json.dumps(values, default=repr)
+        _section(digest, b"J", text.encode("utf-8"))
+        return
+    _section(digest, code.encode("ascii"), packed.tobytes())
 
 
 def dataset_fingerprint(dataset: DiscretizedDataset) -> str:
@@ -39,21 +71,26 @@ def dataset_fingerprint(dataset: DiscretizedDataset) -> str:
     Two datasets with identical rows, labels, item catalogs and class
     names fingerprint identically regardless of object identity, load
     path, or ``name`` (the display name does not affect mining output).
+
+    The digest runs over a binary canonical form, every section tagged
+    and length-prefixed: the row lengths and the concatenated sorted
+    rows as ``array('q')``, the labels, the item ids and gene indices,
+    the interval bounds as ``array('d')`` (so ``-0.0`` and ``±inf``
+    keep their bits), and the gene and class names as one JSON list.
     """
-    blob = json.dumps(
-        {
-            "rows": [sorted(row) for row in dataset.rows],
-            "labels": dataset.labels,
-            "items": [
-                (item.item_id, item.gene_index, item.gene_name,
-                 repr(item.low), repr(item.high))
-                for item in dataset.items
-            ],
-            "class_names": dataset.class_names,
-        },
-        separators=(",", ":"),
-    ).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
+    digest = hashlib.sha256(_FINGERPRINT_FORM)
+    rows = [sorted(row) for row in dataset.rows]
+    items = dataset.items
+    _packed(digest, "q", [len(row) for row in rows])
+    _packed(digest, "q", list(chain.from_iterable(rows)))
+    _packed(digest, "q", dataset.labels)
+    _packed(digest, "q", [item.item_id for item in items])
+    _packed(digest, "q", [item.gene_index for item in items])
+    _packed(digest, "d", [item.low for item in items])
+    _packed(digest, "d", [item.high for item in items])
+    names = [[item.gene_name for item in items], dataset.class_names]
+    _section(digest, b"N", json.dumps(names).encode("utf-8"))
+    return digest.hexdigest()
 
 
 def mining_key(
@@ -76,6 +113,66 @@ def mining_key(
     if strategy != "direct":
         key = f"{key}:{strategy}"
     return key
+
+
+def encode_json(value, separators: tuple[str, str] = (", ", ": ")) -> str:
+    """``json.dumps(value, separators=separators)``, shared dicts once.
+
+    A ``/mine`` payload references one entry dict from every ``per_row``
+    slot its rule group fills (:func:`~repro.service.server.
+    topk_result_to_payload`).  ``json.dumps`` encodes each slot again;
+    this encoder encodes each distinct dict that holds no dict once, by
+    ``json.dumps`` itself, memoized by identity for the length of the
+    call, and joins the texts.  Dicts and lists that hold dicts are
+    walked here, in order and with the same separators, so the output
+    is byte-identical to ``json.dumps`` (default ``ensure_ascii``).
+    """
+    item_sep, key_sep = separators
+    leaf = json.JSONEncoder(separators=separators).encode
+    memo: dict[int, str] = {}
+    out: list[str] = []
+
+    def emit(value) -> None:
+        kind = type(value)
+        if kind is dict:
+            text = memo.get(id(value))
+            if text is None:
+                if _holds_dict(value.values()) and all(
+                        type(key) is str for key in value):
+                    out.append("{")
+                    for index, (key, item) in enumerate(value.items()):
+                        out.append((item_sep if index else "")
+                                   + _quoted(key) + key_sep)
+                        emit(item)
+                    out.append("}")
+                    return
+                text = memo[id(value)] = leaf(value)
+            out.append(text)
+        elif (kind is list or kind is tuple) and _holds_dict(value):
+            out.append("[")
+            for index, item in enumerate(value):
+                if index:
+                    out.append(item_sep)
+                emit(item)
+            out.append("]")
+        else:
+            out.append(leaf(value))
+
+    emit(value)
+    return "".join(out)
+
+
+_quoted = json.encoder.encode_basestring_ascii
+
+
+def _holds_dict(values) -> bool:
+    """True if a ``dict`` sits anywhere in ``values`` (lists descended)."""
+    for item in values:
+        kind = type(item)
+        if kind is dict or ((kind is list or kind is tuple)
+                            and _holds_dict(item)):
+            return True
+    return False
 
 
 # CPython shares one object for each int up to 256, so a list slot

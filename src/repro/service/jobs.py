@@ -30,6 +30,7 @@ threads survive it), and daemon threads would just hide leaks.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import queue
 import threading
@@ -49,6 +50,11 @@ RUNNING = "running"
 DONE = "done"
 FAILED = "failed"
 CANCELLED = "cancelled"
+
+# Finished jobs the queue keeps for polling, oldest dropped first.  Each
+# holds its result, so an unbounded table grows with every mine; a
+# dropped job is answered from the durable store when there is one.
+MAX_FINISHED_JOBS = 256
 
 
 class JobCancelled(ReproError):
@@ -109,6 +115,10 @@ class JobQueue:
             queue lock — the durability hook.  Notifications for one job
             may arrive out of order for sub-millisecond jobs; consumers
             must treat terminal states as final.
+
+    The queue keeps the :data:`MAX_FINISHED_JOBS` most recently
+    finished jobs; an older one is dropped from the table and
+    :meth:`get`/:meth:`snapshot` raise KeyError for it.
     """
 
     def __init__(
@@ -122,6 +132,7 @@ class JobQueue:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self._queue: "queue.Queue[Optional[Job]]" = queue.Queue()
         self._jobs: dict[str, Job] = {}
+        self._finished: "collections.deque[Job]" = collections.deque()
         self._job_fns: dict[str, Callable[[Job], Any]] = {}
         self._lock = threading.Lock()
         self._ids = itertools.count(max(1, start_id))
@@ -249,7 +260,7 @@ class JobQueue:
             else:
                 already_closed = False
                 self._closed = True
-                for job in self._jobs.values():
+                for job in list(self._jobs.values()):
                     if job.status == QUEUED:
                         self._finish(job, CANCELLED, error="queue shut down")
                         job.cancel_event.set()
@@ -349,9 +360,18 @@ class JobQueue:
     def _finish(
         self, job: Job, status: str, error: Optional[str] = None
     ) -> None:
-        """Transition a job to a terminal state (caller holds the lock)."""
+        """Transition a job to a terminal state (caller holds the lock).
+
+        The oldest finished jobs beyond :data:`MAX_FINISHED_JOBS` leave
+        the table.
+        """
         job.status = status
         job.error = error
         job.finished_at = time.time()
         self._job_fns.pop(job.job_id, None)
         job._done.set()
+        self._finished.append(job)
+        while len(self._finished) > MAX_FINISHED_JOBS:
+            oldest = self._finished.popleft()
+            if self._jobs.get(oldest.job_id) is oldest:
+                del self._jobs[oldest.job_id]

@@ -28,6 +28,7 @@ use case) pay mining cost once.
 
 from __future__ import annotations
 
+import json
 import math
 import threading
 import time
@@ -49,7 +50,9 @@ from .registry import ModelRecord, ModelRegistry
 from .store import JobStore
 from .telemetry import BATCH_SIZE_BUCKETS, Telemetry, process_memory
 
-__all__ = ["RuleService", "ServiceError", "topk_result_to_payload"]
+__all__ = [
+    "RuleService", "ServiceError", "parse_json_body", "topk_result_to_payload",
+]
 
 
 class ServiceError(Exception):
@@ -101,6 +104,19 @@ def topk_result_to_payload(result: TopkResult) -> dict:
         "n_unique_groups": len(entries),
         "per_row": per_row,
     }
+
+
+def parse_json_body(data: bytes) -> dict:
+    """A request body as a JSON object; a 400 for anything else."""
+    if not data:
+        raise ServiceError(400, "missing request body")
+    try:
+        body = json.loads(data)
+    except json.JSONDecodeError as error:
+        raise ServiceError(400, f"invalid JSON body: {error}")
+    if not isinstance(body, dict):
+        raise ServiceError(400, "request body must be a JSON object")
+    return body
 
 
 def _validate_budget(body: dict, name: str, default, integral: bool):
@@ -396,9 +412,36 @@ class RuleService:
 
     # -- mining ------------------------------------------------------------
 
+    def submit_mine_json(self, data: bytes) -> dict:
+        """:meth:`submit_mine` of a ``/mine`` request body as received.
+
+        The front end hands the raw bytes over so the parse runs off its
+        event loop, in the same executor call as the submit.  A UTF-8
+        body also goes to the durable store as it is, which then never
+        encodes the dataset again; any other encoding ``json`` accepts
+        is stored through its parsed ``items``.
+        """
+        body = parse_json_body(data)
+        text = None
+        if json.detect_encoding(data) == "utf-8":
+            try:
+                text = data.decode("utf-8")
+            except UnicodeDecodeError:  # lone surrogates json let through
+                pass
+        return self.submit_mine(body, text=text)
+
     def submit_mine(
-        self, body: dict, _replay_job_id: Optional[str] = None
+        self,
+        body: dict,
+        _replay_job_id: Optional[str] = None,
+        *,
+        text: Optional[str] = None,
     ) -> dict:
+        """Answer a ``/mine`` body from cache or store, or queue its mine.
+
+        ``text``, when given, is the JSON text ``body`` was parsed from;
+        the durable store keeps it in place of re-encoding the dataset.
+        """
         start = time.monotonic()
         items = body.get("items")
         if not isinstance(items, dict):
@@ -570,11 +613,11 @@ class RuleService:
                 # budgets validated, n_jobs capped) before the queue can
                 # touch the job: a crash from here on leaves a row the
                 # next boot replays verbatim — same mining key, same
-                # result, bit for bit.
+                # result, bit for bit.  The dataset rides in the request
+                # text as received, or in ``items`` when there is none.
                 if job_id is None:
                     job_id = self.jobs.next_id()
-                self.store.record_submitted(job_id, key, {
-                    "items": items,
+                request = {
                     "consequent": consequent,
                     "minsup": minsup,
                     "k": k,
@@ -583,7 +626,10 @@ class RuleService:
                     "node_budget": node_budget,
                     "time_budget": time_budget,
                     "n_jobs": planned.workers,
-                })
+                }
+                if text is None:
+                    request["items"] = items
+                self.store.record_submitted(job_id, key, request, body=text)
             if job_id is None:
                 job = self.jobs.submit(run)
             else:

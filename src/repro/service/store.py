@@ -7,9 +7,9 @@ still poll for.  This module makes the job registry durable without
 changing the queue itself:
 
 * **jobs** — one row per submitted mine: status, timestamps, error, the
-  *normalized* request body (minsup resolved, budgets validated) so the
-  job can be re-mined verbatim after a restart, and the mining key that
-  names its result.
+  *normalized* request fields (minsup resolved, budgets validated) with
+  the request text as received, whose dataset the job re-mines verbatim
+  after a restart, and the mining key that names its result.
 * **results** — finished payloads, content-addressed by the same
   ``(dataset fingerprint, consequent, minsup, k, engine)`` key the
   in-memory :class:`~repro.service.cache.MiningCache` uses.  Identical
@@ -39,6 +39,8 @@ import threading
 import time
 from pathlib import Path
 from typing import Optional, Union
+
+from .cache import encode_json
 
 __all__ = ["JobStore"]
 
@@ -98,26 +100,39 @@ class JobStore:
         mining_key: str,
         request: dict,
         submitted_at: Optional[float] = None,
+        body: Optional[str] = None,
     ) -> None:
         """Insert a freshly queued job (idempotent for replays).
 
+        ``request`` holds the normalized fields.  ``body``, when given,
+        is the ``/mine`` request text exactly as received; it is spliced
+        into the stored request under ``"body"`` without being decoded
+        or encoded again, and :meth:`pending_jobs` takes the dataset
+        from it.  A caller without the text puts ``items`` in
+        ``request`` instead.
+
         A replayed job (re-enqueued on boot) keeps its original
-        ``submitted_at`` and simply has its status reset to ``queued``;
-        a brand-new id inserts a full row.
+        ``submitted_at`` and request, and has its status reset to
+        ``queued`` under the mining key the replay computed (a row an
+        older fingerprint form keyed is re-keyed); a brand-new id
+        inserts a full row.
         """
         now = time.time() if submitted_at is None else submitted_at
         with self._lock, self._conn:
             updated = self._conn.execute(
-                "UPDATE jobs SET status='queued', error=NULL, "
-                "started_at=NULL, finished_at=NULL WHERE job_id=?",
-                (job_id,),
+                "UPDATE jobs SET status='queued', mining_key=?, error=NULL,"
+                " started_at=NULL, finished_at=NULL WHERE job_id=?",
+                (mining_key, job_id),
             ).rowcount
             if not updated:
+                text = json.dumps(request, separators=(",", ":"))
+                if body is not None:
+                    text = (text[:-1] + ("," if request else "")
+                            + '"body":' + body + "}")
                 self._conn.execute(
                     "INSERT INTO jobs (job_id, status, mining_key, request,"
                     " submitted_at) VALUES (?, 'queued', ?, ?, ?)",
-                    (job_id, mining_key,
-                     json.dumps(request, separators=(",", ":")), now),
+                    (job_id, mining_key, text, now),
                 )
 
     def apply_snapshot(self, snapshot: dict) -> None:
@@ -146,7 +161,7 @@ class JobStore:
                     "INSERT OR IGNORE INTO results (result_key, payload,"
                     " created_at) VALUES (?, ?, ?)",
                     (result_key,
-                     json.dumps(snapshot["result"], separators=(",", ":")),
+                     encode_json(snapshot["result"], separators=(",", ":")),
                      time.time()),
                 )
             self._conn.execute(
@@ -240,7 +255,8 @@ class JobStore:
         """Jobs a dead process left queued or running, oldest first.
 
         Each entry carries the normalized ``request`` body needed to
-        re-mine it verbatim.
+        re-mine it verbatim, with ``items`` taken from the stored
+        request text when :meth:`record_submitted` was given one.
         """
         with self._lock:
             rows = self._conn.execute(
@@ -248,15 +264,19 @@ class JobStore:
                 " WHERE status IN ('queued', 'running') AND proxy_for IS NULL"
                 " ORDER BY submitted_at, job_id",
             ).fetchall()
-        return [
-            {
+        pending = []
+        for job_id, mining_key, text, submitted_at in rows:
+            request = json.loads(text)
+            body = request.pop("body", None)
+            if body is not None:
+                request["items"] = body.get("items")
+            pending.append({
                 "job_id": job_id,
                 "mining_key": mining_key,
-                "request": json.loads(request),
+                "request": request,
                 "submitted_at": submitted_at,
-            }
-            for job_id, mining_key, request, submitted_at in rows
-        ]
+            })
+        return pending
 
     def max_job_number(self) -> int:
         """Largest numeric suffix among stored ``job-N`` ids (0 if none).

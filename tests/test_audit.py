@@ -8,6 +8,7 @@ the real miners comes back clean.
 """
 
 import dataclasses
+import re
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.audit import (
     generate_cases,
     run_audit,
 )
+from repro.audit import oracle
 from repro.audit.generator import MAX_ROWS, MAX_TALL_ROWS, SHAPES
 from repro.core.topk_miner import mine_topk
 from repro.service.cache import dataset_fingerprint
@@ -210,3 +212,24 @@ class TestFuzzSmoke:
         rendered = mismatches[0].render()
         assert "reproduce:" in rendered
         assert "audit --seed 0 --only-case 0" in rendered
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda text: text.replace(", ", ",", 1),
+        lambda text: text.replace('"k": ', '"k":', 1),
+        lambda text: re.sub(r'"completed": (\w+), "degraded": (\w+)',
+                            r'"degraded": \2, "completed": \1', text,
+                            count=1),
+    ], ids=["dropped-item-separator", "dropped-key-separator",
+            "reordered-key"])
+    def test_cache_roundtrip_flags_a_bad_splice(self, monkeypatch, corrupt):
+        # The service encoder must be json.dumps of the per-slot
+        # rendering byte for byte; a splice that loses a separator or
+        # moves a key is a failure, not a formatting detail.
+        case = generate_case(seed=0, index=0)
+        encode = oracle.encode_json
+        monkeypatch.setattr(
+            oracle, "encode_json",
+            lambda value, *args: corrupt(encode(value, *args)),
+        )
+        failures, _ = audit_case(case, parallel_jobs=1, quick=True)
+        assert [f.check for f in failures] == ["cache-roundtrip"]

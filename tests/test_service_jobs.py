@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.topk_miner import mine_topk
 from repro.data import random_discretized_dataset
+import repro.service.jobs as jobs_module
 from repro.service.jobs import JobCancelled, JobQueue
 
 
@@ -21,6 +22,32 @@ def _nondaemon_threads():
 
 
 class TestLifecycle:
+    def test_finished_jobs_beyond_the_bound_leave_the_table(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(jobs_module, "MAX_FINISHED_JOBS", 2)
+        queue = JobQueue(workers=1)
+        release = threading.Event()
+        try:
+            blocked = queue.submit(lambda job: release.wait(10.0))
+            done = []
+            for value in range(3):
+                done.append(queue.submit(lambda job, value=value: value))
+            cancelled = queue.cancel(done[-1].job_id)
+            release.set()
+            for job in [blocked, *done]:
+                assert job.wait(5.0)
+            # Finished in order: the cancelled job, then blocked, 0, 1.
+            # Only the two most recent stay.
+            assert queue.describe()["jobs"] == 2
+            assert queue.get(done[1].job_id) is done[1]
+            assert queue.snapshot(done[0].job_id)["result"] == 0
+            for gone in (cancelled, blocked):
+                with pytest.raises(KeyError):
+                    queue.snapshot(gone.job_id)
+        finally:
+            queue.shutdown()
+
     def test_submit_poll_result(self):
         queue = JobQueue(workers=1)
         try:

@@ -4,8 +4,9 @@
 ``per_row`` slot a rule group fills, and the service keeps that one
 payload as the job's result, the cache entry and every cache-hit
 response.  These tests hold the JSON text to a slot-by-slot rendering,
-check that hits do not render again, and bound the memory a finished
-job retains.
+hold ``encode_json`` (which encodes each shared entry once) to
+``json.dumps`` byte for byte, check that hits do not render again, and
+bound the memory a finished job retains.
 """
 
 import gc
@@ -21,8 +22,8 @@ from repro.core.bitset import iter_indices
 from repro.core.topk_miner import mine_topk, relative_minsup
 from repro.data import random_discretized_dataset
 from repro.data.loaders import discretized_to_payload
-from repro.service import RuleService, topk_result_to_payload
-from repro.service.cache import _estimate_payload_bytes
+from repro.service import JobStore, RuleService, topk_result_to_payload
+from repro.service.cache import _estimate_payload_bytes, encode_json
 
 
 def per_slot_payload(result):
@@ -63,9 +64,9 @@ def dataset():
     )
 
 
-def _mine(dataset, **options):
+def _mine(dataset, k=10, **options):
     minsup = relative_minsup(dataset, 1, 0.5)
-    return mine_topk(dataset, 1, minsup, k=10, **options)
+    return mine_topk(dataset, 1, minsup, k=k, **options)
 
 
 class TestRendering:
@@ -169,6 +170,82 @@ class TestServiceHoldsOnePayload:
         # 111.5 KB per job when the cache held the TopkResult and the job
         # a slot-by-slot rendering, 24.7 KB with one shared payload.
         assert retained < 48 * 1024, f"{retained / 1024:.1f} KB per job"
+
+
+COMPACT = (",", ":")
+
+
+def assert_encodes_like_json(value):
+    assert encode_json(value) == json.dumps(value)
+    assert encode_json(value, COMPACT) == json.dumps(value, separators=COMPACT)
+
+
+class TestEncoder:
+    """``encode_json`` is ``json.dumps``, byte for byte, on every body the
+    service sends or stores."""
+
+    @pytest.mark.parametrize("options", [
+        {"engine": "bitset"},
+        {"engine": "table"},
+        {"engine": "tree"},
+        {"strategy": "hybrid"},
+        {"node_budget": 40},
+        {"k": 1},
+    ], ids=["bitset", "table", "tree", "hybrid", "truncated", "k1"])
+    def test_mine_payloads(self, dataset, options):
+        payload = topk_result_to_payload(_mine(dataset, **options))
+        assert payload["n_unique_groups"] > 0
+        assert_encodes_like_json(payload)
+
+    def test_service_bodies(self, dataset, tmp_path):
+        body = _permuted_body(discretized_to_payload(dataset), 0)
+        service = RuleService(mining_workers=1,
+                              store_path=str(tmp_path / "jobs.db"))
+        try:
+            job = _finish(service, body)
+            snapshot = service.job_status(job.job_id)
+            hit = service.submit_mine(body)
+            assert hit["cached"] is True
+            assert_encodes_like_json(snapshot)
+            assert_encodes_like_json(hit)
+        finally:
+            service.shutdown()
+        store = JobStore(tmp_path / "jobs.db")
+        try:
+            stored = store.get_job(job.job_id)
+        finally:
+            store.close()
+        # Decoded from text, so no entry dict is shared any more.
+        result = stored["result"]
+        slots = sum(len(entries) for entries in result["per_row"].values())
+        assert len(distinct_entries(result)) == slots
+        assert stored["result"] == json.loads(json.dumps(snapshot["result"]))
+        assert_encodes_like_json(stored)
+
+    @pytest.mark.parametrize("value", [
+        {"error": "invalid JSON body: Expecting value: line 1 column 1 "
+                  "(char 0)"},
+        {"error": "unknown job 'j\u00f6b \\ \"x\"\\n\\u0000'"},
+        {"error": "\u00fc\u2603\U0001f600 \x00\x1f"},
+        {},
+        [],
+        {"a": [], "b": {}, "c": [{}], "d": [[{"e": None}]]},
+        {"nums": [0, -1, 1.5, -0.0, 1e300, float("inf"), float("-inf")],
+         "flags": [True, False, None]},
+        {1: "int key", None: {"x": 1}, 2.5: [{"y": 2}]},
+        {"tuple": ({"a": 1}, (2, 3)), "mixed": [1, {"b": [2]}, "s"]},
+    ], ids=["parse", "quotes", "unicode", "empty-dict", "empty-list",
+            "nested", "scalars", "non-str-keys", "tuples"])
+    def test_other_bodies(self, value):
+        assert_encodes_like_json(value)
+
+    def test_shared_dicts_encode_like_copies(self):
+        entry = {"antecedent": [1, 2], "support": 3, "confidence": 0.75,
+                 "rows": [0, 4, 9]}
+        shared = {"per_row": {str(row): [entry, entry] for row in range(3)}}
+        assert_encodes_like_json(shared)
+        assert encode_json(shared) == encode_json(
+            json.loads(json.dumps(shared)))
 
 
 class TestMetricsMemory:

@@ -1,13 +1,16 @@
 """Durable job store: unit behavior and restart recovery semantics."""
 
+import json
+import sqlite3
 import time
 
 import pytest
 
 from repro.data import random_discretized_dataset
 from repro.data.loaders import discretized_to_payload
-from repro.service import JobStore, RuleService
-from repro.service.jobs import JobCancelled
+import repro.service.jobs as jobs_module
+from repro.service import JobStore, RuleService, ServiceError
+from repro.service.jobs import MAX_FINISHED_JOBS, JobCancelled
 
 
 def _mine_body(dataset, **overrides):
@@ -350,5 +353,157 @@ class TestDurableService:
             metrics = service.metrics()
             assert metrics["store"]["by_status"] == {"done": 1}
             assert metrics["store"]["results"] == 1
+        finally:
+            service.shutdown()
+
+
+def _stored_request_text(path, job_id):
+    connection = sqlite3.connect(path)
+    try:
+        return connection.execute(
+            "SELECT request FROM jobs WHERE job_id=?", (job_id,)
+        ).fetchone()[0]
+    finally:
+        connection.close()
+
+
+def _fresh_key_and_result(dataset):
+    """The mining key and finished result of a plain in-memory submit."""
+    service = RuleService()
+    try:
+        submitted = service.submit_mine(_mine_body(dataset))
+        return submitted["key"], _wait_done(service, submitted["job_id"])
+    finally:
+        service.shutdown()
+
+
+class TestStoredRequestText:
+    """A job row holds the normalized fields and the ``/mine`` body as
+    received; both it and a row in the older full-JSON form replay to a
+    fresh submit's key and result."""
+
+    def test_body_is_stored_as_received_and_replays(self, tmp_path, dataset):
+        key, reference = _fresh_key_and_result(dataset)
+        # Spacing and key order json.dumps would not produce: the store
+        # must keep the text, not a re-encoding.
+        raw = ('{ "k" : 2,\n "consequent": 1, "items": '
+               + json.dumps(discretized_to_payload(dataset), indent=1)
+               + " }\n").encode("utf-8")
+        path = str(tmp_path / "jobs.db")
+        service = RuleService(store_path=path, mining_workers=1)
+        service.jobs.submit(lambda job: job.cancel_event.wait(10.0))
+        submitted = service.submit_mine_json(raw)
+        assert submitted["key"] == key
+        job_id = submitted["job_id"]
+        service.shutdown()
+
+        text = _stored_request_text(path, job_id)
+        assert text.endswith('"body":' + raw.decode("utf-8") + "}")
+        stored = json.loads(text)
+        assert "items" not in stored
+        assert stored["minsup"] == reference["result"]["minsup"]
+
+        revived = RuleService(store_path=path)
+        try:
+            assert revived.telemetry.counter("mine_jobs_recovered") == 1
+            resumed = _wait_done(revived, job_id)
+            assert resumed["status"] == "done"
+            assert _mined_content(resumed["result"]) == _mined_content(
+                reference["result"])
+        finally:
+            revived.shutdown()
+        store = JobStore(path)
+        try:
+            assert store.get_result(key) is not None
+        finally:
+            store.close()
+
+    def test_older_full_json_row_replays_under_fresh_key(
+        self, tmp_path, dataset
+    ):
+        key, reference = _fresh_key_and_result(dataset)
+        path = str(tmp_path / "jobs.db")
+        store = JobStore(path)
+        # The form older versions wrote: items encoded in the request,
+        # keyed by the fingerprint form of their time.
+        store.record_submitted("job-1", "older-fingerprint:c1:s0:k2:bitset", {
+            "items": discretized_to_payload(dataset),
+            "consequent": 1,
+            "minsup": reference["result"]["minsup"],
+            "k": 2,
+            "engine": "bitset",
+            "strategy": "direct",
+            "node_budget": None,
+            "time_budget": None,
+            "n_jobs": 1,
+        })
+        store.close()
+
+        revived = RuleService(store_path=path)
+        try:
+            assert revived.telemetry.counter("mine_jobs_recovered") == 1
+            resumed = _wait_done(revived, "job-1")
+            assert _mined_content(resumed["result"]) == _mined_content(
+                reference["result"])
+        finally:
+            revived.shutdown()
+        store = JobStore(path)
+        try:
+            assert _mined_content(store.get_result(key)) == _mined_content(
+                reference["result"])
+        finally:
+            store.close()
+
+    @pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16"])
+    def test_other_encodings_store_their_items(
+        self, tmp_path, dataset, encoding
+    ):
+        raw = json.dumps(_mine_body(dataset)).encode(encoding)
+        path = str(tmp_path / "jobs.db")
+        service = RuleService(store_path=path, mining_workers=1)
+        service.jobs.submit(lambda job: job.cancel_event.wait(10.0))
+        job_id = service.submit_mine_json(raw)["job_id"]
+        service.shutdown()
+        stored = json.loads(_stored_request_text(path, job_id))
+        assert "body" not in stored
+        assert stored["items"] == discretized_to_payload(dataset)
+
+
+class TestJobTableBound:
+    def test_soak_holds_the_bound_and_store_answers_dropped_jobs(
+        self, tmp_path
+    ):
+        small = random_discretized_dataset(n_rows=8, n_items=6, seed=2)
+        path = str(tmp_path / "jobs.db")
+        service = RuleService(store_path=path, mining_workers=1)
+        try:
+            first = service.submit_mine(_mine_body(small, k=1))["job_id"]
+            live = _wait_done(service, first)
+            # Each k is its own mining key, so every submit is a job.
+            for k in range(2, MAX_FINISHED_JOBS + 12):
+                job_id = service.submit_mine(_mine_body(small, k=k))["job_id"]
+                assert service.jobs.get(job_id).wait(30)
+            assert service.jobs.describe()["jobs"] == MAX_FINISHED_JOBS
+            with pytest.raises(KeyError):
+                service.jobs.snapshot(first)
+            polled = service.job_status(first)
+            assert polled["status"] == "done"
+            assert polled["result"] == live["result"]
+        finally:
+            service.shutdown()
+
+    def test_dropped_job_without_store_is_404(self, dataset, monkeypatch):
+        monkeypatch.setattr(jobs_module, "MAX_FINISHED_JOBS", 2)
+        service = RuleService(mining_workers=1)
+        try:
+            ids = []
+            for k in (1, 2, 3):
+                body = _mine_body(dataset, k=k)
+                ids.append(service.submit_mine(body)["job_id"])
+                assert service.jobs.get(ids[-1]).wait(30)
+            assert service.job_status(ids[2])["status"] == "done"
+            with pytest.raises(ServiceError) as excinfo:
+                service.job_status(ids[0])
+            assert excinfo.value.status == 404
         finally:
             service.shutdown()
