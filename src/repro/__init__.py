@@ -31,7 +31,6 @@ from .core import (
 )
 from .parallel import (
     mine_topk_requests,
-    parallel_map,
     results_equal,
 )
 from .core.lower_bounds import find_lower_bounds, find_lower_bounds_batch
@@ -77,7 +76,6 @@ __all__ = [
     "make_figure1_example",
     "mine_topk",
     "mine_topk_requests",
-    "parallel_map",
     "relative_minsup",
     "results_equal",
 ]

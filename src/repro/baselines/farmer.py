@@ -235,7 +235,7 @@ def mine_farmer(
             replace(shard, first_rows=mask)
             for mask in plan_shards(dataset.n_rows, planned.workers)
         ]
-    outputs, _recovery = run_jobs(
+    outputs = run_jobs(
         dataset, jobs, planned.workers, time_budget, cancel, fault=fault
     )
     merged = [group for groups, _stats in outputs for group in groups]

@@ -565,7 +565,7 @@ def mine_topk_hybrid(
             None if time_budget is None
             else max(time_budget - (time.monotonic() - start_monotonic), 0.0)
         )
-        outputs, _recovery = run_jobs(
+        outputs = run_jobs(
             catalog, requests, planned.workers, time_left, cancel, fault=fault
         )
     finally:

@@ -12,7 +12,7 @@ Run from the command line::
 """
 
 from . import ablations, fig6, fig7, fig8, report, table1, table2
-from .harness import DATASET_NAMES, prepare, prepare_all, render_table
+from .harness import DATASET_NAMES, prepare, render_table
 
 __all__ = [
     "DATASET_NAMES",
@@ -21,7 +21,6 @@ __all__ = [
     "fig7",
     "fig8",
     "prepare",
-    "prepare_all",
     "render_table",
     "report",
     "table1",

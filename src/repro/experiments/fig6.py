@@ -56,7 +56,6 @@ def _sweep_dataset(
     time_budget: float,
     k_values: Sequence[int] = (1, 100),
     column_baselines: bool = False,
-    n_jobs: int = 1,
 ) -> list[tuple[float, int, dict[str, Timing]]]:
     train = benchmark.train_items
     high_conf = _HIGH_CONF.get(benchmark.name, 0.9)
@@ -79,14 +78,6 @@ def _sweep_dataset(
             )
         )
         series["FARMER"] = timing
-        if n_jobs != 1:
-            timing, _ = timed(
-                lambda: mine_farmer(
-                    train, 1, minsup, minconf=0.0, engine="table",
-                    time_budget=time_budget, n_jobs=n_jobs,
-                )
-            )
-            series[f"FARMER [{n_jobs}j]"] = timing
         timing, _ = timed(
             lambda: mine_farmer(
                 train, 1, minsup, minconf=high_conf, engine="table",
@@ -122,22 +113,14 @@ def run(
     fractions: Sequence[float] = DEFAULT_FRACTIONS,
     time_budget: float = 20.0,
     column_baselines: bool = False,
-    n_jobs: int = 1,
 ) -> Fig6Result:
-    """Panels (a)-(d): the minsup sweep on each dataset.
-
-    ``n_jobs`` != 1 adds a ``FARMER [Nj]`` wall-clock column next to the
-    serial ``FARMER`` series, timing the same mine over row shards on the
-    process pool.  MineTopkRGS has no such column: one top-k mine always
-    runs in one process.
-    """
+    """Panels (a)-(d): the minsup sweep on each dataset."""
     result = Fig6Result(time_budget=time_budget)
     for name in datasets:
         benchmark = prepare(name, scale)
         result.panels[name] = _sweep_dataset(
             benchmark, fractions, time_budget,
             column_baselines=column_baselines,
-            n_jobs=n_jobs,
         )
     return result
 
@@ -208,9 +191,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--time-budget", type=float, default=20.0)
     parser.add_argument("--column-baselines", action="store_true")
     parser.add_argument("--panel", choices=["sweep", "e", "all"], default="all")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="also time FARMER on this many worker "
-                             "processes (adds a [Nj] column; 0 = all cores)")
     args = parser.parse_args(argv)
     result = Fig6Result(time_budget=args.time_budget)
     if args.panel in ("sweep", "all"):
@@ -220,7 +200,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             fractions=args.fractions,
             time_budget=args.time_budget,
             column_baselines=args.column_baselines,
-            n_jobs=args.jobs,
         )
         result.panels = swept.panels
     if args.panel in ("e", "all"):

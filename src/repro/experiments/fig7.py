@@ -3,10 +3,7 @@
 Sweeps ``nl`` for RCBT on the ALL- and LC-shaped datasets (the two the
 paper plots).  The published curves are flat for nl ≳ 15 — the committee
 saturates — and that insensitivity is the claim this driver checks.
-
-``--jobs`` additionally fits each point through the process-pool mining
-backend and reports serial vs. parallel build wall-clock side by side
-(the fitted models are identical, so accuracy is measured once).
+Each point's build wall-clock is reported alongside.
 """
 
 from __future__ import annotations
@@ -28,17 +25,12 @@ DEFAULT_NL_VALUES = (1, 5, 10, 15, 20, 25)
 class Fig7Result:
     """Accuracy per dataset per nl value.
 
-    ``timings`` holds per-point build wall-clock as ``(nl, serial
-    seconds, parallel seconds or None)``; parallel entries are filled
-    only when :func:`run` is given ``n_jobs`` != 1.
+    ``timings`` holds per-point build wall-clock as ``(nl, seconds)``.
     """
 
     curves: dict[str, list[tuple[int, float]]] = field(default_factory=dict)
-    timings: dict[str, list[tuple[int, float, Optional[float]]]] = field(
-        default_factory=dict
-    )
+    timings: dict[str, list[tuple[int, float]]] = field(default_factory=dict)
     k: int = 10
-    n_jobs: int = 1
 
 
 def run(
@@ -47,10 +39,9 @@ def run(
     nl_values: Sequence[int] = DEFAULT_NL_VALUES,
     k: int = 10,
     minsup_fraction: float = 0.7,
-    n_jobs: int = 1,
 ) -> Fig7Result:
     """Fit RCBT at each nl and record test accuracy (and build times)."""
-    result = Fig7Result(k=k, n_jobs=n_jobs)
+    result = Fig7Result(k=k)
     for name in datasets:
         benchmark = prepare(name, scale)
         curve = []
@@ -60,17 +51,9 @@ def run(
             model = RCBTClassifier(
                 k=k, nl=nl, minsup_fraction=minsup_fraction
             ).fit(benchmark.train_items)
-            serial_seconds = time.perf_counter() - start
-            parallel_seconds: Optional[float] = None
-            if n_jobs != 1:
-                start = time.perf_counter()
-                RCBTClassifier(
-                    k=k, nl=nl, minsup_fraction=minsup_fraction,
-                    n_jobs=n_jobs,
-                ).fit(benchmark.train_items)
-                parallel_seconds = time.perf_counter() - start
+            seconds = time.perf_counter() - start
             curve.append((nl, model.score(benchmark.test_items)))
-            timings.append((nl, serial_seconds, parallel_seconds))
+            timings.append((nl, seconds))
         result.curves[name] = curve
         result.timings[name] = timings
     return result
@@ -91,29 +74,14 @@ def render(result: Fig7Result) -> str:
         )
     ]
     if result.timings:
-        jobs_label = f"{result.n_jobs}j" if result.n_jobs != 1 else None
-        time_headers = ["nl"]
-        for dataset in datasets:
-            time_headers.append(f"{dataset} serial")
-            if jobs_label:
-                time_headers.append(f"{dataset} [{jobs_label}]")
-        time_body = []
-        for index, nl in enumerate(nl_values):
-            row: list[object] = [nl]
-            for dataset in datasets:
-                _nl, serial_seconds, parallel_seconds = result.timings[dataset][index]
-                row.append(format_seconds(serial_seconds))
-                if jobs_label:
-                    row.append(
-                        format_seconds(parallel_seconds)
-                        if parallel_seconds is not None
-                        else "-"
-                    )
-            time_body.append(row)
+        time_body = [
+            [nl, *(format_seconds(result.timings[d][index][1])
+                   for d in datasets)]
+            for index, nl in enumerate(nl_values)
+        ]
         sections.append(
             render_table(
-                time_headers, time_body,
-                title="Figure 7 — RCBT build wall-clock",
+                headers, time_body, title="Figure 7 — RCBT build wall-clock",
             )
         )
     return "\n\n".join(sections)
@@ -127,12 +95,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--nl-values", nargs="+", type=int,
                         default=list(DEFAULT_NL_VALUES))
     parser.add_argument("--k", type=int, default=10)
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="also time the classifier build on this many "
-                             "worker processes (0 = all cores)")
     args = parser.parse_args(argv)
     print(render(run(scale=args.scale, datasets=args.datasets,
-                     nl_values=args.nl_values, k=args.k, n_jobs=args.jobs)))
+                     nl_values=args.nl_values, k=args.k)))
     return 0
 
 

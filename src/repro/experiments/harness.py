@@ -17,7 +17,6 @@ from ..data.loaders import Benchmark, load_benchmark
 __all__ = [
     "DATASET_NAMES",
     "prepare",
-    "prepare_all",
     "Timing",
     "timed",
     "render_table",
@@ -30,33 +29,6 @@ DATASET_NAMES = ("ALL", "LC", "OC", "PC")
 def prepare(name: str, scale: float = 1.0, use_cache: bool = True) -> Benchmark:
     """Generate and discretize one paper-shaped dataset."""
     return load_benchmark(name, scale=scale, use_cache=use_cache)
-
-
-def _prepare_job(job: tuple[str, float, bool]) -> Benchmark:
-    # Module-level so it pickles into parallel_map worker processes.
-    name, scale, use_cache = job
-    return prepare(name, scale, use_cache)
-
-
-def prepare_all(
-    scale: float = 1.0,
-    datasets: Sequence[str] = DATASET_NAMES,
-    use_cache: bool = True,
-    n_jobs: int = 1,
-) -> dict[str, Benchmark]:
-    """Prepare several datasets keyed by their code.
-
-    ``n_jobs`` != 1 generates/discretizes the datasets in worker
-    processes (``None``/0 = all cores); generation is seeded per dataset,
-    so the outputs are identical to the serial path.
-    """
-    if n_jobs != 1 and len(datasets) > 1:
-        from ..parallel import parallel_map
-
-        jobs = [(name, scale, use_cache) for name in datasets]
-        prepared = parallel_map(_prepare_job, jobs, n_jobs=n_jobs)
-        return dict(zip(datasets, prepared))
-    return {name: prepare(name, scale, use_cache) for name in datasets}
 
 
 @dataclass

@@ -65,9 +65,8 @@ before degrading losslessly to the in-process loop (the output is
 bit-identical regardless of where a job ran; ``stats.degraded`` marks
 each output that loop produced).  Every recovery path is
 exercised deterministically through :class:`FaultPlan`, which can kill,
-hang, delay, or raise inside a chosen job on a chosen attempt — either
-passed explicitly or via the ``REPRO_FAULT`` environment variable for
-subprocess tests.
+hang, delay, or raise inside a chosen job on a chosen attempt, passed
+as ``fault=`` (the CLI's ``mine --fault``).
 """
 
 from __future__ import annotations
@@ -85,7 +84,7 @@ import weakref
 from collections import OrderedDict
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .core.enumeration import MinerStats
 from .core.planner import (
@@ -118,7 +117,6 @@ __all__ = [
     "plan_shards",
     "merge_stats",
     "mine_topk_requests",
-    "parallel_map",
     "results_equal",
     "run_jobs",
     "usable_cpus",
@@ -233,8 +231,8 @@ class Fault:
 class FaultPlan:
     """A deterministic set of :class:`Fault` entries for one mine.
 
-    The string form (accepted by :meth:`parse` and the ``REPRO_FAULT``
-    environment variable) is ``;``-separated entries of
+    The string form (accepted by :meth:`parse` and the CLI's ``mine
+    --fault``) is ``;``-separated entries of
     ``mode@shard.attempt[:seconds]``, with ``*`` as a shard/attempt
     wildcard::
 
@@ -282,12 +280,6 @@ class FaultPlan:
                 )
             )
         return cls(tuple(faults))
-
-    @classmethod
-    def from_env(cls) -> Optional["FaultPlan"]:
-        """The plan in ``REPRO_FAULT``, or None when unset/empty."""
-        spec = os.environ.get("REPRO_FAULT", "")
-        return cls.parse(spec) if spec else None
 
     def find(self, shard: int, attempt: int) -> Optional[Fault]:
         for fault in self.faults:
@@ -440,10 +432,9 @@ def _run_shard(job, token: str, blob: bytes, slot: int, shard_index: int = 0,
     ``time_budget``: the parent's watcher sets the slot ``cancel``
     reads once the global deadline passes.
 
-    ``shard_index``/``attempt`` identify this execution to the fault
-    plan (the explicit ``fault`` argument, or ``REPRO_FAULT`` from the
-    environment the worker inherited) — production calls carry neither
-    and pay a single ``None`` check.
+    ``shard_index``/``attempt`` identify this execution to the
+    ``fault`` plan — production calls carry none and pay a single
+    ``None`` check.
     """
     dataset = _worker_dataset(token, blob)
     cancel = (
@@ -451,9 +442,8 @@ def _run_shard(job, token: str, blob: bytes, slot: int, shard_index: int = 0,
         if slot >= 0 and _WORKER_SLOTS is not None
         else None
     )
-    plan = fault if fault is not None else FaultPlan.from_env()
-    if plan is not None:
-        entry = plan.find(shard_index, attempt)
+    if fault is not None:
+        entry = fault.find(shard_index, attempt)
         if entry is not None:
             _apply_fault(entry, cancel)
     return job.run(dataset, cancel, None)
@@ -794,16 +784,14 @@ def run_jobs(
     pool: Optional[MinerPool] = None,
     fault: Optional[FaultPlan] = None,
     max_attempts: int = _MAX_SHARD_ATTEMPTS,
-) -> tuple[list, dict]:
+) -> list:
     """Run jobs over ``dataset``: the one place any mining unit runs.
 
     Each job is a picklable object whose ``run(dataset, cancel,
     time_budget)`` returns ``(payload, stats)``, or ``None`` when it
     starts after the stop and skips its work; ``dataset`` is whatever
     its ``run`` mines (a :class:`DiscretizedDataset`, or a hybrid run's
-    shared catalog).  Returns ``(outputs, recovery)``: outputs in job
-    order, and a recovery summary for this call (``shard_retries``,
-    ``pool_restarts``, ``serial_degradations``, ``degraded``).
+    shared catalog).  Returns the outputs in job order.
 
     With one worker or one job the jobs run in order in this process,
     each with the time left before one deadline (clamped at 0) and the
@@ -819,19 +807,14 @@ def run_jobs(
     pool with exponential backoff, up to ``max_attempts`` total pool
     attempts each, then run by the in-process loop — a job's output does
     not depend on where it ran, so degradation is lossless, and
-    ``stats.degraded`` marks every output the fallback produced.  No
+    ``stats.degraded`` marks every output the fallback produced, and
+    :func:`pool_stats` counts the retries, heals and degradations.  No
     ``BrokenProcessPool`` ever escapes to the caller.
     """
     if time_budget is not None and not time_budget >= 0:
         raise ValueError(
             f"time_budget must be a non-negative number, got {time_budget}"
         )
-    recovery = {
-        "shard_retries": 0,
-        "pool_restarts": 0,
-        "serial_degradations": 0,
-        "degraded": False,
-    }
     deadline = (
         time.monotonic() + time_budget if time_budget is not None else None
     )
@@ -844,8 +827,6 @@ def run_jobs(
         # consulted: an injected kill must never take down this process.
         if degraded:
             _count_recovery("serial_degradations", 1)
-            recovery["serial_degradations"] += 1
-            recovery["degraded"] = True
         for index in indices:
             output = jobs[index].run(dataset, cancel, _time_left(deadline))
             if degraded and output is not None:
@@ -854,7 +835,7 @@ def run_jobs(
 
     if n_workers <= 1 or len(jobs) <= 1:
         _run_here(range(len(jobs)), degraded=False)
-        return outputs, recovery
+        return outputs
     if pool is None:
         pool = get_pool()
     token, blob = _dataset_payload(dataset)
@@ -870,7 +851,7 @@ def run_jobs(
             # of failing the mine (pre-fix this raised and the service
             # returned a 500 on the 65th concurrent cancellable mine).
             _run_here(range(len(jobs)), degraded=True)
-            return outputs, recovery
+            return outputs
         if cancel is not None and cancel.is_set():
             pool.cancel_slot(slot)
         else:
@@ -897,15 +878,14 @@ def run_jobs(
                 break
             if attempt > 0:
                 _count_recovery("shard_retries", len(remaining))
-                recovery["shard_retries"] += len(remaining)
                 time.sleep(_RETRY_BACKOFF_SECONDS * (2 ** (attempt - 1)))
             lost = _run_attempt(pool, jobs, remaining, outputs, n_workers,
                                 token, blob, slot, attempt, fault)
-            if lost and pool.heal():
-                recovery["pool_restarts"] += 1
+            if lost:
+                pool.heal()
             remaining = lost
             attempt += 1
-        return outputs, recovery
+        return outputs
     finally:
         stop_watching.set()
         if watcher is not None:
@@ -947,33 +927,10 @@ def mine_topk_requests(
         [request.minsup for request in requests], task="requests",
         k=max((request.k for request in requests), default=1), n_jobs=n_jobs,
     )
-    outputs, _recovery = run_jobs(
+    outputs = run_jobs(
         dataset, requests, planned.workers, time_budget, cancel, fault=fault
     )
     return [result for result, _stats in outputs]
-
-
-def parallel_map(
-    fn: Callable,
-    items: Iterable,
-    n_jobs: Optional[int] = None,
-) -> list:
-    """Order-preserving process map for coarse-grained work (e.g. CV folds).
-
-    ``fn`` must be picklable (a module-level function).  With one worker
-    (or one item) the map runs inline, so callers can pass user-facing
-    ``n_jobs`` straight through (``"auto"`` maps to all cores here — the
-    planner's cost model only covers mining).  Runs on the warm
-    :class:`MinerPool`, so a CV sweep shares workers with the miners.
-    """
-    work = list(items)
-    if n_jobs == AUTO_JOBS:
-        n_jobs = None
-    n_workers = min(resolve_n_jobs(n_jobs), max(1, len(work)))
-    if n_workers <= 1 or len(work) <= 1:
-        return [fn(item) for item in work]
-    executor = get_pool().executor(n_workers)
-    return list(executor.map(fn, work))
 
 
 def results_equal(a: TopkResult, b: TopkResult) -> bool:

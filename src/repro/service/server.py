@@ -112,7 +112,7 @@ def parse_json_body(data: bytes) -> dict:
         raise ServiceError(400, "missing request body")
     try:
         body = json.loads(data)
-    except json.JSONDecodeError as error:
+    except (json.JSONDecodeError, UnicodeDecodeError) as error:
         raise ServiceError(400, f"invalid JSON body: {error}")
     if not isinstance(body, dict):
         raise ServiceError(400, "request body must be a JSON object")

@@ -15,7 +15,10 @@ changing the queue itself:
   in-memory :class:`~repro.service.cache.MiningCache` uses.  Identical
   re-mines after a restart are answered from here without re-running
   the kernels, and mining is deterministic so the stored payload is
-  bit-identical to what a fresh mine would produce.
+  bit-identical to what a fresh mine would produce.  Only a completed
+  payload answers another request, as in the cache: a result a node or
+  time budget cut short is stored under its job's own key
+  (``<mining key>#<job id>``), where ``/jobs/<id>`` still finds it.
 
 The database runs in WAL mode: the service's writer threads (job
 transitions) never block ``/jobs/<id>`` readers, and a process kill
@@ -141,7 +144,8 @@ class JobStore:
         Unknown job ids are ignored (only mining jobs are durable), and a
         terminal row is never regressed to a non-terminal status — the
         queue notifies outside its lock, so a ``running`` notification
-        can arrive after ``done`` for a very fast job.
+        can arrive after ``done`` for a very fast job.  A result that
+        did not complete is keyed to this job alone.
         """
         job_id = snapshot.get("job_id")
         status = snapshot.get("status")
@@ -155,13 +159,16 @@ class JobStore:
             if row is None or row[0] in _TERMINAL:
                 return
             result_key = None
-            if status == "done" and snapshot.get("result") is not None:
+            result = snapshot.get("result")
+            if status == "done" and result is not None:
                 result_key = row[1]
+                if not result.get("completed", True):
+                    result_key = f"{result_key}#{job_id}"
                 self._conn.execute(
                     "INSERT OR IGNORE INTO results (result_key, payload,"
                     " created_at) VALUES (?, ?, ?)",
                     (result_key,
-                     encode_json(snapshot["result"], separators=(",", ":")),
+                     encode_json(result, separators=(",", ":")),
                      time.time()),
                 )
             self._conn.execute(
@@ -212,13 +219,20 @@ class JobStore:
     # -- reads -------------------------------------------------------------
 
     def get_result(self, result_key: str) -> Optional[dict]:
-        """Stored payload for a mining key, or None."""
+        """Completed stored payload for a mining key, or None.
+
+        A payload that did not complete never answers: stores written
+        before truncated results were keyed per job may hold one here.
+        """
         with self._lock:
             row = self._conn.execute(
                 "SELECT payload FROM results WHERE result_key=?",
                 (result_key,),
             ).fetchone()
-        return json.loads(row[0]) if row else None
+        payload = json.loads(row[0]) if row else None
+        if payload is None or not payload.get("completed", True):
+            return None
+        return payload
 
     def get_job(self, job_id: str) -> Optional[dict]:
         """Snapshot-shaped view of a stored job (result inlined when done)."""

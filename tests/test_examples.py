@@ -1,5 +1,6 @@
 """Smoke tests running the example scripts as subprocesses."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -52,4 +53,7 @@ class TestExamples:
         result = run_example("tall_data_mining.py")
         assert result.returncode == 0, result.stderr
         assert "outputs identical: True" in result.stdout
-        assert "disk-spill run" in result.stdout
+        spilled = re.search(r"disk-spill run: (\d+) partitions spilled",
+                            result.stdout)
+        assert spilled is not None, result.stdout
+        assert int(spilled.group(1)) > 0

@@ -31,7 +31,6 @@ from repro.parallel import (
     MinerPool,
     merge_stats,
     mine_topk_requests,
-    parallel_map,
     plan,
     plan_shards,
     pool_stats,
@@ -406,21 +405,11 @@ class TestHelpers:
         assert merged.engine == "tree"
         assert not merged.completed
 
-    def test_parallel_map_preserves_order(self):
-        assert parallel_map(_square, [3, 1, 2], n_jobs=2) == [9, 1, 4]
-        assert parallel_map(_square, [], n_jobs=2) == []
-        assert parallel_map(_square, [5], n_jobs=4) == [25]
-
     def test_results_equal_detects_differences(self, figure1):
         a = mine_topk(figure1, 1, 2, k=2)
         b = mine_topk(figure1, 1, 2, k=1)
         assert results_equal(a, a)
         assert not results_equal(a, b)
-
-
-def _square(value: int) -> int:
-    # Module level so parallel_map can pickle it into workers.
-    return value * value
 
 
 class TestLayering:
@@ -510,9 +499,8 @@ class TestRunner:
                 MineRequest(consequent=0, minsup=2, k=3)]
         pool = MinerPool()
         before = pool_stats()["serial_degradations"]
-        outputs, recovery = run_jobs(small_random, jobs, 1, pool=pool)
+        outputs = run_jobs(small_random, jobs, 1, pool=pool)
         assert pool.started == 0
-        assert recovery["degraded"] is False
         assert pool_stats()["serial_degradations"] == before
         for request, (result, stats) in zip(jobs, outputs):
             assert stats is result.stats and stats.degraded is False

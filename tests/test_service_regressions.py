@@ -17,6 +17,8 @@ Each test here fails on the pre-fix code:
 * a malformed ``Content-Length`` header raised an uncaught-by-design
   ``ValueError`` that the generic handler turned into a 500 instead of
   a client-addressable 400;
+* a POST body that is not valid UTF-8 let ``UnicodeDecodeError`` out of
+  ``parse_json_body``, a 500 instead of the 400 ``invalid JSON body``;
 * the ``/classify`` ``version`` went through bare ``int()``: ``"abc"``,
   ``[1]`` or ``{"a": 1}`` answered 500, while ``1.7`` and ``true`` were
   served as version 1; item ids in ``rows`` had the same flaw
@@ -368,6 +370,35 @@ class TestMalformedContentLength:
                 connection.close()
             assert response.status == 400
             assert "Content-Length" in body["error"]
+        finally:
+            server.stop()
+
+
+class TestNonUtf8Body:
+    def test_parse_json_body_rejects_invalid_utf8(self):
+        with pytest.raises(ServiceError) as excinfo:
+            server_module.parse_json_body(b'{"items": "\xff"}')
+        assert excinfo.value.status == 400
+        assert str(excinfo.value).startswith("invalid JSON body: ")
+
+    @pytest.mark.parametrize("path", ["/mine", "/classify"])
+    def test_invalid_utf8_is_400_over_http(self, path):
+        server = AsyncReproServer(port=0).start()
+        try:
+            connection = http.client.HTTPConnection(
+                server.host, server.port, timeout=30
+            )
+            try:
+                connection.request(
+                    "POST", path, body=b'{"items": "\xff"}',
+                    headers={"Content-Type": "application/json"},
+                )
+                response = connection.getresponse()
+                payload = json.loads(response.read())
+            finally:
+                connection.close()
+            assert response.status == 400, payload
+            assert payload["error"].startswith("invalid JSON body: ")
         finally:
             server.stop()
 

@@ -469,6 +469,78 @@ class TestStoredRequestText:
         assert stored["items"] == discretized_to_payload(dataset)
 
 
+class TestTruncatedResults:
+    """Only a completed result answers another request, from either
+    tier; a truncated job's own result stays pollable."""
+
+    def test_budget_truncated_result_answers_no_other_request(
+        self, tmp_path, dataset, monkeypatch
+    ):
+        monkeypatch.setattr(jobs_module, "MAX_FINISHED_JOBS", 1)
+        path = str(tmp_path / "jobs.db")
+        service = RuleService(store_path=path, mining_workers=1)
+        try:
+            cut = service.submit_mine(_mine_body(dataset, node_budget=5))
+            truncated = _wait_done(service, cut["job_id"])["result"]
+            assert truncated["completed"] is False
+            full = service.submit_mine(_mine_body(dataset))
+            assert full["cached"] is False
+            assert _wait_done(service, full["job_id"])["result"][
+                "completed"] is True
+            # The truncated job has left the job table; the store
+            # answers it with its own result.
+            with pytest.raises(KeyError):
+                service.jobs.snapshot(cut["job_id"])
+            assert service.job_status(cut["job_id"])["result"] == truncated
+        finally:
+            service.shutdown()
+
+    def test_truncated_result_does_not_survive_restart_as_answer(
+        self, tmp_path, dataset
+    ):
+        path = str(tmp_path / "jobs.db")
+        service = RuleService(store_path=path, mining_workers=1)
+        try:
+            cut = service.submit_mine(_mine_body(dataset, node_budget=5))
+            truncated = _wait_done(service, cut["job_id"])["result"]
+        finally:
+            service.shutdown()
+        assert truncated["completed"] is False
+        for _restart in range(2):
+            fresh = RuleService(store_path=path, mining_workers=1)
+            try:
+                answered = fresh.submit_mine(_mine_body(dataset))
+                if answered["cached"]:
+                    result = answered["result"]
+                else:
+                    result = _wait_done(fresh, answered["job_id"])["result"]
+                assert result["completed"] is True
+                assert fresh.job_status(cut["job_id"])["result"] == truncated
+            finally:
+                fresh.shutdown()
+        # The second boot answered from the completed durable result.
+        assert answered["cached"] is True
+
+    def test_older_truncated_row_under_the_mining_key_is_skipped(
+        self, tmp_path
+    ):
+        store = JobStore(tmp_path / "jobs.db")
+        try:
+            store.record_submitted("job-1", "key-a", {"k": 2})
+            with store._conn:
+                store._conn.execute(
+                    "INSERT INTO results (result_key, payload, created_at)"
+                    " VALUES ('key-a', '{\"completed\": false}', 0)"
+                )
+                store._conn.execute(
+                    "UPDATE jobs SET status='done', result_key='key-a'"
+                )
+            assert store.get_result("key-a") is None
+            assert store.get_job("job-1")["result"] == {"completed": False}
+        finally:
+            store.close()
+
+
 class TestJobTableBound:
     def test_soak_holds_the_bound_and_store_answers_dropped_jobs(
         self, tmp_path
