@@ -1,12 +1,18 @@
-"""Mining datasets with many rows: the hybrid column-then-row strategy.
+"""Mining datasets with many rows: column enumeration and the hybrid miner.
 
-Section 8 of the paper sketches how TopkRGS extends beyond microarray
-shapes (few rows, many columns): partition the data column-wise first,
+The paper enumerates rows because microarray data has few rows and many
+columns.  Tall data is the reverse case, and two routes serve it.  When
+the frequent items are few, their closed itemsets are few (at most
+``2**f`` for ``f`` items), and every top-k rule group is one of them:
+``strategy="auto"`` then plans a column walk of the closed sets (the
+CHARM walk of the paper's Fig. 6 comparison).  Section 8 of the paper
+sketches the other route: partition the data column-wise first,
 row-enumerate within each partition, and aggregate the per-row top-k
-lists.  This example runs the hybrid miner against the direct one on the
-ovarian-cancer workload (210 rows — the paper's tallest) and on a
-deliberately tall synthetic dataset, and demonstrates the disk-spill
-mode that bounds resident memory by the largest partition.
+lists.  This example runs direct, hybrid and auto side by side on the
+ovarian-cancer workload (210 rows, the paper's tallest), on a
+synthetic tall cohort, and on a sparse random table, and demonstrates
+the disk-spill mode that bounds resident memory by the largest
+partition.  All three routes return the same lists, bit for bit.
 
 Run:  python examples/tall_data_mining.py
 """
@@ -17,23 +23,25 @@ import time
 from repro.core import mine_topk, mine_topk_hybrid, relative_minsup
 from repro.data import random_discretized_dataset
 from repro.data.loaders import load_benchmark
+from repro.data.synthetic import TALL_COHORTS, generate_tall_cohort
+
+
+def timed(mine):
+    start = time.perf_counter()
+    result = mine()
+    return result, time.perf_counter() - start
 
 
 def compare(dataset, consequent, minsup, k, label):
-    start = time.perf_counter()
-    direct = mine_topk(dataset, consequent, minsup, k=k)
-    direct_seconds = time.perf_counter() - start
+    direct, direct_seconds = timed(
+        lambda: mine_topk(dataset, consequent, minsup, k=k))
+    hybrid, hybrid_seconds = timed(
+        lambda: mine_topk_hybrid(dataset, consequent, minsup, k=k))
+    auto, auto_seconds = timed(
+        lambda: mine_topk(dataset, consequent, minsup, k=k, strategy="auto"))
 
-    start = time.perf_counter()
-    hybrid = mine_topk_hybrid(dataset, consequent, minsup, k=k)
-    hybrid_seconds = time.perf_counter() - start
-
-    agree = all(
-        [(g.confidence, g.support) for g in direct.per_row[row]]
-        == [(g.confidence, g.support) for g in hybrid.per_row[row]]
-        for row in direct.per_row
-    )
     stats = hybrid.hybrid_stats
+    planned = auto.stats.plan
     print(f"{label}:")
     print(f"  direct: {direct_seconds:.3f}s, "
           f"{direct.stats.nodes_visited} nodes")
@@ -41,6 +49,11 @@ def compare(dataset, consequent, minsup, k, label):
           f"{hybrid.stats.nodes_visited} nodes across "
           f"{stats.n_partitions} partitions "
           f"(largest holds {stats.max_partition_rows}/{dataset.n_rows} rows)")
+    print(f"  auto:   {auto_seconds:.3f}s, plans {planned.strategy} "
+          f"({planned.frequent_items} frequent items), "
+          f"{auto.stats.nodes_visited} nodes")
+    # Rule groups compare by value, so equal lists are bit-identical.
+    agree = direct.per_row == hybrid.per_row == auto.per_row
     print(f"  outputs identical: {agree}")
     return hybrid
 
@@ -52,7 +65,13 @@ def main() -> None:
     minsup = relative_minsup(items, 1, 0.8)
     compare(items, 1, minsup, k=2, label=f"OC x0.05 ({items.n_rows} rows)")
 
-    # A synthetic tall-and-narrow dataset.
+    # A synthetic tall cohort: 256 rows with 12 frequent items, whose
+    # few closed sets the column walk finds in a few hundred nodes.
+    cohort = generate_tall_cohort(TALL_COHORTS["tall-1k"].scaled(0.25))
+    compare(cohort, 1, relative_minsup(cohort, 1, 0.7), k=2,
+            label=f"tall-1k cohort ({cohort.n_rows} rows)")
+
+    # A sparse tall-and-narrow table.
     tall = random_discretized_dataset(
         n_rows=60, n_items=14, density=0.3, seed=9, name="tall"
     )

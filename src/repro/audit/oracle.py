@@ -13,6 +13,10 @@ repo rich in free oracles.  For one generated case this module:
   baseline (flag variants may discover ties in a different order, so
   profiles — not antecedent identity — are the contract, exactly as in
   the paper);
+* mines the column route (:func:`repro.core.column.mine_topk_column`,
+  the closed sets of CHARM's IT-tree walk offered to the top-k policy)
+  and asserts its per-row lists and ``completed`` flag are
+  bit-identical to the direct run;
 * re-mines with ``strategy="hybrid", n_jobs > 1`` (partitions on the
   process pool) and asserts the result is bit-identical to the direct
   serial run;
@@ -67,6 +71,7 @@ from ..classifiers.persistence import classifier_from_payload, classifier_to_pay
 from ..analysis.gene_ranking import gene_entropy_scores, item_scores
 from ..classifiers.rcbt import RCBTClassifier
 from ..core.bitset import to_indices
+from ..core.column import mine_topk_column
 from ..core.enumeration import ENGINES
 from ..core.lower_bounds import find_lower_bounds
 from ..core.rules import RuleGroup
@@ -285,6 +290,23 @@ def audit_case(
                 f"{engine} walk counters {counters} differ from bitset's "
                 f"{expected}",
             )
+
+    # -- column route: bit-identical to direct -----------------------------
+    def _column() -> None:
+        column = mine_topk_column(
+            dataset, case.consequent, case.minsup, k=case.k
+        )
+        if not results_equal(reference, column):
+            raise InvariantViolation(
+                "the column route's per-row lists differ bit-for-bit from "
+                "direct"
+            )
+        if column.stats.completed != reference.stats.completed:
+            raise InvariantViolation(
+                "the column route's completed flag differs from direct"
+            )
+
+    auditor.run("column", _column)
 
     # -- naive baseline: profile equality ---------------------------------
     expected_profiles: dict | None = None

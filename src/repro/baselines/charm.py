@@ -10,11 +10,11 @@ cross-validated: CHARM's closed itemsets with consequent-class support at
 least ``minsup`` are exactly the rule-group upper bounds FARMER finds
 with ``minconf = 0``.
 
-The IT-tree search uses the four subsumption properties of the original
-algorithm.  With ``use_diffsets=True`` (the paper's configuration) child
-nodes carry diffsets — the rows *lost* from the parent's tidset — and
-supports are maintained incrementally; tidsets are reconstructed only
-when a closed candidate is recorded.
+The IT-tree walk itself, with the four subsumption properties of the
+original algorithm and its tidset and diffset variants, is
+:func:`repro.core.column.walk_closed_sets`, which the top-k column route
+shares; this module adds the closed-set registry that turns the walk's
+candidates into rule groups.
 """
 
 from __future__ import annotations
@@ -22,13 +22,8 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING, Optional
 
-from ..core.bitset import popcount
-from ..core.enumeration import (
-    POLL_STRIDE,
-    ClosedSetResult,
-    MinerStats,
-    _Budget,
-)
+from ..core.column import walk_closed_sets
+from ..core.enumeration import ClosedSetResult, MinerStats, _Budget
 from ..core.rules import RuleGroup
 from ..core.view import MiningView
 from ..errors import MiningBudgetExceeded
@@ -100,148 +95,10 @@ def mine_charm(
     start = time.monotonic()
     stats = MinerStats(engine="charm")
     budget = _Budget(stats, node_budget, time_budget, cancel)
-    charge = budget.charge_node
-    poll = budget.poll
     view = MiningView(dataset, consequent, minsup)
-    positive_mask = view.positive_mask
     registry = _ClosedRegistry(view)
-
-    def class_support(tidset: int) -> int:
-        return popcount(tidset & positive_mask)
-
-    # Level 1: single items as (itemset, tidset) pairs, frequency-ordered.
-    # CHARM explores ascending support so that tidset-subset properties
-    # fire as often as possible.
-    level_one = [
-        (frozenset([item]), view.item_rows[item])
-        for item in view.frequent_items
-    ]
-    level_one = [
-        pair for pair in level_one if class_support(pair[1]) >= minsup
-    ]
-    level_one.sort(key=lambda pair: (popcount(pair[1]), min(pair[0])))
-
-    def extend(nodes: list[tuple[frozenset[int], int]]) -> None:
-        """CHARM-EXTEND over (itemset, tidset) nodes of one prefix class."""
-        index = 0
-        while index < len(nodes):
-            charge()
-            itemset_i, tidset_i = nodes[index]
-            merged_itemset = itemset_i
-            children: list[tuple[frozenset[int], int]] = []
-            j = index + 1
-            tests = 0
-            while j < len(nodes):
-                tests += 1
-                if tests == POLL_STRIDE:
-                    tests = 0
-                    poll()
-                itemset_j, tidset_j = nodes[j]
-                tidset_ij = tidset_i & tidset_j
-                if class_support(tidset_ij) < minsup:
-                    j += 1
-                    continue
-                if tidset_i == tidset_j:
-                    # Property 1: X_j is always with X_i; absorb it.
-                    merged_itemset = merged_itemset | itemset_j
-                    del nodes[j]
-                    continue
-                if tidset_i & ~tidset_j == 0:
-                    # Property 2: t(X_i) ⊂ t(X_j); X_i implies X_j.
-                    merged_itemset = merged_itemset | itemset_j
-                    j += 1
-                    continue
-                if tidset_j & ~tidset_i == 0:
-                    # Property 3: t(X_j) ⊂ t(X_i); X_j spawns the child
-                    # and disappears from this level.
-                    children.append((merged_itemset | itemset_j, tidset_ij))
-                    del nodes[j]
-                    continue
-                # Property 4: incomparable tidsets.
-                children.append((merged_itemset | itemset_j, tidset_ij))
-                j += 1
-            if children:
-                # Children inherit the (possibly grown) prefix itemset.
-                fixed = [
-                    (merged_itemset | child_items, child_tids)
-                    for child_items, child_tids in children
-                ]
-                fixed.sort(key=lambda pair: popcount(pair[1]))
-                extend(fixed)
-            registry.add(merged_itemset, tidset_i)
-            index += 1
-
-    def extend_diffsets(
-        nodes: list[tuple[frozenset[int], int, int]], prefix_tidset: int
-    ) -> None:
-        """CHARM-EXTEND where nodes carry (itemset, diffset, support).
-
-        ``diffset`` holds the rows of the prefix tidset *not* containing
-        the node's itemset; the true tidset is ``prefix_tidset & ~diffset``
-        and is materialised only when recording closed sets.
-        """
-        index = 0
-        while index < len(nodes):
-            charge()
-            itemset_i, diffset_i, _support_i = nodes[index]
-            merged_itemset = itemset_i
-            tidset_i = prefix_tidset & ~diffset_i
-            children: list[tuple[frozenset[int], int, int]] = []
-            j = index + 1
-            tests = 0
-            while j < len(nodes):
-                # The pair scan polls on its own stride (counting no
-                # nodes): one prefix class can outlast many node strides.
-                tests += 1
-                if tests == POLL_STRIDE:
-                    tests = 0
-                    poll()
-                itemset_j, diffset_j, _support_j = nodes[j]
-                # d(X_i X_j) relative to X_i: rows in t(X_i) lost by X_j.
-                diffset_ij = diffset_j & ~diffset_i
-                tidset_ij = tidset_i & ~diffset_ij
-                if class_support(tidset_ij) < minsup:
-                    j += 1
-                    continue
-                if diffset_i == diffset_j:
-                    merged_itemset = merged_itemset | itemset_j
-                    del nodes[j]
-                    continue
-                if diffset_j & ~diffset_i == 0:
-                    # d_j ⊆ d_i ⟺ t(X_i) ⊆ t(X_j).
-                    merged_itemset = merged_itemset | itemset_j
-                    j += 1
-                    continue
-                if diffset_i & ~diffset_j == 0:
-                    children.append(
-                        (merged_itemset | itemset_j, diffset_ij, 0)
-                    )
-                    del nodes[j]
-                    continue
-                children.append((merged_itemset | itemset_j, diffset_ij, 0))
-                j += 1
-            if children:
-                fixed = [
-                    (merged_itemset | child_items, child_diff, 0)
-                    for child_items, child_diff, _ in children
-                ]
-                fixed.sort(
-                    key=lambda node: -popcount(node[1])
-                )  # largest diffset = smallest tidset first
-                extend_diffsets(fixed, tidset_i)
-            registry.add(merged_itemset, tidset_i)
-            index += 1
-
     try:
-        if use_diffsets and level_one:
-            all_rows = (1 << view.n_rows) - 1
-            diff_nodes = [
-                (itemset, all_rows & ~tidset, class_support(tidset))
-                for itemset, tidset in level_one
-            ]
-            extend_diffsets(diff_nodes, all_rows)
-        else:
-            extend(level_one)
+        walk_closed_sets(view, minsup, registry.add, budget, use_diffsets)
     except MiningBudgetExceeded:
         pass  # the budget marked stats incomplete
 

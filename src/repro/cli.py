@@ -126,8 +126,8 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         # Fault-injection debug hook: exercise the crash-recovery
         # supervisor of repro.parallel against a real dataset from the
         # shell (e.g. --strategy hybrid --jobs 2 --fault kill@0.0).  Only
-        # a hybrid mine's partitions run on workers; a direct mine is one
-        # enumeration in this process, with no workers to lose.
+        # a hybrid mine's partitions run on workers; a direct or column
+        # mine is one walk in this process, with no workers to lose.
         from .core.hybrid import mine_topk_hybrid
         from .parallel import FaultPlan, plan
 
@@ -135,7 +135,9 @@ def _cmd_mine(args: argparse.Namespace) -> int:
                        k=args.k, n_jobs=args.jobs, strategy=args.strategy)
         if planned.strategy != "hybrid" or planned.workers == 1:
             print("--fault needs workers to fault: use --strategy hybrid "
-                  "with --jobs != 1 (a direct mine runs in one process)",
+                  f"with --jobs != 1 (this mine plans {planned.strategy}, "
+                  f"{planned.workers} worker(s); a direct or column mine "
+                  "runs in one process)",
                   file=sys.stderr)
             return 2
         try:
@@ -163,8 +165,12 @@ def _cmd_mine(args: argparse.Namespace) -> int:
               file=sys.stderr)
     planned = result.stats.plan
     density = "-" if planned.density is None else f"{planned.density:.4f}"
+    frequent = (
+        "" if planned.frequent_items is None
+        else f", {planned.frequent_items} frequent items"
+    )
     print(f"plan: {planned.strategy}, {planned.workers} worker(s), "
-          f"density {density}", file=sys.stderr)
+          f"density {density}{frequent}", file=sys.stderr)
     if result.stats.degraded:
         print("note: worker loss degraded this mine to serial execution "
               "(result is still exact)", file=sys.stderr)
@@ -408,14 +414,18 @@ def build_parser() -> argparse.ArgumentParser:
                       help="worker processes for a hybrid mine's "
                            "partitions (0 = all cores, 'auto' = let the "
                            "planner decide; output is identical to "
-                           "serial); a direct mine runs in one process")
+                           "serial); a direct or column mine runs in one "
+                           "process")
     mine.add_argument("--strategy", choices=("direct", "hybrid", "auto"),
                       default="direct",
-                      help="direct enumerates the whole dataset in one "
-                           "walk; hybrid partitions column-first for tall "
-                           "datasets (bit-identical output); auto picks "
-                           "hybrid when the frequent items per row are "
-                           "few for the row count (DESIGN.md §13)")
+                      help="direct enumerates the rows of the whole "
+                           "dataset in one walk; hybrid partitions "
+                           "column-first for tall datasets (bit-identical "
+                           "output); auto plans column enumeration of the "
+                           "closed sets when the frequent items are few "
+                           "for the row count, else hybrid when the "
+                           "frequent items per row are few, else direct "
+                           "(DESIGN.md §13)")
     mine.add_argument("--hybrid", dest="strategy", action="store_const",
                       const="hybrid",
                       help="shorthand for --strategy hybrid")

@@ -66,7 +66,15 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from .bitset import popcount
 from .enumeration import ENGINES
-from .planner import AUTO_STRATEGY, STRATEGIES, plan, support_mass
+# auto_strategy_stats is the planner's counter, re-exported for callers
+# that read it beside the density rung.
+from .planner import (
+    AUTO_STRATEGY,
+    STRATEGIES,
+    auto_strategy_stats,
+    plan,
+    support_mass,
+)
 from .rules import RuleGroup, build_topk_lists
 from .topk_miner import TopkResult, mine_topk
 
@@ -88,26 +96,18 @@ __all__ = [
     "plan_auto_strategy",
 ]
 
-# The planner rung for strategy="auto", on the density support mass /
-# rows² (mean frequent items per row ÷ rows).  Every measured shape at
-# 0.038 or below mines faster hybrid, every paper shape (0.59 and up)
-# 50x or more faster direct; between 0.057 and 0.083 the outcomes mix
-# within ~17 ms (DESIGN.md §13).
+# The planner's density rung for a strategy="auto" that the column rung
+# did not take, on the density support mass / rows² (mean frequent items
+# per row ÷ rows).  Every measured shape at 0.038 or below mines faster
+# hybrid than direct, every paper shape (0.59 and up) 50x or more faster
+# direct; between 0.057 and 0.083 the outcomes mix within ~17 ms
+# (DESIGN.md §13).
 AUTO_HYBRID_DENSITY = 0.05
-
-_AUTO_CHOICES = {"direct": 0, "hybrid": 0}
 
 
 def plan_auto_strategy(density: float) -> str:
-    """``strategy="auto"`` from the density, counted; see ``planner``."""
-    choice = "hybrid" if density < AUTO_HYBRID_DENSITY else "direct"
-    _AUTO_CHOICES[choice] += 1
-    return choice
-
-
-def auto_strategy_stats() -> dict:
-    """Cumulative ``strategy="auto"`` choices, for honest reporting."""
-    return dict(_AUTO_CHOICES)
+    """``strategy="auto"`` from the density; ``planner`` counts it."""
+    return "hybrid" if density < AUTO_HYBRID_DENSITY else "direct"
 
 
 @dataclass

@@ -358,12 +358,9 @@ def build_topk_lists(
             run.sort(key=canon)
         start = stop
         for group in run:
-            bits = group.row_set & open_rows
-            while bits:
-                low = bits & -bits
-                bits ^= low
-                row_members = members[low.bit_length() - 1]
+            for row in to_indices(group.row_set & open_rows):
+                row_members = members[row]
                 row_members.append(group)
                 if len(row_members) == k:
-                    open_rows ^= low
+                    open_rows ^= 1 << row
     return members

@@ -37,7 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover - imports are for annotations only
     from ..data.dataset import DiscretizedDataset
     from .hybrid import HybridStats
 from ..errors import MiningBudgetExceeded
-from .enumeration import MinerStats, run_enumeration
+from .enumeration import ENGINES, MinerStats, run_enumeration
 from .planner import plan
 from .rules import RuleGroup, build_topk_lists
 from .view import MiningView
@@ -425,20 +425,22 @@ class TopkPolicy:
             canonical_key=canonical,
         )
         # Each listed group is translated once; a tied one already was,
-        # when the build broke its tie.
+        # when the build broke its tie.  The dict holds one group object
+        # per row set, so its id is the key: hashing a tall row set costs
+        # a pass over its bits.
         converted: dict[int, RuleGroup] = {}
         result: dict[int, list[RuleGroup]] = {}
         for position, row_id in enumerate(view.order[: view.n_positive]):
             row_groups = []
             for group in lists[position]:
-                final = converted.get(group.row_set)
+                final = converted.get(id(group))
                 if final is None:
                     antecedent = group.antecedent
                     if len(antecedent) == 1:
                         closed = view.closed_items(group.row_set)
                         if len(closed) > 1:
                             antecedent = closed
-                    final = converted[group.row_set] = RuleGroup(
+                    final = converted[id(group)] = RuleGroup(
                         antecedent=antecedent,
                         consequent=group.consequent,
                         row_set=canonical(group),
@@ -549,12 +551,21 @@ def mine_topk(
         backend: ``None``, ``"int"`` or ``"auto"``; all three mine on
             plain ``int`` bitsets (see :mod:`repro.core.backends`), and
             any other value raises ``ValueError``.
-        strategy: ``direct`` (default) enumerates the whole dataset in
-            one walk; ``hybrid`` dispatches to the partitioned
-            out-of-core miner of :mod:`repro.core.hybrid` (bit-identical
-            per-row lists, ``node_budget`` applied per partition);
-            ``auto`` picks by density (DESIGN.md §13); all three are
-            resolved by one :func:`repro.core.planner.plan` call.
+        strategy: ``direct`` (default) enumerates the rows of the
+            whole dataset in one walk; ``hybrid`` dispatches to the
+            partitioned out-of-core miner of :mod:`repro.core.hybrid`
+            (bit-identical per-row lists, ``node_budget`` applied per
+            partition); ``auto`` lets one
+            :func:`repro.core.planner.plan` call choose (DESIGN.md §13).
+            When ``2**f`` for the ``f`` frequent items is within 32
+            closed sets per row, it plans ``column``, which no caller
+            can name: the closed sets of CHARM's IT-tree walk are offered
+            to the top-k policy (:func:`repro.core.column.mine_topk_column`,
+            bit-identical per-row lists).  A column mine ignores
+            ``engine`` and the Section 4.1.1 flags (``stats.engine`` is
+            ``"column"``), counts IT-tree nodes against ``node_budget``
+            and polls ``time_budget`` and ``cancel`` after every closed
+            set.  Otherwise ``auto`` picks hybrid or direct by density.
         spill_dir: hybrid only — existing directory for partition spill
             files; mining runs in a private subdirectory removed on exit.
         max_resident_cells: hybrid only — resident-cell budget for the
@@ -601,6 +612,19 @@ def mine_topk(
         # strategy="auto" may legitimately pre-provision a spill dir and
         # land on direct; an explicit direct mine with one is a mistake.
         raise ValueError("spill_dir/max_resident_cells require strategy='hybrid'")
+    if planned.strategy == "column":
+        from .column import mine_topk_column
+
+        if engine not in ENGINES:  # no row walk runs, but a typo is a typo
+            raise ValueError(
+                f"unknown engine {engine!r}; expected one of {ENGINES}"
+            )
+        result = mine_topk_column(
+            dataset, consequent, minsup, k=k, node_budget=node_budget,
+            time_budget=time_budget, cancel=cancel,
+        )
+        result.stats.plan = planned
+        return result
     view = MiningView.cached(dataset, consequent, minsup)
     policy = TopkPolicy(
         view,

@@ -18,10 +18,10 @@ from __future__ import annotations
 import threading
 import weakref
 from collections import Counter
-from itertools import chain
+from itertools import chain, compress
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
-from .bitset import iter_indices, mask_below, popcount
+from .bitset import bit_flags, iter_indices, mask_below, popcount
 from .prefix_tree import PrefixTree
 from .rules import RuleGroup
 
@@ -156,14 +156,23 @@ class MiningView:
 
     def positions_to_rows(self, position_bits: int) -> int:
         """Translate a position-space bitset to an original-row bitset."""
-        result = 0
-        bits = position_bits
-        while bits:
-            low = bits & -bits
-            position = low.bit_length() - 1
-            bits ^= low
-            result |= 1 << self.order[position]
-        return result
+        order = self.order
+        if position_bits.bit_count() <= 32:
+            result = 0
+            bits = position_bits
+            while bits:
+                low = bits & -bits
+                position = low.bit_length() - 1
+                bits ^= low
+                result |= 1 << order[position]
+            return result
+        # A large set is written as binary digits, one per row, so no
+        # step copies a whole int (16k rows: ~1 ms against ~20 ms).
+        digits = bytearray(b"0") * self.n_rows
+        for row in compress(order, bit_flags(position_bits)):
+            digits[row] = 49  # ord("1")
+        digits.reverse()
+        return int(digits, 2)
 
     def rule_group(
         self, antecedent: Iterable[int], position_bits: int
@@ -194,6 +203,13 @@ class MiningView:
 
     def closed_items(self, position_bits: int) -> frozenset[int]:
         """``I(position set)`` over the frequent items."""
+        if position_bits.bit_count() > len(self.frequent_items):
+            # Fewer items to test than rows to intersect (tall data).
+            item_rows = self.item_rows
+            return frozenset(
+                item for item in self.frequent_items
+                if item_rows[item] & position_bits == position_bits
+            )
         common: Optional[frozenset[int]] = None
         bits = position_bits
         while bits:

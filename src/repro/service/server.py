@@ -38,7 +38,7 @@ import numpy as np
 
 from ..core.bitset import iter_indices
 from ..core.enumeration import ENGINES
-from ..core.hybrid import auto_strategy_stats
+from ..core.planner import AUTO_STRATEGY, auto_strategy_stats
 from ..core.rules import RuleGroup
 from ..core.topk_miner import TopkResult, mine_topk, relative_minsup
 from ..data.dataset import GeneExpressionDataset
@@ -287,8 +287,8 @@ class RuleService:
         # pool_restarts_on_failure and serial_degradations ride along —
         # the operator's first sign that workers are being killed).
         self.telemetry.set_gauges(pool_stats())
-        # How often strategy="auto" resolved to direct vs hybrid since
-        # process start — the /metrics face of the planner's choices.
+        # How often strategy="auto" resolved to column, direct or hybrid
+        # since process start — the /metrics face of the planner's choices.
         self.telemetry.set_gauges({
             f"auto_strategy_{name}": count
             for name, count in auto_strategy_stats().items()
@@ -499,8 +499,11 @@ class RuleService:
                 n_jobs = min(n_jobs, self.mine_jobs)
         # Plan before keying: the cache/store key records the strategy
         # that actually runs, so auto requests deduplicate with explicit
-        # requests for the same concrete strategy and replays never
-        # re-plan.
+        # requests for the same concrete strategy.  A column plan has no
+        # strategy a request may name, so its job mines, and its stored
+        # request replays, as the "auto" it came from; the plan is a
+        # function of the data, minsup and k, so a replay plans column
+        # again.
         try:
             planned = plan(
                 dataset, consequent, minsup, task="topk", k=k, n_jobs=n_jobs,
@@ -509,6 +512,7 @@ class RuleService:
         except ValueError as error:
             raise ServiceError(400, str(error))
         strategy = planned.strategy
+        requested = AUTO_STRATEGY if strategy == "column" else strategy
 
         key = mining_key(
             dataset_fingerprint(dataset), consequent, minsup, k, engine,
@@ -556,7 +560,7 @@ class RuleService:
                     dataset, consequent, minsup, k=k, engine=engine,
                     node_budget=node_budget, time_budget=time_budget,
                     cancel=job.cancel_event, n_jobs=planned.workers,
-                    strategy=strategy,
+                    strategy=requested,
                 )
                 # Pure enumeration time, excluding queueing, dataset
                 # decoding and result serialization.
@@ -622,7 +626,7 @@ class RuleService:
                     "minsup": minsup,
                     "k": k,
                     "engine": engine,
-                    "strategy": strategy,
+                    "strategy": requested,
                     "node_budget": node_budget,
                     "time_budget": time_budget,
                     "n_jobs": planned.workers,

@@ -56,6 +56,26 @@ class TestBasics:
         assert B.mask_upto(2) == 0b111
 
 
+class TestLargeSets:
+    """Sets of more than 32 elements take a linear path; the bit-by-bit
+    walk of ``iter_indices`` is its reference."""
+
+    @pytest.mark.parametrize("density", (0.05, 0.5, 0.95))
+    def test_to_indices_matches_the_bit_walk(self, density):
+        import random
+
+        rng = random.Random(7)
+        for n_bits in (33, 64, 257, 4096):
+            for _ in range(20):
+                bits = sum(1 << i for i in range(n_bits)
+                           if rng.random() < density)
+                assert B.to_indices(bits) == list(B.iter_indices(bits))
+
+    def test_bit_flags(self):
+        assert B.bit_flags(0b1011) == bytes([1, 1, 0, 1])
+        assert B.bit_flags(1 << 40) == bytes(40) + b"\x01"
+
+
 class TestNegativeIndices:
     """Negative indices raise a clear ValueError instead of silently
     producing an empty or nonsensical mask (``bit(-1)`` used to raise a

@@ -81,8 +81,8 @@ class TestMine:
 
 class TestMineFaultStrategy:
     """``mine --fault`` needs workers to fault.  Only a hybrid mine's
-    partitions run on workers; ``--strategy auto`` plans from the row
-    count, as without --fault, and a direct mine is refused."""
+    partitions run on workers; ``--strategy auto`` plans as without
+    --fault, and a direct or column mine is refused."""
 
     @pytest.fixture
     def paths(self, tmp_path, monkeypatch):
@@ -130,6 +130,23 @@ class TestMineFaultStrategy:
         assert code == 0
         assert [name for name, _fault in taken] == ["hybrid"]
         assert taken[0][1] is not None  # the fault plan rode along
+
+    def test_fault_on_a_column_plan_exits_2(self, tmp_path, capsys):
+        """``auto`` on a tall cohort plans the column walk, one walk in
+        this process: refused, naming the strategy that has workers."""
+        from repro.data.loaders import save_discretized
+        from repro.data.synthetic import TALL_COHORTS, generate_tall_cohort
+
+        items = tmp_path / "tall.json"
+        save_discretized(
+            generate_tall_cohort(TALL_COHORTS["tall-1k"].scaled(0.125)), items
+        )
+        code = main(["mine", str(items), "--jobs", "2", "--strategy", "auto",
+                     "--fault", "kill@0.0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--strategy hybrid" in err
+        assert "plans column" in err
 
     def test_hybrid_mine_needs_workers(self, paths, capsys):
         items, taken = paths

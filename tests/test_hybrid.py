@@ -125,14 +125,16 @@ class TestEquivalence:
             strategy("bogus")
 
     def test_auto_matches_direct_on_the_perfbench_tall_shape(self):
-        """tall-1k at 256 rows (density 0.029) plans hybrid, and the
-        output is the direct mine's."""
+        """tall-1k at 256 rows (12 frequent items) plans the column walk,
+        and the output is the direct mine's, as is hybrid's."""
         ds = generate_tall_cohort(TALL_COHORTS["tall-1k"].scaled(0.25))
         minsup = relative_minsup(ds, 1, 0.7)
         auto = mine_topk(ds, 1, minsup, k=2, strategy="auto")
         direct = mine_topk(ds, 1, minsup, k=2)
-        assert auto.stats.plan.strategy == "hybrid"
+        hybrid = mine_topk(ds, 1, minsup, k=2, strategy="hybrid")
+        assert auto.stats.plan.strategy == "column"
         assert results_equal(auto, direct)
+        assert results_equal(hybrid, direct)
 
 
 # Test-size scales for the committed cohorts.  The chunk draws are

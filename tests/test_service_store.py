@@ -2,12 +2,15 @@
 
 import json
 import sqlite3
+import threading
 import time
 
 import pytest
 
+import repro.core.column as column
 from repro.data import random_discretized_dataset
 from repro.data.loaders import discretized_to_payload
+from repro.data.synthetic import TALL_COHORTS, generate_tall_cohort
 import repro.service.jobs as jobs_module
 from repro.service import JobStore, RuleService, ServiceError
 from repro.service.jobs import MAX_FINISHED_JOBS, JobCancelled
@@ -277,6 +280,98 @@ class TestDurableService:
             )
         finally:
             store.close()
+
+    def test_interrupted_column_job_replays_to_done_under_its_key(
+        self, tmp_path, monkeypatch
+    ):
+        """An auto request that plans the column walk is stored as the
+        "auto" it came from: "column" is a plan, not a strategy a request
+        may name, so a row recording it would be rejected on replay.  A
+        job interrupted by a shutdown then re-plans column after the
+        restart and finishes under the same key with the result of an
+        uninterrupted service."""
+        # The perfbench tall shape: 12 frequent items over 256 rows.
+        tall = generate_tall_cohort(TALL_COHORTS["tall-1k"].scaled(0.25))
+        body = _mine_body(tall, strategy="auto")
+        reference_service = RuleService()
+        try:
+            submitted = reference_service.submit_mine(body)
+            key = submitted["key"]
+            assert key.endswith(":column")
+            reference = _wait_done(reference_service, submitted["job_id"])
+            gauges = reference_service.metrics()["gauges"]
+            assert gauges["auto_strategy_column"] >= 1
+        finally:
+            reference_service.shutdown()
+        assert reference["result"]["stats"]["plan"]["strategy"] == "column"
+
+        # The walk of the first incarnation runs until shutdown cancels
+        # it, so the job is surely interrupted mid-run.
+        walking = threading.Event()
+
+        def walk_until_cancelled(view, minsup, record, budget, *args):
+            walking.set()
+            while True:
+                budget.poll()
+                time.sleep(0.005)
+
+        monkeypatch.setattr(column, "walk_closed_sets", walk_until_cancelled)
+        path = str(tmp_path / "jobs.db")
+        service = RuleService(store_path=path)
+        job_id = service.submit_mine(body)["job_id"]
+        assert walking.wait(30.0)
+        service.shutdown()
+        monkeypatch.undo()
+
+        store = JobStore(path)
+        try:
+            [pending] = store.pending_jobs()
+            assert pending["job_id"] == job_id
+            assert pending["mining_key"] == key
+            assert pending["request"]["strategy"] == "auto"
+        finally:
+            store.close()
+
+        revived = RuleService(store_path=path)
+        try:
+            assert revived.telemetry.counter("mine_jobs_recovered") == 1
+            resumed = _wait_done(revived, job_id)
+            assert resumed["status"] == "done"
+            assert _mined_content(resumed["result"]) == _mined_content(
+                reference["result"]
+            )
+        finally:
+            revived.shutdown()
+        store = JobStore(path)
+        try:
+            assert _mined_content(store.get_result(key)) == (
+                _mined_content(reference["result"])
+            )
+        finally:
+            store.close()
+
+    def test_a_row_recording_the_column_plan_is_rejected(
+        self, tmp_path, dataset
+    ):
+        """A row naming "column" (which no request may) fails visibly as
+        a rejected replay instead of mining."""
+        path = str(tmp_path / "jobs.db")
+        store = JobStore(path)
+        store.record_submitted("job-1", "key-column", {
+            "items": discretized_to_payload(dataset),
+            "consequent": 1, "minsup": 2, "k": 2, "engine": "bitset",
+            "strategy": "column", "node_budget": None,
+            "time_budget": None, "n_jobs": 1,
+        })
+        store.close()
+        revived = RuleService(store_path=path)
+        try:
+            failed = revived.job_status("job-1")
+            assert failed["status"] == "failed"
+            assert failed["error"].startswith("replay rejected")
+            assert "unknown strategy 'column'" in failed["error"]
+        finally:
+            revived.shutdown()
 
     def test_replayed_duplicate_requests_share_one_mine(
         self, tmp_path, dataset

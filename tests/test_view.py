@@ -102,6 +102,27 @@ class TestClosures:
         rows = to_indices(bits)
         assert rows == sorted(view.order[p] for p in (0, 2))
 
+    def test_large_sets_match_the_bit_walk(self):
+        """Row sets of more than 32 rows, and closures with fewer items
+        than rows, take linear paths; bit-by-bit folds are their
+        reference."""
+        import random
+
+        dataset = random_discretized_dataset(
+            n_rows=300, n_items=20, density=0.4, seed=3)
+        view = MiningView(dataset, consequent=1, minsup=1)
+        rng = random.Random(5)
+        for _ in range(200):
+            bits = rng.getrandbits(300) & rng.getrandbits(300)
+            rows = 0
+            common = None
+            for position in iter_indices(bits):
+                rows |= 1 << view.order[position]
+                items = view.row_items[position]
+                common = items if common is None else common & items
+            assert view.positions_to_rows(bits) == rows
+            assert view.closed_items(bits) == (common or frozenset())
+
     def test_positive_count(self, figure1):
         view = MiningView(figure1, consequent=1, minsup=1)
         assert view.positive_count(view.positive_mask) == 3
