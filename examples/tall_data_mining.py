@@ -10,14 +10,15 @@ sketches the other route: partition the data column-wise first,
 row-enumerate within each partition, and aggregate the per-row top-k
 lists.  This example runs direct, hybrid and auto side by side on the
 ovarian-cancer workload (210 rows, the paper's tallest), on a
-synthetic tall cohort, and on a sparse random table, and demonstrates
-the disk-spill mode that bounds resident memory by the largest
-partition.  All three routes return the same lists, bit for bit.
+synthetic tall cohort, and on a sparse random table.  Each hybrid
+partition is read from the data when it is mined, so the largest
+partition, not the table, bounds what one partition mine holds; the
+hybrid line prints it against the matrix.  All three routes return the
+same lists, bit for bit.
 
 Run:  python examples/tall_data_mining.py
 """
 
-import tempfile
 import time
 
 from repro.core import mine_topk, mine_topk_hybrid, relative_minsup
@@ -47,15 +48,15 @@ def compare(dataset, consequent, minsup, k, label):
           f"{direct.stats.nodes_visited} nodes")
     print(f"  hybrid: {hybrid_seconds:.3f}s, "
           f"{hybrid.stats.nodes_visited} nodes across "
-          f"{stats.n_partitions} partitions "
-          f"(largest holds {stats.max_partition_rows}/{dataset.n_rows} rows)")
+          f"{stats.n_partitions} partitions (largest holds "
+          f"{stats.max_partition_rows}/{dataset.n_rows} rows, "
+          f"{stats.peak_resident_cells}/{stats.total_cells} matrix cells)")
     print(f"  auto:   {auto_seconds:.3f}s, plans {planned.strategy} "
           f"({planned.frequent_items} frequent items), "
           f"{auto.stats.nodes_visited} nodes")
     # Rule groups compare by value, so equal lists are bit-identical.
     agree = direct.per_row == hybrid.per_row == auto.per_row
     print(f"  outputs identical: {agree}")
-    return hybrid
 
 
 def main() -> None:
@@ -76,17 +77,6 @@ def main() -> None:
         n_rows=60, n_items=14, density=0.3, seed=9, name="tall"
     )
     compare(tall, 1, minsup=3, k=2, label="synthetic 60x14")
-
-    # Disk-spill mode: partitions are written out and read back one at a
-    # time, so peak memory is one partition, not the table.  The spill
-    # files live in a per-run subdirectory that the miner removes on exit.
-    with tempfile.TemporaryDirectory() as spill:
-        result = mine_topk_hybrid(
-            tall, 1, minsup=3, k=2, spill_dir=spill
-        )
-        print(f"\ndisk-spill run: "
-              f"{result.hybrid_stats.spilled_partitions} partitions spilled, "
-              f"{len(result.covered_rows())} rows covered")
 
 
 if __name__ == "__main__":

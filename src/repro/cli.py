@@ -62,8 +62,9 @@ __all__ = ["main"]
 def _jobs_arg(value: str):
     """argparse type for worker counts: an integer or the string 'auto'.
 
-    'auto' defers to the adaptive execution planner of
-    :mod:`repro.parallel`, which picks serial or all-cores per workload.
+    'auto' defers to the execution planner of
+    :mod:`repro.core.planner`, which picks serial or all-cores per
+    workload.
     """
     if value == "auto":
         return value
@@ -147,21 +148,19 @@ def _cmd_mine(args: argparse.Namespace) -> int:
             return 2
         result = mine_topk_hybrid(
             dataset, args.consequent, minsup, k=args.k, engine=args.engine,
-            n_jobs=planned.workers, fault=faults, spill_dir=args.spill_dir,
+            n_jobs=planned.workers, fault=faults,
         )
     else:
         result = mine_topk(
             dataset, args.consequent, minsup, k=args.k, engine=args.engine,
             n_jobs=args.jobs, strategy=args.strategy,
-            spill_dir=args.spill_dir,
         )
     hybrid_stats = getattr(result, "hybrid_stats", None)
     if hybrid_stats is not None:
         print(f"hybrid: {hybrid_stats.n_partitions} partitions "
-              f"({hybrid_stats.n_skipped_partitions} skipped, "
-              f"{hybrid_stats.spilled_partitions} spilled), "
-              f"peak {hybrid_stats.peak_resident_cells} partition cells "
-              f"resident (matrix {hybrid_stats.total_cells} cells)",
+              f"({hybrid_stats.n_skipped_partitions} skipped), largest "
+              f"partition {hybrid_stats.peak_resident_cells} cells "
+              f"(matrix {hybrid_stats.total_cells} cells)",
               file=sys.stderr)
     planned = result.stats.plan
     density = "-" if planned.density is None else f"{planned.density:.4f}"
@@ -426,13 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "for the row count, else hybrid when the "
                            "frequent items per row are few, else direct "
                            "(DESIGN.md §13)")
-    mine.add_argument("--hybrid", dest="strategy", action="store_const",
-                      const="hybrid",
-                      help="shorthand for --strategy hybrid")
-    mine.add_argument("--spill-dir", default=None,
-                      help="hybrid only: existing directory for partition "
-                           "spill files (a unique per-run subdirectory is "
-                           "created and removed on exit)")
     mine.add_argument("--fault", metavar="PLAN", default=None,
                       help="inject worker faults for recovery testing, "
                            "e.g. 'kill@0.0' (mode@job.attempt[:seconds]; "

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import os
+import time
 from bisect import insort
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -537,7 +538,9 @@ def mine_topk(
         use_topk_pruning: disable only for ablation studies; the output is
             identical either way.
         node_budget: optional enumeration-node limit.
-        time_budget: optional wall-clock limit in seconds.
+        time_budget: optional wall-clock limit in seconds, counted from
+            this call: planning, building the view and seeding the lists
+            spend it too.
         cancel: optional cancellation token (anything with ``is_set()``);
             when set mid-run the lists discovered so far are returned with
             ``stats.completed`` False, exactly like a budget overrun.
@@ -557,19 +560,18 @@ def mine_topk(
             (bit-identical per-row lists, ``node_budget`` applied per
             partition); ``auto`` lets one
             :func:`repro.core.planner.plan` call choose (DESIGN.md §13).
-            When ``2**f`` for the ``f`` frequent items is within 32
-            closed sets per row, it plans ``column``, which no caller
-            can name: the closed sets of CHARM's IT-tree walk are offered
-            to the top-k policy (:func:`repro.core.column.mine_topk_column`,
+            When ``2**f`` for the ``f`` frequent items is within
+            :data:`~repro.core.planner.AUTO_COLUMN_FACTOR` (128) closed
+            sets per row, it plans ``column``, which no caller can name:
+            the closed sets of CHARM's IT-tree walk are offered to the
+            top-k policy (:func:`repro.core.column.mine_topk_column`,
             bit-identical per-row lists).  A column mine ignores
             ``engine`` and the Section 4.1.1 flags (``stats.engine`` is
             ``"column"``), counts IT-tree nodes against ``node_budget``
             and polls ``time_budget`` and ``cancel`` after every closed
             set.  Otherwise ``auto`` picks hybrid or direct by density.
-        spill_dir: hybrid only — existing directory for partition spill
-            files; mining runs in a private subdirectory removed on exit.
-        max_resident_cells: hybrid only — resident-cell budget for the
-            streaming partition builder (requires ``spill_dir``).
+        spill_dir, max_resident_cells: accepted and ignored (see
+            :func:`~repro.core.hybrid.mine_topk_hybrid`).
 
     Setting the ``REPRO_CHECK`` environment variable (to anything but
     ``0``/empty) audits every returned result against the invariant
@@ -583,6 +585,7 @@ def mine_topk(
         and exhausted, the lists discovered so far are returned and
         ``stats.completed`` is False.
     """
+    started = time.monotonic()
     planned = plan(
         dataset, consequent, minsup, task="topk", k=k, n_jobs=n_jobs,
         strategy=strategy, backend=backend,
@@ -603,15 +606,7 @@ def mine_topk(
             time_budget=time_budget,
             cancel=cancel,
             n_jobs=planned.workers,
-            spill_dir=spill_dir,
-            max_resident_cells=max_resident_cells,
         )
-    if strategy != "auto" and (
-        spill_dir is not None or max_resident_cells is not None
-    ):
-        # strategy="auto" may legitimately pre-provision a spill dir and
-        # land on direct; an explicit direct mine with one is a mistake.
-        raise ValueError("spill_dir/max_resident_cells require strategy='hybrid'")
     if planned.strategy == "column":
         from .column import mine_topk_column
 
@@ -633,6 +628,9 @@ def mine_topk(
         dynamic_minsup=dynamic_minsup,
         use_topk_pruning=use_topk_pruning,
     )
+    if time_budget is not None and time_budget >= 0:
+        # A NaN or negative budget is left for run_enumeration to reject.
+        time_budget = max(time_budget - (time.monotonic() - started), 0.0)
     try:
         stats = run_enumeration(
             view,

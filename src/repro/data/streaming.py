@@ -1,11 +1,12 @@
 """Row-chunk sources: the streaming input contract of the hybrid miner.
 
-The paper's Section 8 route to tall datasets is column-wise partitioning
-with disk-based projection; its precondition is that nobody ever needs
-the whole row set in memory at once.  This module defines the input side
-of that contract: a :class:`RowChunkSource` hands out the catalog and
-the rows in bounded chunks, and can do so repeatedly (the partition
-builder makes two passes — one to count, one to partition).
+The paper's Section 8 route to tall datasets is column-wise
+partitioning; its precondition here is that nobody ever needs the whole
+row set in memory at once.  This module defines the input side of that
+contract: a :class:`RowChunkSource` hands out the catalog and the rows
+in bounded chunks, and can do so repeatedly (the hybrid miner reads it
+once to count, then once per partition to collect that partition's
+rows).
 
 Two implementations cover the repo's needs:
 
@@ -48,9 +49,11 @@ class RowChunkSource(Protocol):
         name: cohort name for reports and partition labels.
 
     ``chunks()`` must be callable any number of times and yield the same
-    rows in the same order each time — the hybrid partition builder
-    iterates the source twice (a counting pass, then a partitioning
-    pass) and its determinism guarantee rests on replayability.
+    rows in the same order each time — the hybrid miner reads the
+    source once (a counting pass), then once per partition as that
+    partition's job starts, and its determinism guarantee rests on
+    replayability.  A source mined on the worker pool is pickled once
+    per run, and each worker decodes it once.
     """
 
     items: Sequence[Item]
@@ -92,6 +95,10 @@ class TallChunkSource:
         ]
         self.class_names = ["control", "case"]
         self.name = spec.name
+
+    def __reduce__(self):
+        # Pool workers rebuild the catalog from the spec.
+        return (TallChunkSource, (self.spec,))
 
     def chunks(self) -> Iterator[tuple[list[frozenset[int]], list[int]]]:
         return iter_tall_chunks(self.spec)

@@ -539,6 +539,7 @@ def iter_tall_chunks(spec: TallCohortSpec):
             f"n_signal must be in 1..n_items, got {spec.n_signal} of "
             f"{spec.n_items}"
         )
+    item_ids = np.arange(spec.n_items)
     emitted = 0
     chunk_index = 0
     while emitted < spec.n_rows:
@@ -558,11 +559,10 @@ def iter_tall_chunks(spec: TallCohortSpec):
         present = draws < thresholds
         empty = ~present.any(axis=1)
         present[empty, spec.n_signal % spec.n_items] = True
-        rows = [
-            frozenset(int(item) for item in np.flatnonzero(present[i]))
-            for i in range(size)
-        ]
-        yield rows, [int(label) for label in labels[:size]]
+        # The hybrid miner reads a streamed source once per partition,
+        # so rows convert through tolist(), not one int() per item.
+        rows = [frozenset(item_ids[row].tolist()) for row in present[:size]]
+        yield rows, labels[:size].tolist()
         emitted += size
         chunk_index += 1
 

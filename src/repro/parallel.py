@@ -25,7 +25,8 @@ so the three kinds of unit live with the miners they belong to:
   shard order into exactly the serial emission order;
 * **hybrid partitions** (:class:`~repro.core.hybrid.HybridPartitionRequest`):
   the column partitions of :mod:`repro.core.hybrid` are whole,
-  independent mines.
+  independent mines, each read from the run's shared
+  :class:`~repro.data.streaming.RowChunkSource` when it starts.
 
 Every unit runs through one runner, :func:`run_jobs`.  With one worker
 or one job it runs the jobs in order in the calling process, each with
@@ -788,10 +789,11 @@ def run_jobs(
     """Run jobs over ``dataset``: the one place any mining unit runs.
 
     Each job is a picklable object whose ``run(dataset, cancel,
-    time_budget)`` returns ``(payload, stats)``, or ``None`` when it
-    starts after the stop and skips its work; ``dataset`` is whatever
-    its ``run`` mines (a :class:`DiscretizedDataset`, or a hybrid run's
-    shared catalog).  Returns the outputs in job order.
+    time_budget)`` returns ``(payload, stats)``, or ``None`` when the
+    stop lands before its work starts; ``dataset`` is whatever its
+    ``run`` mines (a :class:`DiscretizedDataset`, or a hybrid run's
+    :class:`~repro.data.streaming.RowChunkSource`).  Returns the
+    outputs in job order.
 
     With one worker or one job the jobs run in order in this process,
     each with the time left before one deadline (clamped at 0) and the

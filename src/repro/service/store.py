@@ -145,12 +145,16 @@ class JobStore:
         terminal row is never regressed to a non-terminal status — the
         queue notifies outside its lock, so a ``running`` notification
         can arrive after ``done`` for a very fast job.  A result that
-        did not complete is keyed to this job alone.
+        did not complete is keyed to this job alone.  A result the store
+        cannot hold (its text is too long to encode or to bind) still
+        ends the row: the terminal status is written with ``error``
+        saying why no result is stored, so the job is never replayed.
         """
         job_id = snapshot.get("job_id")
         status = snapshot.get("status")
         if not job_id or not status:
             return
+        error = snapshot.get("error")
         with self._lock, self._conn:
             row = self._conn.execute(
                 "SELECT status, mining_key FROM jobs WHERE job_id=?",
@@ -164,18 +168,23 @@ class JobStore:
                 result_key = row[1]
                 if not result.get("completed", True):
                     result_key = f"{result_key}#{job_id}"
-                self._conn.execute(
-                    "INSERT OR IGNORE INTO results (result_key, payload,"
-                    " created_at) VALUES (?, ?, ?)",
-                    (result_key,
-                     encode_json(result, separators=(",", ":")),
-                     time.time()),
-                )
+                try:
+                    self._conn.execute(
+                        "INSERT OR IGNORE INTO results (result_key,"
+                        " payload, created_at) VALUES (?, ?, ?)",
+                        (result_key,
+                         encode_json(result, separators=(",", ":")),
+                         time.time()),
+                    )
+                except (OverflowError, sqlite3.DataError) as fault:
+                    result_key = None
+                    error = (f"result not stored: "
+                             f"{type(fault).__name__}: {fault}")
             self._conn.execute(
                 "UPDATE jobs SET status=?, error=?, started_at=?,"
                 " finished_at=?, result_key=COALESCE(?, result_key)"
                 " WHERE job_id=?",
-                (status, snapshot.get("error"), snapshot.get("started_at"),
+                (status, error, snapshot.get("started_at"),
                  snapshot.get("finished_at"), result_key, job_id),
             )
 

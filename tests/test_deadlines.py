@@ -5,7 +5,8 @@ a budget, so a budgeted mine must return close to its deadline, not
 after a pass over what its walk found.  One PC-shaped dataset where no
 miner below finishes in 0.3 s; each must come back within
 ``1.25 * budget + 50 ms`` of the call.  The column route is held to the
-same bound where ``strategy="auto"`` plans it, on tall-16k.
+same bound where ``strategy="auto"`` plans it, on tall-16k, and so is a
+hybrid mine streamed from the tall-16k chunk source.
 """
 
 from __future__ import annotations
@@ -17,8 +18,10 @@ import pytest
 
 from repro.baselines import mine_charm, mine_closetplus, mine_farmer
 from repro.core.column import mine_topk_column
+from repro.core.hybrid import mine_topk_hybrid
 from repro.core.topk_miner import mine_topk, relative_minsup
 from repro.core.view import MiningView
+from repro.data import TallChunkSource
 from repro.data.synthetic import TALL_COHORTS, generate_tall_cohort
 
 BUDGET = 0.3
@@ -100,6 +103,29 @@ def test_tall_column_mine_returns_by_the_deadline():
         f"budget (bound {BOUND:.3f}s)"
     )
     assert not result.stats.completed
+
+
+def test_streamed_tall_hybrid_mine_returns_by_the_deadline():
+    """A hybrid mine streamed from tall-16k reads the source once, then
+    once more as each partition starts; the partition read polls the
+    deadline between chunks, and a partition stopped in its read is
+    skipped, so the mine returns by the bound although one read of the
+    source takes a sizeable part of the budget."""
+    source = TallChunkSource(TALL_COHORTS["tall-16k"])
+    n_case = sum(
+        sum(1 for label in labels if label == 1)
+        for _rows, labels in source.chunks()
+    )
+    start = time.perf_counter()
+    result = mine_topk_hybrid(consequent=1, minsup=int(0.7 * n_case), k=2,
+                              source=source, time_budget=BUDGET)
+    elapsed = time.perf_counter() - start
+    assert elapsed <= BOUND, (
+        f"the streamed hybrid mine returned {elapsed:.3f}s after a "
+        f"{BUDGET}s budget (bound {BOUND:.3f}s)"
+    )
+    assert not result.stats.completed
+    assert result.hybrid_stats.n_skipped_partitions > 0
 
 
 def test_closetplus_stops_within_a_few_of_its_own_nodes(pc_train):

@@ -119,13 +119,6 @@ class TestBudgetArguments:
 
 
 class TestHybridFailures:
-    def test_unwritable_spill_dir_raises(self, small_random, tmp_path):
-        missing = tmp_path / "does" / "not" / "exist"
-        with pytest.raises(FileNotFoundError):
-            mine_topk_hybrid(
-                small_random, 1, minsup=1, k=1, spill_dir=str(missing)
-            )
-
     def test_partition_budget_result_still_valid(self, small_random):
         result = mine_topk_hybrid(
             small_random, 1, minsup=1, k=2, node_budget_per_partition=2

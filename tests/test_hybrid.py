@@ -1,22 +1,24 @@
 """Tests for the hybrid column-then-row miner (Section 8 extension).
 
-Covers the streaming/out-of-core production path and its execution
-plumbing: bit-identity against the direct miner (engines x backend
-spellings x cohorts), cancellation/time budgets, backend resolution
-parity, spill
-hygiene (no leaked files, error paths included), and the streaming
-builder's bounded-memory claim.
+Covers the streaming production path and its execution plumbing:
+bit-identity against the direct miner (engines x backend spellings x
+cohorts, streamed and on the pool), cancellation/time budgets during a
+partition's read, backend resolution parity, the ``REPRO_CHECK`` audit
+of the aggregate, and the largest-partition memory figure.
 """
 
 import threading
+import time
+from dataclasses import replace
 
 import pytest
 
+import repro.core.hybrid as hybrid
+from repro.audit.invariants import InvariantViolation
 from repro.core.backends import auto_backend_stats
 from repro.core.hybrid import (
     AUTO_HYBRID_DENSITY,
     HybridPartitionRequest,
-    PartitionCatalog,
     auto_strategy_stats,
     mine_topk_hybrid,
     plan_auto_strategy,
@@ -97,8 +99,26 @@ class TestEquivalence:
             mine_topk(small_random, 1, 100, engine="bogus", strategy="hybrid")
         with pytest.raises(ValueError, match="unknown engine 'bogus'"):
             mine_topk(small_random, 1, 1, engine="bogus", strategy="hybrid")
-        with pytest.raises(ValueError, match="strategy='hybrid'"):
-            mine_topk(small_random, 1, 1, spill_dir="/tmp")
+
+    def test_repro_check_audits_the_aggregate(self, small_random, monkeypatch):
+        """Under REPRO_CHECK the hybrid aggregate itself is audited, not
+        only the per-partition mines: an aggregation that hands each
+        group its first item's row set is caught."""
+        canonical = hybrid._canonical_groups
+
+        def first_item_rows(passed, consequent, finished):
+            return [
+                replace(group,
+                        row_set=passed.item_rows[min(group.antecedent)])
+                for group in canonical(passed, consequent, finished)
+            ]
+
+        monkeypatch.setenv("REPRO_CHECK", "1")
+        mine_topk(small_random, 1, 1, k=2, strategy="hybrid")
+        monkeypatch.setattr(hybrid, "_canonical_groups", first_item_rows)
+        with pytest.raises(InvariantViolation,
+                           match="row_set is not R\\(antecedent\\)"):
+            mine_topk(small_random, 1, 1, k=2, strategy="hybrid")
 
     def test_auto_strategy_planner_rung(self):
         # The fitted rung sits between the densest shape that mined
@@ -225,9 +245,32 @@ class TestStreaming:
                 source=DatasetChunkSource(small_random),
             )
 
-    def test_tall_16k_streams_within_cell_budget(self, tmp_path):
-        """The acceptance claim: tall-16k mines off the chunk stream with
-        builder peak memory strictly below the full-matrix size."""
+    def test_streamed_pool_mine_matches_in_process_and_direct(self):
+        """Pool workers read their partitions from the shipped source:
+        a streamed mine on 2 workers equals the in-process one and the
+        direct mine of the materialized cohort."""
+        spec = TALL_COHORTS["tall-1k"].scaled(0.125)
+        ds = generate_tall_cohort(spec)
+        minsup = max(1, int(0.5 * sum(1 for l in ds.labels if l == 1)))
+        in_process = mine_topk_hybrid(
+            consequent=1, minsup=minsup, k=2, source=TallChunkSource(spec)
+        )
+        try:
+            fanned = mine_topk_hybrid(
+                consequent=1, minsup=minsup, k=2,
+                source=TallChunkSource(spec), n_jobs=2,
+            )
+        finally:
+            shutdown_pool()
+        assert fanned.stats.plan.workers == 2
+        assert fanned.hybrid_stats.n_partitions > 1
+        assert results_equal(fanned, in_process)
+        assert results_equal(fanned, mine_topk(ds, 1, minsup, k=2))
+
+    def test_tall_16k_streams_within_cell_budget(self):
+        """The acceptance claim: tall-16k mines off the chunk stream, and
+        the largest partition, all that one partition mine holds, is
+        strictly smaller than the full matrix."""
         spec = TALL_COHORTS["tall-16k"]
         source = TallChunkSource(spec)
         n_case = sum(
@@ -235,22 +278,16 @@ class TestStreaming:
             for _rows, labels in source.chunks()
         )
         minsup = int(0.7 * n_case)
-        budget = 65536
         result = mine_topk_hybrid(
             consequent=1,
             minsup=minsup,
             k=1,
             source=TallChunkSource(spec),
-            spill_dir=str(tmp_path),
-            max_resident_cells=budget,
             node_budget_per_partition=64,
         )
         stats = result.hybrid_stats
-        assert stats.total_cells > budget
-        assert stats.peak_resident_cells < stats.total_cells
-        assert stats.spilled_partitions > 0
-        # Spill hygiene: the unique run directory is gone afterwards.
-        assert list(tmp_path.iterdir()) == []
+        assert 0 < stats.peak_resident_cells < stats.total_cells
+        assert stats.spilled_partitions == 0
 
 
 class TestCancellation:
@@ -277,22 +314,62 @@ class TestCancellation:
         assert stats.n_skipped_partitions == stats.n_partitions
         assert all(groups == [] for groups in result.per_row.values())
 
+    @staticmethod
+    def _request(dataset):
+        return HybridPartitionRequest(
+            anchor=0, mine=MineRequest(consequent=1, minsup=1),
+            items=tuple(range(dataset.n_items)),
+        )
+
+    @staticmethod
+    def _source(dataset, first_chunk):
+        """A source that raises when asked for a chunk after
+        ``first_chunk`` (``None``: for any chunk at all)."""
+
+        class Source:
+            items = dataset.items
+            class_names = dataset.class_names
+            name = "raises"
+
+            def chunks(self):
+                if first_chunk is None:
+                    raise AssertionError("read after the stop")
+                first_chunk()
+                yield dataset.rows, dataset.labels
+                raise AssertionError("read after the stop")
+
+        return Source()
+
     @pytest.mark.parametrize("stop", ("cancel", "budget"))
     def test_partition_started_after_the_stop_reads_nothing(
-            self, tmp_path, stop):
+            self, small_random, stop):
         """A partition that starts after the stop returns None before
-        it opens its spill file (which here does not exist)."""
-        request = HybridPartitionRequest(
-            anchor=0, mine=MineRequest(consequent=1, minsup=1),
-            spill_path=str(tmp_path / "missing.jsonl"),
-        )
-        catalog = PartitionCatalog([], ["neg", "pos"], "empty")
+        it asks its source for a chunk."""
         cancel = threading.Event()
+        source = self._source(small_random, None)
+        request = self._request(small_random)
         if stop == "cancel":
             cancel.set()
-            assert request.run(catalog, cancel=cancel) is None
+            assert request.run(source, cancel=cancel) is None
         else:
-            assert request.run(catalog, cancel=cancel, time_budget=0.0) is None
+            assert request.run(source, cancel=cancel, time_budget=0.0) is None
+
+    @pytest.mark.parametrize("stop", ("cancel", "budget"))
+    def test_partition_stopped_during_its_read_reads_no_further(
+            self, small_random, stop):
+        """A stop that lands while a partition reads its first chunk
+        returns None without asking the source for another."""
+        cancel = threading.Event()
+        budget = 0.05
+        if stop == "cancel":
+            source = self._source(small_random, cancel.set)
+            budget = None
+        else:
+            source = self._source(small_random,
+                                  lambda: time.sleep(2 * budget))
+        assert self._request(small_random).run(
+            source, cancel=cancel, time_budget=budget
+        ) is None
 
     def test_cancel_between_partitions_stops_early(self, small_random):
         class TripAfter:
@@ -356,43 +433,6 @@ class TestExecutionSurface:
         assert fanned.stats.plan.workers == 2
 
 
-class TestDiskSpill:
-    def test_spill_matches_in_memory_and_leaves_nothing(
-        self, tmp_path, small_random
-    ):
-        in_memory = mine_topk_hybrid(small_random, 1, minsup=1, k=2)
-        spilled = mine_topk_hybrid(
-            small_random, 1, minsup=1, k=2, spill_dir=str(tmp_path)
-        )
-        assert results_equal(spilled, in_memory)
-        # The run spills (cell budget defaults to 0 with spill_dir set)...
-        assert spilled.hybrid_stats.spilled_partitions > 0
-        # ...and removes its unique run directory afterwards: no leaks.
-        assert list(tmp_path.iterdir()) == []
-
-    def test_spill_cleanup_on_error_path(self, tmp_path, small_random):
-        with pytest.raises(ValueError):
-            mine_topk_hybrid(
-                small_random,
-                1,
-                minsup=1,
-                k=1,
-                engine="no-such-engine",
-                spill_dir=str(tmp_path),
-            )
-        assert list(tmp_path.iterdir()) == []
-
-    def test_concurrent_runs_share_spill_dir(self, tmp_path, small_random):
-        first = mine_topk_hybrid(
-            small_random, 1, minsup=1, k=2, spill_dir=str(tmp_path)
-        )
-        second = mine_topk_hybrid(
-            small_random, 1, minsup=1, k=2, spill_dir=str(tmp_path)
-        )
-        assert results_equal(first, second)
-        assert list(tmp_path.iterdir()) == []
-
-
 class TestStats:
     def test_partition_stats(self, small_random):
         result = mine_topk_hybrid(small_random, 1, minsup=1, k=1)
@@ -401,7 +441,28 @@ class TestStats:
         assert stats.max_partition_rows <= small_random.n_rows
         assert stats.completed
         assert stats.total_cells == sum(len(r) for r in small_random.rows)
+        assert stats.spilled_partitions == 0
         assert result.stats.engine == "hybrid/bitset"
+
+    @pytest.mark.parametrize("minsup", (1, 3))
+    def test_peak_cells_recount_the_largest_partition(
+            self, small_random, minsup):
+        """peak_resident_cells is the largest partition's cells, counted
+        here from the dataset rows: each row holding an anchor adds its
+        frequent items from the anchor on."""
+        ds = small_random
+        positive = ds.class_mask(1)
+        frequent = sorted(
+            item for item, rows in enumerate(ds.item_row_sets())
+            if bin(rows & positive).count("1") >= minsup
+        )
+        cells = {anchor: 0 for anchor in frequent}
+        for row in ds.rows:
+            kept = [item for item in frequent if item in row]
+            for position, anchor in enumerate(kept):
+                cells[anchor] += len(kept) - position
+        result = mine_topk_hybrid(ds, 1, minsup=minsup, k=1)
+        assert result.hybrid_stats.peak_resident_cells == max(cells.values())
 
     def test_partition_budget_marks_incomplete(self, small_random):
         result = mine_topk_hybrid(

@@ -12,6 +12,7 @@ from repro.data import random_discretized_dataset
 from repro.data.loaders import discretized_to_payload
 from repro.data.synthetic import TALL_COHORTS, generate_tall_cohort
 import repro.service.jobs as jobs_module
+import repro.service.store as store_module
 from repro.service import JobStore, RuleService, ServiceError
 from repro.service.jobs import MAX_FINISHED_JOBS, JobCancelled
 
@@ -634,6 +635,43 @@ class TestTruncatedResults:
             assert store.get_job("job-1")["result"] == {"completed": False}
         finally:
             store.close()
+
+
+class TestUnstorableResult:
+    def test_result_the_store_cannot_hold_still_ends_the_job(
+        self, tmp_path, dataset, monkeypatch
+    ):
+        """A result too long to encode (a tall mine's text can pass
+        INT_MAX bytes) leaves a terminal row naming why no result is
+        stored: shutdown completes and no later boot re-mines it."""
+
+        def too_long(*args, **kwargs):
+            raise OverflowError("string longer than INT_MAX bytes")
+
+        monkeypatch.setattr(store_module, "encode_json", too_long)
+        path = str(tmp_path / "jobs.db")
+        service = RuleService(store_path=path, mining_workers=1)
+        try:
+            job_id = service.submit_mine(_mine_body(dataset))["job_id"]
+            assert _wait_done(service, job_id)["status"] == "done"
+        finally:
+            service.shutdown()
+        store = JobStore(path)
+        try:
+            row = store.get_job(job_id)
+            assert row["status"] == "done"
+            assert row["error"].startswith("result not stored: OverflowError")
+            assert "result" not in row
+            assert store.pending_jobs() == []
+        finally:
+            store.close()
+        monkeypatch.undo()
+        revived = RuleService(store_path=path, mining_workers=1)
+        try:
+            assert revived.telemetry.counter("mine_jobs_recovered") == 0
+            assert revived.job_status(job_id)["status"] == "done"
+        finally:
+            revived.shutdown()
 
 
 class TestJobTableBound:
