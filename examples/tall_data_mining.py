@@ -6,15 +6,18 @@ the frequent items are few, their closed itemsets are few (at most
 ``2**f`` for ``f`` items), and every top-k rule group is one of them:
 ``strategy="auto"`` then plans a column walk of the closed sets (the
 CHARM walk of the paper's Fig. 6 comparison).  Section 8 of the paper
-sketches the other route: partition the data column-wise first,
-row-enumerate within each partition, and aggregate the per-row top-k
-lists.  This example runs direct, hybrid and auto side by side on the
-ovarian-cancer workload (210 rows, the paper's tallest), on a
-synthetic tall cohort, and on a sparse random table.  Each hybrid
-partition is read from the data when it is mined, so the largest
-partition, not the table, bounds what one partition mine holds; the
-hybrid line prints it against the matrix.  All three routes return the
-same lists, bit for bit.
+sketches the other route: partition the data column-wise first, switch
+to row enumeration within each partition, and aggregate the per-row
+top-k lists.  Here each partition plans its own walk by the same rule:
+the column walk where the partition's frequent items are few for its
+rows, the row walk elsewhere.  This example runs direct, hybrid and
+auto side by side on the ovarian-cancer workload (210 rows, the
+paper's tallest), on a synthetic tall cohort, and on a sparse random
+table; the hybrid line counts the partitions that took the column
+walk.  Each hybrid partition is read from the data when it is mined,
+so the largest partition, not the table, bounds what one partition
+mine holds; the hybrid line prints it against the matrix.  All three
+routes return the same lists, bit for bit.
 
 Run:  python examples/tall_data_mining.py
 """
@@ -48,7 +51,8 @@ def compare(dataset, consequent, minsup, k, label):
           f"{direct.stats.nodes_visited} nodes")
     print(f"  hybrid: {hybrid_seconds:.3f}s, "
           f"{hybrid.stats.nodes_visited} nodes across "
-          f"{stats.n_partitions} partitions (largest holds "
+          f"{stats.n_partitions} partitions ({stats.column_partitions} "
+          f"on the column walk; largest holds "
           f"{stats.max_partition_rows}/{dataset.n_rows} rows, "
           f"{stats.peak_resident_cells}/{stats.total_cells} matrix cells)")
     print(f"  auto:   {auto_seconds:.3f}s, plans {planned.strategy} "

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from ..core.enumeration import ClosedSetResult, run_enumeration
+from ..core.enumeration import ENGINES, ClosedSetResult, run_enumeration
 from ..core.planner import plan
 from ..core.rules import RuleGroup
 from ..core.view import MiningView
@@ -216,6 +216,10 @@ def mine_farmer(
         was exhausted it carries the groups found so far and
         ``stats.completed`` is False.
     """
+    if engine not in ENGINES:  # run_enumeration also runs the column walk
+        raise ValueError(
+            f"unknown engine {engine!r}; expected one of {ENGINES}"
+        )
     planned = plan(
         dataset, consequent, minsup, task="farmer", n_jobs=n_jobs,
         backend=backend,

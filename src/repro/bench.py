@@ -332,6 +332,7 @@ def _measure(
         hybrid_stats = serial_result.hybrid_stats
         entry["hybrid"] = {
             "n_partitions": hybrid_stats.n_partitions,
+            "column_partitions": hybrid_stats.column_partitions,
             "total_cells": hybrid_stats.total_cells,
             "peak_resident_cells": hybrid_stats.peak_resident_cells,
             "strategy": serial_result.stats.plan.strategy,

@@ -158,7 +158,8 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     hybrid_stats = getattr(result, "hybrid_stats", None)
     if hybrid_stats is not None:
         print(f"hybrid: {hybrid_stats.n_partitions} partitions "
-              f"({hybrid_stats.n_skipped_partitions} skipped), largest "
+              f"({hybrid_stats.n_skipped_partitions} skipped, "
+              f"{hybrid_stats.column_partitions} on the column walk), largest "
               f"partition {hybrid_stats.peak_resident_cells} cells "
               f"(matrix {hybrid_stats.total_cells} cells)",
               file=sys.stderr)

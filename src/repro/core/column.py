@@ -10,12 +10,18 @@ the column walk finds them in a fraction of the row walk's nodes.
 
 :func:`walk_closed_sets` is the one IT-tree walk (Zaki & Hsiao, SDM'02)
 of the repo.  :func:`~repro.baselines.charm.mine_charm` records what it
-finds as rule groups; :func:`mine_topk_column` feeds every closed set to
-an ordinary :class:`~repro.core.topk_miner.TopkPolicy` through ``emit``
-and returns ``policy.finalize()``, so its per-row lists are the direct
-mine's own, bit for bit.  The planner sends ``strategy="auto"`` here
-when the closed sets are provably few (:mod:`repro.core.planner`,
-DESIGN.md §13).
+finds as rule groups; :func:`offer_closed_sets` is the
+:data:`~repro.core.enumeration.COLUMN_WALK` of
+:func:`~repro.core.enumeration.run_enumeration`, which feeds every
+closed set to an ordinary :class:`~repro.core.topk_miner.TopkPolicy`
+through ``emit``, so a top-k mine's per-row lists are the direct mine's
+own, bit for bit, on either walk.  The mine around the walk is
+:func:`~repro.core.topk_miner.mine_walk`, shared with the row walks.
+The planner's :func:`~repro.core.planner.column_fits` takes this walk
+when the closed sets are provably few: for a whole ``strategy="auto"``
+mine and for each hybrid partition (DESIGN.md §13).  There
+``node_budget`` (``node_budget_per_partition``) counts IT-tree nodes,
+and ``engine`` and the Section 4.1.1 flags are ignored.
 
 The walk uses the four subsumption properties of the original
 algorithm.  With ``use_diffsets=True`` (the paper's CHARM
@@ -27,19 +33,17 @@ record.
 
 from __future__ import annotations
 
-import time
 from typing import TYPE_CHECKING, Callable, Optional
 
-from ..errors import MiningBudgetExceeded
 from .bitset import mask_below
-from .enumeration import POLL_STRIDE, MinerStats, _Budget
-from .topk_miner import TopkPolicy, TopkResult, maybe_check_result
+from .enumeration import COLUMN_WALK, POLL_STRIDE, SearchPolicy, _Budget
+from .topk_miner import TopkResult, mine_walk
 from .view import MiningView
 
 if TYPE_CHECKING:  # pragma: no cover - import is for annotations only
     from ..data.dataset import DiscretizedDataset
 
-__all__ = ["mine_topk_column", "walk_closed_sets"]
+__all__ = ["mine_topk_column", "offer_closed_sets", "walk_closed_sets"]
 
 # The top-k route's variant.  Both walk the same nodes; tidsets ran 3-7%
 # faster on tall-1k@256 (21.8 against 23.3 ms at minsup 0.5, k=2), since
@@ -163,6 +167,34 @@ def walk_closed_sets(
             frame[1] = index + 1
 
 
+def offer_closed_sets(
+    view: MiningView, policy: SearchPolicy, budget: _Budget
+) -> None:
+    """The column walk: every closed set offered to ``policy.emit``.
+
+    One :func:`walk_closed_sets` over ``view`` at its ``minsup``, each
+    record offered in position space.  A candidate the walk records that
+    is not closed repeats the tidset of a closed set recorded before it,
+    and :meth:`~repro.core.topk_miner.TopkPolicy.emit` keeps the larger
+    antecedent of a tidset it already holds.  Each record counts in
+    ``budget.stats.groups_emitted`` and polls ``budget`` after its
+    offer: one offer can update thousands of rows' lists on tall data,
+    longer than a whole poll stride of row-walk nodes.
+    """
+    stats = budget.stats
+    positive = view.positive_mask
+    emit = policy.emit
+    poll = budget.poll
+
+    def record(itemset: frozenset, tidset: int) -> None:
+        stats.groups_emitted += 1
+        x_p = (tidset & positive).bit_count()
+        emit(itemset, tidset, x_p, tidset.bit_count() - x_p)
+        poll()
+
+    walk_closed_sets(view, view.minsup, record, budget, TOPK_USE_DIFFSETS)
+
+
 def mine_topk_column(
     dataset: "DiscretizedDataset",
     consequent: int,
@@ -174,56 +206,17 @@ def mine_topk_column(
 ) -> TopkResult:
     """Top-k covering rule groups from the closed sets of the view.
 
-    The column route of :func:`~repro.core.topk_miner.mine_topk`: one
-    :func:`walk_closed_sets` over the shared view, each closed set
-    offered to a :class:`~repro.core.topk_miner.TopkPolicy` through
-    ``emit`` in position space, and the lists built by its
-    ``finalize``.  A candidate the walk records that is not closed
-    repeats the tidset of a closed set recorded before it, and ``emit``
-    keeps the larger antecedent of a tidset it already holds.  The
-    per-row lists are the direct mine's, bit for bit.
-
-    The Section 4.1.1 optimizations steer a row walk, not this one: the
-    policy starts unseeded, since the walk records every single-item
-    closed set itself and seeds only make each offer scan fuller lists
-    (minsup 0.7, k=10: 12.8 against 16.2 ms on tall-1k@256, 0.47
-    against 0.65 s on tall-16k), and its pruning hooks are never asked.
-
-    ``node_budget`` counts IT-tree nodes; ``time_budget`` and ``cancel``
-    are polled on the walk's node and pair strides and after every
-    offer, and an overrun returns the lists found so far with
-    ``stats.completed`` False.  ``stats.engine`` is ``"column"`` and
-    ``stats.groups_emitted`` counts the closed sets offered.
+    :func:`~repro.core.topk_miner.mine_walk` on the column walk, the
+    mine a ``strategy="auto"`` that plans ``column`` runs, for callers
+    that want the column walk whatever the plan (the audit's column
+    check, the tests).  ``node_budget`` counts IT-tree nodes;
+    ``time_budget`` and ``cancel`` are polled on the walk's node and
+    pair strides and after every offer, and an overrun returns the
+    lists found so far with ``stats.completed`` False.
+    ``stats.engine`` is ``"column"`` and ``stats.groups_emitted``
+    counts the closed sets offered.
     """
-    start = time.monotonic()
-    stats = MinerStats(engine="column")
-    budget = _Budget(stats, node_budget, time_budget, cancel)
-    view = MiningView.cached(dataset, consequent, minsup)
-    policy = TopkPolicy(view, k, initialize_single_items=False)
-    positive = view.positive_mask
-    emit = policy.emit
-    poll = budget.poll
-
-    def record(itemset: frozenset, tidset: int) -> None:
-        stats.groups_emitted += 1
-        x_p = (tidset & positive).bit_count()
-        emit(itemset, tidset, x_p, tidset.bit_count() - x_p)
-        # One offer can update thousands of rows' lists on tall data,
-        # longer than a whole poll stride of row-walk nodes.
-        poll()
-
-    try:
-        walk_closed_sets(view, minsup, record, budget, TOPK_USE_DIFFSETS)
-    except MiningBudgetExceeded:
-        pass  # the budget marked stats incomplete
-    stats.elapsed_seconds = time.monotonic() - start
-    result = TopkResult(
-        per_row=policy.finalize(),
-        consequent=consequent,
-        minsup=minsup,
-        k=k,
-        stats=stats,
+    return mine_walk(
+        dataset, consequent, minsup, k, COLUMN_WALK,
+        node_budget=node_budget, time_budget=time_budget, cancel=cancel,
     )
-    maybe_check_result(dataset, result)
-    return result
-

@@ -48,6 +48,12 @@ lets the Figure 6 benchmarks attribute speedups to the prefix tree
 versus the top-k pruning; the cross-engine tests and the audit verify
 it.
 
+:func:`run_enumeration` also runs one walk that is not a row walk:
+:data:`COLUMN_WALK`, CHARM's IT-tree walk over the view's closed sets
+(:func:`repro.core.column.offer_closed_sets`), which a top-k mine takes
+where the planner finds the closed sets few.  Its budget, stats and
+errors are the row walks' own.
+
 Sibling cut.  Under the class dominant order (consequent rows first) the
 loose bounds of Lemma 3.2 only weaken along a node's ascending candidate
 list: for later siblings ``r < r'`` the support bound is no larger, the
@@ -90,10 +96,16 @@ __all__ = [
     "ClosedSetResult",
     "run_enumeration",
     "ENGINES",
+    "COLUMN_WALK",
     "POLL_STRIDE",
 ]
 
 ENGINES = ("bitset", "table", "tree")
+
+# The walk :func:`run_enumeration` runs for a top-k mine the planner
+# sends to the closed sets (:mod:`repro.core.column`).  It is not an
+# engine: the miners' ``engine`` arguments accept only :data:`ENGINES`.
+COLUMN_WALK = "column"
 
 # Deadline/cancellation poll stride of the node budget, in enumeration
 # nodes.  Shared with the pool workers of :mod:`repro.parallel` so a
@@ -358,7 +370,10 @@ def run_enumeration(
     Args:
         view: prepared dataset view (ordering, frequent items).
         policy: pruning/collection logic (top-k or FARMER style).
-        engine: one of :data:`ENGINES`.
+        engine: one of :data:`ENGINES`, or :data:`COLUMN_WALK`, which
+            offers every closed set to ``policy.emit`` and asks no
+            pruning hook; its ``stats.nodes_visited`` counts IT-tree
+            nodes and ``stats.groups_emitted`` the closed sets offered.
         node_budget: abort with :class:`MiningBudgetExceeded` after this
             many enumeration nodes.
         time_budget: abort after this many wall-clock seconds.
@@ -370,20 +385,28 @@ def run_enumeration(
             Skipped roots are not charged to the node budget.  Deeper
             levels are never filtered, so mining every first row exactly
             once across several calls partitions the full tree — the
-            FARMER row-shard contract of :mod:`repro.parallel`.
+            FARMER row-shard contract of :mod:`repro.parallel`.  The
+            column walk has no first level of rows to restrict.
 
     Returns:
         The :class:`MinerStats` of the completed run.  On budget overrun
         the exception carries the partial stats instead.
     """
     setup = _ENGINE_SETUPS.get(engine)
-    if setup is None:
+    if setup is None and engine != COLUMN_WALK:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
+    if setup is None and first_rows is not None:
+        raise ValueError("the column walk takes no first_rows")
     stats = MinerStats(engine=engine)
     budget = _Budget(stats, node_budget, time_budget, cancel)
     start = time.monotonic()
     try:
-        _walk(view, policy, stats, budget, first_rows, setup(view))
+        if setup is None:
+            from .column import offer_closed_sets  # column imports this module
+
+            offer_closed_sets(view, policy, budget)
+        else:
+            _walk(view, policy, stats, budget, first_rows, setup(view))
     except MiningBudgetExceeded as overrun:
         # Policies may raise their own budget errors (e.g. a group cap);
         # make sure the run's stats travel with the exception either way.

@@ -1,4 +1,4 @@
-"""Hybrid column-then-row enumeration (the Section 8 extension).
+"""Hybrid column-partitioned enumeration (the Section 8 extension).
 
 The paper's row enumeration assumes few rows and many columns.  Its
 discussion section sketches the extension to *tall* datasets: "utilizing
@@ -20,8 +20,15 @@ dataset is wrapped in one), so the full cohort is never resident:
    per-item row bitsets, the class mask and the frequent items; each
    partition job then reads the source once more and keeps only its own
    rows, so no partition is resident except the ones being mined.
-2. **Row phase** — ordinary MineTopkRGS row enumeration inside each
-   partition.  Partitions are independent jobs for
+2. **A walk planned per partition** — each partition is one top-k
+   mine (:func:`~repro.core.topk_miner.mine_walk`) by the walk the
+   planner's :func:`~repro.core.planner.column_fits` picks for the
+   partition's own frequent items and rows: the column walk of
+   :mod:`repro.core.column` where its closed sets are few, ordinary
+   MineTopkRGS row enumeration elsewhere.  This is the paper's
+   "switching to row-wise enumeration in later levels", taken only
+   where the partition's closed sets are not provably few; both walks
+   give the same lists.  Partitions are independent jobs for
    :func:`~repro.parallel.run_jobs`, which mines them in anchor order
    in this process or fans them out over the warm
    :class:`~repro.parallel.MinerPool` (worker crashes are retried,
@@ -38,9 +45,9 @@ dataset is wrapped in one), so the full cohort is never resident:
    check per lower frequent anchor — no per-bit Python loops.
 
 The output is identical to :func:`repro.core.topk_miner.mine_topk` (the
-cross-validation tests assert this); the benefit is that each row
-enumeration runs over a partition instead of the whole table, and peak
-memory is the partitions being mined rather than the cohort.
+cross-validation tests assert this); the benefit is that each walk
+runs over a partition instead of the whole table, and peak memory is
+the partitions being mined rather than the cohort.
 
 Restricting partition rows to *frequent* items >= the anchor is exact: a
 globally infrequent item is infrequent in every partition too, so the
@@ -62,18 +69,22 @@ from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
 from .bitset import popcount
-from .enumeration import ENGINES
+from .enumeration import COLUMN_WALK, ENGINES
 # auto_strategy_stats is the planner's counter, re-exported for callers
 # that read it beside the density rung.
 from .planner import (
     AUTO_STRATEGY,
     STRATEGIES,
     auto_strategy_stats,
+    column_fits,
     plan,
     support_mass,
 )
 from .rules import RuleGroup, build_topk_lists
-from .topk_miner import TopkResult, maybe_check_result, mine_topk
+# No partition calls mine_topk; perfbench's tracer patches it here by
+# name.
+from .topk_miner import TopkResult, maybe_check_result, mine_topk, mine_walk
+from .view import MiningView
 
 if TYPE_CHECKING:  # pragma: no cover - imports are for annotations only
     from ..data.dataset import DiscretizedDataset
@@ -94,10 +105,11 @@ __all__ = [
 
 # The planner's density rung for a strategy="auto" that the column rung
 # did not take, on the density support mass / rows² (mean frequent items
-# per row ÷ rows).  Every measured shape at 0.038 or below mines faster
-# hybrid than direct, every paper shape (0.59 and up) 50x or more faster
-# direct; between 0.057 and 0.083 the outcomes mix within ~17 ms
-# (DESIGN.md §13).
+# per row ÷ rows).  With each partition planning its own walk, random
+# tables up to 0.0747 mine hybrid at least as fast as direct, but OC@0.1
+# class 0 at minsup 0.95 (0.0521) mines 50x faster direct, as does every
+# paper shape from 0.59 up.  0.05 sits below that paper shape; only a
+# random table at 0.0502 (1.7x hybrid) lies between (DESIGN.md §13).
 AUTO_HYBRID_DENSITY = 0.05
 
 
@@ -113,7 +125,9 @@ class HybridStats:
     ``completed`` is the honesty flag: False as soon as any partition
     hit a budget or the run was cancelled/timed out before a partition's
     read ended (``n_skipped_partitions`` counts the ones never mined).
-    ``total_cells`` is the full-matrix size, summed over pass one;
+    ``column_partitions`` counts the mined partitions that took the
+    column walk, so ``total_nodes`` sums row-walk nodes and IT-tree
+    nodes.  ``total_cells`` is the full-matrix size, summed over pass one;
     ``peak_resident_cells`` is the largest partition's cells, which is
     what one partition mine holds.  ``spilled_partitions`` is always 0:
     no partition is written anywhere.
@@ -121,6 +135,7 @@ class HybridStats:
 
     n_partitions: int = 0
     n_skipped_partitions: int = 0
+    column_partitions: int = 0
     total_nodes: int = 0
     max_partition_rows: int = 0
     completed: bool = True
@@ -175,8 +190,9 @@ class HybridPartitionRequest:
 
     The partition is the source's rows that hold ``anchor``, each cut to
     ``items`` (the frequent items from the anchor on), in global row
-    order.  ``mine`` holds the per-partition :func:`mine_topk`
-    arguments.
+    order.  ``mine`` holds the per-partition
+    :func:`~repro.core.topk_miner.mine_topk` arguments; its ``engine``
+    runs only if the partition takes the row walk.
     """
 
     anchor: int
@@ -204,10 +220,15 @@ def mine_hybrid_partition(
     ``cancel`` here).  The read polls ``cancel`` and the deadline before
     the first chunk and after each one; a stop there returns ``None``
     without reading further, and the caller counts the partition as
-    skipped.  Otherwise returns ``(payload, stats)``: the payload is a
-    tuple of ``(sorted antecedent, support, confidence)`` triples —
-    supports measured inside the partition are exact global values, so
-    the parent only re-derives row sets, never counters.
+    skipped.  Otherwise the partition is mined by the column walk when
+    :func:`~repro.core.planner.column_fits` holds for its view's
+    frequent items and rows, by the row walk of ``request.mine.engine``
+    elsewhere; the choice is not a ``strategy="auto"`` and is not
+    counted in :func:`auto_strategy_stats`.  Returns ``(payload,
+    stats)``, ``stats.engine`` naming the walk.  The payload is a tuple
+    of ``(sorted antecedent, support, confidence)`` triples — supports
+    measured inside the partition are exact global values, so the
+    parent only re-derives row sets, never counters.
     """
     deadline = (
         None if time_budget is None else time.monotonic() + time_budget
@@ -221,13 +242,20 @@ def mine_hybrid_partition(
     partition = _read_partition(request, source, stopped)
     if partition is None:
         return None
-    result = mine_topk(
-        partition, **asdict(request.mine),
-        time_budget=(
-            None if deadline is None
-            else max(deadline - time.monotonic(), 0.0)
+    started = time.monotonic()
+    mine = asdict(request.mine)
+    engine = mine.pop("engine")
+    view = MiningView.cached(partition, mine["consequent"], mine["minsup"])
+    result = mine_walk(
+        partition,
+        walk=(
+            COLUMN_WALK if column_fits(len(view.frequent_items), view.n_rows)
+            else engine
         ),
+        **mine,
+        time_budget=None if deadline is None else max(deadline - started, 0.0),
         cancel=cancel,
+        started=started,
     )
     payload = tuple(
         (tuple(sorted(group.antecedent)), group.support, group.confidence)
@@ -286,7 +314,8 @@ def mine_topk_hybrid(
     use_topk_pruning: bool = True,
     fault=None,
 ) -> TopkResult:
-    """Top-k covering rule groups via column-partitioned row enumeration.
+    """Top-k covering rule groups via column partitions, each mined by
+    the walk planned for it.
 
     Args:
         dataset: materialized discretized dataset.  Exactly one of
@@ -295,9 +324,12 @@ def mine_topk_hybrid(
         consequent: class id of the rule consequent.
         minsup: absolute minimum support.
         k: rule groups to keep per row.
-        engine: row-enumeration engine used inside each partition.
-        node_budget_per_partition: optional per-partition node cap; a
-            capped partition marks the overall result incomplete.
+        engine: row-enumeration engine of the partitions that take the
+            row walk; the column partitions ignore it.
+        node_budget_per_partition: optional per-partition node cap,
+            counted in row-walk nodes or, on a column partition, in
+            IT-tree nodes; a capped partition marks the overall result
+            incomplete.
         spill_dir, max_resident_cells: accepted and ignored.  Partitions
             are read from the source when they are mined, so there is
             nothing to spill or budget; perfbench's ``tall
@@ -318,7 +350,7 @@ def mine_topk_hybrid(
             against the *full* cohort's row count.
         initialize_single_items, dynamic_minsup, use_topk_pruning:
             Section 4.1.1 optimization flags, forwarded to each
-            per-partition mine.
+            partition that takes the row walk.
         fault: deterministic :class:`repro.parallel.FaultPlan` for the
             pool path (testing hook; ignored by partitions mined in
             this process).
@@ -411,6 +443,7 @@ def mine_topk_hybrid(
             continue
         payload, mined = output
         partition_stats.append(mined)
+        stats.column_partitions += mined.engine == COLUMN_WALK
         finished.append((request.anchor, payload))
     miner_stats = merge_stats(partition_stats, engine=f"hybrid/{engine}")
     stats.total_nodes = miner_stats.nodes_visited

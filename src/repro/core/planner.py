@@ -5,9 +5,11 @@ from one pass over the items frequent for the consequent at ``minsup``.
 The pass counts them (``f``) and sums their *support mass*
 ``Σ |R(i)|``.  ``strategy="auto"`` takes the column walk when ``2**f``,
 the most closed sets ``f`` items can have, is within
-:data:`AUTO_COLUMN_FACTOR` closed sets per row; otherwise the mass over
-the squared row count is the density that separates tall data, where
-hybrid wins, from wide data, where it loses (DESIGN.md §13).  The mass
+:data:`AUTO_COLUMN_FACTOR` closed sets per row (:func:`column_fits`,
+which each hybrid partition also asks for its own rows); otherwise the
+mass over the squared row count is the density that separates tall
+data, where hybrid wins, from wide data, where it loses (DESIGN.md
+§13).  The mass
 times ``1 + k`` (or the row count for FARMER) is the work behind
 ``n_jobs="auto"`` (DESIGN.md §9).  :mod:`repro.parallel` re-exports
 :func:`plan`.
@@ -32,6 +34,7 @@ __all__ = [
     "STRATEGIES",
     "Plan",
     "auto_strategy_stats",
+    "column_fits",
     "plan",
     "planner_serial_fallbacks",
     "resolve_n_jobs",
@@ -48,12 +51,12 @@ AUTO_JOBS = "auto"
 STRATEGIES = ("direct", "hybrid")
 AUTO_STRATEGY = "auto"
 
-# strategy="auto" plans the column walk when 2**f <= AUTO_COLUMN_FACTOR *
-# n_rows for f frequent items.  2**f bounds the closed sets, i.e. the
-# column walk's recorded nodes, on every input; the row walk's first
-# level alone has n_rows nodes.  On the DESIGN.md §13 table every shape
-# where the column walk won or tied has 2**f / n_rows <= 86 and every
-# one where it lost has 642 or more; 128 sits in that gap.
+# A mine takes the column walk when 2**f <= AUTO_COLUMN_FACTOR * n_rows
+# for f frequent items (:func:`column_fits`).  2**f bounds the closed
+# sets, i.e. the column walk's recorded nodes, on every input; the row
+# walk's first level alone has n_rows nodes.  On the DESIGN.md §13 table
+# every shape where the column walk won or tied has 2**f / n_rows <= 86
+# and every one where it lost has 642 or more; 128 sits in that gap.
 AUTO_COLUMN_FACTOR = 128
 
 # n_jobs="auto" thresholds in work units, below which pool dispatch
@@ -105,6 +108,16 @@ def resolve_n_jobs(n_jobs: Optional[int]) -> int:
 def planner_serial_fallbacks() -> int:
     """How many ``n_jobs="auto"`` decisions resolved to serial."""
     return _SERIAL_FALLBACKS
+
+
+def column_fits(frequent_items: int, n_rows: int) -> bool:
+    """Whether ``frequent_items`` items over ``n_rows`` rows take the
+    column walk: their ``2**f`` closed sets at most are within
+    :data:`AUTO_COLUMN_FACTOR` per row.  :func:`plan` asks it for a
+    whole ``strategy="auto"`` mine, and every hybrid partition asks it
+    for its own rows (:func:`repro.core.hybrid.mine_hybrid_partition`).
+    """
+    return 1 << frequent_items <= AUTO_COLUMN_FACTOR * n_rows
 
 
 def auto_strategy_stats() -> dict:
@@ -166,8 +179,8 @@ def plan(
     and ``class_mask()``, unless the caller passes the ``mass`` it
     already counted for an ``n_jobs="auto"`` (a hybrid mine's pass one;
     ``dataset`` then only gives ``n_rows``).  ``strategy="auto"``
-    resolves to ``"column"`` when ``2**f <= AUTO_COLUMN_FACTOR *
-    n_rows`` for ``f`` frequent items, else asks
+    resolves to ``"column"`` when :func:`column_fits` holds for the
+    ``f`` frequent items, else asks
     :func:`repro.core.hybrid.plan_auto_strategy` with the density, and
     is counted (:func:`auto_strategy_stats`); ``n_jobs="auto"`` stays
     serial (counted) when one CPU is usable or the work is below the
@@ -199,7 +212,7 @@ def plan(
                     mass += rows.bit_count()
                     frequent += 1
     if strategy == AUTO_STRATEGY:
-        if 1 << frequent <= AUTO_COLUMN_FACTOR * n_rows:
+        if column_fits(frequent, n_rows):
             strategy = "column"
         else:
             from . import hybrid  # the density rung lives with the miner

@@ -3,7 +3,8 @@
 :func:`repro.core.column.mine_topk_column` walks the closed sets of the
 view and offers each one to an ordinary ``TopkPolicy``, so its per-row
 lists must be the direct mine's, bit for bit, on any input; budgets and
-cancellation behave as in every other miner.
+cancellation behave as in every other miner.  The walk is the column
+walk of ``run_enumeration``, so its node counts are pinned here.
 """
 
 from __future__ import annotations
@@ -15,8 +16,10 @@ import pytest
 import repro.audit.invariants as invariants
 from repro.baselines import mine_charm
 from repro.core.column import mine_topk_column, walk_closed_sets
-from repro.core.enumeration import POLL_STRIDE, MinerStats, _Budget
-from repro.core.topk_miner import mine_topk, relative_minsup
+from repro.core.enumeration import (
+    COLUMN_WALK, ENGINES, POLL_STRIDE, MinerStats, _Budget, run_enumeration,
+)
+from repro.core.topk_miner import TopkPolicy, mine_topk, relative_minsup
 from repro.core.view import MiningView
 from repro.data import random_discretized_dataset
 from repro.data.dataset import DiscretizedDataset, Item
@@ -183,3 +186,50 @@ class TestSharedWalk:
             view.positions_to_rows(tids) for tids in seen
         }
         assert stats.nodes_visited == charm.stats.nodes_visited
+
+
+class TestRunEnumerationWalk:
+    """The column walk runs inside ``run_enumeration``: same IT-tree
+    nodes as before it moved there, the same stats contract as the row
+    walks, and no name a miner's ``engine`` argument accepts."""
+
+    # The column walk's IT-tree nodes on these inputs, pinned so that a
+    # change to the walk shows; it records one closed set per node.
+    @pytest.mark.parametrize("fraction, nodes", [
+        (0.5, 1811), (0.7, 183), (0.9, 3),
+    ])
+    def test_tall_node_counts_are_kept(self, tall, fraction, nodes):
+        minsup = relative_minsup(tall, 1, fraction)
+        for k in (1, 2, 10):
+            result = mine_topk_column(tall, 1, minsup, k=k)
+            assert result.stats.engine == "column"
+            assert result.stats.nodes_visited == nodes
+            assert result.stats.groups_emitted == nodes
+
+    @pytest.mark.parametrize("seed, nodes", [(0, 40), (1, 50), (2, 39)])
+    def test_random_node_counts_are_kept(self, seed, nodes):
+        dataset = random_discretized_dataset(
+            n_rows=14, n_items=10, density=0.5, seed=seed)
+        result = mine_topk_column(dataset, 1, 2, k=3)
+        assert (result.stats.engine, result.stats.nodes_visited) == (
+            "column", nodes)
+
+    def test_run_enumeration_runs_the_walk(self, tall):
+        minsup = relative_minsup(tall, 1, 0.7)
+        view = MiningView.cached(tall, 1, minsup)
+        policy = TopkPolicy(view, 2, initialize_single_items=False)
+        stats = run_enumeration(view, policy, engine=COLUMN_WALK)
+        assert (stats.engine, stats.nodes_visited, stats.completed) == (
+            "column", 183, True)
+        assert policy.finalize() == mine_topk(tall, 1, minsup, k=2).per_row
+        with pytest.raises(ValueError, match="first_rows"):
+            run_enumeration(view, policy, engine=COLUMN_WALK, first_rows=1)
+
+    def test_miners_do_not_accept_it_as_an_engine(self, tall):
+        from repro.baselines import mine_farmer
+        from repro.core.hybrid import mine_topk_hybrid
+
+        assert COLUMN_WALK not in ENGINES
+        for mine in (mine_topk, mine_topk_hybrid, mine_farmer):
+            with pytest.raises(ValueError, match="unknown engine 'column'"):
+                mine(tall, 1, 1, engine=COLUMN_WALK)

@@ -1,10 +1,11 @@
-"""Tests for the hybrid column-then-row miner (Section 8 extension).
+"""Tests for the hybrid column-partitioned miner (Section 8 extension).
 
 Covers the streaming production path and its execution plumbing:
 bit-identity against the direct miner (engines x backend spellings x
 cohorts, streamed and on the pool), cancellation/time budgets during a
 partition's read, backend resolution parity, the ``REPRO_CHECK`` audit
-of the aggregate, and the largest-partition memory figure.
+of the aggregate, the largest-partition memory figure, and the walk
+each partition plans for itself (column or row, both equal to direct).
 """
 
 import threading
@@ -13,7 +14,9 @@ from dataclasses import replace
 
 import pytest
 
+import repro.core.column as column
 import repro.core.hybrid as hybrid
+import repro.core.planner as planner
 from repro.audit.invariants import InvariantViolation
 from repro.core.backends import auto_backend_stats
 from repro.core.hybrid import (
@@ -24,6 +27,7 @@ from repro.core.hybrid import (
     plan_auto_strategy,
 )
 from repro.core.topk_miner import mine_topk, relative_minsup
+from repro.core.view import MiningView
 from repro.data import (
     TALL_COHORTS,
     DatasetChunkSource,
@@ -121,9 +125,10 @@ class TestEquivalence:
             mine_topk(small_random, 1, 1, k=2, strategy="hybrid")
 
     def test_auto_strategy_planner_rung(self):
-        # The fitted rung sits between the densest shape that mined
-        # faster hybrid (0.038) and the mixed band (0.057+).
-        assert 0.038 < AUTO_HYBRID_DENSITY < 0.057
+        # The fitted rung sits above the random tables up to 0.0499 that
+        # mine faster hybrid and below OC@0.1 class 0 at minsup 0.95
+        # (0.0521), which mines 50x faster direct.
+        assert 0.0499 < AUTO_HYBRID_DENSITY < 0.0521
         assert plan_auto_strategy(AUTO_HYBRID_DENSITY * 0.99) == "hybrid"
         assert plan_auto_strategy(AUTO_HYBRID_DENSITY) == "direct"
 
@@ -476,3 +481,154 @@ class TestStats:
         direct = mine_topk(ds, 1, minsup=2, k=2)
         hybrid = mine_topk_hybrid(ds, 1, minsup=2, k=2)
         assert results_equal(hybrid, direct)
+
+
+# Each partition's walk is planned by column_fits on its own view: an
+# AUTO_COLUMN_FACTOR of 0 sends every partition to the row walk, a huge
+# one every partition to the column walk.
+EVERY_WALK = {"row": 0, "column": 1 << 64}
+
+
+@pytest.fixture(scope="module")
+def mixed():
+    """30 rows, 16 items: at minsup 2 and class 1, 13 of the 16
+    partitions fit the column walk and the three widest do not."""
+    return random_discretized_dataset(30, 16, density=0.4, seed=0)
+
+
+class TestPartitionWalks:
+    def test_mixed_partitions_match_direct_everywhere(self, mixed):
+        direct = mine_topk(mixed, 1, 2, k=2)
+        in_process = mine_topk_hybrid(mixed, 1, 2, k=2)
+        stats = in_process.hybrid_stats
+        assert 0 < stats.column_partitions < stats.n_partitions
+        streamed = mine_topk_hybrid(
+            consequent=1, minsup=2, k=2,
+            source=DatasetChunkSource(mixed, chunk_rows=7),
+        )
+        try:
+            fanned = mine_topk_hybrid(mixed, 1, 2, k=2, n_jobs=2)
+        finally:
+            shutdown_pool()
+        assert fanned.stats.plan.workers == 2
+        for result in (in_process, streamed, fanned):
+            assert results_equal(result, direct)
+            assert result.hybrid_stats.column_partitions == (
+                stats.column_partitions)
+
+    def test_each_partition_asks_column_fits_of_its_own_view(
+            self, mixed, monkeypatch):
+        walks = []
+
+        def spy(partition, walk, **kwargs):
+            walks.append((partition, walk))
+            return mine_walk(partition, walk=walk, **kwargs)
+
+        mine_walk = hybrid.mine_walk
+        monkeypatch.setattr(hybrid, "mine_walk", spy)
+        result = mine_topk_hybrid(mixed, 1, 2, k=2)
+        assert len(walks) == result.hybrid_stats.n_partitions
+        for partition, walk in walks:
+            view = MiningView.cached(partition, 1, 2)
+            fits = planner.column_fits(len(view.frequent_items), view.n_rows)
+            assert walk == ("column" if fits else "bitset")
+        assert result.hybrid_stats.column_partitions == sum(
+            walk == "column" for _partition, walk in walks)
+
+    @pytest.mark.parametrize("engine", ["bitset", "table", "tree"])
+    @pytest.mark.parametrize("walk", sorted(EVERY_WALK))
+    def test_one_walk_everywhere_matches_direct(
+            self, mixed, monkeypatch, walk, engine):
+        monkeypatch.setattr(planner, "AUTO_COLUMN_FACTOR", EVERY_WALK[walk])
+        direct = mine_topk(mixed, 1, 2, k=2, engine=engine)
+        for k in (1, 2, 5):
+            result = mine_topk_hybrid(mixed, 1, 2, k=k, engine=engine)
+            stats = result.hybrid_stats
+            assert stats.column_partitions == (
+                stats.n_partitions if walk == "column" else 0)
+            assert results_equal(
+                result, mine_topk(mixed, 1, 2, k=k, engine=engine))
+        assert results_equal(
+            mine_topk_hybrid(mixed, 1, 2, k=2, engine=engine), direct)
+
+    def test_partition_choices_are_not_auto_choices(self, mixed):
+        before = auto_strategy_stats()
+        mine_topk_hybrid(mixed, 1, 2, k=2)
+        mine_topk(mixed, 1, 2, k=2, strategy="hybrid")
+        assert auto_strategy_stats() == before
+
+    def test_total_nodes_sums_both_walks(self, mixed, monkeypatch):
+        result = mine_topk_hybrid(mixed, 1, 2, k=2)
+        assert result.hybrid_stats.total_nodes == result.stats.nodes_visited
+        per_walk = {}
+        for walk, factor in EVERY_WALK.items():
+            monkeypatch.setattr(planner, "AUTO_COLUMN_FACTOR", factor)
+            per_walk[walk] = mine_topk_hybrid(
+                mixed, 1, 2, k=2).hybrid_stats.total_nodes
+        assert per_walk["column"] < result.hybrid_stats.total_nodes < (
+            per_walk["row"])
+
+
+class TestColumnPartitionBudgets:
+    """Budgets and cancellation stop column partitions as they stop row
+    partitions."""
+
+    @pytest.mark.parametrize("walk", sorted(EVERY_WALK))
+    def test_partition_node_budget_marks_incomplete(
+            self, mixed, monkeypatch, walk):
+        monkeypatch.setattr(planner, "AUTO_COLUMN_FACTOR", EVERY_WALK[walk])
+        result = mine_topk_hybrid(
+            mixed, 1, 2, k=2, node_budget_per_partition=1)
+        stats = result.hybrid_stats
+        assert not result.stats.completed and not stats.completed
+        assert stats.n_skipped_partitions == 0
+        # Each partition stops at the node past its budget.
+        assert stats.total_nodes <= 2 * stats.n_partitions
+
+    @pytest.mark.parametrize("walk", sorted(EVERY_WALK))
+    def test_preset_cancel_skips_every_partition(
+            self, mixed, monkeypatch, walk):
+        monkeypatch.setattr(planner, "AUTO_COLUMN_FACTOR", EVERY_WALK[walk])
+        cancel = threading.Event()
+        cancel.set()
+        result = mine_topk_hybrid(mixed, 1, 2, k=2, cancel=cancel)
+        stats = result.hybrid_stats
+        assert not result.stats.completed
+        assert stats.n_skipped_partitions == stats.n_partitions
+
+    def test_time_budget_stops_a_column_walk(self, mixed, monkeypatch):
+        """A walk that outlives the budget is stopped by it, and the
+        partitions after it are skipped."""
+        monkeypatch.setattr(planner, "AUTO_COLUMN_FACTOR", EVERY_WALK["column"])
+
+        def endless_walk(view, minsup, record, budget, *args):
+            while True:
+                budget.poll()
+                time.sleep(0.001)
+
+        monkeypatch.setattr(column, "walk_closed_sets", endless_walk)
+        result = mine_topk_hybrid(mixed, 1, 2, k=2, time_budget=0.05)
+        stats = result.hybrid_stats
+        assert not result.stats.completed
+        assert stats.column_partitions >= 1
+        assert stats.n_skipped_partitions >= 1
+        assert stats.column_partitions + stats.n_skipped_partitions == (
+            stats.n_partitions)
+
+    def test_cancel_during_a_column_walk(self, mixed, monkeypatch):
+        monkeypatch.setattr(planner, "AUTO_COLUMN_FACTOR", EVERY_WALK["column"])
+        cancel = threading.Event()
+        walk = column.walk_closed_sets
+
+        def cancelling_walk(view, minsup, record, budget, *args):
+            def record_then_cancel(itemset, tidset):
+                cancel.set()
+                record(itemset, tidset)
+            walk(view, minsup, record_then_cancel, budget, *args)
+
+        monkeypatch.setattr(column, "walk_closed_sets", cancelling_walk)
+        result = mine_topk_hybrid(mixed, 1, 2, k=2, cancel=cancel)
+        stats = result.hybrid_stats
+        assert not result.stats.completed
+        assert (stats.column_partitions, stats.n_skipped_partitions) == (
+            1, stats.n_partitions - 1)

@@ -57,6 +57,15 @@ PAPER_SHAPES = [
 # Sparse random tables with more frequent items than the column rung
 # takes: the density rung still plans hybrid there.
 SPARSE_SHAPE = dict(n_rows=300, n_items=60, density=0.1, seed=1)
+# (random table, minsup, planned density, expected strategy) for class 1
+# at k=2: DESIGN.md §13 rung shapes on either side of the rung.  The
+# paper shape closest to it is OC@0.1 class 0 at minsup 0.95 (0.0521,
+# direct, in PAPER_SHAPES).
+RUNG_SHAPES = [
+    (dict(n_rows=150, n_items=30, density=0.25, seed=8), 4, 0.0465, "hybrid"),
+    (dict(n_rows=150, n_items=40, density=0.2, seed=8), 3, 0.0489, "hybrid"),
+    (dict(n_rows=100, n_items=30, density=0.3, seed=7), 3, 0.0899, "direct"),
+]
 
 
 @pytest.fixture(scope="module")
@@ -191,6 +200,20 @@ class TestColumnRung:
         assert planned == planner.Plan("column", 1, 30, 10, 3)
         with pytest.raises(ValueError, match="unknown strategy 'column'"):
             plan(dataset, 1, 1, task="topk", strategy="column")
+
+
+class TestDensityRung:
+    @pytest.mark.parametrize("table, minsup, density, expected", RUNG_SHAPES)
+    def test_rung_shapes(self, table, minsup, density, expected):
+        """Too many frequent items for the column rung: the density
+        picks hybrid below AUTO_HYBRID_DENSITY and direct above it."""
+        dataset = random_discretized_dataset(**table)
+        planned = plan(dataset, 1, minsup, task="topk", k=2,
+                       strategy="auto")
+        assert not planner.column_fits(planned.frequent_items,
+                                       dataset.n_rows)
+        assert round(planned.density, 4) == density
+        assert planned.strategy == expected
 
 
 class TestCounting:
