@@ -89,10 +89,11 @@ def mine_closetplus(
         )
     }
 
-    tree = PrefixTree()
-    for position, items in enumerate(view.row_items):
-        if items:
-            tree.insert(position, sorted(items, key=order.__getitem__))
+    tree = PrefixTree.from_items(
+        (position, sorted(items, key=order.__getitem__))
+        for position, items in enumerate(view.row_items)
+        if items
+    )
 
     # Every recorded candidate, and by total support for sub-itemset
     # pruning.  A same-support strict superset of a candidate has the

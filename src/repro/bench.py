@@ -46,6 +46,7 @@ from .baselines.farmer import mine_farmer
 from .core.enumeration import ClosedSetResult
 from .core.hybrid import mine_topk_hybrid
 from .core.topk_miner import TopkResult, mine_topk, relative_minsup
+from .data.dataset import DiscretizedDataset
 from .data.loaders import load_benchmark
 from .data.synthetic import generate_tall_cohort
 from .experiments.harness import format_seconds
@@ -79,7 +80,11 @@ class Workload:
     baseline entry stays comparable.  ``measure_parallel`` turns off
     the worker-pool columns (process pools on the tall cohorts would
     double the runtime to measure an orthogonal axis).  A ``topk``
-    workload has no pool path and must turn them off.
+    workload has no pool path and must turn them off.  ``cold`` hands
+    every timed call a fresh dataset object, made outside the timed
+    region, so each call builds its own view and prefix tree, as every
+    RCBT fit and ``/mine`` does; otherwise the repeats reuse one object
+    and time warm mines.
     """
 
     name: str
@@ -91,6 +96,7 @@ class Workload:
     minconf: float = 0.0
     scale: Optional[float] = None
     measure_parallel: bool = True
+    cold: bool = False
 
     def __post_init__(self) -> None:
         if self.miner == "topk" and self.measure_parallel:
@@ -139,6 +145,8 @@ DEFAULT_WORKLOADS = (
 # and a 128-row tall point
 # (direct and hybrid) that keeps the tall generator exercised on every
 # CI run (small enough for seconds-long smoke, so it gates regressions).
+# The cold tree mine gates the prefix-tree build, which the warm repeats
+# of quick-topk-tree-k100 build once and never time again.
 QUICK_WORKLOADS = (
     Workload("quick-topk-bitset-k5", "ALL", "topk", "bitset", k=5,
              measure_parallel=False),
@@ -150,6 +158,8 @@ QUICK_WORKLOADS = (
              k=2, fraction=0.7, scale=0.125, measure_parallel=False),
     Workload("quick-tall-hybrid-bitset-k2", "tall-1k", "hybrid", "bitset",
              k=2, fraction=0.7, scale=0.125, measure_parallel=False),
+    Workload("quick-all-tree-cold-k100", "ALL", "topk", "tree", k=100,
+             measure_parallel=False, cold=True),
 )
 
 
@@ -243,12 +253,19 @@ class BenchReport(Report):
         return lines
 
 
-def _best_of(fn: Callable[[], object], repeats: int) -> tuple[float, object]:
+def _best_of(
+    fn: Callable[[DiscretizedDataset], object],
+    repeats: int,
+    dataset: Callable[[], DiscretizedDataset],
+) -> tuple[float, object]:
+    """Best wall-clock of ``fn`` over ``repeats`` calls; each call's
+    input comes from ``dataset()``, outside the timed region."""
     best = float("inf")
     result: object = None
     for _ in range(max(1, repeats)):
+        data = dataset()
         start = time.perf_counter()
-        result = fn()
+        result = fn(data)
         elapsed = time.perf_counter() - start
         best = min(best, elapsed)
     return best, result
@@ -258,6 +275,14 @@ def _farmer_identical(a: ClosedSetResult, b: ClosedSetResult) -> bool:
     key = lambda g: (g.antecedent, g.consequent, g.row_set, g.support,
                      g.confidence)
     return list(map(key, a.groups)) == list(map(key, b.groups))
+
+
+def _fresh_copy(dataset: DiscretizedDataset) -> DiscretizedDataset:
+    """A new dataset object over the same rows: nothing cached on it."""
+    return DiscretizedDataset(
+        dataset.rows, dataset.labels, dataset.items,
+        class_names=dataset.class_names, name=dataset.name,
+    )
 
 
 def _measure(
@@ -272,30 +297,31 @@ def _measure(
         train = generate_tall_cohort(workload.dataset, scale=scale)
     else:
         train = load_benchmark(workload.dataset, scale=scale).train_items
+    dataset = (lambda: _fresh_copy(train)) if workload.cold else (lambda: train)
     minsup = relative_minsup(train, 1, workload.fraction)
     if workload.miner == "topk":
-        serial_fn = lambda: mine_topk(
-            train, 1, minsup, k=workload.k, engine=workload.engine
+        serial_fn = lambda data: mine_topk(
+            data, 1, minsup, k=workload.k, engine=workload.engine
         )
     elif workload.miner == "hybrid":
-        serial_fn = lambda: mine_topk_hybrid(
-            train, 1, minsup, k=workload.k, engine=workload.engine
+        serial_fn = lambda data: mine_topk_hybrid(
+            data, 1, minsup, k=workload.k, engine=workload.engine
         )
-        parallel_fn = lambda n: mine_topk_hybrid(
-            train, 1, minsup, k=workload.k, engine=workload.engine, n_jobs=n
+        parallel_fn = lambda data, n: mine_topk_hybrid(
+            data, 1, minsup, k=workload.k, engine=workload.engine, n_jobs=n
         )
         identical = results_equal
     else:
-        serial_fn = lambda: mine_farmer(
-            train, 1, minsup, minconf=workload.minconf,
+        serial_fn = lambda data: mine_farmer(
+            data, 1, minsup, minconf=workload.minconf,
             engine=workload.engine,
         )
-        parallel_fn = lambda n: mine_farmer(
-            train, 1, minsup, minconf=workload.minconf,
+        parallel_fn = lambda data, n: mine_farmer(
+            data, 1, minsup, minconf=workload.minconf,
             engine=workload.engine, n_jobs=n,
         )
         identical = _farmer_identical
-    serial_seconds, serial_result = _best_of(serial_fn, repeats)
+    serial_seconds, serial_result = _best_of(serial_fn, repeats, dataset)
     cpu_count = usable_cpus()
     entry = {
         "name": workload.name,
@@ -311,16 +337,21 @@ def _measure(
         "serial_nodes_visited": serial_result.stats.nodes_visited,
         "parallel": {},
     }
+    if workload.cold:
+        # Recorded only when set, so the warm entries of older
+        # baselines keep comparing (``cold`` is a compare key).
+        entry["cold"] = True
     if workload.miner == "hybrid":
         # Reference column: the direct miner on the identical inputs.
         # identical_output is the hybrid == direct claim, asserted on
         # every harness run; speedup is direct_seconds/serial_seconds
         # (> 1 means hybrid beat the single global enumeration).
         direct_seconds, direct_result = _best_of(
-            lambda: mine_topk(
-                train, 1, minsup, k=workload.k, engine=workload.engine
+            lambda data: mine_topk(
+                data, 1, minsup, k=workload.k, engine=workload.engine
             ),
             repeats,
+            dataset,
         )
         entry["direct"] = {
             "seconds": direct_seconds,
@@ -346,7 +377,8 @@ def _measure(
             # such a point measures scheduling overhead, not
             # parallelism, so no column is recorded for it.
             continue
-        seconds, result = _best_of(lambda: parallel_fn(n_jobs), repeats)
+        seconds, result = _best_of(
+            lambda data: parallel_fn(data, n_jobs), repeats, dataset)
         entry["parallel"][str(n_jobs)] = {
             "seconds": seconds,
             "speedup": serial_seconds / seconds if seconds > 0 else 0.0,
@@ -356,7 +388,8 @@ def _measure(
     # The planner path is measured unconditionally: "auto" must never be
     # meaningfully slower than whatever it picked against (the acceptance
     # bar is within 5% of serial on serial-sized workloads).
-    auto_seconds, auto_result = _best_of(lambda: parallel_fn(AUTO_JOBS), repeats)
+    auto_seconds, auto_result = _best_of(
+        lambda data: parallel_fn(data, AUTO_JOBS), repeats, dataset)
     entry["auto"] = {
         "seconds": auto_seconds,
         "speedup": serial_seconds / auto_seconds if auto_seconds > 0 else 0.0,
@@ -428,9 +461,10 @@ REGRESSION_MIN_DELTA_SECONDS = 0.005
 # differ, the workload itself changed and a wall-clock diff is
 # meaningless.  ``scale`` is one of them because a scaled dataset can
 # keep its row count and minsup while its item count changes (ALL has
-# 38 training rows and minsup 25 at every scale).
+# 38 training rows and minsup 25 at every scale); ``cold`` too, because
+# a cold mine also times its view and prefix-tree build.
 _COMPARE_KEYS = (
-    "dataset", "miner", "engine", "k", "minsup", "n_rows", "scale",
+    "dataset", "miner", "engine", "k", "minsup", "n_rows", "scale", "cold",
 )
 
 # What to run (and commit) when the gate reports a missing baseline

@@ -4,7 +4,7 @@ from .bitset import from_indices, iter_indices, popcount, to_indices
 from .enumeration import ENGINES, ClosedSetResult, MinerStats, run_enumeration
 from .hybrid import HybridStats, mine_topk_hybrid
 from .lower_bounds import LowerBoundResult, find_lower_bounds, find_lower_bounds_batch
-from .prefix_tree import PrefixTree, PrefixTreeNode
+from .prefix_tree import PrefixTree
 from .rules import Rule, RuleGroup, TopKList, cba_sort_key, more_significant
 from .members import count_members, is_member, iter_members
 from .topk_miner import TopkPolicy, TopkResult, mine_topk, relative_minsup
@@ -19,7 +19,6 @@ __all__ = [
     "MinerStats",
     "MiningView",
     "PrefixTree",
-    "PrefixTreeNode",
     "Rule",
     "RuleGroup",
     "TopKList",

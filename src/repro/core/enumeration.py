@@ -82,7 +82,7 @@ from typing import (
 )
 
 from ..errors import MiningBudgetExceeded
-from .bitset import iter_indices, mask_below
+from .bitset import mask_below, to_indices
 from .prefix_tree import PrefixTree
 from .rules import RuleGroup
 from .view import MiningView
@@ -550,7 +550,7 @@ def _table_engine(view: MiningView) -> _Engine:
     # memoized: this engine exists to preserve FARMER's per-node cost
     # profile, so it takes nothing from the SupportIndex.
     root_tuples = [
-        (item, sorted(iter_indices(view.item_rows[item])))
+        (item, to_indices(view.item_rows[item]))
         for item in view.frequent_items
     ]
     return _Engine(root_tuples, mask_below(view.n_rows), step,
@@ -569,14 +569,15 @@ def _tree_engine(view: MiningView) -> _Engine:
         # The projected tree only keeps rows after r (Section 3's
         # projected transposed table), but each source's closed_rows
         # covers the items' full row sets, so the backward check can
-        # probe the rows before r.
-        closure = projected.closure_rows()
+        # probe the rows before r.  ``project`` folded the closure and
+        # the candidate rows already.
+        closure = projected.closure
         if closure & (r_bit - 1) & ~x_bits:
             return _BACKWARD
         x_p, x_all = masked_counts(closure)
         # Rows absorbed into X by a closure step remain in the projected
         # tree's paths but are not extension candidates.
-        new_cand = projected.rows_mask() & ~closure
+        new_cand = projected.mask & ~closure
         m_p, cand_all = masked_counts(new_cand)
         return (projected, closure, new_cand,
                 x_p, x_all - x_p, m_p, cand_all - m_p)

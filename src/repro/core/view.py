@@ -21,7 +21,7 @@ from collections import Counter
 from itertools import chain, compress
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
-from .bitset import bit_flags, iter_indices, mask_below, popcount
+from .bitset import bit_flags, mask_below, popcount, to_indices
 from .prefix_tree import PrefixTree
 from .rules import RuleGroup
 
@@ -349,14 +349,13 @@ class SupportIndex:
     def root_tree(self):
         """The root prefix tree of the tree engine, built once per view.
 
-        ``from_items`` returns the tree frozen, so it is published
-        read-only: concurrent mines share its index and never race on
-        building it.
+        The tree is read-only once built, so concurrent mines share it;
+        two that race on the first build each build an identical tree.
         """
         tree = self._root_tree
         if tree is None:
             tree = self._root_tree = PrefixTree.from_items(
-                (item, sorted(iter_indices(self.item_rows[item])))
+                (item, to_indices(self.item_rows[item]))
                 for item in self.frequent_items
             )
         return tree

@@ -6,7 +6,9 @@ or a changed ``serial_nodes_visited`` of a comparable workload, skip
 workloads whose configuration changed, ignore the stale columns of
 older baselines, and never crash on a baseline from a different host.
 Two harness tests pin the rules that no parallel column is recorded for
-more workers than the host has cores, nor for a direct top-k mine.
+more workers than the host has cores, nor for a direct top-k mine, and
+the cold-workload tests that a cold workload times fresh dataset
+objects and that the committed baseline covers every quick workload.
 """
 
 from __future__ import annotations
@@ -315,3 +317,51 @@ class TestParallelColumns:
             for w in (*DEFAULT_WORKLOADS, *QUICK_WORKLOADS)
             if w.miner == "topk"
         )
+
+
+class TestColdWorkloads:
+    @pytest.mark.parametrize("cold", (False, True))
+    def test_cold_hands_every_call_a_fresh_dataset(self, monkeypatch, cold):
+        """A cold workload times each call on a new dataset object, so
+        every call builds its own view and prefix tree; a warm one reuses
+        one object across its repeats."""
+        from repro import bench
+
+        seen = []
+        mine = bench.mine_topk
+
+        def recording(dataset, *args, **kwargs):
+            seen.append(dataset)
+            return mine(dataset, *args, **kwargs)
+
+        monkeypatch.setattr(bench, "mine_topk", recording)
+        workload = Workload("cold", "ALL", "topk", "tree", k=1,
+                            measure_parallel=False, cold=cold)
+        entry = _measure(workload, scale=0.05, jobs=(), repeats=3)
+        assert len(seen) == 3
+        assert len({id(dataset) for dataset in seen}) == (3 if cold else 1)
+        assert len({dataset.rows[0] for dataset in seen}) == 1
+        assert entry.get("cold") is (True if cold else None)
+
+    def test_cold_is_a_compare_key(self):
+        warm = _entry(name="w")
+        cold = dict(warm, cold=True)
+        lines, ok = compare_reports(_report(cold), _report(warm))
+        assert ok
+        assert any("changed (cold)" in line for line in lines)
+
+    def test_committed_baseline_covers_every_quick_workload(self):
+        """CI's quick ``--compare`` looks each quick workload up by name;
+        the committed entry must match its cold flag and node gate."""
+        import json
+        from pathlib import Path
+
+        baseline = json.loads(
+            (Path(__file__).resolve().parents[1] / "BENCH_core.json")
+            .read_text(encoding="utf-8"))
+        by_name = {entry["name"]: entry for entry in baseline["benchmarks"]}
+        for workload in QUICK_WORKLOADS:
+            entry = by_name[workload.name]
+            assert entry.get("cold", False) is workload.cold, workload.name
+            assert entry["serial_nodes_visited"] > 0
+        assert any(w.cold and w.engine == "tree" for w in QUICK_WORKLOADS)

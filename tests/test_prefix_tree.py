@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.audit.generator import generate_cases
 from repro.core import bitset as B
-from repro.core.prefix_tree import PrefixTree, _iter_terminal_paths
+from repro.core.prefix_tree import PrefixTree
 from repro.core.transposed import TransposedTable
 from repro.core.view import MiningView
 from repro.data import random_discretized_dataset
@@ -21,7 +21,7 @@ def build(tuples):
 
 class TestConstruction:
     def test_empty_tree(self):
-        tree = PrefixTree()
+        tree = build([])
         assert tree.n_items == 0
         assert tree.rows_present() == []
         assert tree.all_items() == []
@@ -37,8 +37,8 @@ class TestConstruction:
         freq = tree.row_frequencies()
         assert freq == {1: 2, 2: 2, 3: 1, 4: 1}
         # The shared prefix 1 -> 2 must be a single path.
-        assert len(tree.header[1]) == 1
-        assert len(tree.header[2]) == 1
+        assert len(tree.trie.links[1]) == 1
+        assert len(tree.trie.links[2]) == 1
 
     def test_exhausted_items(self):
         tree = build([(0, []), (1, [2])])
@@ -94,15 +94,22 @@ class TestProjection:
         tree = build([(0, [1, 3, 4]), (1, [2, 3, 4])])
         projected = tree.project(3)
         assert projected.row_frequencies() == {4: 2}
-        links = projected.header[4]
-        assert [(node.row, node.count) for node in links] == [(4, 1), (4, 1)]
-        assert sorted(item for node in links for item in node.items) == [0, 1]
+        trie = tree.trie
+        links = [node for node in _nodes_below(projected) if trie.row[node] == 4]
+        assert [(trie.row[node], trie.count[node]) for node in links] == [
+            (4, 1), (4, 1)]
+        assert sorted(
+            item for node in links for item in _ending_at(trie, node)
+        ) == [0, 1]
         assert projected.rows_mask() == 1 << 4
 
     def test_projection_shares_trie_nodes(self):
         tree = build([(0, [1, 2, 3]), (1, [1, 2])])
         projected = tree.project(1)
-        assert projected.header[2] == tree.header[2]
+        assert projected.trie is tree.trie
+        assert [
+            node for node in _nodes_below(projected) if tree.trie.row[node] == 2
+        ] == tree.trie.links[2]
         assert projected.project(2).exhausted == [1]
 
     def test_project_same_row_twice_is_empty(self):
@@ -111,32 +118,27 @@ class TestProjection:
 
 
 class TestFreeze:
-    def test_from_items_is_frozen(self):
-        tree = build([(0, [1, 2])])
-        with pytest.raises(ValueError):
-            tree.insert(1, [2])
-
-    def test_insert_until_first_projection(self):
-        tree = PrefixTree()
-        tree.insert(0, [1, 2])
-        tree.insert(1, [2])
-        assert tree.project(2).n_items == 2
-        with pytest.raises(ValueError):
-            tree.insert(2, [3])
+    """The built trie's arrays: preorder ids, subtree ranges, runs."""
 
     def test_preorder_ranges_cover_subtrees(self):
-        tree = build([(0, [1, 2, 3]), (1, [1, 4]), (2, [2, 3]), (3, [5])])
-        stack = [tree.root]
-        while stack:
-            node = stack.pop()
-            below = list(_subtree(node))[1:]
-            assert node.end - node.pre == len(below) + 1
-            assert all(node.pre < other.pre < node.end for other in below)
+        tuples = [(0, [1, 2, 3]), (1, [1, 4]), (2, [2, 3]), (3, [5])]
+        trie = build(tuples).trie
+        paths = _paths(trie)
+        for node, path in enumerate(paths):
+            below = [
+                other for other, longer in enumerate(paths)
+                if len(longer) > len(path) and longer[:len(path)] == path
+            ]
+            # A subtree is the id range after its root: preorder ids.
+            assert below == list(range(node + 1, trie.end[node]))
             rows = 0
             for other in below:
-                rows |= 1 << other.row
-            assert node.rows_below == rows
-            stack.extend(node.children.values())
+                rows |= 1 << trie.row[other]
+            assert trie.rows_below[node] == rows
+        # One node per distinct prefix, children in ascending label order.
+        assert paths == sorted(
+            {tuple(rows[:depth]) for _item, rows in tuples
+             for depth in range(len(rows) + 1)})
 
     def test_rows_mask(self):
         tree = build([(0, [1, 3]), (1, [2, 3]), (2, [])])
@@ -148,45 +150,62 @@ class TestFreeze:
         tuples = [(0, [1, 2, 3]), (1, [1, 2]), (2, [1, 2, 4]), (3, [2, 4]),
                   (4, [])]
         tree = build(tuples)
+        trie = tree.trie
         full = {item: sum(1 << row for row in rows) for item, rows in tuples}
-        for node in _subtree(tree.root):
+        for node, path in enumerate(_paths(trie)):
             through = [
                 item for item, rows in tuples
-                if node is tree.root or _passes(tree, rows, node)
+                if tuple(rows[:len(path)]) == path
             ]
-            assert node.closed_rows == reduce(
+            assert trie.closed_rows[node] == reduce(
                 and_, (full[item] for item in through)), node
         # Item 1 ends at the shared node 1 -> 2: its root path closes it.
         assert tree.project(1).project(2).closure_rows() == 0b110
         assert tree.closure_rows() == 0
-        assert PrefixTree().closure_rows() is None
+        assert build([]).closure_rows() is None
         assert tree.project(9).closure_rows() is None
 
 
-def _passes(tree, rows, node):
-    """Whether the path of the row list ``rows`` passes through ``node``."""
-    current = tree.root
-    for row in rows:
-        current = current.children[row]
-        if current is node:
-            return True
-    return False
+def _paths(trie):
+    """Each node's label path from the root, by node id (read off the
+    ``end`` ranges alone)."""
+    paths = [()]
+    open_nodes = [0]
+    for node in range(1, len(trie.row)):
+        while trie.end[open_nodes[-1]] <= node:
+            open_nodes.pop()
+        paths.append(paths[open_nodes[-1]] + (trie.row[node],))
+        open_nodes.append(node)
+    return paths
 
 
-def _subtree(node):
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        yield current
-        stack.extend(current.children.values())
+def _nodes_below(tree):
+    """The node ids strictly below a projection's sources."""
+    return [
+        node for source in tree.sources
+        for node in range(source + 1, tree.trie.end[source])
+    ]
+
+
+def _ending_at(trie, node):
+    start = trie.first[node]
+    return trie.items[start:start + trie.n_term[node]]
 
 
 class TestTerminalPaths:
     def test_paths_enumerate_suffixes(self):
         tree = build([(0, [1, 2, 3]), (1, [1, 2])])
-        node = tree.header[1][0]
-        paths = dict(_iter_terminal_paths(node))
-        assert paths == {0: (2, 3), 1: (2,)}
+        trie = tree.trie
+        node = trie.links[1][0]
+        paths = _paths(trie)
+        suffixes = {
+            item: paths[below][len(paths[node]):]
+            for below in range(node + 1, trie.end[node])
+            for item in _ending_at(trie, below)
+        }
+        assert suffixes == {0: (2, 3), 1: (2,)}
+        start = trie.first[node]
+        assert sorted(trie.items[start:start + trie.count[node]]) == [0, 1]
 
 
 rows_strategy = st.lists(
@@ -286,9 +305,11 @@ class TestClosureRows:
                 assert tree.closure_rows() == expected, (depth, items)
                 seen["checked"] += 1
                 seen["deep"] += depth >= 3
-                seen["multi_source"] += len(tree._sources) > 1
+                trie = tree.trie
+                seen["multi_source"] += len(tree.sources) > 1
                 seen["item_ends_inside"] += any(
-                    node.items and node.children for node in tree._sources)
+                    trie.n_term[node] and trie.end[node] > node + 1
+                    for node in tree.sources)
                 seen["absorbed"] += bool(tree.rows_mask() & expected)
             if depth < cls.DEPTH:
                 for r in tree.rows_present():
@@ -325,3 +346,103 @@ class TestClosureRows:
             view = MiningView(case.dataset, case.consequent, case.minsup)
             self._walk(self._view_tuples(view, False), seen)
         assert all(seen.values()), seen
+
+
+@st.composite
+def ranked_tuples(draw):
+    """Tuples over ``n_rows`` labels in a drawn rank order (CLOSET+ builds
+    its FP-tree from rank-ordered, not ascending, sequences), with
+    duplicated tuples, tuples that are prefixes of others and empty
+    tuples mixed in.  Returns (tuples, rank)."""
+    n_rows = draw(st.integers(1, 9))
+    rank = draw(st.permutations(range(n_rows)))
+    sequences = draw(st.lists(
+        st.lists(st.integers(0, n_rows - 1), unique=True, max_size=6)
+        .map(lambda rows: sorted(rows, key=rank.__getitem__)),
+        min_size=1, max_size=8))
+    for rows in list(sequences):
+        extra = draw(st.sampled_from(("none", "duplicate", "prefix", "empty")))
+        if extra == "duplicate":
+            sequences.append(list(rows))
+        elif extra == "prefix":
+            sequences.append(rows[:draw(st.integers(0, len(rows)))])
+        elif extra == "empty":
+            sequences.append([])
+    order = draw(st.permutations(range(len(sequences))))
+    return [(item, sequences[index]) for item, index in enumerate(order)], rank
+
+
+class TestSortedBuild:
+    """The one-pass build over sorted tuples, checked through chained
+    projections against the explicit transposed table.
+
+    The table orders rows numerically, so the tree's labels are mapped
+    to their ranks: a rank-ordered sequence is an ascending rank list."""
+
+    @staticmethod
+    def _ranked(bits, rank):
+        return sum(1 << rank[label] for label in B.iter_indices(bits))
+
+    @given(ranked_tuples(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_chain_matches_transposed_table(self, drawn, data):
+        tuples, rank = drawn
+        tree = build(tuples)
+        table = TransposedTable(
+            tuples={item: tuple(sorted(rank[row] for row in rows))
+                    for item, rows in tuples},
+            projected_on=frozenset(),
+        )
+        full = {item: sum(1 << row for row in rows) for item, rows in table.tuples.items()}
+        labels = data.draw(st.lists(
+            st.sampled_from(range(len(rank))), unique=True, max_size=4))
+        chain = [None] + sorted(labels, key=rank.__getitem__)
+        for label in chain:
+            if label is not None:
+                tree = tree.project(label)
+                table = table.project([rank[label]])
+            assert tree.n_items == len(table.tuples)
+            assert sorted(tree.all_items()) == table.items()
+            assert sorted(tree.exhausted) == sorted(
+                item for item, rows in table.tuples.items() if not rows)
+            freq = table.row_frequencies()
+            assert {rank[label]: count for label, count
+                    in tree.row_frequencies().items()} == freq
+            assert self._ranked(tree.rows_mask(), rank) == sum(
+                1 << row for row in freq)
+            closure = tree.closure_rows()
+            if table.tuples:
+                assert self._ranked(closure, rank) == reduce(
+                    and_, (full[item] for item in table.tuples))
+            else:
+                assert closure is None
+
+    @given(ranked_tuples())
+    @settings(max_examples=100, deadline=None)
+    def test_runs_and_counts(self, drawn):
+        """Every node's run of items is exactly the items whose sequence
+        passes through it, its first ``n_term`` those ending there."""
+        tuples, _rank = drawn
+        trie = build(tuples).trie
+        assert sorted(trie.items) == [item for item, _rows in tuples]
+        for node, path in enumerate(_paths(trie)):
+            start = trie.first[node]
+            run = trie.items[start:start + trie.count[node]]
+            assert sorted(run) == sorted(
+                item for item, rows in tuples
+                if tuple(rows[:len(path)]) == path)
+            assert sorted(run[:trie.n_term[node]]) == sorted(
+                item for item, rows in tuples if tuple(rows) == path)
+
+    def test_single_row(self):
+        tree = build([(0, [0]), (1, []), (2, [0]), (3, [])])
+        assert tree.n_items == 4
+        assert sorted(tree.exhausted) == [1, 3]
+        assert tree.row_frequencies() == {0: 2}
+        assert tree.rows_mask() == 1
+        assert tree.closure_rows() == 0
+        on_zero = tree.project(0)
+        assert sorted(on_zero.all_items()) == sorted(on_zero.exhausted) == [0, 2]
+        assert on_zero.closure_rows() == 1
+        assert on_zero.rows_mask() == 0
+        assert len(tree.trie.row) == 2
